@@ -43,7 +43,7 @@ from .pdmp import (
     drift_estimate,
     jacobian_rank_probe,
     simulate_continuous,
-    simulate_embedded,
+    simulate_embedded,  # noqa: F401 -- unused here; perfbench/tracing.py probes it by this name
     trajectory_to_csv,
 )
 from .stationarity import one_step_moment_shift, stationarity_residual
@@ -103,7 +103,20 @@ def _provenance(cfg: ExperimentConfig, command: str) -> dict:
 # ---------------------------------------------------------------------------
 
 
-def _seed_stats(cfg: ExperimentConfig, seed: int) -> dict:
+def _energies(net, x: np.ndarray) -> np.ndarray:
+    """Hamiltonian of each phase-vector row of x."""
+    dof = net.dof
+    return 0.5 * np.einsum(
+        "ij,jk,ik->i", x[:, :dof], net.stiffness, x[:, :dof]
+    ) + np.einsum("ij,ij->i", x[:, dof:], x[:, dof:]) / (2.0 * net.mass)
+
+
+def _seed_stats(cfg: ExperimentConfig, seed: int, keep_trajectory: bool = False) -> dict:
+    """Grid and chain statistics of one seed, both from a single event pass.
+
+    With ``keep_trajectory`` the grid trajectory rides along under the key
+    ``"trajectory"`` (for ``trajectory.csv``).
+    """
     traj = simulate_continuous(
         cfg.network,
         cfg.model,
@@ -112,33 +125,27 @@ def _seed_stats(cfg: ExperimentConfig, seed: int) -> dict:
         cfg.t_end,
         cfg.sample_dt,
         seed,
+        n_steps=cfg.n_steps,
     )
-    mask = traj.times >= cfg.burn_in
-    x = traj.states[mask]
-    n = x.shape[0]
+    x = traj.states[traj.times >= cfg.burn_in]
     dof = cfg.network.dof
-    energies = 0.5 * np.einsum(
-        "ij,jk,ik->i", x[:, :dof], cfg.network.stiffness, x[:, :dof]
-    ) + np.einsum("ij,ij->i", x[:, dof:], x[:, dof:]) / (2.0 * cfg.network.mass)
-    chain = simulate_embedded(
-        cfg.network, cfg.model, cfg.schedule, cfg.psi0, cfg.n_steps, seed
-    )
-    c = chain.states
-    chain_energy = 0.5 * np.einsum(
-        "ij,jk,ik->i", c[:, :dof], cfg.network.stiffness, c[:, :dof]
-    ) + np.einsum("ij,ij->i", c[:, dof:], c[:, dof:]) / (2.0 * cfg.network.mass)
-    return {
+    energies = _energies(cfg.network, x)
+    chain_energy = _energies(cfg.network, traj.chain.states)
+    stats = {
         "seed": seed,
         "events": traj.events,
-        "n_samples": n,
+        "n_samples": x.shape[0],
         "sum_x": x.sum(axis=0),
         "sum_xx": x.T @ x,
         "mean_energy": float(energies.mean()),
         "mean_p1": float(x[:, dof].mean()),
         "chain_steps": cfg.n_steps,
         "chain_mean_energy": float(chain_energy[cfg.n_steps // 10 :].mean()),
-        "chain_final_time": float(chain.jump_times[-1]),
+        "chain_final_time": float(traj.chain.jump_times[-1]),
     }
+    if keep_trajectory:
+        stats["trajectory"] = traj
+    return stats
 
 
 def _seed_worker(args):
@@ -165,11 +172,17 @@ def run_simulate(cfg: ExperimentConfig, out_dir: Path | None, workers: int = 1) 
     if out_dir is not None:
         out_dir = Path(out_dir)
         out_dir.mkdir(parents=True, exist_ok=True)
+    # the first listed seed runs here, so its pass also gives trajectory.csv
+    keep = out_dir is not None
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            per_seed = list(pool.map(_seed_worker, [(cfg.raw, s) for s in cfg.seeds]))
+            rest = pool.map(_seed_worker, [(cfg.raw, s) for s in cfg.seeds[1:]])
+            first = _seed_stats(cfg, cfg.seeds[0], keep_trajectory=keep)
+            per_seed = [first, *rest]
     else:
-        per_seed = [_seed_stats(cfg, s) for s in cfg.seeds]
+        first = _seed_stats(cfg, cfg.seeds[0], keep_trajectory=keep)
+        per_seed = [first, *(_seed_stats(cfg, s) for s in cfg.seeds[1:])]
+    trajectory = first.pop("trajectory", None)
     per_seed.sort(key=lambda s: s["seed"])
     pooled = _merge_stats(per_seed)
 
@@ -216,16 +229,7 @@ def run_simulate(cfg: ExperimentConfig, out_dir: Path | None, workers: int = 1) 
     summary["checks"] = checks
 
     if out_dir is not None:
-        first = simulate_continuous(
-            cfg.network,
-            cfg.model,
-            cfg.schedule,
-            cfg.psi0,
-            cfg.t_end,
-            cfg.sample_dt,
-            cfg.seeds[0],
-        )
-        trajectory_to_csv(first, out_dir / "trajectory.csv")
+        trajectory_to_csv(trajectory, out_dir / "trajectory.csv")
         _write_json(out_dir / "summary.json", summary)
     return summary
 
@@ -496,10 +500,15 @@ def run_rank_probe(cfg: ExperimentConfig, out_dir: Path | None, legs: int | None
 
 
 def _parse_seed_range(text: str):
-    if ".." in text:
-        lo, hi = text.split("..", 1)
-        return tuple(range(int(lo), int(hi) + 1))
-    return tuple(int(s) for s in text.split(","))
+    try:
+        if ".." in text:
+            lo, hi = text.split("..", 1)
+            return tuple(range(int(lo), int(hi) + 1))
+        return tuple(int(s) for s in text.split(","))
+    except ValueError:
+        raise ConfigError(
+            f"--seeds {text!r}: expected 'a..b' (inclusive) or a comma list of integers"
+        ) from None
 
 
 def build_parser() -> argparse.ArgumentParser:

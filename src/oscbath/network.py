@@ -146,7 +146,7 @@ def energy(net: OscillatorNetwork, psi: PhaseState) -> float:
 
 def _mode_flow(qh, ph, omega, mass, t):
     """Rotate eigen-coordinates by time t (vectorized over modes and times)."""
-    wt = np.multiply.outer(t, omega) if np.ndim(t) else omega * t
+    wt = np.multiply.outer(t, omega)
     c = np.cos(wt)
     s = np.sin(wt)
     momega = mass * omega

@@ -8,7 +8,9 @@ state.
 
 The stepping engine works in the eigenbasis of the stiffness matrix, where
 the flow is a family of independent mode rotations; states are transformed
-back to physical coordinates only when stored.
+back to physical coordinates only when stored. A single event loop records
+the post-jump states of a seeded run; the grid samples and the embedded
+chain are both read off that one record.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ import numpy as np
 
 from .collisions import CollisionModel, OneDimElastic, TwoDimBall, model_dim
 from .errors import NumericalAbort
-from .network import OscillatorNetwork, PhaseState, energy, propagate
+from .network import OscillatorNetwork, PhaseState, _mode_flow, energy, propagate
 
 #: numerical-rank threshold for the controllability probe
 RANK_SV_THRESHOLD = 1e-6
@@ -68,12 +70,17 @@ class EmbeddedChain:
 
 @dataclass(frozen=True, eq=False)
 class Trajectory:
-    """Uniform-grid samples of the continuous-time process."""
+    """Uniform-grid samples of the continuous-time process.
+
+    ``chain`` is the embedded chain of the same run when one was requested
+    (see ``simulate_continuous``), else ``None``.
+    """
 
     times: np.ndarray
     states: np.ndarray
     events: int
     seed: int
+    chain: EmbeddedChain | None = None
 
     def __post_init__(self):
         if self.times.shape[0] != self.states.shape[0]:
@@ -88,10 +95,6 @@ class Trajectory:
     def state(self, k: int) -> PhaseState:
         return PhaseState.from_vector(self.states[k])
 
-    def phase_states(self):
-        for row in self.states:
-            yield PhaseState.from_vector(row)
-
 
 class _EigenEngine:
     """Mode-space stepping: rotation per mode, rank-d update per jump."""
@@ -104,25 +107,12 @@ class _EigenEngine:
             )
         self.modes = net.spectrum.eigenvectors
         self.omega = net.mode_frequencies
-        self.momega = net.mass * self.omega
         self.mass = net.mass
         self.contact_rows = self.modes[:d, :]  # particle-1 momentum rows
         self.model = model
 
     def eigen_coords(self, psi: PhaseState):
         return self.modes.T @ psi.q, self.modes.T @ psi.p
-
-    def flow(self, qh, ph, t: float):
-        wt = self.omega * t
-        c = np.cos(wt)
-        s = np.sin(wt)
-        return c * qh + s * (ph / self.momega), c * ph - s * (self.momega * qh)
-
-    def flow_batch(self, qh, ph, dts):
-        wt = np.multiply.outer(dts, self.omega)
-        c = np.cos(wt)
-        s = np.sin(wt)
-        return c * qh + s * (ph / self.momega), c * ph - s * (self.momega * qh)
 
     def kick(self, ph, xi):
         p1 = self.contact_rows @ ph
@@ -134,6 +124,126 @@ def _input_sampler(model: CollisionModel, sched: EventSchedule):
     if sched.xi_law is not None:
         return sched.xi_law.sample
     return model.sample_input
+
+
+#: grid rows rotated per block when a pass is sampled on the time grid
+GRID_BLOCK = 4096
+#: most post-jump rows allocated before the first jump; the arrays grow by half
+INITIAL_JUMP_ROWS = 1 << 16
+
+
+@dataclass(frozen=True, eq=False)
+class _EventPass:
+    """Mode-space states right after each jump of one seeded run.
+
+    Row k of ``modes`` holds the eigen-coordinates (qh, ph) just after jump k,
+    which happened at ``times[k]``; row 0 is the start at time 0. ``events``
+    counts the jumps in [0, t_end].
+    """
+
+    engine: _EigenEngine
+    modes: np.ndarray
+    times: np.ndarray
+    events: int
+
+    def chain(self, n_steps: int, seed: int) -> EmbeddedChain:
+        """The first n_steps post-jump states in physical coordinates."""
+        dof = self.modes.shape[1] // 2
+        states = self.modes[: n_steps + 1].copy()
+        states[:, :dof] = states[:, :dof] @ self.engine.modes.T
+        states[:, dof:] = states[:, dof:] @ self.engine.modes.T
+        return EmbeddedChain(
+            states=states, jump_times=self.times[1 : n_steps + 1].copy(), seed=seed
+        )
+
+    def grid_states(self, grid: np.ndarray) -> np.ndarray:
+        """Right-continuous states on the ascending grid, from jumps in [0, t_end].
+
+        Each block of grid times finds its last jump at or before it with one
+        ``searchsorted`` and rotates that jump's state forward. Every block
+        has min(GRID_BLOCK, grid.size) rows (the last one overlaps its
+        predecessor), so each row's transform back to physical coordinates
+        is the same matrix product whatever the grid length.
+        """
+        engine = self.engine
+        dof = self.modes.shape[1] // 2
+        jump_times = self.times[: self.events + 1]
+        states = np.empty((grid.size, 2 * dof))
+        block = min(GRID_BLOCK, grid.size)
+        for start in range(0, grid.size, block):
+            rows = slice(min(start, grid.size - block), start + block)
+            t = grid[rows]
+            last = np.searchsorted(jump_times, t, side="right") - 1
+            base = self.modes[last]
+            qh_t, ph_t = _mode_flow(
+                base[:, :dof], base[:, dof:], engine.omega, engine.mass,
+                t - jump_times[last],
+            )
+            states[rows, :dof] = qh_t @ engine.modes.T
+            states[rows, dof:] = ph_t @ engine.modes.T
+        return states
+
+
+def _event_pass(
+    net: OscillatorNetwork,
+    model: CollisionModel,
+    sched: EventSchedule,
+    psi0: PhaseState,
+    t_end: float,
+    n_steps: int,
+    seed: int,
+) -> _EventPass:
+    """The event loop: jump until the first jump past t_end, and at least n_steps.
+
+    Each event takes one waiting-time draw then one input draw from
+    ``default_rng(seed)``; the draw past t_end that ends the run is not
+    followed by an input draw. Aborts with the event index if the state
+    overflows: "after event k at t=..." inside [0, t_end], "at step k"
+    beyond it.
+    """
+    engine = _EigenEngine(net, model)
+    draw_tau = sched.tau_law.sample
+    draw_xi = _input_sampler(model, sched)
+    rng = np.random.default_rng(seed)
+    omega, mass, dof = engine.omega, engine.mass, net.dof
+    qh, ph = engine.eigen_coords(psi0)
+    expected = t_end / sched.tau_law.mean if t_end > 0 else 0.0
+    # room for the expected events plus four standard deviations (Poisson)
+    capacity = max(
+        n_steps, min(int(expected + 4.0 * np.sqrt(expected)) + 16, INITIAL_JUMP_ROWS)
+    ) + 1
+    modes = np.empty((capacity, 2 * dof))
+    times = np.empty(capacity)
+    modes[0, :dof] = qh
+    modes[0, dof:] = ph
+    times[0] = 0.0
+    t = 0.0
+    k = 0
+    while k < n_steps or t <= t_end:
+        tau = float(draw_tau(rng))
+        t_next = t + tau
+        if t_next > t_end and k >= n_steps:
+            break
+        qh, ph = _mode_flow(qh, ph, omega, mass, tau)
+        ph = engine.kick(ph, draw_xi(rng))
+        k += 1
+        if k == capacity:  # np.resize keeps the filled rows in front
+            capacity += capacity // 2
+            modes = np.resize(modes, (capacity, 2 * dof))
+            times = np.resize(times, capacity)
+        row = modes[k]
+        row[:dof] = qh
+        row[dof:] = ph
+        if not np.isfinite(row).all():
+            if t_next > t_end:
+                raise NumericalAbort(f"non-finite state at step {k}")
+            raise NumericalAbort(
+                f"non-finite state after event {k} at t={t_next:.6g}"
+            )
+        t = t_next
+        times[k] = t
+    events = int(np.searchsorted(times[1 : k + 1], t_end, side="right"))
+    return _EventPass(engine=engine, modes=modes[: k + 1], times=times[: k + 1], events=events)
 
 
 def simulate_embedded(
@@ -151,30 +261,8 @@ def simulate_embedded(
     """
     if n_steps < 1:
         raise ValueError("n_steps must be >= 1")
-    engine = _EigenEngine(net, model)
-    draw_xi = _input_sampler(model, sched)
-    rng = np.random.default_rng(seed)
-    qh, ph = engine.eigen_coords(psi0)
-    dof = net.dof
-    states = np.empty((n_steps + 1, 2 * dof))
-    jump_times = np.empty(n_steps)
-    states[0, :dof] = qh
-    states[0, dof:] = ph
-    t = 0.0
-    for m in range(1, n_steps + 1):
-        tau = float(sched.tau_law.sample(rng))
-        qh, ph = engine.flow(qh, ph, tau)
-        ph = engine.kick(ph, draw_xi(rng))
-        if not np.all(np.isfinite(ph)) or not np.all(np.isfinite(qh)):
-            raise NumericalAbort(f"non-finite state at step {m}")
-        t += tau
-        jump_times[m - 1] = t
-        states[m, :dof] = qh
-        states[m, dof:] = ph
-    # one transform back to physical coordinates for the whole chain
-    states[:, :dof] = states[:, :dof] @ engine.modes.T
-    states[:, dof:] = states[:, dof:] @ engine.modes.T
-    return EmbeddedChain(states=states, jump_times=jump_times, seed=seed)
+    run = _event_pass(net, model, sched, psi0, -np.inf, n_steps, seed)
+    return run.chain(n_steps, seed)
 
 
 def simulate_continuous(
@@ -185,52 +273,34 @@ def simulate_continuous(
     t_end: float,
     sample_dt: float,
     seed: int,
+    n_steps: int = 0,
 ) -> Trajectory:
     """Sample the process on the grid k*sample_dt, k = 0..floor(t_end/dt).
 
     Grid states are computed by exact flow from the most recent post-jump
     state; a grid point coinciding with a jump time reports the post-jump
     state (right continuity). ``events`` counts collisions in [0, t_end].
+
+    With ``n_steps`` >= 1 the same run also yields the embedded chain of its
+    first n_steps collisions as ``chain``, continuing past t_end when fewer
+    collisions fall inside it; the chain equals
+    ``simulate_embedded(..., n_steps, seed)`` and the grid samples are the
+    same as without it.
     """
     if not 0 < sample_dt <= t_end:
         raise ValueError("need 0 < sample_dt <= t_end")
-    engine = _EigenEngine(net, model)
-    draw_xi = _input_sampler(model, sched)
-    rng = np.random.default_rng(seed)
-    qh, ph = engine.eigen_coords(psi0)
-    dof = net.dof
+    if n_steps < 0:
+        raise ValueError("n_steps must be >= 0")
+    run = _event_pass(net, model, sched, psi0, t_end, n_steps, seed)
     n_samples = int(np.floor(t_end / sample_dt + 1e-12)) + 1
     times = np.arange(n_samples) * sample_dt
-    qh_s = np.empty((n_samples, dof))
-    ph_s = np.empty((n_samples, dof))
-    t_cur = 0.0
-    idx = 0
-    events = 0
-    while True:
-        tau = float(sched.tau_law.sample(rng))
-        t_next = t_cur + tau
-        hi = int(np.searchsorted(times, t_next, side="left"))
-        if hi > idx:
-            qh_s[idx:hi], ph_s[idx:hi] = engine.flow_batch(
-                qh, ph, times[idx:hi] - t_cur
-            )
-            idx = hi
-        if t_next > t_end:
-            break
-        qh, ph = engine.flow(qh, ph, tau)
-        ph = engine.kick(ph, draw_xi(rng))
-        events += 1
-        if not np.all(np.isfinite(ph)) or not np.all(np.isfinite(qh)):
-            raise NumericalAbort(
-                f"non-finite state after event {events} at t={t_next:.6g}"
-            )
-        t_cur = t_next
-    if idx < n_samples:  # grid points rounding a hair past t_end
-        qh_s[idx:], ph_s[idx:] = engine.flow_batch(qh, ph, times[idx:] - t_cur)
-    states = np.empty((n_samples, 2 * dof))
-    states[:, :dof] = qh_s @ engine.modes.T
-    states[:, dof:] = ph_s @ engine.modes.T
-    return Trajectory(times=times, states=states, events=events, seed=seed)
+    return Trajectory(
+        times=times,
+        states=run.grid_states(times),
+        events=run.events,
+        seed=seed,
+        chain=run.chain(n_steps, seed) if n_steps else None,
+    )
 
 
 def time_average(traj: Trajectory, f, burn_in: float = 0.0) -> float:
@@ -297,7 +367,7 @@ def drift_estimate(
     h0 = energy(net, psi)
     qh, ph = engine.eigen_coords(psi)
     taus = np.asarray(sched.tau_law.sample(rng, size=n_mc), dtype=float)
-    qh_t, ph_t = engine.flow_batch(qh, ph, taus)
+    qh_t, ph_t = _mode_flow(qh, ph, engine.omega, engine.mass, taus)
     # potential term is basis-independent: q^T V q = sum lambda_k qh_k^2
     lam = net.spectrum.eigenvalues
     h_after = np.empty(n_mc)

@@ -161,14 +161,32 @@ def test_merge_stats_associative():
     assert forward["n_samples"] == reverse["n_samples"]
 
 
-def test_simulate_worker_pool_matches_serial():
-    cfg = load_config(base_config())
-    serial = run_simulate(cfg, None, workers=1)
-    parallel = run_simulate(cfg, None, workers=2)
+def test_simulate_worker_pool_matches_serial(tmp_path):
+    cfg = load_config(base_config(seeds=[3, 0, 1]))
+    serial = run_simulate(cfg, tmp_path / "serial", workers=1)
+    parallel = run_simulate(cfg, tmp_path / "parallel", workers=2)
     assert np.array_equal(
         np.asarray(serial["pooled"]["covariance"]),
         np.asarray(parallel["pooled"]["covariance"]),
     )
+    for name in ("summary.json", "trajectory.csv"):
+        assert (tmp_path / "serial" / name).read_bytes() == (
+            tmp_path / "parallel" / name
+        ).read_bytes()
+
+
+def test_trajectory_csv_is_the_first_listed_seed(tmp_path):
+    from oscbath.pdmp import simulate_continuous, trajectory_to_csv
+
+    cfg = load_config(base_config(seeds=[3, 0]))
+    run_simulate(cfg, tmp_path, workers=1)
+    traj = simulate_continuous(
+        cfg.network, cfg.model, cfg.schedule, cfg.psi0, cfg.t_end, cfg.sample_dt, 3
+    )
+    trajectory_to_csv(traj, tmp_path / "expected.csv")
+    assert (tmp_path / "trajectory.csv").read_bytes() == (
+        tmp_path / "expected.csv"
+    ).read_bytes()
 
 
 def test_run_covariance_outputs(tmp_path):
@@ -286,6 +304,16 @@ def test_cli_seed_override_forms(tmp_path):
     assert main(["simulate", "--config", str(path), "--seeds", "0,5", "--out", str(out)]) == 0
     summary = json.loads((out / "summary.json").read_text())
     assert summary["seeds"] == [0, 5]
+
+
+@pytest.mark.parametrize("seeds", ["1..x", "", "x..3", "1,,2", "0,a"])
+def test_cli_malformed_seed_override_exits_2(tmp_path, capsys, seeds):
+    path = write_config(tmp_path, base_config())
+    code = main(["simulate", "--config", str(path), "--seeds", seeds])
+    assert code == 2
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "config"
+    assert "--seeds" in err["message"]
 
 
 def test_cli_check_failure_exits_4(tmp_path):
