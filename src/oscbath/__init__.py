@@ -13,7 +13,6 @@ from .collisions import (
     ContractiveAffine,
     OneDimElastic,
     TwoDimBall,
-    apply_jump,
     two_ball_pair_update,
     verify_contraction,
 )
@@ -90,7 +89,6 @@ __all__ = [
     "UniformPositive",
     "UniformSymmetricVelocity",
     "analyze",
-    "apply_jump",
     "beta_from_params",
     "chain_stiffness",
     "check_rational_independence",

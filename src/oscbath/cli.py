@@ -25,6 +25,7 @@ from . import __version__
 from .collisions import OneDimElastic
 from .config import ExperimentConfig, load_config
 from .covariance import (
+    MAX_DOF,
     MomentParams,
     beta_from_params,
     covariance_rhs,
@@ -34,6 +35,7 @@ from .covariance import (
     lyapunov_functional,
     lyapunov_to_csv,
     mean_dynamics,
+    spectral_abscissa,
 )
 from .dissipative import analyze, l0_invariance_check, multiplicity_bound_check
 from .errors import ConfigError, NumericalAbort
@@ -53,26 +55,27 @@ EXIT_CONFIG = 2
 EXIT_NUMERIC = 3
 EXIT_CHECK = 4
 
+#: covariance convergence search: grid spacing, gap to reach, horizon in
+#: decay times of the slowest mode (chains of 1 to 12 particles converge at
+#: 0.86 to 1.02 of one), longest search in samples (2e4 time units)
+CONVERGENCE_DT = 0.02
+CONVERGENCE_GAP = 1e-6
+HORIZON_FACTOR = 2.0
+MAX_SEARCH_SAMPLES = 1_000_000
 
-def _jsonable(obj):
-    if isinstance(obj, dict):
-        return {k: _jsonable(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_jsonable(v) for v in obj]
+
+def _json_default(obj):
+    """numpy arrays and scalars as plain JSON values."""
     if isinstance(obj, np.ndarray):
-        return _jsonable(obj.tolist())
-    if isinstance(obj, (np.floating,)):
-        return float(obj)
-    if isinstance(obj, (np.integer,)):
-        return int(obj)
-    if isinstance(obj, (np.bool_,)):
-        return bool(obj)
-    return obj
+        return obj.tolist()
+    if isinstance(obj, np.generic):
+        return obj.item()
+    raise TypeError(f"{type(obj).__name__} is not JSON serializable")
 
 
 def _write_json(path: Path, payload: dict) -> None:
     path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(json.dumps(_jsonable(payload), indent=2, sort_keys=True) + "\n")
+    path.write_text(json.dumps(payload, indent=2, sort_keys=True, default=_json_default) + "\n")
 
 
 def _moment_params(cfg: ExperimentConfig) -> MomentParams:
@@ -163,15 +166,7 @@ def _merge_stats(per_seed: list) -> dict:
     return {"n_samples": n_total, "mean": mean, "covariance": cov}
 
 
-def _seed_covariance(stat: dict) -> np.ndarray:
-    mean = stat["sum_x"] / stat["n_samples"]
-    return stat["sum_xx"] / stat["n_samples"] - np.outer(mean, mean)
-
-
 def run_simulate(cfg: ExperimentConfig, out_dir: Path | None, workers: int = 1) -> dict:
-    if out_dir is not None:
-        out_dir = Path(out_dir)
-        out_dir.mkdir(parents=True, exist_ok=True)
     # the first listed seed runs here, so its pass also gives trajectory.csv
     keep = out_dir is not None
     if workers > 1:
@@ -193,7 +188,7 @@ def run_simulate(cfg: ExperimentConfig, out_dir: Path | None, workers: int = 1) 
         params = _moment_params(cfg)
         beta = beta_from_params(params)
         target = gibbs_covariance(cfg.network, beta)
-        seed_covs = np.array([_seed_covariance(s) for s in per_seed])
+        seed_covs = np.array([_merge_stats([s])["covariance"] for s in per_seed])
         if len(per_seed) > 1:
             std_err = seed_covs.std(axis=0, ddof=1) / math.sqrt(len(per_seed))
         else:
@@ -229,8 +224,8 @@ def run_simulate(cfg: ExperimentConfig, out_dir: Path | None, workers: int = 1) 
     summary["checks"] = checks
 
     if out_dir is not None:
+        _write_json(out_dir / "summary.json", summary)  # creates out_dir
         trajectory_to_csv(trajectory, out_dir / "trajectory.csv")
-        _write_json(out_dir / "summary.json", summary)
     return summary
 
 
@@ -240,55 +235,50 @@ def run_simulate(cfg: ExperimentConfig, out_dir: Path | None, workers: int = 1) 
 
 
 def run_covariance(cfg: ExperimentConfig, out_dir: Path | None) -> dict:
-    if out_dir is not None:
-        out_dir = Path(out_dir)
-        out_dir.mkdir(parents=True, exist_ok=True)
     params = _moment_params(cfg)
     net = cfg.network
     dof = net.dof
+    if dof > MAX_DOF:
+        raise ConfigError(f"covariance supports dof <= {MAX_DOF}; this network has dof {dof}")
     source_scale = params.lam * params.mass**2 * params.sigma2
+    beta = beta_from_params(params)  # every velocity law has sigma2 > 0
+    target = gibbs_covariance(net, beta)
+    residual = float(np.abs(covariance_rhs(target, net, params)).max())
 
-    if params.sigma2 > 0:
-        beta = beta_from_params(params)
-        target = gibbs_covariance(net, beta)
-        residual = float(np.abs(covariance_rhs(target, net, params)).max())
-    else:
-        beta = None
-        target = np.zeros((2 * dof, 2 * dof))
-        residual = float("nan")
+    # forced equation from C0 = 0: the first grid time with gap <= CONVERGENCE_GAP,
+    # searched up to HORIZON_FACTOR times the decay time of e^{abscissa t}
+    abscissa = spectral_abscissa(net, params)
+    final_gap = float(np.abs(target).max())
+    horizon = convergence_time = None
+    margins = []
+    if abscissa < 0:
+        decay_time = math.log(max(final_gap, CONVERGENCE_GAP) / CONVERGENCE_GAP) / -abscissa
+        samples = max(1, math.ceil(HORIZON_FACTOR * decay_time / CONVERGENCE_DT))
+        horizon = samples * CONVERGENCE_DT
+        if samples <= MAX_SEARCH_SAMPLES:
+            forced = integrate_covariance(
+                np.zeros((2 * dof, 2 * dof)), net, params, t_end=horizon,
+                sample_dt=CONVERGENCE_DT, target=target, tol=CONVERGENCE_GAP,
+            )
+            final_gap = float(forced.gaps[-1])
+            if final_gap <= CONVERGENCE_GAP:
+                convergence_time = float(forced.times[-1])
+            margins.append(forced.min_psd_margin)
 
-    # forced equation from C0 = 0, integrated in chunks until convergence
-    convergence_time = None
-    c = np.zeros((2 * dof, 2 * dof))
-    t_reached = 0.0
-    chunk = 25.0
-    final_gap = float("inf")
-    while t_reached < 600.0:
-        traj = integrate_covariance(c, net, params, t_end=chunk)
-        for t, mat in zip(traj.times, traj.matrices):
-            gap = float(np.abs(mat - target).max())
-            if gap <= 1e-6 and convergence_time is None:
-                convergence_time = t_reached + float(t)
-        c = traj.final
-        t_reached += chunk
-        final_gap = float(np.abs(c - target).max())
-        if convergence_time is not None:
-            break
-
-    # homogeneous equation from a PSD start: Lyapunov functional series
-    c0_h = target if params.sigma2 > 0 else gibbs_covariance(net, 1.0)
+    # homogeneous equation from the PSD start C_G: Lyapunov functional series
     hom = integrate_covariance(
-        c0_h, net, params, t_end=50.0, include_source=False, sample_every=10
+        target, net, params, t_end=50.0, include_source=False, sample_dt=0.1
     )
+    margins.append(hom.min_psd_margin)
     f_series = np.array([lyapunov_functional(m, net) for m in hom.matrices])
     f_slack = float(np.diff(f_series).max(initial=-np.inf))
     monotone = bool(f_slack <= 1e-10)
 
-    # mean dynamics: energy-norm decay factor over t = 200
+    # mean dynamics: energy-norm decay factor over t = 200 (only the end is read)
     psi0 = cfg.psi0
     if not np.any(psi0.vector):
         psi0 = PhaseState(q=np.ones(dof), p=np.zeros(dof))
-    mean_traj = mean_dynamics(net, params, psi0, t_end=200.0)
+    mean_traj = mean_dynamics(net, params, psi0, t_end=200.0, sample_dt=200.0)
     mean_decay = energy_norm(net, mean_traj.final) / energy_norm(net, psi0.vector)
 
     summary = _provenance(cfg, "covariance")
@@ -297,8 +287,12 @@ def run_covariance(cfg: ExperimentConfig, out_dir: Path | None) -> dict:
             "beta": beta,
             "fixed_point_residual": residual,
             "residual_tolerance": 1e-12 * source_scale,
+            "spectral_abscissa": abscissa,
+            "horizon": horizon,
+            "sample_dt": CONVERGENCE_DT,
             "convergence_time": convergence_time,
             "final_gap": final_gap,
+            "min_psd_margin": min(margins),
             "lyapunov_monotone": monotone,
             "lyapunov_max_increase": f_slack,
             "lyapunov_initial": float(f_series[0]),
@@ -307,9 +301,7 @@ def run_covariance(cfg: ExperimentConfig, out_dir: Path | None) -> dict:
         }
     )
     checks = {
-        "fixed_point": bool(
-            params.sigma2 == 0 or residual <= max(1e-12 * source_scale, 1e-300)
-        ),
+        "fixed_point": bool(residual <= max(1e-12 * source_scale, 1e-300)),
         "converged": convergence_time is not None,
         "lyapunov_monotone": monotone,
     }
@@ -317,8 +309,8 @@ def run_covariance(cfg: ExperimentConfig, out_dir: Path | None) -> dict:
     summary["checks"] = checks
 
     if out_dir is not None:
+        _write_json(out_dir / "summary.json", summary)  # creates out_dir
         lyapunov_to_csv(hom, net, out_dir / "lyapunov.csv")
-        _write_json(out_dir / "summary.json", summary)
     return summary
 
 
@@ -548,14 +540,19 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    out_dir = Path(args.out) if args.out else None
     try:
-        raw = json.loads(Path(args.config).read_text())
+        try:  # an unreadable config or an --out that cannot be a directory
+            raw = json.loads(Path(args.config).read_text())
+            if out_dir is not None:
+                out_dir.mkdir(parents=True, exist_ok=True)
+        except (OSError, UnicodeDecodeError) as exc:
+            raise ConfigError(str(exc)) from exc
         if args.seeds is not None:
-            raw.setdefault("run", {})["seeds"] = list(_parse_seed_range(args.seeds))
+            seeds = list(_parse_seed_range(args.seeds))
+            if isinstance(raw, dict) and isinstance(raw.get("run", {}), dict):
+                raw.setdefault("run", {})["seeds"] = seeds
         cfg = load_config(raw)
-        out_dir = Path(args.out) if args.out else None
-        if out_dir is not None:
-            out_dir.mkdir(parents=True, exist_ok=True)
         if args.command == "simulate":
             result = run_simulate(cfg, out_dir, workers=args.workers)
         elif args.command == "covariance":
@@ -568,17 +565,11 @@ def main(argv=None) -> int:
             result = run_drift_check(cfg, out_dir)
         else:
             result = run_rank_probe(cfg, out_dir, legs=args.legs)
-    except (ConfigError, FileNotFoundError, json.JSONDecodeError) as exc:
-        print(
-            json.dumps({"error": "config", "message": str(exc)}),
-            file=sys.stderr,
-        )
+    except (ConfigError, json.JSONDecodeError) as exc:
+        print(json.dumps({"error": "config", "message": str(exc)}), file=sys.stderr)
         return EXIT_CONFIG
     except NumericalAbort as exc:
-        print(
-            json.dumps({"error": "numerical", "message": str(exc)}),
-            file=sys.stderr,
-        )
+        print(json.dumps({"error": "numerical", "message": str(exc)}), file=sys.stderr)
         return EXIT_NUMERIC
     if args.check and not result.get("checks", {}).get("passed", False):
         return EXIT_CHECK

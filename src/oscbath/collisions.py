@@ -52,6 +52,7 @@ class OneDimElastic:
     external_mass: float
     velocity_law: object = field(default_factory=GaussianVelocity)
 
+    dim = 1  # spatial dimension the model acts in
     xi_dim = 1
 
     def __post_init__(self):
@@ -101,8 +102,11 @@ class ContractiveAffine:
             raise ValueError("noise dimension must match the reflection matrix")
 
     @property
-    def xi_dim(self) -> int:
+    def dim(self) -> int:
+        """Spatial dimension the model acts in, also that of its input."""
         return self.reflection.shape[0]
+
+    xi_dim = dim
 
     def jump(self, xi: np.ndarray, p1: np.ndarray, mass: float) -> np.ndarray:
         p1 = np.atleast_1d(np.asarray(p1, dtype=float))
@@ -141,6 +145,7 @@ class TwoDimBall:
         default_factory=lambda: IsotropicGaussianVector(dim=2)
     )
 
+    dim = 2
     xi_dim = 3  # (phi, v_x, v_y)
 
     def __post_init__(self):
@@ -171,26 +176,6 @@ class TwoDimBall:
 
 
 CollisionModel = Union[OneDimElastic, ContractiveAffine, TwoDimBall]
-
-
-def model_dim(model: CollisionModel) -> int:
-    """Spatial dimension the model acts in."""
-    if isinstance(model, OneDimElastic):
-        return 1
-    if isinstance(model, ContractiveAffine):
-        return model.reflection.shape[0]
-    if isinstance(model, TwoDimBall):
-        return 2
-    raise TypeError(f"unknown collision model {type(model).__name__}")
-
-
-def apply_jump(
-    model: CollisionModel, xi: np.ndarray, p1: np.ndarray, mass: float
-) -> np.ndarray:
-    """Post-collision momentum of particle 1, J(xi; p1)."""
-    if not mass > 0:
-        raise ValueError("mass must be positive")
-    return model.jump(xi, p1, mass)
 
 
 def two_ball_pair_update(m1, m2, v1, v2, phi):
@@ -258,7 +243,7 @@ def verify_contraction(
         raise ValueError("radii must be positive ascending")
     if n_mc < 1000:
         raise ValueError("n_mc must be at least 1000")
-    d = model_dim(model)
+    d = model.dim
     rng = np.random.default_rng(seed)
     mean_sq = np.empty(radii.size)
     for i, r in enumerate(radii):

@@ -12,9 +12,7 @@ load time, so a config that loads is a config that runs.
       "schedule": {"tau": {"kind": "exponential", "rate": 1.0}},
       "run": {"t_end": 200.0, "sample_dt": 0.25, "n_steps": 1000,
               "burn_in": 20.0, "seeds": [0, 1, 2, 3]},
-      "contact_sites": [0],
-      "analysis": {"covariance_ode": true, "stationarity": true,
-                   "dissipative": true, "drift_check": true}
+      "contact_sites": [0]
     }
 
 Stiffness kinds: "chain" (nearest-neighbor + pinning), "explicit"
@@ -29,6 +27,8 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -42,108 +42,116 @@ from .pdmp import EventSchedule
 from .spectral import random_pd_matrix
 
 
-def _require(mapping: dict, key: str, where: str):
-    if key not in mapping:
+_REQUIRED = object()
+
+
+def _field(mapping, key: str, where: str, default=_REQUIRED):
+    """``mapping[key]``, or ``default`` when the key is absent and not required."""
+    if not isinstance(mapping, dict):
+        raise ConfigError(f"{where} section must be a JSON object")
+    if key in mapping:
+        return mapping[key]
+    if default is _REQUIRED:
         raise ConfigError(f"missing '{key}' in {where} section")
-    return mapping[key]
+    return default
+
+
+@contextmanager
+def _invalid(what: str):
+    """Report a conversion or constructor error as an invalid ``what``."""
+    try:
+        yield
+    except ConfigError:
+        raise
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ConfigError(f"invalid {what}: {exc}") from exc
+
+
+def _number(mapping, key: str, where: str, default=_REQUIRED, kind=float):
+    """``kind`` of the field, which must be a finite number."""
+    value = _field(mapping, key, where, default)
+    with _invalid(f"'{key}' in {where} section"):
+        if not math.isfinite(number := kind(value)):
+            raise ValueError(f"{value!r} is not finite")
+    return number
 
 
 def _build_network(section: dict) -> OscillatorNetwork:
-    n = int(_require(section, "n_particles", "network"))
-    d = int(_require(section, "dim", "network"))
-    mass = float(_require(section, "mass", "network"))
-    stiff = _require(section, "stiffness", "network")
-    kind = _require(stiff, "kind", "network.stiffness")
-    dof = n * d
-    if kind == "chain":
-        matrix = chain_stiffness(
-            dof,
-            coupling=float(stiff.get("coupling", 1.0)),
-            pinning=float(stiff.get("pinning", 0.5)),
-        )
-    elif kind == "explicit":
-        matrix = np.asarray(_require(stiff, "matrix", "network.stiffness"), dtype=float)
-    elif kind == "random":
-        matrix = random_pd_matrix(dof, int(stiff.get("seed", 0)))
-    else:
-        raise ConfigError(f"unknown stiffness kind '{kind}'")
-    try:
+    n = _number(section, "n_particles", "network", kind=int)
+    d = _number(section, "dim", "network", kind=int)
+    mass = _number(section, "mass", "network")
+    stiff = _field(section, "stiffness", "network")
+    kind, where = _field(stiff, "kind", "network.stiffness"), "network.stiffness"
+    with _invalid("network"):
+        if kind == "chain":
+            matrix = chain_stiffness(n * d, coupling=_number(stiff, "coupling", where, 1.0),
+                                     pinning=_number(stiff, "pinning", where, 0.5))
+        elif kind == "explicit":
+            matrix = np.asarray(_field(stiff, "matrix", where), dtype=float)
+        elif kind == "random":
+            matrix = random_pd_matrix(n * d, _number(stiff, "seed", where, 0, int))
+        else:
+            raise ConfigError(f"unknown stiffness kind '{kind}'")
         return OscillatorNetwork(n_particles=n, dim=d, mass=mass, stiffness=matrix)
-    except ValueError as exc:
-        raise ConfigError(f"invalid network: {exc}") from exc
 
 
 def _build_velocity_law(section: dict):
-    kind = _require(section, "kind", "model.velocity_law")
-    try:
-        if kind == "gaussian":
-            return laws.GaussianVelocity(sigma2=float(section.get("sigma2", 1.0)))
-        if kind == "uniform":
-            return laws.UniformSymmetricVelocity(
-                half_width=float(_require(section, "half_width", "velocity_law"))
-            )
-        if kind == "two_point":
-            return laws.TwoPointVelocity(
-                magnitude=float(_require(section, "magnitude", "velocity_law"))
-            )
-    except ValueError as exc:
-        raise ConfigError(f"invalid velocity law: {exc}") from exc
+    where = "model.velocity_law"
+    kind = _field(section, "kind", where)
+    if kind == "gaussian":
+        return laws.GaussianVelocity(sigma2=_number(section, "sigma2", where, 1.0))
+    if kind == "uniform":
+        return laws.UniformSymmetricVelocity(half_width=_number(section, "half_width", where))
+    if kind == "two_point":
+        return laws.TwoPointVelocity(magnitude=_number(section, "magnitude", where))
     raise ConfigError(f"unknown velocity law kind '{kind}'")
 
 
 def _build_model(section: dict):
-    kind = _require(section, "kind", "model")
-    try:
-        if kind == "one_dim_elastic":
-            law_section = section.get("velocity_law", {"kind": "gaussian", "sigma2": 1.0})
-            law = _build_velocity_law(law_section)
-            model = OneDimElastic(
-                external_mass=float(_require(section, "external_mass", "model")),
-                velocity_law=law,
-            )
-            return model, law
-        if kind == "contractive_affine":
-            model = ContractiveAffine(
-                reflection=np.asarray(
-                    _require(section, "reflection", "model"), dtype=float
-                ),
-                noise_law=laws.IsotropicGaussianVector(
-                    dim=len(section["reflection"]),
-                    sigma2=float(section.get("noise_sigma2", 1.0)),
-                ),
-            )
-            return model, None
-        if kind == "two_dim_ball":
-            model = TwoDimBall(
-                external_mass=float(_require(section, "external_mass", "model")),
-                velocity_law=laws.IsotropicGaussianVector(
-                    dim=2, sigma2=float(section.get("velocity_sigma2", 1.0))
-                ),
-            )
-            return model, None
-    except (ValueError, TypeError) as exc:
-        raise ConfigError(f"invalid model: {exc}") from exc
+    kind = _field(section, "kind", "model")
+    if kind == "one_dim_elastic":
+        law = _field(section, "velocity_law", "model", {"kind": "gaussian", "sigma2": 1.0})
+        return OneDimElastic(
+            external_mass=_number(section, "external_mass", "model"),
+            velocity_law=_build_velocity_law(law),
+        )
+    if kind == "contractive_affine":
+        reflection = np.asarray(_field(section, "reflection", "model"), dtype=float)
+        return ContractiveAffine(
+            reflection=reflection,
+            noise_law=laws.IsotropicGaussianVector(
+                dim=len(reflection), sigma2=_number(section, "noise_sigma2", "model", 1.0)
+            ),
+        )
+    if kind == "two_dim_ball":
+        return TwoDimBall(
+            external_mass=_number(section, "external_mass", "model"),
+            velocity_law=laws.IsotropicGaussianVector(
+                dim=2, sigma2=_number(section, "velocity_sigma2", "model", 1.0)
+            ),
+        )
     raise ConfigError(f"unknown model kind '{kind}'")
 
 
 def _build_tau_law(section: dict):
-    kind = _require(section, "kind", "schedule.tau")
-    try:
-        if kind == "exponential":
-            return laws.Exponential(rate=float(_require(section, "rate", "tau")))
-        if kind == "gamma":
-            return laws.GammaLaw(
-                shape=float(_require(section, "shape", "tau")),
-                rate=float(_require(section, "rate", "tau")),
-            )
-        if kind == "uniform":
-            return laws.UniformPositive(
-                low=float(_require(section, "low", "tau")),
-                high=float(_require(section, "high", "tau")),
-            )
-    except ValueError as exc:
-        raise ConfigError(f"invalid waiting-time law: {exc}") from exc
+    where = "schedule.tau"
+    kind = _field(section, "kind", where)
+    if kind == "exponential":
+        return laws.Exponential(rate=_number(section, "rate", where))
+    if kind == "gamma":
+        return laws.GammaLaw(shape=_number(section, "shape", where),
+                             rate=_number(section, "rate", where))
+    if kind == "uniform":
+        return laws.UniformPositive(low=_number(section, "low", where),
+                                    high=_number(section, "high", where))
     raise ConfigError(f"unknown waiting-time law kind '{kind}'")
+
+
+def _integers(values, what: str) -> tuple:
+    if not isinstance(values, (list, tuple)) or not values:
+        raise ConfigError(f"{what} must be a non-empty list of integers")
+    with _invalid(what):
+        return tuple(int(v) for v in values)
 
 
 @dataclass(frozen=True)
@@ -152,7 +160,6 @@ class ExperimentConfig:
 
     network: OscillatorNetwork
     model: object
-    velocity_law: object | None
     schedule: EventSchedule
     t_end: float
     sample_dt: float
@@ -160,7 +167,6 @@ class ExperimentConfig:
     burn_in: float
     seeds: tuple
     contact_sites: tuple
-    analysis: dict
     psi0: PhaseState
     raw: dict = field(repr=False)
 
@@ -175,7 +181,13 @@ def load_config(source) -> ExperimentConfig:
     if isinstance(source, dict):
         raw = source
     else:
-        text = Path(source).read_text() if Path(str(source)).exists() else str(source)
+        text = str(source)
+        try:
+            is_file = Path(text).is_file()
+        except OSError:  # JSON text longer than a file name may be
+            is_file = False
+        if is_file:
+            text = Path(text).read_text()
         try:
             raw = json.loads(text)
         except json.JSONDecodeError as exc:
@@ -183,25 +195,24 @@ def load_config(source) -> ExperimentConfig:
     if not isinstance(raw, dict):
         raise ConfigError("config root must be a JSON object")
 
-    net = _build_network(_require(raw, "network", "config"))
-    model, vel_law = _build_model(_require(raw, "model", "config"))
-    tau_law = _build_tau_law(_require(_require(raw, "schedule", "config"), "tau", "schedule"))
-
-    try:
+    net = _build_network(_field(raw, "network", "config"))
+    with _invalid("model"):
+        model = _build_model(_field(raw, "model", "config"))
+    if model.dim != net.dim:
+        raise ConfigError(f"{type(model).__name__} acts in dimension {model.dim} "
+                          f"but the network has dim {net.dim}")
+    with _invalid("waiting-time law"):
+        tau_law = _build_tau_law(_field(_field(raw, "schedule", "config"), "tau", "schedule"))
+    with _invalid("schedule"):
         schedule = EventSchedule(tau_law=tau_law)
-    except ValueError as exc:
-        raise ConfigError(f"invalid schedule: {exc}") from exc
 
     run = raw.get("run", {})
     omega_max = float(net.mode_frequencies[-1])
-    t_end = float(run.get("t_end", 100.0))
-    sample_dt = float(run.get("sample_dt", (2.0 * np.pi / omega_max) / 8.0))
-    n_steps = int(run.get("n_steps", 1000))
-    burn_in = float(run.get("burn_in", 0.1 * t_end))
-    seeds = run.get("seeds", None)
-    if seeds is None or len(seeds) == 0:
-        raise ConfigError("run.seeds must be a non-empty list of integers")
-    seeds = tuple(int(s) for s in seeds)
+    t_end = _number(run, "t_end", "run", 100.0)
+    sample_dt = _number(run, "sample_dt", "run", (2.0 * np.pi / omega_max) / 8.0)
+    n_steps = _number(run, "n_steps", "run", 1000, int)
+    burn_in = _number(run, "burn_in", "run", 0.1 * t_end)
+    seeds = _integers(run.get("seeds"), "run.seeds")
     if len(set(seeds)) != len(seeds):
         raise ConfigError("run.seeds must not contain duplicates")
     if not 0 < sample_dt <= t_end:
@@ -211,36 +222,25 @@ def load_config(source) -> ExperimentConfig:
     if n_steps < 1:
         raise ConfigError("run.n_steps must be >= 1")
 
-    sites = raw.get("contact_sites", [0])
-    sites = tuple(sorted(set(int(i) for i in sites)))
-    if not sites or sites[0] < 0 or sites[-1] >= net.dof:
+    sites = tuple(sorted(set(_integers(raw.get("contact_sites", [0]), "contact_sites"))))
+    if sites[0] < 0 or sites[-1] >= net.dof:
         raise ConfigError(f"contact_sites {sites} out of range for dof {net.dof}")
 
     psi0_section = raw.get("psi0")
     if psi0_section is None:
         psi0 = PhaseState.zero(net.dof)
     else:
-        try:
+        with _invalid("psi0"):
             psi0 = PhaseState(
-                q=np.asarray(psi0_section["q"], dtype=float),
-                p=np.asarray(psi0_section["p"], dtype=float),
+                q=np.asarray(_field(psi0_section, "q", "psi0"), dtype=float),
+                p=np.asarray(_field(psi0_section, "p", "psi0"), dtype=float),
             )
-        except (KeyError, ValueError) as exc:
-            raise ConfigError(f"invalid psi0: {exc}") from exc
         if psi0.q.shape[0] != net.dof:
             raise ConfigError("psi0 dimension does not match the network")
-
-    analysis = {
-        "covariance_ode": bool(raw.get("analysis", {}).get("covariance_ode", True)),
-        "stationarity": bool(raw.get("analysis", {}).get("stationarity", True)),
-        "dissipative": bool(raw.get("analysis", {}).get("dissipative", True)),
-        "drift_check": bool(raw.get("analysis", {}).get("drift_check", True)),
-    }
 
     return ExperimentConfig(
         network=net,
         model=model,
-        velocity_law=vel_law,
         schedule=schedule,
         t_end=t_end,
         sample_dt=sample_dt,
@@ -248,7 +248,6 @@ def load_config(source) -> ExperimentConfig:
         burn_in=burn_in,
         seeds=seeds,
         contact_sites=sites,
-        analysis=analysis,
         psi0=psi0,
         raw=raw,
     )

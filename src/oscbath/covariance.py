@@ -9,23 +9,41 @@ covariance of the process obey closed linear ODEs:
                  + lam*(1-alpha)^2 * M^2 * sigma2 * Gamma
 
 where Gamma = g g^T selects the first momentum coordinate of the kicked
-particle. The stationary point is beta^{-1} diag(V^{-1}, M I) with
-beta = (1+alpha)/(M (1-alpha) sigma2), and F(C) = Tr(diag(V, I/M) C) is a
-Lyapunov functional of the homogeneous equation with
-dF/dt = -lam*(1-alpha^2)/M * C[g, g].
+particle (index dof of the phase vector). The stationary point is
+beta^{-1} diag(V^{-1}, M I) with beta = (1+alpha)/(M (1-alpha) sigma2), and
+F(C) = Tr(diag(V, I/M) C) is a Lyapunov functional of the homogeneous
+equation with dF/dt = -lam*(1-alpha^2)/M * C[g, g].
+
+Both equations are linear and autonomous and are solved exactly: one matrix
+exponential per step size (of the augmented generator on (vech C, 1), or of
+the damped generator), then one matrix-vector product per sample.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import NumericalAbort
-from .network import OscillatorNetwork, PhaseState, generator_matrix
+from .network import OscillatorNetwork, PhaseState, energy, generator_matrix
 
-#: relative slack for the positive-semidefiniteness guard during integration
+#: relative slack for the positive-semidefiniteness guard on every sample
 PSD_GUARD_TOL = 1e-8
+
+#: largest dof the covariance subcommand accepts: the operator acts on
+#: vech(C), dof (2 dof + 1) entries, 300 at dof 12
+MAX_DOF = 12
+
+#: samples computed, and PSD-checked in one batch, at a time
+BLOCK = 1024
+
+# degree-13 Pade coefficients (26-k)! 13! / (26! k! (13-k)!) and the 1-norm up to
+# which they need no scaling (Higham 2005, SIAM J. Matrix Anal. Appl. 26:1179)
+_PADE13 = [math.factorial(26 - k) * math.factorial(13) / math.factorial(26)
+           / (math.factorial(k) * math.factorial(13 - k)) for k in range(14)]
+_THETA13 = 5.371920351148152
 
 
 @dataclass(frozen=True)
@@ -53,6 +71,11 @@ class MomentParams:
         if not self.mass > 0:
             raise ValueError("mass must be positive")
 
+    @property
+    def source(self) -> float:
+        """Source term lam (1-alpha)^2 M^2 sigma2 of the kicked entry C[g, g]."""
+        return self.lam * (1.0 - self.alpha) ** 2 * self.mass**2 * self.sigma2
+
 
 def beta_from_params(params: MomentParams) -> float:
     """Inverse temperature beta = (1+alpha) / (M (1-alpha) sigma2)."""
@@ -63,16 +86,10 @@ def beta_from_params(params: MomentParams) -> float:
     )
 
 
-def kicked_index(dof: int) -> int:
-    """0-based position of p_{1,1} in the (q, p) phase vector: index dof."""
-    return dof
-
-
 def gamma_matrix(dof: int) -> np.ndarray:
     """Rank-one selector Gamma = g g^T for the kicked momentum coordinate."""
     g = np.zeros((2 * dof, 2 * dof))
-    k = kicked_index(dof)
-    g[k, k] = 1.0
+    g[dof, dof] = 1.0
     return g
 
 
@@ -90,7 +107,7 @@ def gibbs_covariance(net: OscillatorNetwork, beta: float) -> np.ndarray:
 
 
 def _rhs(c, a_mat, dof, params, include_source):
-    k = kicked_index(dof)
+    k = dof  # the kicked momentum p_{1,1}
     rhs = a_mat @ c + c @ a_mat.T
     if params.lam > 0:
         damp = np.zeros_like(c)
@@ -99,12 +116,7 @@ def _rhs(c, a_mat, dof, params, include_source):
         damp[k, k] -= (1.0 - params.alpha) * c[k, k]
         rhs -= params.lam * (1.0 - params.alpha) * damp
         if include_source:
-            rhs[k, k] += (
-                params.lam
-                * (1.0 - params.alpha) ** 2
-                * params.mass**2
-                * params.sigma2
-            )
+            rhs[k, k] += params.source
     return 0.5 * (rhs + rhs.T)
 
 
@@ -126,22 +138,96 @@ def covariance_rhs(
     return _rhs(c, generator_matrix(net), dof, params, include_source)
 
 
-def default_dt(net: OscillatorNetwork, params: MomentParams) -> float:
-    """Step heuristic min(1e-2, 0.1/(lam + omega_max)) for the moment ODEs."""
-    omega_max = float(net.mode_frequencies[-1])
-    return min(1e-2, 0.1 / (params.lam + omega_max))
-
-
 @dataclass(frozen=True, eq=False)
 class CovarianceTrajectory:
-    """Sampled solution C(t) of the covariance ODE."""
+    """Samples of C(t) at t_k = k h: all of them, or after a march toward a
+    target only the last, with ``gaps[k]`` = max|C(t_k) - target| for all.
+    ``min_psd_margin`` is the smallest min-eigenvalue / (PSD_GUARD_TOL *
+    scale) over the samples; the guard aborts below -1."""
 
     times: np.ndarray
     matrices: np.ndarray
+    gaps: np.ndarray | None = None
+    min_psd_margin: float = float("nan")
 
     @property
     def final(self) -> np.ndarray:
         return self.matrices[-1]
+
+
+def expm(a: np.ndarray) -> np.ndarray:
+    """Matrix exponential by the degree-13 Pade approximant with scaling
+    and squaring (Higham 2005)."""
+    a = np.asarray(a, dtype=float)
+    norm = float(np.abs(a).sum(axis=0).max())
+    squarings = math.ceil(math.log2(norm / _THETA13)) if norm > _THETA13 else 0
+    a = a / 2.0**squarings
+    b, ident = _PADE13, np.eye(a.shape[0])
+    a2 = a @ a
+    a4 = a2 @ a2
+    a6 = a2 @ a4
+    u = a @ (a6 @ (b[13] * a6 + b[11] * a4 + b[9] * a2)
+             + b[7] * a6 + b[5] * a4 + b[3] * a2 + b[1] * ident)
+    v = (a6 @ (b[12] * a6 + b[10] * a4 + b[8] * a2)
+         + b[6] * a6 + b[4] * a4 + b[2] * a2 + b[0] * ident)
+    r = np.linalg.solve(v - u, v + u)
+    for _ in range(squarings):
+        r = r @ r
+    return r
+
+
+def _exact_samples(gen, y0, t_end, sample_dt):
+    """(h, blocks): y_k = e^{k h gen} y0, k = 0..n, in blocks of BLOCK rows.
+
+    h = t_end / n is the largest equal spacing not above ``sample_dt`` (or
+    t_end / 1000). One exponential gives the step E; the rows of a block are
+    filled by doubling, rows[2^j + i] = E^(2^j) rows[i]."""
+    if not t_end > 0 or not (sample_dt is None or sample_dt > 0):
+        raise ValueError("t_end and sample_dt must be positive")
+    n = 1000 if sample_dt is None else max(1, math.ceil(t_end / sample_dt * (1 - 1e-12)))
+    h = t_end / n
+    powers = [expm(h * gen)]
+    while 2 ** len(powers) < BLOCK:
+        powers.append(powers[-1] @ powers[-1])
+
+    def blocks():
+        y = np.asarray(y0, dtype=float)
+        for start in range(0, n + 1, BLOCK):
+            rows = np.empty((min(BLOCK, n + 1 - start), y.size))
+            rows[0] = y
+            for j, power in enumerate(powers):
+                k = min(2**j, len(rows) - 2**j)
+                if k <= 0:
+                    break
+                rows[2**j : 2**j + k] = rows[:k] @ power.T
+            yield rows
+            y = powers[0] @ rows[-1]
+
+    return h, blocks()
+
+
+def moment_generator(net: OscillatorNetwork, params: MomentParams) -> np.ndarray:
+    """G = [[L, s], [0, 0]] with d/dt (vech C, 1) = G (vech C, 1).
+
+    vech(C) is the upper triangle of C row by row. Column j of the
+    homogeneous operator L is vech of the right-hand side at the j-th
+    symmetric basis matrix, and s is vech of the source term.
+    """
+    rows, cols = np.triu_indices(2 * net.dof)
+    gen = np.zeros((rows.size + 1, rows.size + 1))
+    basis = np.zeros((2 * net.dof, 2 * net.dof))
+    for j, (r, c) in enumerate(zip(rows, cols)):
+        basis[r, c] = basis[c, r] = 1.0
+        gen[:-1, j] = covariance_rhs(basis, net, params, include_source=False)[rows, cols]
+        basis[r, c] = basis[c, r] = 0.0
+    gen[:-1, -1] = covariance_rhs(basis, net, params)[rows, cols]
+    return gen
+
+
+def spectral_abscissa(net: OscillatorNetwork, params: MomentParams) -> float:
+    """Largest real part in the spectrum of L: deviations from the fixed
+    point decay like e^{a t}; a = 0 up to roundoff on incomplete networks."""
+    return float(np.linalg.eigvals(moment_generator(net, params)[:-1, :-1]).real.max())
 
 
 def integrate_covariance(
@@ -149,52 +235,58 @@ def integrate_covariance(
     net: OscillatorNetwork,
     params: MomentParams,
     t_end: float,
-    dt: float | None = None,
+    sample_dt: float | None = None,
     include_source: bool = True,
-    sample_every: int | None = None,
+    target: np.ndarray | None = None,
+    tol: float = 0.0,
 ) -> CovarianceTrajectory:
-    """Classical RK4 on the matrix ODE, re-symmetrized every step.
+    """Exact solution of the covariance ODE at t_k = k h, k = 0..n.
 
-    The iterate is required to stay PSD up to roundoff; a violation beyond
-    the guard tolerance aborts with the offending time stamp. Samples are
-    kept every ``sample_every`` steps (auto-chosen to ~1000 samples when
-    None) plus the final state.
+    The samples come from one exponential of ``moment_generator`` (spacing
+    as in ``_exact_samples``), and every one must pass the PSD guard; a
+    violation aborts with its time stamp. With ``target`` the march keeps
+    only the gaps max|C(t_k) - target| and stops at the first sample with
+    gap <= ``tol``, or at t_end.
     """
     dof = net.dof
     c = 0.5 * (np.asarray(c0, dtype=float) + np.asarray(c0, dtype=float).T)
     if c.shape != (2 * dof, 2 * dof):
         raise ValueError(f"covariance must be ({2 * dof}, {2 * dof}), got {c.shape}")
-    if dt is None:
-        dt = default_dt(net, params)
-    if not dt > 0:
-        raise ValueError("dt must be positive")
-    n_steps = max(1, int(np.ceil(t_end / dt - 1e-12)))
-    dt = t_end / n_steps
-    if sample_every is None:
-        sample_every = max(1, n_steps // 1000)
-    a_mat = generator_matrix(net)
-    times = [0.0]
-    samples = [c.copy()]
-    scale_floor = params.lam * (1.0 - params.alpha) ** 2 * params.mass**2 * params.sigma2
-    for step in range(1, n_steps + 1):
-        k1 = _rhs(c, a_mat, dof, params, include_source)
-        k2 = _rhs(c + 0.5 * dt * k1, a_mat, dof, params, include_source)
-        k3 = _rhs(c + 0.5 * dt * k2, a_mat, dof, params, include_source)
-        k4 = _rhs(c + dt * k3, a_mat, dof, params, include_source)
-        c = c + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        c = 0.5 * (c + c.T)
-        t = step * dt
-        scale = max(float(np.abs(c).max()), scale_floor, 1e-300)
-        min_eig = float(np.linalg.eigvalsh(c)[0])
-        if min_eig < -PSD_GUARD_TOL * scale:
-            raise NumericalAbort(
-                f"covariance lost positive semidefiniteness at t={t:.6g} "
-                f"(min eigenvalue {min_eig:.3e})"
-            )
-        if step % sample_every == 0 or step == n_steps:
-            times.append(t)
-            samples.append(c.copy())
-    return CovarianceTrajectory(times=np.array(times), matrices=np.array(samples))
+    rows, cols = np.triu_indices(2 * dof)
+    gen = moment_generator(net, params)
+    if not include_source:
+        gen[:, -1] = 0.0
+    h, blocks = _exact_samples(gen, np.append(c[rows, cols], 1.0), t_end, sample_dt)
+    floor = max(params.source, 1e-300)
+    kept, gaps, margins = [], [], []
+    for block in blocks:
+        vech = block[:, :-1]
+        mats = np.empty((len(block), 2 * dof, 2 * dof))
+        mats[:, rows, cols] = mats[:, cols, rows] = vech
+        min_eig = np.linalg.eigvalsh(mats)[:, 0]
+        margin = min_eig / (PSD_GUARD_TOL * np.maximum(np.abs(vech).max(axis=1), floor))
+        if margin.min() < -1.0:
+            k = int(np.argmax(margin < -1.0))
+            t = (sum(map(len, margins)) + k) * h
+            raise NumericalAbort(f"covariance lost positive semidefiniteness at t={t:.6g} "
+                                 f"(min eigenvalue {min_eig[k]:.3e})")
+        margins.append(margin)
+        if target is None:
+            kept.append(mats)
+            continue
+        gap = np.abs(vech - np.asarray(target, dtype=float)[rows, cols]).max(axis=1)
+        stop = int(np.argmax(gap <= tol)) + 1 if gap.min() <= tol else len(gap)
+        gaps.append(gap[:stop])
+        kept = [mats[stop - 1 : stop]]
+        if gap[stop - 1] <= tol:
+            break
+    gaps = np.concatenate(gaps) if target is not None else None
+    return CovarianceTrajectory(
+        times=np.arange(sum(map(len, kept)) if gaps is None else gaps.size) * h,
+        matrices=np.concatenate(kept),
+        gaps=gaps,
+        min_psd_margin=float(np.concatenate(margins).min()),
+    )
 
 
 def lyapunov_functional(c: np.ndarray, net: OscillatorNetwork) -> float:
@@ -208,20 +300,14 @@ def lyapunov_functional(c: np.ndarray, net: OscillatorNetwork) -> float:
 
 def lyapunov_rate(c: np.ndarray, net: OscillatorNetwork, params: MomentParams) -> float:
     """Analytic dF/dt along the homogeneous flow: -lam (1-alpha^2)/M * C[g, g]."""
-    k = kicked_index(net.dof)
-    return (
-        -params.lam
-        * (1.0 - params.alpha**2)
-        / params.mass
-        * float(np.asarray(c)[k, k])
-    )
+    c_gg = float(np.asarray(c)[net.dof, net.dof])
+    return -params.lam * (1.0 - params.alpha**2) / params.mass * c_gg
 
 
 def damped_generator(net: OscillatorNetwork, params: MomentParams) -> np.ndarray:
     """Mean-dynamics generator A - lam*(1-alpha)*Gamma."""
     a = generator_matrix(net)
-    k = kicked_index(net.dof)
-    a[k, k] -= params.lam * (1.0 - params.alpha)
+    a[net.dof, net.dof] -= params.lam * (1.0 - params.alpha)
     return a
 
 
@@ -242,44 +328,22 @@ def mean_dynamics(
     params: MomentParams,
     psi0: PhaseState,
     t_end: float,
-    dt: float | None = None,
-    sample_every: int = 1,
+    sample_dt: float | None = None,
 ) -> MeanTrajectory:
-    """RK4 integration of the damped linear mean equations.
-
-    With lam = 0 this reproduces the exact flow up to RK4 error; with a
+    """Exact solution of the damped mean equations, sampled as in
+    ``integrate_covariance``. With lam = 0 this is the free flow; with a
     complete stiffness matrix and lam*(1-alpha) > 0 the mean decays to zero.
     """
     if psi0.q.shape[0] != net.dof:
         raise ValueError("initial state does not match the network")
-    if dt is None:
-        dt = default_dt(net, params)
-    if not dt > 0:
-        raise ValueError("dt must be positive")
-    a_d = damped_generator(net, params)
-    n_steps = max(1, int(np.ceil(t_end / dt - 1e-12)))
-    dt = t_end / n_steps
-    x = psi0.vector
-    times = [0.0]
-    states = [x.copy()]
-    for step in range(1, n_steps + 1):
-        k1 = a_d @ x
-        k2 = a_d @ (x + 0.5 * dt * k1)
-        k3 = a_d @ (x + 0.5 * dt * k2)
-        k4 = a_d @ (x + dt * k3)
-        x = x + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        if step % sample_every == 0 or step == n_steps:
-            times.append(step * dt)
-            states.append(x.copy())
-    return MeanTrajectory(times=np.array(times), states=np.array(states))
+    h, blocks = _exact_samples(damped_generator(net, params), psi0.vector, t_end, sample_dt)
+    states = np.concatenate(list(blocks))
+    return MeanTrajectory(times=np.arange(len(states)) * h, states=states)
 
 
 def energy_norm(net: OscillatorNetwork, vec: np.ndarray) -> float:
     """sqrt(2 H) of a phase vector: the flow-invariant metric on states."""
-    v = np.asarray(vec, dtype=float).ravel()
-    dof = net.dof
-    q, p = v[:dof], v[dof:]
-    return float(np.sqrt(p @ p / net.mass + q @ (net.stiffness @ q)))
+    return math.sqrt(2.0 * energy(net, PhaseState.from_vector(vec)))
 
 
 def lyapunov_to_csv(

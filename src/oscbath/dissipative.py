@@ -10,7 +10,8 @@ L_0 trivial and is generic among positive definite matrices.
 ``analyze`` cross-computes dim L_0 three ways (Krylov rank, zero-component
 eigenvector count for simple spectra, per-eigenvalue projections of the
 seed coordinates) and reports eigenvalue multiplicities plus the rational
-independence heuristic for the frequencies.
+independence heuristic for the frequencies, skipped (reported as None)
+where even the +-1 coefficient box exceeds the search cap, order >= 15.
 """
 
 from __future__ import annotations
@@ -38,7 +39,8 @@ class DissipativeReport:
     eigenvalues: np.ndarray
     eigen_multiplicities: tuple
     spectral_projection_dims: tuple
-    rationally_independent: bool
+    rationally_independent: bool | None  # None: the scan was skipped
+    independence_max_coeff: int | None  # coefficient box scanned, None when skipped
     independence_witness: np.ndarray | None
     clustering_ambiguous: bool
 
@@ -77,11 +79,8 @@ def _cluster_eigenvalues(eigenvalues: np.ndarray, tol: float):
 
 
 def _independence_coeff_bound(order: int, cap: int = spectral.INDEPENDENCE_SEARCH_CAP):
-    """Largest max_coeff <= 5 whose search box fits under the cap."""
-    c = 5
-    while c > 1 and (2 * c + 1) ** order > cap:
-        c -= 1
-    return c
+    """Largest max_coeff <= 5 whose search box fits under the cap, or None."""
+    return next((c for c in range(5, 0, -1) if (2 * c + 1) ** order <= cap), None)
 
 
 def analyze(
@@ -149,7 +148,7 @@ def analyze(
         if independence_max_coeff is not None
         else _independence_coeff_bound(order)
     )
-    indep = spectral.check_rational_independence(
+    indep = None if max_coeff is None else spectral.check_rational_independence(
         omegas, max_coeff=max_coeff, tol=independence_tol
     )
 
@@ -162,8 +161,9 @@ def analyze(
         eigenvalues=dec.eigenvalues,
         eigen_multiplicities=multiplicities,
         spectral_projection_dims=projection_dims,
-        rationally_independent=indep.independent,
-        independence_witness=indep.witness,
+        rationally_independent=None if indep is None else indep.independent,
+        independence_max_coeff=max_coeff,
+        independence_witness=None if indep is None else indep.witness,
         clustering_ambiguous=ambiguous,
     )
 
@@ -179,12 +179,8 @@ def damped_subspace_basis(
     stiffness: np.ndarray, contact_sites, tol: float = CLUSTER_TOL
 ) -> np.ndarray:
     """Orthonormal basis of L_minus = {(q, p): q, p in l_V}, shape (2n, 2r)."""
-    basis, rank = spectral.krylov_basis(stiffness, contact_sites, tol=tol)
-    n = basis.shape[0]
-    out = np.zeros((2 * n, 2 * rank))
-    out[:n, :rank] = basis
-    out[n:, rank:] = basis
-    return out
+    basis, _ = spectral.krylov_basis(stiffness, contact_sites, tol=tol)
+    return np.kron(np.eye(2), basis)
 
 
 def neutral_subspace_basis(
@@ -192,19 +188,9 @@ def neutral_subspace_basis(
 ) -> np.ndarray:
     """Orthonormal basis of L_0 (orthogonal complement of L_minus)."""
     basis, rank = spectral.krylov_basis(stiffness, contact_sites, tol=tol)
-    n = basis.shape[0]
     # complement of the Krylov space in R^n via full SVD
-    u, _, _ = np.linalg.svd(basis, full_matrices=True) if rank else (
-        np.eye(n),
-        None,
-        None,
-    )
-    comp = u[:, rank:]
-    m = comp.shape[1]
-    out = np.zeros((2 * n, 2 * m))
-    out[:n, :m] = comp
-    out[n:, m:] = comp
-    return out
+    u = np.linalg.svd(basis, full_matrices=True)[0] if rank else np.eye(basis.shape[0])
+    return np.kron(np.eye(2), u[:, rank:])
 
 
 def l0_invariance_check(

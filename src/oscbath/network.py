@@ -84,6 +84,8 @@ class OscillatorNetwork:
         if not self.mass > 0:
             raise ValueError("mass must be positive")
         v = symmetrize(self.stiffness)
+        if not np.all(np.isfinite(v)):
+            raise ValueError("stiffness entries must be finite")
         dof = self.n_particles * self.dim
         if v.shape != (dof, dof):
             raise ValueError(
@@ -184,17 +186,10 @@ def generator_matrix(net: OscillatorNetwork) -> np.ndarray:
 
 
 def flow_matrix(net: OscillatorNetwork, t: float) -> np.ndarray:
-    """Matrix of e^{tA} acting on (q, p) vectors, assembled mode-wise."""
+    """Matrix of e^{tA} acting on (q, p) vectors: the mode rotation of each
+    unit vector."""
     q_modes = net.spectrum.eigenvectors
-    omega = net.mode_frequencies
-    wt = omega * float(t)
-    c = np.cos(wt)
-    s = np.sin(wt)
-    momega = net.mass * omega
-    dof = net.dof
-    phi = np.zeros((2 * dof, 2 * dof))
-    phi[:dof, :dof] = (q_modes * c) @ q_modes.T
-    phi[:dof, dof:] = (q_modes * (s / momega)) @ q_modes.T
-    phi[dof:, :dof] = (q_modes * (-s * momega)) @ q_modes.T
-    phi[dof:, dof:] = (q_modes * c) @ q_modes.T
-    return phi
+    units = np.eye(2 * net.dof)
+    qh_t, ph_t = _mode_flow(units[:, : net.dof] @ q_modes, units[:, net.dof :] @ q_modes,
+                            net.mode_frequencies, net.mass, float(t))
+    return np.vstack([q_modes @ qh_t.T, q_modes @ ph_t.T])

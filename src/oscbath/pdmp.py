@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .collisions import CollisionModel, OneDimElastic, TwoDimBall, model_dim
+from .collisions import CollisionModel, OneDimElastic, TwoDimBall
 from .errors import NumericalAbort
 from .network import OscillatorNetwork, PhaseState, _mode_flow, energy, propagate
 
@@ -100,7 +100,7 @@ class _EigenEngine:
     """Mode-space stepping: rotation per mode, rank-d update per jump."""
 
     def __init__(self, net: OscillatorNetwork, model: CollisionModel):
-        d = model_dim(model)
+        d = model.dim
         if d != net.dim:
             raise ValueError(
                 f"model acts in dimension {d} but the network has d={net.dim}"
@@ -393,7 +393,7 @@ def _composed_reachability_map(net, model, psi0, m, point):
             f"point must have m*(1+l) = {m * (1 + l)} coordinates, got {coords.size}"
         )
     state = psi0
-    d = model_dim(model)
+    d = model.dim
     for k in range(m):
         t_k = coords[k * (1 + l)]
         u_k = coords[k * (1 + l) + 1 : (k + 1) * (1 + l)]

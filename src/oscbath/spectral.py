@@ -2,8 +2,9 @@
 
 Everything here works on plain ``numpy`` arrays. Symmetric matrices are
 symmetrized on entry, eigendecompositions are validated against
-reconstruction/orthonormality residuals, and Krylov bases are built with
-modified Gram-Schmidt so downstream code can trust the reported ranks.
+reconstruction/orthonormality residuals, and Krylov bases are built by
+Arnoldi iteration with reorthogonalization so downstream code can trust the
+reported ranks.
 """
 
 from __future__ import annotations
@@ -45,10 +46,6 @@ class SpectralDecomposition:
     eigenvalues: np.ndarray
     eigenvectors: np.ndarray
 
-    @property
-    def order(self) -> int:
-        return self.eigenvalues.shape[0]
-
     def reconstruct(self) -> np.ndarray:
         q = self.eigenvectors
         return (q * self.eigenvalues) @ q.T
@@ -89,11 +86,11 @@ def krylov_basis(
 ) -> tuple[np.ndarray, int]:
     """Orthonormal basis of span{V^k e_n : n in seed_indices, k < order}.
 
-    Candidates are generated per seed as the normalized power sequence
-    e_n, V e_n / |V e_n|, ... (normalization keeps the span and avoids
-    overflow) and orthogonalized by twice-applied modified Gram-Schmidt.
-    A candidate is dropped when its residual falls below ``tol`` times the
-    largest retained column norm.
+    Per seed, Arnoldi with full reorthogonalization: the candidates are e_n,
+    then V times the newest basis vector (not the raw powers V^k e_n, which
+    collapse onto the top eigenvector and lose rank on long chains), each
+    orthogonalized against the basis by twice-applied modified Gram-Schmidt.
+    A residual below ``tol`` times the candidate's norm ends the seed.
 
     Parameters
     ----------
@@ -117,34 +114,21 @@ def krylov_basis(
         raise ValueError("drop tolerance must be positive")
 
     basis: list[np.ndarray] = []
-    largest_retained = 0.0
     for seed in seeds:
-        x = np.zeros(n)
-        x[seed] = 1.0
-        for _ in range(n):  # Hamilton-Cayley: powers beyond n-1 add nothing
-            candidate = x.copy()
+        candidate = np.zeros(n)
+        candidate[seed] = 1.0
+        while len(basis) < n:
             norm0 = float(np.linalg.norm(candidate))
             residual = candidate
             for _ in range(2):  # second MGS pass for orthogonality quality
                 for b in basis:
                     residual = residual - (b @ residual) * b
             norm = float(np.linalg.norm(residual))
-            if norm > tol * max(largest_retained, norm0):
-                basis.append(residual / norm)
-                largest_retained = max(largest_retained, norm0)
-            if len(basis) == n:
+            if not norm > tol * norm0:
                 break
-            x = v @ x
-            nx = float(np.linalg.norm(x))
-            if nx == 0.0:
-                break
-            x = x / nx
-        if len(basis) == n:
-            break
-    if basis:
-        q = np.column_stack(basis)
-    else:  # unreachable for unit seeds, kept for safety
-        q = np.zeros((n, 0))
+            basis.append(residual / norm)
+            candidate = v @ basis[-1]
+    q = np.column_stack(basis) if basis else np.zeros((n, 0))
     return q, q.shape[1]
 
 
@@ -171,9 +155,6 @@ class IndependenceResult:
     witness: np.ndarray | None
     max_coeff: int
     tol: float
-
-    def __bool__(self) -> bool:
-        return self.independent
 
 
 def check_rational_independence(

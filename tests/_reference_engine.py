@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from oscbath.collisions import CollisionModel, model_dim
+from oscbath.collisions import CollisionModel
 from oscbath.errors import NumericalAbort
 from oscbath.network import OscillatorNetwork, PhaseState
 from oscbath.pdmp import EmbeddedChain, EventSchedule, Trajectory
@@ -20,7 +20,7 @@ class _EigenEngine:
     """Mode-space stepping: rotation per mode, rank-d update per jump."""
 
     def __init__(self, net: OscillatorNetwork, model: CollisionModel):
-        d = model_dim(model)
+        d = model.dim
         if d != net.dim:
             raise ValueError(
                 f"model acts in dimension {d} but the network has d={net.dim}"

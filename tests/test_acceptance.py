@@ -142,7 +142,7 @@ def test_criterion_3_covariance_ode_fixed_point():
     rng = np.random.default_rng(3)
     g = rng.standard_normal((6, 6))
     hom = integrate_covariance(
-        g @ g.T, net, STANDARD, t_end=40.0, include_source=False, sample_every=5
+        g @ g.T, net, STANDARD, t_end=40.0, include_source=False, sample_dt=0.05
     )
     f_series = [lyapunov_functional(c, net) for c in hom.matrices]
     slack = float(np.diff(f_series).max())
@@ -168,7 +168,7 @@ def test_criterion_4_mean_decay_and_neutral_subspace():
     basis = neutral_subspace_basis(net_d.stiffness, [0])
     vec = basis @ np.array([0.8, -0.6])
     psi_n = PhaseState(q=vec[:2], p=vec[2:])
-    traj_n = mean_dynamics(net_d, STANDARD, psi_n, t_end=200.0, dt=1e-2)
+    traj_n = mean_dynamics(net_d, STANDARD, psi_n, t_end=200.0, sample_dt=1e-2)
     n0 = energy_norm(net_d, psi_n.vector)
     drift = max(abs(energy_norm(net_d, s) / n0 - 1.0) for s in traj_n.states)
 

@@ -7,7 +7,6 @@ from oscbath.collisions import (
     ContractiveAffine,
     OneDimElastic,
     TwoDimBall,
-    apply_jump,
     impact_matrix,
     two_ball_pair_update,
     verify_contraction,
@@ -24,19 +23,19 @@ mass = st.floats(min_value=0.1, max_value=10.0, allow_nan=False)
 
 def test_equal_masses_swap_velocities():
     model = OneDimElastic(external_mass=1.0)  # alpha = 0
-    assert apply_jump(model, np.array([2.0]), np.array([5.0]), 1.0)[0] == pytest.approx(2.0)
+    assert model.jump(np.array([2.0]), np.array([5.0]), 1.0)[0] == pytest.approx(2.0)
 
 
 def test_one_dim_alpha_scaling():
     model = OneDimElastic(external_mass=0.5)  # alpha = 1/3 at M = 1
-    out = apply_jump(model, np.array([0.0]), np.array([3.0]), 1.0)
+    out = model.jump(np.array([0.0]), np.array([3.0]), 1.0)
     assert out[0] == pytest.approx(1.0)
 
 
 def test_one_dim_rejects_heavier_external_particle():
     model = OneDimElastic(external_mass=2.0)
     with pytest.raises(ValueError):
-        apply_jump(model, np.array([0.0]), np.array([1.0]), 1.0)
+        model.jump(np.array([0.0]), np.array([1.0]), 1.0)
     with pytest.raises(ValueError):
         OneDimElastic(external_mass=-1.0)
 
@@ -44,7 +43,7 @@ def test_one_dim_rejects_heavier_external_particle():
 def test_two_dim_ball_head_on_axis():
     model = TwoDimBall(external_mass=0.5)  # alpha = 1/3 at M = 1
     xi = np.array([0.0, 0.0, 0.0])  # phi = 0, v = 0
-    out = apply_jump(model, xi, np.array([1.0, 1.0]), 1.0)
+    out = model.jump(xi, np.array([1.0, 1.0]), 1.0)
     assert np.allclose(out, [1.0 / 3.0, 1.0])
 
 
@@ -75,12 +74,12 @@ def test_contractive_affine_jump_and_validation():
         model.jump(np.zeros(3), p, 1.0)
 
 
-def test_apply_jump_rejects_bad_shapes():
+def test_jump_rejects_bad_shapes_and_mass():
     model = OneDimElastic(external_mass=0.5)
     with pytest.raises(ValueError):
-        apply_jump(model, np.array([0.0, 1.0]), np.array([1.0]), 1.0)
+        model.jump(np.array([0.0, 1.0]), np.array([1.0]), 1.0)
     with pytest.raises(ValueError):
-        apply_jump(model, np.array([0.0]), np.array([1.0]), 0.0)
+        model.jump(np.array([0.0]), np.array([1.0]), 0.0)
 
 
 # --- pair collision invariants -------------------------------------------------

@@ -330,3 +330,77 @@ def test_cli_covariance_and_dissipative(tmp_path):
     assert main(["dissipative", "--config", str(path), "--out", str(tmp_path / "d"), "--check"]) == 0
     assert (tmp_path / "c" / "lyapunov.csv").exists()
     assert (tmp_path / "d" / "report.json").exists()
+
+
+def _set(raw, path, value):
+    section = raw
+    for key in path[:-1]:
+        section = section[key]
+    section[path[-1]] = value
+    return raw
+
+
+@pytest.mark.parametrize(
+    "path, value",
+    [
+        (("network", "mass"), None),
+        (("network", "mass"), "heavy"),
+        (("schedule", "tau", "rate"), None),
+        (("network", "stiffness", "pinning"), float("nan")),
+        (("network", "stiffness"), {"kind": "explicit", "matrix": [[1.0, 0.0, 0.0],
+                                                                  [0.0, float("nan"), 0.0],
+                                                                  [0.0, 0.0, 1.0]]}),
+        (("network", "dim"), 2),  # the 1-D elastic model on a d = 2 network
+    ],
+    ids=["mass-null", "mass-text", "rate-null", "pinning-nan", "matrix-nan", "model-dim"],
+)
+def test_cli_bad_config_field_exits_2(tmp_path, capsys, path, value):
+    path_ = write_config(tmp_path, _set(base_config(), path, value))
+    assert main(["simulate", "--config", str(path_)]) == 2
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "config" and err["message"]
+
+
+def test_cli_unusable_paths_exit_2(tmp_path, capsys):
+    path = write_config(tmp_path, base_config())
+    not_a_dir = tmp_path / "file"
+    not_a_dir.write_text("")
+    binary = tmp_path / "binary.json"
+    binary.write_bytes(b"\xff\xfe\x00")
+    for argv in (["--config", str(path), "--out", str(not_a_dir)],
+                 ["--config", str(tmp_path)],
+                 ["--config", str(binary)]):
+        assert main(["stationarity", *argv]) == 2
+        assert json.loads(capsys.readouterr().err)["error"] == "config"
+
+
+def test_load_config_accepts_long_json_text():
+    raw = base_config(seeds=list(range(1000)))
+    text = json.dumps(raw)
+    assert len(text) > 4096  # longer than any file name
+    assert load_config(text).seeds == tuple(range(1000))
+    with pytest.raises(ConfigError):
+        load_config(text[:-1])
+
+
+def _leaves(node, prefix=()):
+    if isinstance(node, dict):
+        for key, value in node.items():
+            yield from _leaves(value, prefix + (key,))
+    else:
+        yield prefix
+
+
+@pytest.mark.parametrize("value", [None, "x", float("nan"), -1, 0, [], {}])
+def test_cli_config_mutation_fuzz_keeps_the_exit_code_contract(tmp_path, capsys, value):
+    # every leaf of a valid config, replaced by a bad value: exit 0, 2, 3 or 4,
+    # never a traceback, and a JSON error on stderr for 2 and 3
+    raw = base_config(t_end=10.0, burn_in=1.0, seeds=[0])
+    for path in _leaves(raw):
+        mutated = _set(json.loads(json.dumps(raw)), path, value)
+        cfg_path = write_config(tmp_path, mutated)
+        code = main(["simulate", "--config", str(cfg_path)])
+        assert code in (0, 2, 3, 4), path
+        err = capsys.readouterr().err
+        if code in (2, 3):
+            assert json.loads(err)["message"], path

@@ -1,22 +1,30 @@
+import json
+import time
+
 import numpy as np
 import pytest
 
+import _reference_covariance as rk4
 from _ensembles import random_complete_network, random_moment_params
+from oscbath.cli import main, run_covariance
+from oscbath.config import load_config
 from oscbath.covariance import (
+    MAX_DOF,
     MomentParams,
     beta_from_params,
     covariance_rhs,
     damped_generator,
-    default_dt,
     energy_norm,
+    expm,
     gamma_matrix,
     gibbs_covariance,
     integrate_covariance,
-    kicked_index,
     lyapunov_functional,
     lyapunov_rate,
     lyapunov_to_csv,
     mean_dynamics,
+    moment_generator,
+    spectral_abscissa,
 )
 from oscbath.dissipative import neutral_subspace_basis
 from oscbath.errors import NumericalAbort
@@ -26,6 +34,7 @@ from oscbath.network import (
     OscillatorNetwork,
     PhaseState,
     chain_stiffness,
+    flow_matrix,
     generator_matrix,
     propagate,
 )
@@ -129,7 +138,7 @@ def test_rhs_at_zero_is_pure_source():
     net = chain3_net()
     rhs = covariance_rhs(np.zeros((6, 6)), net, STANDARD)
     expected = STANDARD.lam * (1 - STANDARD.alpha) ** 2 * STANDARD.sigma2
-    k = kicked_index(3)
+    k = 3  # p_{1,1} sits at index dof
     assert rhs[k, k] == pytest.approx(expected)
     rhs[k, k] = 0.0
     assert np.abs(rhs).max() == 0.0
@@ -198,7 +207,7 @@ def test_lyapunov_constant_without_collisions():
     net = chain3_net()
     params = MomentParams(lam=0.0, alpha=0.5, sigma2=1.0, mass=1.0)
     c0 = gibbs_covariance(net, 2.0)
-    traj = integrate_covariance(c0, net, params, t_end=20.0, sample_every=20)
+    traj = integrate_covariance(c0, net, params, t_end=20.0, sample_dt=0.2)
     f = np.array([lyapunov_functional(c, net) for c in traj.matrices])
     assert np.abs(f - f[0]).max() <= 1e-9 * abs(f[0])
 
@@ -209,7 +218,7 @@ def test_lyapunov_decreases_along_homogeneous_flow():
     g = rng.standard_normal((6, 6))
     c0 = g @ g.T
     traj = integrate_covariance(
-        c0, net, STANDARD, t_end=40.0, include_source=False, sample_every=5
+        c0, net, STANDARD, t_end=40.0, include_source=False, sample_dt=0.05
     )
     f = [lyapunov_functional(c, net) for c in traj.matrices]
     assert max(np.diff(f)) <= 1e-10
@@ -222,7 +231,7 @@ def test_lyapunov_finite_difference_matches_rate():
     errs = []
     for dt in (1e-2, 5e-3):
         traj = integrate_covariance(
-            target, net, STANDARD, t_end=dt, dt=dt, include_source=False
+            target, net, STANDARD, t_end=dt, sample_dt=dt, include_source=False
         )
         fd = (
             lyapunov_functional(traj.final, net)
@@ -254,7 +263,7 @@ def test_mean_dynamics_without_damping_matches_exact_flow():
     net = chain3_net()
     params = MomentParams(lam=0.0, alpha=0.5, sigma2=1.0, mass=1.0)
     psi0 = PhaseState(q=[1.0, -0.3, 0.2], p=[0.0, 0.4, -0.1])
-    traj = mean_dynamics(net, params, psi0, t_end=10.0, dt=1e-3, sample_every=1000)
+    traj = mean_dynamics(net, params, psi0, t_end=10.0, sample_dt=1.0)
     for t, state in zip(traj.times, traj.states):
         exact = propagate(net, psi0, float(t)).vector
         assert np.abs(state - exact).max() <= 1e-8
@@ -275,7 +284,7 @@ def test_mean_on_neutral_subspace_does_not_decay():
     basis = neutral_subspace_basis(net.stiffness, [0])
     vec = basis @ np.array([0.8, -0.6])
     psi0 = PhaseState(q=vec[:2], p=vec[2:])
-    traj = mean_dynamics(net, STANDARD, psi0, t_end=200.0, dt=1e-2)
+    traj = mean_dynamics(net, STANDARD, psi0, t_end=200.0, sample_dt=1e-2)
     n0 = energy_norm(net, psi0.vector)
     ratios = np.array([energy_norm(net, s) / n0 for s in traj.states])
     assert np.abs(ratios - 1.0).max() <= 1e-6
@@ -299,7 +308,7 @@ def test_mean_decay_rate_matches_damped_spectrum():
     slowest = np.max(np.linalg.eigvals(a_d).real)
     assert slowest < 0
     psi0 = PhaseState(q=[1.0, 1.0, 1.0], p=[1.0, 1.0, 1.0])
-    traj = mean_dynamics(net, STANDARD, psi0, t_end=400.0, sample_every=100)
+    traj = mean_dynamics(net, STANDARD, psi0, t_end=400.0, sample_dt=1.0)
     norms = np.array([energy_norm(net, s) for s in traj.states])
     window = traj.times >= 100.0
     fit = np.polyfit(traj.times[window], np.log(norms[window]), 1)[0]
@@ -323,7 +332,7 @@ def test_ode_matches_ensemble_covariance():
             for seed in range(n_runs)
         ]
     )  # (runs, times, 6)
-    ode = integrate_covariance(np.zeros((6, 6)), net, STANDARD, t_end=t_end, dt=5e-3)
+    ode = integrate_covariance(np.zeros((6, 6)), net, STANDARD, t_end=t_end, sample_dt=sample_dt)
     for j, t in enumerate([5.0, 10.0, 20.0]):
         k_traj = int(t / sample_dt)
         x = states[:, k_traj, :]
@@ -336,7 +345,171 @@ def test_ode_matches_ensemble_covariance():
         assert np.all(gap <= 5.0 * se + 1e-12)
 
 
-def test_default_dt_heuristic():
+# --- exact propagation -----------------------------------------------------------------
+
+
+def test_expm_matches_scipy():
+    scipy_linalg = pytest.importorskip("scipy.linalg")
+    rng = np.random.default_rng(11)
+    for scale in (1e-3, 0.5, 5.0, 60.0):  # no scaling up to many squarings
+        a = scale * rng.standard_normal((12, 12)) / np.sqrt(12)
+        want = scipy_linalg.expm(a)
+        assert np.abs(expm(a) - want).max() <= 1e-13 * np.abs(want).max()
+
+
+def test_expm_of_generator_is_the_flow_matrix():
+    net = random_complete_network(4)
+    a = generator_matrix(net)
+    for t in (0.01, 1.7, 40.0):
+        assert np.abs(expm(t * a) - flow_matrix(net, t)).max() <= 1e-12
+
+
+def test_moment_generator_applies_the_rhs():
+    net = random_complete_network(5)
+    params = random_moment_params(5, net.mass)
+    n = 2 * net.dof
+    rows, cols = np.triu_indices(n)
+    rng = np.random.default_rng(5)
+    g = rng.standard_normal((n, n))
+    c = g @ g.T
+    gen = moment_generator(net, params)
+    got = gen @ np.append(c[rows, cols], 1.0)
+    assert np.abs(got[:-1] - covariance_rhs(c, net, params)[rows, cols]).max() <= 1e-12
+    assert got[-1] == 0.0
+
+
+def test_exact_covariance_matches_rk4_reference():
+    # the former RK4 integrator at a small step; tolerance fixed in advance
     net = chain3_net()
-    dt = default_dt(net, STANDARD)
-    assert dt == pytest.approx(min(1e-2, 0.1 / (1.0 + net.mode_frequencies[-1])))
+    rng = np.random.default_rng(8)
+    g = rng.standard_normal((6, 6))
+    for c0, include_source in ((np.zeros((6, 6)), True), (g @ g.T, False)):
+        exact = integrate_covariance(
+            c0, net, STANDARD, t_end=5.0, sample_dt=0.5, include_source=include_source
+        )
+        ref = rk4.integrate_covariance(
+            c0, net, STANDARD, t_end=5.0, dt=1e-3,
+            include_source=include_source, sample_every=500,
+        )
+        assert np.allclose(exact.times, ref.times, rtol=0, atol=1e-12)
+        scale = np.abs(ref.matrices).max()
+        assert np.abs(exact.matrices - ref.matrices).max() <= 1e-9 * scale
+
+
+def test_exact_mean_matches_rk4_reference():
+    net = chain3_net()
+    psi0 = PhaseState(q=[1.0, -0.5, 0.25], p=[0.5, 0.0, -1.0])
+    exact = mean_dynamics(net, STANDARD, psi0, t_end=20.0, sample_dt=2.0)
+    ref = rk4.mean_dynamics(net, STANDARD, psi0, t_end=20.0, dt=1e-3, sample_every=2000)
+    assert np.abs(exact.states - ref.states).max() <= 1e-9 * np.abs(psi0.vector).max()
+
+
+def test_exact_free_flow_without_collisions():
+    # lam = 0: C(t) = Phi C0 Phi^T and the mean is the exact flow
+    net = random_complete_network(6)
+    params = MomentParams(lam=0.0, alpha=0.5, sigma2=1.0, mass=net.mass)
+    dof = net.dof
+    rng = np.random.default_rng(6)
+    g = rng.standard_normal((2 * dof, 2 * dof))
+    c0 = g @ g.T
+    traj = integrate_covariance(c0, net, params, t_end=30.0, sample_dt=3.0)
+    for t, c in zip(traj.times, traj.matrices):
+        phi = flow_matrix(net, float(t))
+        want = phi @ c0 @ phi.T
+        assert np.abs(c - want).max() <= 1e-12 * np.abs(want).max()
+    psi0 = PhaseState.from_vector(rng.standard_normal(2 * dof))
+    mean = mean_dynamics(net, params, psi0, t_end=30.0, sample_dt=3.0)
+    for t, state in zip(mean.times, mean.states):
+        want = propagate(net, psi0, float(t)).vector
+        assert np.abs(state - want).max() <= 1e-12 * np.abs(want).max()
+
+
+def test_streamed_gap_finds_the_first_grid_time():
+    net = chain3_net()
+    target = gibbs_covariance(net, beta_from_params(STANDARD))
+    c0 = np.zeros((6, 6))
+    full = integrate_covariance(c0, net, STANDARD, t_end=150.0, sample_dt=0.02)
+    gaps = np.abs(full.matrices - target).max(axis=(1, 2))
+    first = int(np.argmax(gaps <= 1e-6))
+    streamed = integrate_covariance(
+        c0, net, STANDARD, t_end=150.0, sample_dt=0.02, target=target, tol=1e-6
+    )
+    assert streamed.matrices.shape == (1, 6, 6)
+    assert streamed.times.size == first + 1
+    assert streamed.times[-1] == full.times[first]
+    assert np.allclose(streamed.gaps, gaps[: first + 1], rtol=1e-9, atol=1e-15)
+    assert np.abs(streamed.final - full.matrices[first]).max() <= 1e-12
+    # without a hit the march runs to t_end and reports the last gap
+    short = integrate_covariance(
+        c0, net, STANDARD, t_end=10.0, sample_dt=0.02, target=target, tol=1e-6
+    )
+    assert short.times[-1] == pytest.approx(10.0) and short.gaps[-1] > 1e-6
+
+
+def test_psd_margin_is_reported():
+    net = chain3_net()
+    traj = integrate_covariance(gibbs_covariance(net, 2.0), net, STANDARD, t_end=5.0)
+    assert traj.min_psd_margin > 1.0  # a PD start stays PD
+    forced = integrate_covariance(np.zeros((6, 6)), net, STANDARD, t_end=5.0)
+    assert -1.0 <= forced.min_psd_margin <= 1e-6  # C(0) = 0 sits on the PSD boundary
+
+
+def test_spectral_abscissa_complete_and_incomplete():
+    assert spectral_abscissa(chain3_net(), STANDARD) < -0.05
+    diag = OscillatorNetwork(2, 1, 1.0, np.diag([1.0, 4.0]))
+    assert spectral_abscissa(diag, STANDARD) > -1e-12  # neutral modes never decay
+
+
+# --- the covariance subcommand -------------------------------------------------------
+
+
+def chain_config(n):
+    return {
+        "network": {"n_particles": n, "dim": 1, "mass": 1.0,
+                    "stiffness": {"kind": "chain", "coupling": 1.0, "pinning": 0.5}},
+        "model": {"kind": "one_dim_elastic", "external_mass": 0.5,
+                  "velocity_law": {"kind": "gaussian", "sigma2": 1.0}},
+        "schedule": {"tau": {"kind": "exponential", "rate": 1.0}},
+        "run": {"t_end": 100.0, "seeds": [0]},
+    }
+
+
+@pytest.mark.parametrize("n, when", [(6, 704.56), (10, 2896.3)])
+def test_covariance_converges_on_long_chains(n, when):
+    summary = run_covariance(load_config(chain_config(n)), None)
+    assert summary["checks"]["passed"]
+    assert summary["convergence_time"] == pytest.approx(when, abs=1e-6)
+    assert summary["final_gap"] <= 1e-6
+    assert summary["horizon"] >= summary["convergence_time"]
+    assert summary["spectral_abscissa"] < 0
+    assert summary["sample_dt"] == 0.02
+    assert summary["min_psd_margin"] >= -1.0
+
+
+@pytest.mark.parametrize("coupling", [0.0, 1e-3])
+def test_covariance_without_reachable_convergence_does_not_march(coupling):
+    # uncoupled: the abscissa is 0 and there is no horizon; weakly coupled:
+    # the horizon is far beyond the search limit and is reported, not searched
+    raw = chain_config(2)
+    raw["network"]["stiffness"] = {"kind": "explicit",
+                                   "matrix": [[1.0, coupling], [coupling, 4.0]]}
+    cfg = load_config(raw)
+    start = time.perf_counter()
+    summary = run_covariance(cfg, None)
+    assert time.perf_counter() - start < 5.0
+    assert summary["checks"]["converged"] is False and summary["convergence_time"] is None
+    if coupling == 0.0:
+        assert summary["horizon"] is None
+    else:
+        assert summary["spectral_abscissa"] < 0 and summary["horizon"] > 1e6 * 0.02
+    # nothing was marched: the gap is that of the start C = 0
+    gap0 = np.abs(gibbs_covariance(cfg.network, 2.0)).max()
+    assert summary["final_gap"] == pytest.approx(gap0, rel=1e-12)
+
+
+def test_cli_covariance_rejects_dof_above_the_ceiling(tmp_path, capsys):
+    path = tmp_path / "big.json"
+    path.write_text(json.dumps(chain_config(MAX_DOF + 1)))
+    assert main(["covariance", "--config", str(path)]) == 2
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "config" and str(MAX_DOF) in err["message"]

@@ -11,7 +11,7 @@ from oscbath.dissipative import (
     multiplicity_bound_check,
     neutral_subspace_basis,
 )
-from oscbath.network import OscillatorNetwork, PhaseState, propagate
+from oscbath.network import OscillatorNetwork, PhaseState, chain_stiffness, propagate
 from oscbath.spectral import random_pd_matrix
 
 
@@ -30,6 +30,24 @@ def test_analyze_decoupled_site():
     assert rep.dim_neutral == 2
     assert rep.eigen_multiplicities == (1, 1)
     assert rep.spectral_projection_dims == (1, 0)
+
+
+@pytest.mark.parametrize("n", [15, 20])
+def test_analyze_long_chain_is_complete_and_skips_the_scan(n):
+    # order >= 15: even the +-1 coefficient box exceeds the search cap
+    rep = analyze(chain_stiffness(n), [0])
+    assert rep.krylov_rank == n and rep.complete and rep.dim_neutral == 0
+    assert rep.rationally_independent is None
+    assert rep.independence_max_coeff is None
+    assert rep.independence_witness is None
+    assert multiplicity_bound_check(rep)
+    assert json.loads(json.dumps(rep.to_dict()))["rationally_independent"] is None
+
+
+def test_analyze_chain6_scans_independence():
+    rep = analyze(chain_stiffness(6), [0])
+    assert rep.complete and rep.independence_max_coeff == 5
+    assert rep.rationally_independent is True
 
 
 def test_analyze_coupled_pair_complete():

@@ -98,6 +98,17 @@ def test_krylov_rank_matches_svd_oracle():
         assert np.abs(basis.T @ basis - np.eye(rank)).max() < 1e-10
 
 
+@pytest.mark.parametrize("n", [15, 20, 60])
+def test_krylov_full_rank_on_long_chains(n):
+    # a Jacobi matrix is complete from its first site at every length; the raw
+    # power sequence V^k e_1 lost rank here (14 of 15, 17 of 20)
+    from oscbath.network import chain_stiffness
+
+    q, rank = krylov_basis(chain_stiffness(n), [0])
+    assert rank == n
+    assert np.abs(q.T @ q - np.eye(n)).max() <= 1e-12
+
+
 def test_random_pd_matrix_properties():
     assert random_pd_matrix(1, 3)[0, 0] > 0
     a = random_pd_matrix(3, 7)
