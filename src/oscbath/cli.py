@@ -40,7 +40,7 @@ from .covariance import (
 from .dissipative import analyze, l0_invariance_check, multiplicity_bound_check
 from .errors import ConfigError, NumericalAbort
 from .laws import Exponential, GaussianVelocity
-from .network import PhaseState, energy
+from .network import PhaseState, energies, energy
 from .pdmp import (
     drift_estimate,
     jacobian_rank_probe,
@@ -106,14 +106,6 @@ def _provenance(cfg: ExperimentConfig, command: str) -> dict:
 # ---------------------------------------------------------------------------
 
 
-def _energies(net, x: np.ndarray) -> np.ndarray:
-    """Hamiltonian of each phase-vector row of x."""
-    dof = net.dof
-    return 0.5 * np.einsum(
-        "ij,jk,ik->i", x[:, :dof], net.stiffness, x[:, :dof]
-    ) + np.einsum("ij,ij->i", x[:, dof:], x[:, dof:]) / (2.0 * net.mass)
-
-
 def _seed_stats(cfg: ExperimentConfig, seed: int, keep_trajectory: bool = False) -> dict:
     """Grid and chain statistics of one seed, both from a single event pass.
 
@@ -132,15 +124,15 @@ def _seed_stats(cfg: ExperimentConfig, seed: int, keep_trajectory: bool = False)
     )
     x = traj.states[traj.times >= cfg.burn_in]
     dof = cfg.network.dof
-    energies = _energies(cfg.network, x)
-    chain_energy = _energies(cfg.network, traj.chain.states)
+    grid_energy = energies(cfg.network, x)
+    chain_energy = energies(cfg.network, traj.chain.states)
     stats = {
         "seed": seed,
         "events": traj.events,
         "n_samples": x.shape[0],
         "sum_x": x.sum(axis=0),
         "sum_xx": x.T @ x,
-        "mean_energy": float(energies.mean()),
+        "mean_energy": float(grid_energy.mean()),
         "mean_p1": float(x[:, dof].mean()),
         "chain_steps": cfg.n_steps,
         "chain_mean_energy": float(chain_energy[cfg.n_steps // 10 :].mean()),
@@ -375,8 +367,8 @@ def run_stationarity(cfg: ExperimentConfig, out_dir: Path | None) -> dict:
 
 
 def run_dissipative(cfg: ExperimentConfig, out_dir: Path | None) -> dict:
-    dis = analyze(cfg.network.stiffness, cfg.contact_sites)
-    invariant_ok = l0_invariance_check(cfg.network, cfg.contact_sites)
+    dis = analyze(cfg.network.stiffness, cfg.network.contact_sites)
+    invariant_ok = l0_invariance_check(cfg.network, cfg.network.contact_sites)
     report = _provenance(cfg, "dissipative")
     report.update(dis.to_dict())
     report["l0_invariance"] = invariant_ok
@@ -416,9 +408,9 @@ def run_drift_check(
     n_mc: int = 10_000,
 ) -> dict:
     rng = np.random.default_rng(cfg.seeds[0])
-    energies = np.exp(np.linspace(math.log(1e3), math.log(1e4), n_probes))
+    levels = np.exp(np.linspace(math.log(1e3), math.log(1e4), n_probes))
     probes = []
-    for i, h in enumerate(energies):
+    for i, h in enumerate(levels):
         psi = _state_at_energy(cfg, float(h), rng)
         est = drift_estimate(
             cfg.network, cfg.model, cfg.schedule, psi, n_mc=n_mc, seed=cfg.seeds[0] + i

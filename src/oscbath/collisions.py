@@ -9,6 +9,9 @@ Three concrete models are provided:
 * ``TwoDimBall`` -- d = 2 non-central elastic ball collision parametrized by
   the impact angle phi: p' = G_alpha(phi) p + M c_alpha(phi, v) R(phi).
 
+Every ``jump(xi, p1, mass)`` maps stacks, xi (..., xi_dim) and p1 (..., dim),
+to one kicked momentum per row, so a Monte Carlo sweep makes one call.
+
 Each model carries the sampling law of its random input xi so that
 ``verify_contraction`` (the numeric check of the kinetic-energy contraction
 hypothesis) is self-contained. The analyticity and sphere-covering
@@ -41,6 +44,18 @@ def _alpha_from_masses(heavy: float, light: float) -> float:
     return (heavy - light) / (heavy + light)
 
 
+def _stacks(xi, p1, model):
+    """xi and p1 as float arrays (..., xi_dim) and (..., dim); leading axes broadcast."""
+    xi = np.array(xi, dtype=float, copy=None, ndmin=1)
+    p1 = np.array(p1, dtype=float, copy=None, ndmin=1)
+    if xi.shape[-1] != model.xi_dim or p1.shape[-1] != model.dim:
+        raise ValueError(
+            f"{type(model).__name__} expects momenta (..., {model.dim}) and inputs "
+            f"(..., {model.xi_dim}), got {p1.shape} / {xi.shape}"
+        )
+    return xi, p1
+
+
 @dataclass(frozen=True)
 class OneDimElastic:
     """1-D elastic collision with an external particle of mass <= M.
@@ -63,10 +78,7 @@ class OneDimElastic:
         return _alpha_from_masses(mass, self.external_mass)
 
     def jump(self, xi: np.ndarray, p1: np.ndarray, mass: float) -> np.ndarray:
-        p1 = np.atleast_1d(np.asarray(p1, dtype=float))
-        u = np.atleast_1d(np.asarray(xi, dtype=float))
-        if p1.shape != (1,) or u.shape != (1,):
-            raise ValueError("OneDimElastic expects scalar momentum and input")
+        u, p1 = _stacks(xi, p1, self)
         a = self.alpha(mass)
         return a * p1 + (1.0 - a) * mass * u
 
@@ -109,15 +121,9 @@ class ContractiveAffine:
     xi_dim = dim
 
     def jump(self, xi: np.ndarray, p1: np.ndarray, mass: float) -> np.ndarray:
-        p1 = np.atleast_1d(np.asarray(p1, dtype=float))
-        w = np.atleast_1d(np.asarray(xi, dtype=float))
-        d = self.reflection.shape[0]
-        if p1.shape != (d,) or w.shape != (d,):
-            raise ValueError(
-                f"expected momentum and input of length {d}, "
-                f"got {p1.shape} / {w.shape}"
-            )
-        return self.reflection @ p1 + mass * w
+        w, p1 = _stacks(xi, p1, self)
+        # one matrix-vector product per row, so a stack equals its rows bit for bit
+        return (self.reflection @ p1[..., None])[..., 0] + mass * w
 
     def sample_input(self, rng: np.random.Generator) -> np.ndarray:
         return self.noise_law.sample(rng)
@@ -158,16 +164,12 @@ class TwoDimBall:
         return _alpha_from_masses(mass, self.external_mass)
 
     def jump(self, xi: np.ndarray, p1: np.ndarray, mass: float) -> np.ndarray:
-        p1 = np.atleast_1d(np.asarray(p1, dtype=float))
-        xi = np.atleast_1d(np.asarray(xi, dtype=float))
-        if p1.shape != (2,) or xi.shape != (3,):
-            raise ValueError("TwoDimBall expects a 2-vector momentum and (phi, v) input")
-        phi, v = float(xi[0]), xi[1:]
-        a = self.alpha(mass)
-        c, s = math.cos(phi), math.sin(phi)
-        r = np.array([c, s])
-        c_alpha = (1.0 - a) * (v[0] * c + v[1] * s)
-        return impact_matrix(a, phi) @ p1 + mass * c_alpha * r
+        """p' = p + (1 - alpha) (r.(M v - p)) r, r = R(phi): the normal component alone moves."""
+        xi, p1 = _stacks(xi, p1, self)
+        phi = xi[..., :1]
+        r = np.concatenate([np.cos(phi), np.sin(phi)], axis=-1)
+        normal = np.vecdot(mass * xi[..., 1:] - p1, r)[..., None]
+        return p1 + (1.0 - self.alpha(mass)) * normal * r
 
     def sample_input(self, rng: np.random.Generator) -> np.ndarray:
         phi = self.angle_law.sample(rng)
@@ -249,12 +251,9 @@ def verify_contraction(
     for i, r in enumerate(radii):
         dirs = rng.standard_normal((n_mc, d))
         dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
-        total = 0.0
-        for k in range(n_mc):
-            xi = model.sample_input(rng)
-            j = model.jump(xi, r * dirs[k], mass)
-            total += float(j @ j)
-        mean_sq[i] = total / n_mc
+        xi = np.array([model.sample_input(rng) for _ in range(n_mc)])
+        j = model.jump(xi, r * dirs, mass)
+        mean_sq[i] = float(np.sum(j * j)) / n_mc
     design = np.column_stack([radii**2, radii, np.ones_like(radii)])
     coeffs, *_ = np.linalg.lstsq(design, mean_sq, rcond=None)
     return ContractionReport(

@@ -11,16 +11,16 @@ load time, so a config that loads is a config that runs.
                 "velocity_law": {"kind": "gaussian", "sigma2": 1.0}},
       "schedule": {"tau": {"kind": "exponential", "rate": 1.0}},
       "run": {"t_end": 200.0, "sample_dt": 0.25, "n_steps": 1000,
-              "burn_in": 20.0, "seeds": [0, 1, 2, 3]},
-      "contact_sites": [0]
+              "burn_in": 20.0, "seeds": [0, 1, 2, 3]}
     }
 
-Stiffness kinds: "chain" (nearest-neighbor + pinning), "explicit"
-(row-major "matrix"), "random" (seeded G G^T + jitter draw). Velocity-law
-kinds: "gaussian" {sigma2}, "uniform" {half_width}, "two_point" {magnitude}.
-Tau kinds: "exponential" {rate}, "gamma" {shape, rate}, "uniform"
-{low, high}. ``run.n_steps`` is the post-collision chain length summarized
-per seed. All indices (contact_sites) are 0-based.
+Stiffness kinds: "chain" (nearest-neighbor + pinning between particles,
+kron(chain(N), I_d)), "explicit" (row-major "matrix"), "random" (seeded
+G G^T + jitter draw). Velocity-law kinds: "gaussian" {sigma2}, "uniform"
+{half_width}, "two_point" {magnitude}. Tau kinds: "exponential" {rate},
+"gamma" {shape, rate}, "uniform" {low, high}. ``run.n_steps`` is the
+post-collision chain length summarized per seed. The contact sites are the
+kicked particle's coordinates 0..d-1; a "contact_sites" entry must equal them.
 """
 
 from __future__ import annotations
@@ -84,8 +84,9 @@ def _build_network(section: dict) -> OscillatorNetwork:
     kind, where = _field(stiff, "kind", "network.stiffness"), "network.stiffness"
     with _invalid("network"):
         if kind == "chain":
-            matrix = chain_stiffness(n * d, coupling=_number(stiff, "coupling", where, 1.0),
-                                     pinning=_number(stiff, "pinning", where, 0.5))
+            matrix = np.kron(chain_stiffness(n, coupling=_number(stiff, "coupling", where, 1.0),
+                                             pinning=_number(stiff, "pinning", where, 0.5)),
+                             np.eye(d))
         elif kind == "explicit":
             matrix = np.asarray(_field(stiff, "matrix", where), dtype=float)
         elif kind == "random":
@@ -166,7 +167,6 @@ class ExperimentConfig:
     n_steps: int
     burn_in: float
     seeds: tuple
-    contact_sites: tuple
     psi0: PhaseState
     raw: dict = field(repr=False)
 
@@ -222,9 +222,9 @@ def load_config(source) -> ExperimentConfig:
     if n_steps < 1:
         raise ConfigError("run.n_steps must be >= 1")
 
-    sites = tuple(sorted(set(_integers(raw.get("contact_sites", [0]), "contact_sites"))))
-    if sites[0] < 0 or sites[-1] >= net.dof:
-        raise ConfigError(f"contact_sites {sites} out of range for dof {net.dof}")
+    if _integers(raw.get("contact_sites", net.contact_sites), "contact_sites") != net.contact_sites:
+        raise ConfigError(f"contact_sites must be {list(net.contact_sites)}, the coordinates "
+                          f"of particle 1, which the collisions kick")
 
     psi0_section = raw.get("psi0")
     if psi0_section is None:
@@ -247,7 +247,6 @@ def load_config(source) -> ExperimentConfig:
         n_steps=n_steps,
         burn_in=burn_in,
         seeds=seeds,
-        contact_sites=sites,
         psi0=psi0,
         raw=raw,
     )

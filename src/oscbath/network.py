@@ -113,6 +113,11 @@ class OscillatorNetwork:
         return np.sqrt(self.spectrum.eigenvalues)
 
     @property
+    def contact_sites(self) -> tuple:
+        """Coordinates of particle 1, the one every collision kicks: 0..d-1."""
+        return tuple(range(self.dim))
+
+    @property
     def mode_frequencies(self) -> np.ndarray:
         """Oscillation frequencies of the flow, sqrt(lambda/M), ascending."""
         return np.sqrt(self.spectrum.eigenvalues / self.mass)
@@ -135,15 +140,20 @@ def chain_stiffness(n: int, coupling: float = 1.0, pinning: float = 0.5) -> np.n
     return v
 
 
+def energies(net: OscillatorNetwork, x: np.ndarray) -> np.ndarray:
+    """H = (1/2) q^T V q + sum |p_k|^2/(2M) of each phase-vector row of x, shape (n, 2 dof)."""
+    q, p = x[:, : net.dof], x[:, net.dof :]
+    kinetic = np.einsum("ij,ij->i", p, p) / (2.0 * net.mass)
+    return 0.5 * np.einsum("ij,jk,ik->i", q, net.stiffness, q) + kinetic
+
+
 def energy(net: OscillatorNetwork, psi: PhaseState) -> float:
-    """Hamiltonian H = sum |p_k|^2/(2M) + (1/2) q^T V q (nonnegative)."""
+    """Hamiltonian of one state (nonnegative)."""
     if psi.q.shape[0] != net.dof:
         raise ValueError(
             f"state dimension {psi.q.shape[0]} does not match network dof {net.dof}"
         )
-    kinetic = float(psi.p @ psi.p) / (2.0 * net.mass)
-    potential = 0.5 * float(psi.q @ (net.stiffness @ psi.q))
-    return kinetic + potential
+    return float(energies(net, psi.vector[None])[0])
 
 
 def _mode_flow(qh, ph, omega, mass, t):

@@ -21,7 +21,7 @@ import numpy as np
 
 from .collisions import CollisionModel, OneDimElastic, TwoDimBall
 from .errors import NumericalAbort
-from .network import OscillatorNetwork, PhaseState, _mode_flow, energy, propagate
+from .network import OscillatorNetwork, PhaseState, _mode_flow, energies, energy, propagate
 
 #: numerical-rank threshold for the controllability probe
 RANK_SV_THRESHOLD = 1e-6
@@ -108,16 +108,16 @@ class _EigenEngine:
         self.modes = net.spectrum.eigenvectors
         self.omega = net.mode_frequencies
         self.mass = net.mass
-        self.contact_rows = self.modes[:d, :]  # particle-1 momentum rows
+        self.contact_rows = self.modes[list(net.contact_sites)]  # particle-1 momentum rows
         self.model = model
 
     def eigen_coords(self, psi: PhaseState):
         return self.modes.T @ psi.q, self.modes.T @ psi.p
 
     def kick(self, ph, xi):
-        p1 = self.contact_rows @ ph
-        p1_new = self.model.jump(xi, p1, self.mass)
-        return ph + self.contact_rows.T @ (p1_new - p1)
+        """Jump of mode-space momenta ph, shape (dof,) or (n, dof), with inputs xi."""
+        p1 = ph @ self.contact_rows.T
+        return ph + (self.model.jump(xi, p1, self.mass) - p1) @ self.contact_rows
 
 
 def _input_sampler(model: CollisionModel, sched: EventSchedule):
@@ -366,17 +366,13 @@ def drift_estimate(
     rng = np.random.default_rng(seed)
     h0 = energy(net, psi)
     qh, ph = engine.eigen_coords(psi)
+    # all waiting times first, then one input draw per Monte Carlo draw
     taus = np.asarray(sched.tau_law.sample(rng, size=n_mc), dtype=float)
+    xi = np.array([draw_xi(rng) for _ in range(n_mc)]).reshape(n_mc, -1)
     qh_t, ph_t = _mode_flow(qh, ph, engine.omega, engine.mass, taus)
-    # potential term is basis-independent: q^T V q = sum lambda_k qh_k^2
-    lam = net.spectrum.eigenvalues
-    h_after = np.empty(n_mc)
-    for k in range(n_mc):
-        ph_k = engine.kick(ph_t[k], draw_xi(rng))
-        h_after[k] = 0.5 * float(lam @ (qh_t[k] ** 2)) + float(
-            ph_k @ ph_k
-        ) / (2.0 * net.mass)
-    change = h_after - h0
+    ph_t = engine.kick(ph_t, xi)
+    to_physical = engine.modes.T
+    change = energies(net, np.hstack([qh_t @ to_physical, ph_t @ to_physical])) - h0
     return DriftEstimate(
         energy_before=h0,
         mean_change=float(change.mean()),

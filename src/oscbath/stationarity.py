@@ -148,8 +148,8 @@ def one_step_moment_shift(
 ) -> MomentShift:
     """Kick a stationary momentum once and report moment movement.
 
-    Draws p ~ N(0, M/beta), applies p' = alpha p + (1-alpha) M u with
-    u ~ law, and returns the empirical moments with paired standard errors.
+    Draws p ~ N(0, M/beta), applies the model's jump with input u ~ law to
+    all draws at once, and returns the empirical moments with paired standard errors.
     """
     if not beta > 0 or not mass > 0:
         raise ValueError("beta and mass must be positive")
@@ -158,8 +158,7 @@ def one_step_moment_shift(
     rng = np.random.default_rng(seed)
     p = rng.normal(0.0, math.sqrt(mass / beta), size=n)
     u = np.asarray(law.sample(rng, size=n), dtype=float)
-    a = model.alpha(mass)
-    p_after = a * p + (1.0 - a) * mass * u
+    p_after = model.jump(u[:, None], p[:, None], mass)[:, 0]
     d2 = p_after**2 - p**2
     d4 = p_after**4 - p**4
     return MomentShift(

@@ -1,19 +1,80 @@
-"""Test-only reference: the event loops as they were before the single pass.
+"""Test-only reference: former engine code, kept verbatim.
 
 ``simulate_embedded`` and ``simulate_continuous`` below are the two separate
 loops (and the stepping engine they shared) that ``oscbath.pdmp`` used to
-run, kept verbatim so tests can assert that the single event pass reproduces
-them bit for bit. Nothing in the package imports this module.
+run, so tests can assert that the single event pass reproduces them bit for
+bit. ``jump`` holds the three one-row jump maps from before the maps took
+stacks, and ``drift_estimate`` / ``verify_contraction`` the Monte Carlo loops
+that kicked one draw per call, with those one-row maps and the mode-space
+energy they used. Nothing in the package imports this module.
 """
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
-from oscbath.collisions import CollisionModel
+from oscbath.collisions import (
+    CollisionModel,
+    ContractionReport,
+    ContractiveAffine,
+    OneDimElastic,
+    TwoDimBall,
+    impact_matrix,
+)
 from oscbath.errors import NumericalAbort
-from oscbath.network import OscillatorNetwork, PhaseState
-from oscbath.pdmp import EmbeddedChain, EventSchedule, Trajectory
+from oscbath.network import OscillatorNetwork, PhaseState, _mode_flow
+from oscbath.pdmp import DriftEstimate, EmbeddedChain, EventSchedule, Trajectory
+
+
+# --- the one-row jump maps ---------------------------------------------------
+
+
+def _one_dim_elastic_jump(self, xi: np.ndarray, p1: np.ndarray, mass: float) -> np.ndarray:
+    p1 = np.atleast_1d(np.asarray(p1, dtype=float))
+    u = np.atleast_1d(np.asarray(xi, dtype=float))
+    if p1.shape != (1,) or u.shape != (1,):
+        raise ValueError("OneDimElastic expects scalar momentum and input")
+    a = self.alpha(mass)
+    return a * p1 + (1.0 - a) * mass * u
+
+
+def _contractive_affine_jump(self, xi: np.ndarray, p1: np.ndarray, mass: float) -> np.ndarray:
+    p1 = np.atleast_1d(np.asarray(p1, dtype=float))
+    w = np.atleast_1d(np.asarray(xi, dtype=float))
+    d = self.reflection.shape[0]
+    if p1.shape != (d,) or w.shape != (d,):
+        raise ValueError(
+            f"expected momentum and input of length {d}, "
+            f"got {p1.shape} / {w.shape}"
+        )
+    return self.reflection @ p1 + mass * w
+
+
+def _two_dim_ball_jump(self, xi: np.ndarray, p1: np.ndarray, mass: float) -> np.ndarray:
+    p1 = np.atleast_1d(np.asarray(p1, dtype=float))
+    xi = np.atleast_1d(np.asarray(xi, dtype=float))
+    if p1.shape != (2,) or xi.shape != (3,):
+        raise ValueError("TwoDimBall expects a 2-vector momentum and (phi, v) input")
+    phi, v = float(xi[0]), xi[1:]
+    a = self.alpha(mass)
+    c, s = math.cos(phi), math.sin(phi)
+    r = np.array([c, s])
+    c_alpha = (1.0 - a) * (v[0] * c + v[1] * s)
+    return impact_matrix(a, phi) @ p1 + mass * c_alpha * r
+
+
+_JUMPS = {
+    OneDimElastic: _one_dim_elastic_jump,
+    ContractiveAffine: _contractive_affine_jump,
+    TwoDimBall: _two_dim_ball_jump,
+}
+
+
+def jump(model: CollisionModel, xi, p1, mass: float) -> np.ndarray:
+    """The former one-row ``model.jump(xi, p1, mass)``."""
+    return _JUMPS[type(model)](model, xi, p1, mass)
 
 
 class _EigenEngine:
@@ -154,3 +215,103 @@ def simulate_continuous(
     states[:, :dof] = qh_s @ engine.modes.T
     states[:, dof:] = ph_s @ engine.modes.T
     return Trajectory(times=times, states=states, events=events, seed=seed)
+
+
+# --- the per-draw Monte Carlo loops -------------------------------------------
+
+
+class _OneRowEngine(_EigenEngine):
+    """The engine above, kicking with the former one-row jump maps."""
+
+    def kick(self, ph, xi):
+        p1 = self.contact_rows @ ph
+        p1_new = jump(self.model, xi, p1, self.mass)
+        return ph + self.contact_rows.T @ (p1_new - p1)
+
+
+def energy(net: OscillatorNetwork, psi: PhaseState) -> float:
+    """Hamiltonian H = sum |p_k|^2/(2M) + (1/2) q^T V q (nonnegative)."""
+    if psi.q.shape[0] != net.dof:
+        raise ValueError(
+            f"state dimension {psi.q.shape[0]} does not match network dof {net.dof}"
+        )
+    kinetic = float(psi.p @ psi.p) / (2.0 * net.mass)
+    potential = 0.5 * float(psi.q @ (net.stiffness @ psi.q))
+    return kinetic + potential
+
+
+def drift_estimate(
+    net: OscillatorNetwork,
+    model: CollisionModel,
+    sched: EventSchedule,
+    psi: PhaseState,
+    n_mc: int = 10_000,
+    seed: int = 0,
+) -> DriftEstimate:
+    """Estimate E{H(psi_1) | psi_0 = psi} - H(psi) over n_mc (tau, xi) draws.
+
+    Energies after the jump are evaluated from scratch (not through the
+    energy-bookkeeping identity), so this is an independent check of the
+    one-step energy drift.
+    """
+    engine = _OneRowEngine(net, model)
+    draw_xi = _input_sampler(model, sched)
+    rng = np.random.default_rng(seed)
+    h0 = energy(net, psi)
+    qh, ph = engine.eigen_coords(psi)
+    taus = np.asarray(sched.tau_law.sample(rng, size=n_mc), dtype=float)
+    qh_t, ph_t = _mode_flow(qh, ph, engine.omega, engine.mass, taus)
+    # potential term is basis-independent: q^T V q = sum lambda_k qh_k^2
+    lam = net.spectrum.eigenvalues
+    h_after = np.empty(n_mc)
+    for k in range(n_mc):
+        ph_k = engine.kick(ph_t[k], draw_xi(rng))
+        h_after[k] = 0.5 * float(lam @ (qh_t[k] ** 2)) + float(
+            ph_k @ ph_k
+        ) / (2.0 * net.mass)
+    change = h_after - h0
+    return DriftEstimate(
+        energy_before=h0,
+        mean_change=float(change.mean()),
+        std_error=float(change.std(ddof=1) / np.sqrt(n_mc)),
+    )
+
+
+def verify_contraction(
+    model: CollisionModel,
+    mass: float,
+    radii,
+    n_mc: int = 10_000,
+    seed: int = 0,
+) -> ContractionReport:
+    """Estimate the kinetic-energy contraction ratio on spheres |p| = r.
+
+    For each radius, momenta are drawn uniformly on the sphere and xi from
+    the model's own input law; the report carries the per-radius ratio
+    E|J|^2 / r^2 and the fitted r^2-coefficient. Report-only: no exception
+    for non-contracting parameter sets.
+    """
+    radii = np.asarray(radii, dtype=float)
+    if radii.ndim != 1 or radii.size < 3:
+        raise ValueError("need at least three radii for the asymptote fit")
+    if np.any(np.diff(radii) <= 0) or np.any(radii <= 0):
+        raise ValueError("radii must be positive ascending")
+    if n_mc < 1000:
+        raise ValueError("n_mc must be at least 1000")
+    d = model.dim
+    rng = np.random.default_rng(seed)
+    mean_sq = np.empty(radii.size)
+    for i, r in enumerate(radii):
+        dirs = rng.standard_normal((n_mc, d))
+        dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
+        total = 0.0
+        for k in range(n_mc):
+            xi = model.sample_input(rng)
+            j = jump(model, xi, r * dirs[k], mass)
+            total += float(j @ j)
+        mean_sq[i] = total / n_mc
+    design = np.column_stack([radii**2, radii, np.ones_like(radii)])
+    coeffs, *_ = np.linalg.lstsq(design, mean_sq, rcond=None)
+    return ContractionReport(
+        radii=radii, ratios=mean_sq / radii**2, asymptote=float(coeffs[0])
+    )

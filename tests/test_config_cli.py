@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -15,6 +16,9 @@ from oscbath.cli import (
 )
 from oscbath.config import load_config
 from oscbath.errors import ConfigError
+from oscbath.network import chain_stiffness
+
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
 
 def base_config(**run_overrides):
@@ -100,6 +104,35 @@ def test_config_rejects_mismatched_psi0_and_sites():
     raw["contact_sites"] = [7]
     with pytest.raises(ConfigError, match="contact_sites"):
         load_config(raw)
+
+
+def test_contact_sites_are_particle_one(tmp_path, capsys):
+    # derived from the kicked particle; a legacy entry must name exactly its coordinates
+    raw = base_config()
+    del raw["contact_sites"]
+    assert load_config(raw).network.contact_sites == (0,)
+    assert not hasattr(load_config(base_config()), "contact_sites")
+    for sites in ([1], [0, 1], [], "0"):
+        raw["contact_sites"] = sites
+        path = write_config(tmp_path, raw)
+        assert main(["dissipative", "--config", str(path)]) == 2
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "config" and "contact_sites" in err["message"]
+
+
+def test_d2_chain_couples_each_coordinate_to_itself():
+    # the matrix the ball-lattice-grid benchmark writes out explicitly:
+    # kron(chain(6), I_2), so x_1 does not couple to y_1
+    raw = base_config()
+    del raw["contact_sites"]
+    raw["network"].update(n_particles=6, dim=2)
+    raw["model"] = {"kind": "two_dim_ball", "external_mass": 0.5}
+    cfg = load_config(raw)
+    assert np.array_equal(cfg.network.stiffness, np.kron(chain_stiffness(6), np.eye(2)))
+    assert cfg.network.stiffness[0, 1] == 0.0
+    assert cfg.network.contact_sites == (0, 1)
+    raw["contact_sites"] = [0, 1]
+    assert np.array_equal(load_config(raw).network.stiffness, cfg.network.stiffness)
 
 
 def test_config_rejects_indefinite_explicit_matrix():
@@ -330,6 +363,22 @@ def test_cli_covariance_and_dissipative(tmp_path):
     assert main(["dissipative", "--config", str(path), "--out", str(tmp_path / "d"), "--check"]) == 0
     assert (tmp_path / "c" / "lyapunov.csv").exists()
     assert (tmp_path / "d" / "report.json").exists()
+
+
+@pytest.mark.parametrize("command", ["covariance", "stationarity", "dissipative",
+                                     "drift-check", "rank-probe"])
+@pytest.mark.parametrize("config", ["chain3", "oscillator1"])
+def test_shipped_configs_pass_their_checks(tmp_path, config, command):
+    # a multi-oscillator network can hide energy from the contact site for one
+    # waiting time, so drift-check's uniform -5% gate fails on chain3 (exit 4)
+    out = tmp_path / "out"
+    path = CONFIGS / f"{config}.json"
+    code = main([command, "--config", str(path), "--out", str(out), "--check"])
+    assert code == (4 if (config, command) == ("chain3", "drift-check") else 0)
+    written = sorted(out.glob("*.json"))
+    assert written
+    for path in written:
+        assert json.loads(path.read_text())["command"] == command
 
 
 def _set(raw, path, value):

@@ -188,6 +188,17 @@ def test_l0_momenta_vanish_for_decoupled_site():
     assert l0_invariance_check(net, [0], n_probes=8, tol=1e-10)
 
 
+@pytest.mark.parametrize("dim", [1, 2])
+def test_l0_check_on_the_derived_contact_sites(dim):
+    # particle 2 decoupled: L0 is its motion, 2 d-dimensional, and leaves all
+    # d coordinates of the kicked particle 1 at rest
+    net = OscillatorNetwork(2, dim, 1.0, np.kron(np.diag([1.0, 4.0]), np.eye(dim)))
+    sites = net.contact_sites
+    assert sites == tuple(range(dim))
+    assert analyze(net.stiffness, sites).dim_neutral == 2 * dim
+    assert l0_invariance_check(net, sites, n_probes=8, tol=1e-10)
+
+
 def test_l0_check_vacuous_for_complete_network():
     net = OscillatorNetwork(2, 1, 1.0, np.array([[2.0, 1.0], [1.0, 2.0]]))
     assert l0_invariance_check(net, [0])

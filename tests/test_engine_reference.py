@@ -1,20 +1,35 @@
-"""The single event pass against the two loops it replaced, bit for bit.
+"""The engine against the code it replaced, kept in ``_reference_engine``.
 
-``_reference_engine`` keeps the former ``simulate_embedded`` and
-``simulate_continuous`` loops verbatim. The single pass must reproduce their
-states, jump times and event counts exactly (``np.array_equal``), and abort
-on the same event with the same message.
+The single event pass must reproduce the former ``simulate_embedded`` and
+``simulate_continuous`` loops exactly (``np.array_equal``): states, jump
+times and event counts, and abort on the same event with the same message.
+The stacked jump maps must reproduce the former one-row maps row by row
+(bitwise, except the ball's closed form: 1e-14 relative), and the batched
+Monte Carlo estimates the former per-draw loops.
 """
 
 import numpy as np
 import pytest
 
 import _reference_engine as ref
-from oscbath.collisions import ContractiveAffine, OneDimElastic, TwoDimBall
+from oscbath.collisions import (
+    ContractiveAffine,
+    OneDimElastic,
+    TwoDimBall,
+    impact_matrix,
+    verify_contraction,
+)
 from oscbath.errors import NumericalAbort
 from oscbath.laws import Exponential, GammaLaw, UniformPositive
-from oscbath.network import OscillatorNetwork, PhaseState, chain_stiffness
-from oscbath.pdmp import GRID_BLOCK, EventSchedule, simulate_continuous, simulate_embedded
+from oscbath.network import OscillatorNetwork, PhaseState, chain_stiffness, energy
+from oscbath.pdmp import (
+    GRID_BLOCK,
+    EventSchedule,
+    _EigenEngine,
+    drift_estimate,
+    simulate_continuous,
+    simulate_embedded,
+)
 
 
 def _elastic():
@@ -68,8 +83,8 @@ class MisstatedMean:
 class InfAt:
     """The model's own input law, except that draw ``k`` has an infinite last entry.
 
-    The last entry is a velocity component for every model (never the ball's
-    impact angle, whose cosine would raise before the state is checked).
+    The last entry is a velocity component for every model, never the ball's
+    impact angle, so the kick itself overflows the state.
     """
 
     def __init__(self, model, k):
@@ -186,3 +201,110 @@ def test_abort_reports_the_same_event(pairing, k):
     assert _message(
         lambda: simulate_embedded(net, model, sched(), psi0, 40, 4)
     ) == _message(lambda: ref.simulate_embedded(net, model, sched(), psi0, 40, 4))
+
+
+# --- stacked jump maps against the one-row maps -----------------------------------
+
+
+def _stack(model, n, seed):
+    rng = np.random.default_rng(seed)
+    xi = np.array([model.sample_input(rng) for _ in range(n)])
+    p1 = 3.0 * rng.standard_normal((n, model.dim))
+    return xi, p1
+
+
+@pytest.mark.parametrize("pairing", sorted(PAIRINGS))
+def test_stacked_jump_matches_the_one_row_maps(pairing):
+    _, model, _ = PAIRINGS[pairing]()
+    mass = 1.3
+    xi, p1 = _stack(model, 500, seed=11)
+    stacked = model.jump(xi, p1, mass)
+    assert stacked.shape == p1.shape
+    rows = np.array([ref.jump(model, x, p, mass) for x, p in zip(xi, p1)])
+    if isinstance(model, TwoDimBall):
+        # closed form p + (1 - alpha)(M v.r - p.r) r against G_alpha(phi) p + M c_alpha R(phi)
+        a = model.alpha(mass)
+        r = np.column_stack([np.cos(xi[:, 0]), np.sin(xi[:, 0])])
+        matrix_form = np.array([
+            impact_matrix(a, x[0]) @ p + mass * (1.0 - a) * (x[1:] @ rr) * rr
+            for x, p, rr in zip(xi, p1, r)
+        ])
+        scale = np.abs(p1).max() + mass * np.abs(xi[:, 1:]).max()
+        assert np.abs(stacked - rows).max() <= 1e-14 * scale
+        assert np.abs(stacked - matrix_form).max() <= 1e-14 * scale
+    else:
+        assert np.array_equal(stacked, rows)
+    # a single row still goes in as vectors, and a scalar as a length-1 vector
+    assert np.array_equal(model.jump(xi[3], p1[3], mass), stacked[3])
+    with pytest.raises(ValueError):
+        model.jump(xi[:, :-1] if model.xi_dim > 1 else np.ones((500, 2)), p1, mass)
+    with pytest.raises(ValueError):
+        model.jump(xi, np.ones((500, model.dim + 1)), mass)
+
+
+def test_scalar_jump_call():
+    out = OneDimElastic(external_mass=0.5).jump(0.1, 1.0, 1.0)
+    assert out.shape == (1,)
+    assert out[0] == ref.jump(OneDimElastic(external_mass=0.5), 0.1, 1.0, 1.0)[0]
+
+
+@pytest.mark.parametrize("pairing", sorted(PAIRINGS))
+def test_stacked_kick_matches_row_kicks(pairing):
+    net, model, _ = PAIRINGS[pairing]()
+    engine = _EigenEngine(net, model)
+    rng = np.random.default_rng(5)
+    ph = rng.standard_normal((200, net.dof))
+    xi = np.array([model.sample_input(rng) for _ in range(200)])
+    stacked = engine.kick(ph, xi)
+    rows = np.array([engine.kick(p, x) for p, x in zip(ph, xi)])
+    assert np.abs(stacked - rows).max() <= 1e-14 * np.abs(ph).max()
+
+
+# --- batched Monte Carlo against the per-draw loops ---------------------------------
+
+
+def _state_at(net, h, rng):
+    vec = rng.standard_normal(2 * net.dof)
+    psi = PhaseState(q=vec[: net.dof], p=vec[net.dof :])
+    scale = np.sqrt(h / energy(net, psi))
+    return PhaseState(q=scale * psi.q, p=scale * psi.p)
+
+
+def test_drift_estimate_matches_the_per_draw_loop_on_one_oscillator():
+    # the drift-check physics of configs/oscillator1.json
+    net = OscillatorNetwork(1, 1, 1.0, np.array([[1.0]]))
+    model = OneDimElastic(external_mass=0.5)
+    sched = EventSchedule(tau_law=Exponential(rate=1.0))
+    rng = np.random.default_rng(7)
+    for i, h in enumerate(np.exp(np.linspace(np.log(1e3), np.log(1e4), 4))):
+        psi = _state_at(net, h, rng)
+        new = drift_estimate(net, model, sched, psi, n_mc=3000, seed=7 + i)
+        old = ref.drift_estimate(net, model, sched, psi, n_mc=3000, seed=7 + i)
+        assert new.energy_before == old.energy_before
+        assert new.mean_change == old.mean_change
+        assert new.std_error == old.std_error
+
+
+@pytest.mark.parametrize("pairing", sorted(PAIRINGS))
+def test_drift_estimate_matches_the_per_draw_loop(pairing):
+    net, model, tau_law = PAIRINGS[pairing]()
+    sched = EventSchedule(tau_law=tau_law)
+    psi = _state_at(net, 2e3, np.random.default_rng(3))
+    new = drift_estimate(net, model, sched, psi, n_mc=2000, seed=4)
+    old = ref.drift_estimate(net, model, sched, psi, n_mc=2000, seed=4)
+    assert new.energy_before == pytest.approx(old.energy_before, rel=1e-14)
+    # the kick is bitwise per row; only the energy sums round differently
+    assert new.mean_change == pytest.approx(
+        old.mean_change, rel=1e-12, abs=1e-12 * old.energy_before
+    )
+    assert new.std_error == pytest.approx(old.std_error, rel=1e-12)
+
+
+@pytest.mark.parametrize("pairing", sorted(PAIRINGS))
+def test_verify_contraction_matches_the_per_draw_loop(pairing):
+    _, model, _ = PAIRINGS[pairing]()
+    radii = [5.0, 10.0, 20.0]
+    new = verify_contraction(model, 1.3, radii, n_mc=1000, seed=9)
+    old = ref.verify_contraction(model, 1.3, radii, n_mc=1000, seed=9)
+    assert np.allclose(new.ratios, old.ratios, rtol=1e-12, atol=0.0)
+    assert new.asymptote == pytest.approx(old.asymptote, rel=1e-9)
