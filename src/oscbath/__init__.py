@@ -53,6 +53,7 @@ from .pdmp import (
     drift_estimate,
     empirical_covariance,
     jacobian_rank_probe,
+    reachability_jacobian,
     simulate_continuous,
     simulate_embedded,
     time_average,
@@ -110,6 +111,7 @@ __all__ = [
     "one_step_moment_shift",
     "propagate",
     "random_pd_matrix",
+    "reachability_jacobian",
     "simulate_continuous",
     "simulate_embedded",
     "stationarity_residual",

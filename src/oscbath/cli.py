@@ -22,7 +22,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .collisions import OneDimElastic
+from .collisions import OneDimElastic, TwoDimBall
 from .config import ExperimentConfig, load_config
 from .covariance import (
     MAX_DOF,
@@ -42,6 +42,7 @@ from .errors import ConfigError, NumericalAbort
 from .laws import Exponential, GaussianVelocity
 from .network import PhaseState, energies, energy
 from .pdmp import (
+    RANK_MAX_DOF,
     drift_estimate,
     jacobian_rank_probe,
     simulate_continuous,
@@ -444,10 +445,18 @@ def run_drift_check(
 
 def run_rank_probe(cfg: ExperimentConfig, out_dir: Path | None, legs: int | None) -> dict:
     model = cfg.model
+    dof = cfg.network.dof
+    if not isinstance(model, (OneDimElastic, TwoDimBall)):
+        raise ConfigError("rank-probe requires the one_dim_elastic or two_dim_ball model")
+    if dof > RANK_MAX_DOF:
+        raise ConfigError(f"rank-probe supports dof <= {RANK_MAX_DOF}; this network has dof {dof}")
+    if legs is not None and legs < 0:
+        raise ConfigError(f"--legs must be nonnegative, got {legs}")
     l = model.xi_dim
-    full_dim = 2 * cfg.network.dof
+    full_dim = 2 * dof
     if legs is None:
-        legs = math.ceil(full_dim / (1 + l)) + 1
+        # a kick moves particle 1's d momenta, so a leg reaches at most 1 + d directions
+        legs = math.ceil(full_dim / (1 + model.dim)) + 3
     rng = np.random.default_rng(cfg.seeds[0])
     point = np.empty(legs * (1 + l))
     for k in range(legs):
@@ -456,18 +465,20 @@ def run_rank_probe(cfg: ExperimentConfig, out_dir: Path | None, legs: int | None
     psi0 = cfg.psi0
     if not np.any(psi0.vector):
         # a generic base point; the probe differentiates around it
-        psi0 = PhaseState(
-            q=np.ones(cfg.network.dof), p=0.5 * np.ones(cfg.network.dof)
-        )
-    rank = jacobian_rank_probe(cfg.network, model, psi0, legs, point)
+        psi0 = PhaseState(q=np.ones(dof), p=0.5 * np.ones(dof))
+    rank, sv_ratio = jacobian_rank_probe(cfg.network, model, psi0, legs, point)
+    input_dim = legs * (1 + l)
     report = _provenance(cfg, "rank-probe")
     report.update(
         {
             "legs": legs,
-            "input_dim": legs * (1 + l),
+            "input_dim": input_dim,
             "phase_dim": full_dim,
             "rank": rank,
-            "rank_bound": min(legs * (1 + l), full_dim),
+            "rank_bound": min(input_dim, full_dim),
+            "sv_ratio": sv_ratio,
+            # the probe's rank threshold relative to sigma_max
+            "rank_tolerance": max(input_dim, full_dim) * np.finfo(float).eps,
         }
     )
     checks = {"full_rank": rank == full_dim}

@@ -10,7 +10,9 @@ Three concrete models are provided:
   the impact angle phi: p' = G_alpha(phi) p + M c_alpha(phi, v) R(phi).
 
 Every ``jump(xi, p1, mass)`` maps stacks, xi (..., xi_dim) and p1 (..., dim),
-to one kicked momentum per row, so a Monte Carlo sweep makes one call.
+to one kicked momentum per row, so a Monte Carlo sweep makes one call. The
+two elastic models also give ``jump_jacobian(xi, p1, mass)``, the exact
+derivatives (D_p, D_xi) of the jump per row, for the reachability probe.
 
 Each model carries the sampling law of its random input xi so that
 ``verify_contraction`` (the numeric check of the kinetic-energy contraction
@@ -81,6 +83,13 @@ class OneDimElastic:
         u, p1 = _stacks(xi, p1, self)
         a = self.alpha(mass)
         return a * p1 + (1.0 - a) * mass * u
+
+    def jump_jacobian(self, xi, p1, mass):
+        """(D_p, D_xi) of the jump, each (..., 1, 1): alpha and (1 - alpha) M."""
+        u, p1 = _stacks(xi, p1, self)
+        a = self.alpha(mass)
+        rows = np.broadcast_shapes(u.shape[:-1], p1.shape[:-1]) + (1, 1)
+        return np.full(rows, a), np.full(rows, (1.0 - a) * mass)
 
     def sample_input(self, rng: np.random.Generator) -> np.ndarray:
         return np.atleast_1d(self.velocity_law.sample(rng))
@@ -170,6 +179,23 @@ class TwoDimBall:
         r = np.concatenate([np.cos(phi), np.sin(phi)], axis=-1)
         normal = np.vecdot(mass * xi[..., 1:] - p1, r)[..., None]
         return p1 + (1.0 - self.alpha(mass)) * normal * r
+
+    def jump_jacobian(self, xi, p1, mass):
+        """(D_p, D_xi) of the jump, (..., 2, 2) and (..., 2, 3).
+
+        With w = M v - p and r' = dr/dphi = (-sin phi, cos phi):
+        D_p = I - (1 - alpha) r r^T, and D_xi has the column
+        (1 - alpha) ((r'.w) r + (r.w) r') for phi and (1 - alpha) M r r^T for v.
+        """
+        xi, p1 = _stacks(xi, p1, self)
+        phi = xi[..., :1]
+        r = np.concatenate([np.cos(phi), np.sin(phi)], axis=-1)
+        dr = np.concatenate([-np.sin(phi), np.cos(phi)], axis=-1)
+        w = mass * xi[..., 1:] - p1
+        b = 1.0 - self.alpha(mass)
+        rr = r[..., :, None] * r[..., None, :]
+        d_phi = b * (np.vecdot(dr, w)[..., None] * r + np.vecdot(r, w)[..., None] * dr)
+        return np.eye(2) - b * rr, np.concatenate([d_phi[..., None], b * mass * rr], axis=-1)
 
     def sample_input(self, rng: np.random.Generator) -> np.ndarray:
         phi = self.angle_law.sample(rng)

@@ -6,7 +6,10 @@ run, so tests can assert that the single event pass reproduces them bit for
 bit. ``jump`` holds the three one-row jump maps from before the maps took
 stacks, and ``drift_estimate`` / ``verify_contraction`` the Monte Carlo loops
 that kicked one draw per call, with those one-row maps and the mode-space
-energy they used. Nothing in the package imports this module.
+energy they used. ``_composed_reachability_map`` and
+``finite_difference_jacobian`` are the former rank probe's second copy of
+the dynamics (flow through ``propagate``, kick on ``PhaseState`` rows) and
+its finite-difference loop. Nothing in the package imports this module.
 """
 
 from __future__ import annotations
@@ -24,7 +27,7 @@ from oscbath.collisions import (
     impact_matrix,
 )
 from oscbath.errors import NumericalAbort
-from oscbath.network import OscillatorNetwork, PhaseState, _mode_flow
+from oscbath.network import OscillatorNetwork, PhaseState, _mode_flow, propagate
 from oscbath.pdmp import DriftEstimate, EmbeddedChain, EventSchedule, Trajectory
 
 
@@ -315,3 +318,46 @@ def verify_contraction(
     return ContractionReport(
         radii=radii, ratios=mean_sq / radii**2, asymptote=float(coeffs[0])
     )
+
+
+# --- the finite-difference reachability Jacobian ------------------------------------
+
+
+def _composed_reachability_map(net, model, psi0, m, point):
+    """(t_1, u_1, ..., t_m, u_m) -> state after m flow-and-jump legs."""
+    l = model.xi_dim
+    coords = np.asarray(point, dtype=float).ravel()
+    if coords.size != m * (1 + l):
+        raise ValueError(
+            f"point must have m*(1+l) = {m * (1 + l)} coordinates, got {coords.size}"
+        )
+    state = psi0
+    d = model.dim
+    for k in range(m):
+        t_k = coords[k * (1 + l)]
+        u_k = coords[k * (1 + l) + 1 : (k + 1) * (1 + l)]
+        state = propagate(net, state, t_k)
+        p = state.p.copy()
+        p[:d] = model.jump(u_k, p[:d], net.mass)
+        state = PhaseState(q=state.q, p=p)
+    return state.vector
+
+
+def finite_difference_jacobian(net, model, psi0, m, point, h=1e-5, central=False):
+    """Jacobian of the m-leg map by differences with step h*(1 + |x_i|)."""
+    coords = np.asarray(point, dtype=float).ravel()
+    base = _composed_reachability_map(net, model, psi0, m, coords)
+    n_in = coords.size
+    jac = np.empty((base.size, n_in))
+    for i in range(n_in):
+        step = h * (1.0 + abs(coords[i]))
+        bumped = coords.copy()
+        bumped[i] += step
+        forward = _composed_reachability_map(net, model, psi0, m, bumped)
+        if central:
+            bumped[i] = coords[i] - step
+            backward = _composed_reachability_map(net, model, psi0, m, bumped)
+            jac[:, i] = (forward - backward) / (2.0 * step)
+        else:
+            jac[:, i] = (forward - base) / step
+    return jac

@@ -82,6 +82,32 @@ def test_jump_rejects_bad_shapes_and_mass():
         model.jump(np.array([0.0]), np.array([1.0]), 0.0)
 
 
+@pytest.mark.parametrize("model", [OneDimElastic(external_mass=0.5), TwoDimBall(external_mass=0.3)],
+                         ids=["elastic", "ball"])
+def test_jump_jacobian_matches_central_differences(model):
+    rng = np.random.default_rng(11)
+    mass, h = 1.7, 1e-6
+    for _ in range(20):
+        xi = rng.standard_normal(model.xi_dim)
+        p1 = 3.0 * rng.standard_normal(model.dim)
+        d_p, d_xi = model.jump_jacobian(xi, p1, mass)
+        eye_p, eye_xi = h * np.eye(model.dim), h * np.eye(model.xi_dim)
+        fd_p = np.column_stack([model.jump(xi, p1 + e, mass) - model.jump(xi, p1 - e, mass)
+                                for e in eye_p]) / (2 * h)
+        fd_xi = np.column_stack([model.jump(xi + e, p1, mass) - model.jump(xi - e, p1, mass)
+                                 for e in eye_xi]) / (2 * h)
+        assert d_p.shape == (model.dim, model.dim)
+        assert d_xi.shape == (model.dim, model.xi_dim)
+        np.testing.assert_allclose(d_p, fd_p, atol=1e-8)
+        np.testing.assert_allclose(d_xi, fd_xi, atol=1e-8 * (1 + np.abs(d_xi).max()))
+    # a stack of rows gives one pair of derivatives per row
+    xi = rng.standard_normal((4, model.xi_dim))
+    p1 = rng.standard_normal((4, model.dim))
+    d_p, d_xi = model.jump_jacobian(xi, p1, mass)
+    assert d_p.shape == (4, model.dim, model.dim)
+    assert np.array_equal(d_xi[2], model.jump_jacobian(xi[2], p1[2], mass)[1])
+
+
 # --- pair collision invariants -------------------------------------------------
 
 

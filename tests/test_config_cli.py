@@ -291,7 +291,30 @@ def test_run_drift_check_single_oscillator():
 def test_run_rank_probe_reaches_full_dimension():
     report = run_rank_probe(load_config(base_config()), None, legs=None)
     assert report["rank"] == report["phase_dim"] == 6
+    assert report["sv_ratio"] > report["rank_tolerance"] > 0
     assert report["checks"]["passed"]
+
+
+def test_run_rank_probe_ball_lattice_reaches_full_dimension():
+    # a kick moves d = 2 momenta, so the default legs are sized by 1 + d, not 1 + xi_dim
+    raw = base_config(seeds=[7])
+    raw["network"].update(n_particles=6, dim=2)
+    raw["model"] = {"kind": "two_dim_ball", "external_mass": 0.5, "velocity_sigma2": 1.0}
+    raw.pop("contact_sites")
+    report = run_rank_probe(load_config(raw), None, legs=None)
+    assert report["legs"] == 11
+    assert report["rank"] == report["phase_dim"] == 24
+    assert report["checks"]["passed"]
+
+
+@pytest.mark.parametrize("n", [6, 8, 10, 12])
+def test_cli_rank_probe_certifies_chains_up_to_the_ceiling(tmp_path, n):
+    # dof 12 is RANK_MAX_DOF; a chain of 13 exits 2 (test_cli_bad_config_field_exits_2)
+    raw = base_config()
+    raw["network"]["n_particles"] = n
+    path = write_config(tmp_path, raw)
+    for seed in ("0", "7", "41"):
+        assert main(["rank-probe", "--config", str(path), "--seeds", seed, "--check"]) == 0
 
 
 # --- CLI entry point ---------------------------------------------------------------
@@ -390,22 +413,27 @@ def _set(raw, path, value):
 
 
 @pytest.mark.parametrize(
-    "path, value",
+    "path, value, command",
     [
-        (("network", "mass"), None),
-        (("network", "mass"), "heavy"),
-        (("schedule", "tau", "rate"), None),
-        (("network", "stiffness", "pinning"), float("nan")),
+        (("network", "mass"), None, ["simulate"]),
+        (("network", "mass"), "heavy", ["simulate"]),
+        (("schedule", "tau", "rate"), None, ["simulate"]),
+        (("network", "stiffness", "pinning"), float("nan"), ["simulate"]),
         (("network", "stiffness"), {"kind": "explicit", "matrix": [[1.0, 0.0, 0.0],
                                                                   [0.0, float("nan"), 0.0],
-                                                                  [0.0, 0.0, 1.0]]}),
-        (("network", "dim"), 2),  # the 1-D elastic model on a d = 2 network
+                                                                  [0.0, 0.0, 1.0]]},
+         ["simulate"]),
+        (("network", "dim"), 2, ["simulate"]),  # the 1-D elastic model on a d = 2 network
+        (("model",), {"kind": "contractive_affine", "reflection": [[0.5]]}, ["rank-probe"]),
+        (("network", "n_particles"), 13, ["rank-probe"]),  # dof above RANK_MAX_DOF
+        (("network", "mass"), 1.0, ["rank-probe", "--legs", "-1"]),  # valid config
     ],
-    ids=["mass-null", "mass-text", "rate-null", "pinning-nan", "matrix-nan", "model-dim"],
+    ids=["mass-null", "mass-text", "rate-null", "pinning-nan", "matrix-nan", "model-dim",
+         "rank-probe-affine", "rank-probe-dof13", "rank-probe-negative-legs"],
 )
-def test_cli_bad_config_field_exits_2(tmp_path, capsys, path, value):
+def test_cli_bad_config_field_exits_2(tmp_path, capsys, path, value, command):
     path_ = write_config(tmp_path, _set(base_config(), path, value))
-    assert main(["simulate", "--config", str(path_)]) == 2
+    assert main([*command, "--config", str(path_)]) == 2
     err = json.loads(capsys.readouterr().err)
     assert err["error"] == "config" and err["message"]
 

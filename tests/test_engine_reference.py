@@ -5,7 +5,8 @@ The single event pass must reproduce the former ``simulate_embedded`` and
 times and event counts, and abort on the same event with the same message.
 The stacked jump maps must reproduce the former one-row maps row by row
 (bitwise, except the ball's closed form: 1e-14 relative), and the batched
-Monte Carlo estimates the former per-draw loops.
+Monte Carlo estimates the former per-draw loops. The exact reachability
+Jacobian must agree with central differences of the former composed map.
 """
 
 import numpy as np
@@ -27,6 +28,7 @@ from oscbath.pdmp import (
     EventSchedule,
     _EigenEngine,
     drift_estimate,
+    reachability_jacobian,
     simulate_continuous,
     simulate_embedded,
 )
@@ -308,3 +310,28 @@ def test_verify_contraction_matches_the_per_draw_loop(pairing):
     old = ref.verify_contraction(model, 1.3, radii, n_mc=1000, seed=9)
     assert np.allclose(new.ratios, old.ratios, rtol=1e-12, atol=0.0)
     assert new.asymptote == pytest.approx(old.asymptote, rel=1e-9)
+
+
+# --- exact reachability Jacobian against finite differences ---------------------------
+
+
+@pytest.mark.parametrize(
+    "net, model",
+    [
+        (OscillatorNetwork(3, 1, 1.0, chain_stiffness(3)), OneDimElastic(external_mass=0.5)),
+        (OscillatorNetwork(6, 1, 1.0, chain_stiffness(6)), OneDimElastic(external_mass=0.5)),
+        (OscillatorNetwork(3, 2, 1.0, np.kron(chain_stiffness(3), np.eye(2))),
+         TwoDimBall(external_mass=0.5)),
+    ],
+    ids=["chain3", "chain6", "ball-chain3"],
+)
+def test_reachability_jacobian_matches_central_differences(net, model):
+    l = model.xi_dim
+    m = 2 * net.dof // (1 + model.dim) + 3
+    rng = np.random.default_rng(5)
+    point = np.column_stack([rng.uniform(0.5, 1.5, m), rng.standard_normal((m, l))]).ravel()
+    psi0 = _psi0(net)
+    exact = reachability_jacobian(net, model, psi0, m, point)
+    differenced = ref.finite_difference_jacobian(net, model, psi0, m, point, h=1e-7, central=True)
+    assert exact.shape == differenced.shape == (2 * net.dof, m * (1 + l))
+    assert np.abs(exact - differenced).max() <= 1e-6 * np.abs(exact).max()

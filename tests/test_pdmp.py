@@ -256,14 +256,15 @@ def test_rank_probe_single_oscillator_full_rank():
     net = OscillatorNetwork(1, 1, 1.0, np.array([[1.0]]))
     model = OneDimElastic(external_mass=0.5)
     psi0 = PhaseState(q=[1.0], p=[0.5])
-    rank = jacobian_rank_probe(net, model, psi0, m=1, point=[0.9, 0.3])
+    rank, _ = jacobian_rank_probe(net, model, psi0, m=1, point=[0.9, 0.3])
     assert rank == 2
 
 
 def test_rank_probe_zero_legs():
     net = OscillatorNetwork(1, 1, 1.0, np.array([[1.0]]))
     model = OneDimElastic(external_mass=0.5)
-    assert jacobian_rank_probe(net, model, PhaseState(q=[1.0], p=[0.0]), 0, []) == 0
+    rank, _ = jacobian_rank_probe(net, model, PhaseState(q=[1.0], p=[0.0]), 0, [])
+    assert rank == 0
 
 
 def test_rank_probe_dimension_bound():
@@ -272,19 +273,25 @@ def test_rank_probe_dimension_bound():
     psi0 = PhaseState(q=[1.0, 0.2, -0.4], p=[0.5, 0.1, 0.3])
     for m in (1, 2, 3, 4):
         point = np.tile([0.8, 0.4], m) + 0.01 * np.arange(2 * m)
-        rank = jacobian_rank_probe(net, model, psi0, m, point)
+        rank, _ = jacobian_rank_probe(net, model, psi0, m, point)
         assert rank <= min(2 * m, 6)
     # enough legs reach the full phase dimension at a generic point
     point = np.tile([0.8, 0.4], 4) + 0.05 * np.arange(8)
-    assert jacobian_rank_probe(net, model, psi0, 4, point) == 6
+    rank, _ = jacobian_rank_probe(net, model, psi0, 4, point)
+    assert rank == 6
 
 
-def test_rank_probe_central_differences_agree():
-    net = chain3()
-    model = OneDimElastic(external_mass=0.5)
-    psi0 = PhaseState(q=[1.0, 0.2, -0.4], p=[0.5, 0.1, 0.3])
-    point = np.tile([0.8, 0.4], 4) + 0.05 * np.arange(8)
-    assert jacobian_rank_probe(net, model, psi0, 4, point, central=True) == 6
+def test_rank_probe_counts_a_decoupled_pair_once():
+    # particles 2 and 3 never feel the kick: the legs reach particle 1's (q, p)
+    # and one direction of the pair, the flow along its orbit (sum of the t_k)
+    stiffness = np.array([[1.5, 0.0, 0.0], [0.0, 2.5, -1.0], [0.0, -1.0, 2.5]])
+    net = OscillatorNetwork(3, 1, 1.0, stiffness)
+    psi0 = PhaseState(q=np.ones(3), p=0.5 * np.ones(3))
+    rng = np.random.default_rng(0)
+    point = np.column_stack([rng.uniform(0.5, 1.5, 5), rng.standard_normal(5)]).ravel()
+    rank, sv_ratio = jacobian_rank_probe(net, OneDimElastic(external_mass=0.5), psi0, 5, point)
+    assert rank == 3
+    assert sv_ratio < 1e-15
 
 
 def test_rank_probe_rejects_affine_model():
