@@ -369,17 +369,18 @@ def run_stationarity(cfg: ExperimentConfig, out_dir: Path | None) -> dict:
 
 def run_dissipative(cfg: ExperimentConfig, out_dir: Path | None) -> dict:
     dis = analyze(cfg.network.stiffness, cfg.network.contact_sites)
-    invariant_ok = l0_invariance_check(cfg.network, cfg.network.contact_sites)
+    invariant_ok = l0_invariance_check(cfg.network)
+    bound_ok = multiplicity_bound_check(dis)
     report = _provenance(cfg, "dissipative")
     report.update(dis.to_dict())
     report["l0_invariance"] = invariant_ok
-    report["multiplicity_bound"] = multiplicity_bound_check(dis)
+    report["multiplicity_bound"] = bound_ok
     checks = {
         "projection_sum_matches_rank": sum(dis.spectral_projection_dims)
         == dis.krylov_rank,
         "neutral_dim_identity": dis.dim_neutral == 2 * (dis.order - dis.krylov_rank),
         "l0_invariance": invariant_ok,
-        "multiplicity_bound": multiplicity_bound_check(dis),
+        "multiplicity_bound": bound_ok,
     }
     checks["passed"] = all(checks.values())
     report["checks"] = checks

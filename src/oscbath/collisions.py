@@ -91,8 +91,9 @@ class OneDimElastic:
         rows = np.broadcast_shapes(u.shape[:-1], p1.shape[:-1]) + (1, 1)
         return np.full(rows, a), np.full(rows, (1.0 - a) * mass)
 
-    def sample_input(self, rng: np.random.Generator) -> np.ndarray:
-        return np.atleast_1d(self.velocity_law.sample(rng))
+    def sample_input(self, rng: np.random.Generator, size=None) -> np.ndarray:
+        u = self.velocity_law.sample(rng, size)
+        return np.atleast_1d(u) if size is None else np.reshape(u, (size, 1))
 
 
 @dataclass(frozen=True, eq=False)
@@ -134,8 +135,8 @@ class ContractiveAffine:
         # one matrix-vector product per row, so a stack equals its rows bit for bit
         return (self.reflection @ p1[..., None])[..., 0] + mass * w
 
-    def sample_input(self, rng: np.random.Generator) -> np.ndarray:
-        return self.noise_law.sample(rng)
+    def sample_input(self, rng: np.random.Generator, size=None) -> np.ndarray:
+        return self.noise_law.sample(rng, size)
 
 
 def impact_matrix(alpha: float, phi: float) -> np.ndarray:
@@ -197,7 +198,10 @@ class TwoDimBall:
         d_phi = b * (np.vecdot(dr, w)[..., None] * r + np.vecdot(r, w)[..., None] * dr)
         return np.eye(2) - b * rr, np.concatenate([d_phi[..., None], b * mass * rr], axis=-1)
 
-    def sample_input(self, rng: np.random.Generator) -> np.ndarray:
+    def sample_input(self, rng: np.random.Generator, size=None) -> np.ndarray:
+        """(phi, v_x, v_y), or a (size, 3) block; each row draws its angle then its velocity."""
+        if size is not None:
+            return np.array([self.sample_input(rng) for _ in range(size)]).reshape(size, 3)
         phi = self.angle_law.sample(rng)
         v = self.velocity_law.sample(rng)
         return np.concatenate([[phi], v])
@@ -277,7 +281,7 @@ def verify_contraction(
     for i, r in enumerate(radii):
         dirs = rng.standard_normal((n_mc, d))
         dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
-        xi = np.array([model.sample_input(rng) for _ in range(n_mc)])
+        xi = model.sample_input(rng, size=n_mc)
         j = model.jump(xi, r * dirs, mass)
         mean_sq[i] = float(np.sum(j * j)) / n_mc
     design = np.column_stack([radii**2, radii, np.ones_like(radii)])

@@ -195,7 +195,6 @@ def neutral_subspace_basis(
 
 def l0_invariance_check(
     net: OscillatorNetwork,
-    contact_sites,
     n_probes: int = 5,
     t_grid=None,
     tol: float = 1e-9,
@@ -204,22 +203,19 @@ def l0_invariance_check(
     """Check that L_0 states keep zero contact-site momenta along the flow.
 
     Propagates random L_0 combinations over the time grid and requires
-    |p_n(t)| <= tol*|psi| for every contact site; additionally requires a
-    random state outside L_0 to violate that bound somewhere on the grid.
+    |p_n(t)| <= tol*|psi| for every contact site of the network (particle
+    1's coordinates); additionally requires a random state outside L_0 to
+    violate that bound somewhere on the grid.
     """
-    sites = sorted(set(int(i) for i in contact_sites))
     if t_grid is None:
         t_grid = np.linspace(0.0, 20.0, 81)
     t_grid = np.asarray(t_grid, dtype=float)
     rng = np.random.default_rng(seed)
-    dof = net.dof
-    basis = neutral_subspace_basis(net.stiffness, sites)
-    modes = net.spectrum.eigenvectors
+    basis = neutral_subspace_basis(net.stiffness, net.contact_sites)
 
     def max_site_momentum(vec: np.ndarray) -> float:
-        _, ph_t = _mode_flow(modes.T @ vec[:dof], modes.T @ vec[dof:],
-                             net.mode_frequencies, net.mass, t_grid)
-        return float(np.abs(ph_t @ modes[sites].T).max())
+        _, ph_t = _mode_flow(*net.to_modes(vec), net.mode_frequencies, net.mass, t_grid)
+        return float(np.abs(ph_t @ net.contact_modes.T).max())
 
     if basis.shape[1] > 0:
         for _ in range(n_probes):
@@ -232,5 +228,5 @@ def l0_invariance_check(
                 return False
 
     # a generic state must excite the contact momenta somewhere on the grid
-    vec = rng.standard_normal(2 * dof)
+    vec = rng.standard_normal(2 * net.dof)
     return max_site_momentum(vec) > tol * float(np.linalg.norm(vec))

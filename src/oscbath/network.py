@@ -10,6 +10,7 @@ states at arbitrary jump times are exact.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -117,6 +118,21 @@ class OscillatorNetwork:
         """Coordinates of particle 1, the one every collision kicks: 0..d-1."""
         return tuple(range(self.dim))
 
+    @cached_property
+    def contact_modes(self) -> np.ndarray:
+        """Eigenvector rows at the contact sites, (d, dof): p1 = ph @ contact_modes.T."""
+        return self.spectrum.eigenvectors[list(self.contact_sites)]
+
+    def to_modes(self, x: np.ndarray):
+        """Eigen-coordinates (qh, ph) of phase vectors x, shape (..., 2 dof)."""
+        modes = self.spectrum.eigenvectors
+        return x[..., : self.dof] @ modes, x[..., self.dof :] @ modes
+
+    def from_modes(self, qh: np.ndarray, ph: np.ndarray) -> np.ndarray:
+        """Phase vectors (..., 2 dof) of eigen-coordinates; inverse of ``to_modes``."""
+        to_physical = self.spectrum.eigenvectors.T
+        return np.concatenate([qh @ to_physical, ph @ to_physical], axis=-1)
+
     @property
     def mode_frequencies(self) -> np.ndarray:
         """Oscillation frequencies of the flow, sqrt(lambda/M), ascending."""
@@ -179,11 +195,10 @@ def propagate(net: OscillatorNetwork, psi: PhaseState, t: float) -> PhaseState:
         )
     if t == 0.0:
         return psi
-    q_modes = net.spectrum.eigenvectors
-    qh = q_modes.T @ psi.q
-    ph = q_modes.T @ psi.p
-    qh_t, ph_t = _mode_flow(qh, ph, net.mode_frequencies, net.mass, float(t))
-    return PhaseState(q=q_modes @ qh_t, p=q_modes @ ph_t)
+    qh, ph = net.to_modes(psi.vector)
+    return PhaseState.from_vector(
+        net.from_modes(*_mode_flow(qh, ph, net.mode_frequencies, net.mass, float(t)))
+    )
 
 
 def generator_matrix(net: OscillatorNetwork) -> np.ndarray:
@@ -198,8 +213,5 @@ def generator_matrix(net: OscillatorNetwork) -> np.ndarray:
 def flow_matrix(net: OscillatorNetwork, t: float) -> np.ndarray:
     """Matrix of e^{tA} acting on (q, p) vectors: the mode rotation of each
     unit vector."""
-    q_modes = net.spectrum.eigenvectors
-    units = np.eye(2 * net.dof)
-    qh_t, ph_t = _mode_flow(units[:, : net.dof] @ q_modes, units[:, net.dof :] @ q_modes,
-                            net.mode_frequencies, net.mass, float(t))
-    return np.vstack([q_modes @ qh_t.T, q_modes @ ph_t.T])
+    qh, ph = net.to_modes(np.eye(2 * net.dof))
+    return net.from_modes(*_mode_flow(qh, ph, net.mode_frequencies, net.mass, float(t))).T

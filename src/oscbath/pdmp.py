@@ -8,9 +8,9 @@ state.
 
 The stepping engine works in the eigenbasis of the stiffness matrix, where
 the flow is a family of independent mode rotations; states are transformed
-back to physical coordinates only when stored. A single event loop records
-the post-jump states of a seeded run; the grid samples and the embedded
-chain are both read off that one record.
+back to physical coordinates (``OscillatorNetwork.from_modes``) only when
+stored. A single event loop records the post-jump states of a seeded run;
+the grid samples and the embedded chain are both read off that one record.
 """
 
 from __future__ import annotations
@@ -34,9 +34,10 @@ class EventSchedule:
     """Waiting-time law plus (optionally) an override collision-input law.
 
     ``tau_law`` must expose ``sample(rng, size=None)`` and a finite ``mean``
-    (checked at construction). ``xi_law`` is any object with ``sample(rng)``
-    returning a collision input matching the model; ``None`` means "use the
-    model's own input law".
+    (checked at construction). ``xi_law`` is any object with
+    ``sample(rng, size=None)`` returning a collision input matching the
+    model, or a block of ``size`` of them; ``None`` means "use the model's
+    own input law".
     """
 
     tau_law: object
@@ -98,28 +99,18 @@ class Trajectory:
         return PhaseState.from_vector(self.states[k])
 
 
-class _EigenEngine:
-    """Mode-space stepping: rotation per mode, rank-d update per jump."""
+def _require_dim(net: OscillatorNetwork, model: CollisionModel) -> None:
+    if model.dim != net.dim:
+        raise ValueError(
+            f"model acts in dimension {model.dim} but the network has d={net.dim}"
+        )
 
-    def __init__(self, net: OscillatorNetwork, model: CollisionModel):
-        d = model.dim
-        if d != net.dim:
-            raise ValueError(
-                f"model acts in dimension {d} but the network has d={net.dim}"
-            )
-        self.modes = net.spectrum.eigenvectors
-        self.omega = net.mode_frequencies
-        self.mass = net.mass
-        self.contact_rows = self.modes[list(net.contact_sites)]  # particle-1 momentum rows
-        self.model = model
 
-    def eigen_coords(self, psi: PhaseState):
-        return self.modes.T @ psi.q, self.modes.T @ psi.p
-
-    def kick(self, ph, xi):
-        """Jump of mode-space momenta ph, shape (dof,) or (n, dof), with inputs xi."""
-        p1 = ph @ self.contact_rows.T
-        return ph + (self.model.jump(xi, p1, self.mass) - p1) @ self.contact_rows
+def _kick(net: OscillatorNetwork, model: CollisionModel, ph, xi):
+    """Jump of mode-space momenta ph, (dof,) or (n, dof): a rank-d update through p1."""
+    c = net.contact_modes
+    p1 = ph @ c.T
+    return ph + (model.jump(xi, p1, net.mass) - p1) @ c
 
 
 def _input_sampler(model: CollisionModel, sched: EventSchedule):
@@ -143,17 +134,16 @@ class _EventPass:
     counts the jumps in [0, t_end].
     """
 
-    engine: _EigenEngine
+    net: OscillatorNetwork
     modes: np.ndarray
     times: np.ndarray
     events: int
 
     def chain(self, n_steps: int, seed: int) -> EmbeddedChain:
         """The first n_steps post-jump states in physical coordinates."""
-        dof = self.modes.shape[1] // 2
-        states = self.modes[: n_steps + 1].copy()
-        states[:, :dof] = states[:, :dof] @ self.engine.modes.T
-        states[:, dof:] = states[:, dof:] @ self.engine.modes.T
+        dof = self.net.dof
+        rows = self.modes[: n_steps + 1]
+        states = self.net.from_modes(rows[:, :dof], rows[:, dof:])
         return EmbeddedChain(
             states=states, jump_times=self.times[1 : n_steps + 1].copy(), seed=seed
         )
@@ -167,8 +157,7 @@ class _EventPass:
         predecessor), so each row's transform back to physical coordinates
         is the same matrix product whatever the grid length.
         """
-        engine = self.engine
-        dof = self.modes.shape[1] // 2
+        net, dof = self.net, self.net.dof
         jump_times = self.times[: self.events + 1]
         states = np.empty((grid.size, 2 * dof))
         block = min(GRID_BLOCK, grid.size)
@@ -177,12 +166,10 @@ class _EventPass:
             t = grid[rows]
             last = np.searchsorted(jump_times, t, side="right") - 1
             base = self.modes[last]
-            qh_t, ph_t = _mode_flow(
-                base[:, :dof], base[:, dof:], engine.omega, engine.mass,
+            states[rows] = net.from_modes(*_mode_flow(
+                base[:, :dof], base[:, dof:], net.mode_frequencies, net.mass,
                 t - jump_times[last],
-            )
-            states[rows, :dof] = qh_t @ engine.modes.T
-            states[rows, dof:] = ph_t @ engine.modes.T
+            ))
         return states
 
 
@@ -203,12 +190,12 @@ def _event_pass(
     overflows: "after event k at t=..." inside [0, t_end], "at step k"
     beyond it.
     """
-    engine = _EigenEngine(net, model)
+    _require_dim(net, model)
     draw_tau = sched.tau_law.sample
     draw_xi = _input_sampler(model, sched)
     rng = np.random.default_rng(seed)
-    omega, mass, dof = engine.omega, engine.mass, net.dof
-    qh, ph = engine.eigen_coords(psi0)
+    omega, mass, dof = net.mode_frequencies, net.mass, net.dof
+    qh, ph = net.to_modes(psi0.vector)
     expected = t_end / sched.tau_law.mean if t_end > 0 else 0.0
     # room for the expected events plus four standard deviations (Poisson)
     capacity = max(
@@ -227,7 +214,7 @@ def _event_pass(
         if t_next > t_end and k >= n_steps:
             break
         qh, ph = _mode_flow(qh, ph, omega, mass, tau)
-        ph = engine.kick(ph, draw_xi(rng))
+        ph = _kick(net, model, ph, draw_xi(rng))
         k += 1
         if k == capacity:  # np.resize keeps the filled rows in front
             capacity += capacity // 2
@@ -245,7 +232,7 @@ def _event_pass(
         t = t_next
         times[k] = t
     events = int(np.searchsorted(times[1 : k + 1], t_end, side="right"))
-    return _EventPass(engine=engine, modes=modes[: k + 1], times=times[: k + 1], events=events)
+    return _EventPass(net=net, modes=modes[: k + 1], times=times[: k + 1], events=events)
 
 
 def simulate_embedded(
@@ -363,18 +350,16 @@ def drift_estimate(
     energy-bookkeeping identity), so this is an independent check of the
     one-step energy drift.
     """
-    engine = _EigenEngine(net, model)
+    _require_dim(net, model)
     draw_xi = _input_sampler(model, sched)
     rng = np.random.default_rng(seed)
     h0 = energy(net, psi)
-    qh, ph = engine.eigen_coords(psi)
-    # all waiting times first, then one input draw per Monte Carlo draw
+    qh, ph = net.to_modes(psi.vector)
+    # all waiting times first, then the inputs as one block
     taus = np.asarray(sched.tau_law.sample(rng, size=n_mc), dtype=float)
-    xi = np.array([draw_xi(rng) for _ in range(n_mc)]).reshape(n_mc, -1)
-    qh_t, ph_t = _mode_flow(qh, ph, engine.omega, engine.mass, taus)
-    ph_t = engine.kick(ph_t, xi)
-    to_physical = engine.modes.T
-    change = energies(net, np.hstack([qh_t @ to_physical, ph_t @ to_physical])) - h0
+    xi = np.reshape(draw_xi(rng, size=n_mc), (n_mc, -1))
+    qh_t, ph_t = _mode_flow(qh, ph, net.mode_frequencies, net.mass, taus)
+    change = energies(net, net.from_modes(qh_t, _kick(net, model, ph_t, xi))) - h0
     return DriftEstimate(
         energy_before=h0,
         mean_change=float(change.mean()),
@@ -392,14 +377,15 @@ def reachability_jacobian(
     """Exact Jacobian of (t_1, u_1, ..., t_m, u_m) -> state after m flow-and-kick legs.
 
     Returns the (2 dof, m (1 + xi_dim)) derivative of the phase vector at
-    the given point. The legs run in mode coordinates through the engine's
-    own flow and kick, carrying one tangent row per input coordinate: the
+    the given point. The legs run in mode coordinates through the event
+    loop's own flow and kick, carrying one tangent row per input coordinate: the
     flow is linear, so tangents rotate like states; the column of t_k is
     the generator at the pre-jump state; the kick maps tangents through the
     model's ``jump_jacobian``.
     """
     if not isinstance(model, (OneDimElastic, TwoDimBall)):
         raise ValueError("rank probe supports the finite-input elastic models only")
+    _require_dim(net, model)
     if m < 0:
         raise ValueError("m must be nonnegative")
     l = model.xi_dim
@@ -408,9 +394,8 @@ def reachability_jacobian(
         raise ValueError(
             f"point must have m*(1+l) = {m * (1 + l)} coordinates, got {coords.size}"
         )
-    engine = _EigenEngine(net, model)
-    omega, mass, c = engine.omega, engine.mass, engine.contact_rows
-    qh, ph = engine.eigen_coords(psi0)
+    omega, mass, c = net.mode_frequencies, net.mass, net.contact_modes
+    qh, ph = net.to_modes(psi0.vector)
     tq = np.zeros((coords.size, net.dof))
     tp = np.zeros_like(tq)
     for k in range(m):
@@ -422,8 +407,8 @@ def reachability_jacobian(
         d_p, d_xi = model.jump_jacobian(u_k, ph @ c.T, mass)
         tp += (tp @ c.T) @ (d_p - np.eye(model.dim)).T @ c
         tp[i + 1 : i + 1 + l] = d_xi.T @ c
-        ph = engine.kick(ph, u_k)
-    return np.vstack([engine.modes @ tq.T, engine.modes @ tp.T])
+        ph = _kick(net, model, ph, u_k)
+    return net.from_modes(tq, tp).T
 
 
 def jacobian_rank_probe(

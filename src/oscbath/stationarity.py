@@ -25,15 +25,14 @@ from .laws import GaussianVelocity
 from .network import OscillatorNetwork
 
 
-def _gaussian_expectation_of_squared_exponent(a, b, sigma2, nodes):
-    """E exp(-(a + b v)^2) for v ~ N(0, sigma2) by Gauss-Hermite quadrature.
+def _gaussian_expectation_of_squared_exponent(a, b, sigma2, y, w):
+    """E exp(-(a + b v)^2) for v ~ N(0, sigma2) by Gauss-Hermite nodes y, weights w.
 
     Adaptive node placement: the affine substitution centers the nodes at
     the mode of the product integrand and matches its curvature, the
     standard way to keep Gauss-Hermite at full accuracy when the integrand
     is much narrower than the sampling law.
     """
-    y, w = np.polynomial.hermite.hermgauss(nodes)
     curv = b * b + 0.5 / sigma2  # half-curvature of the log-integrand
     mode = -a * b / curv
     s = 1.0 / math.sqrt(2.0 * curv)
@@ -71,13 +70,14 @@ def stationarity_residual(
     coeff = beta / (2.0 * mass)
     scale = math.sqrt(coeff)
     worst = 0.0
+    y, w = np.polynomial.hermite.hermgauss(nodes)
     for p1 in grid:
         if isinstance(law, GaussianVelocity):
             lhs = gamma * _gaussian_expectation_of_squared_exponent(
                 a=scale * gamma * p1,
                 b=-scale * (1.0 - gamma) * mass,
                 sigma2=law.sigma2,
-                nodes=nodes,
+                y=y, w=w,
             )
         else:
             lhs = gamma * law.expect(

@@ -11,7 +11,13 @@ from oscbath.collisions import (
     two_ball_pair_update,
     verify_contraction,
 )
-from oscbath.laws import GaussianVelocity, IsotropicGaussianVector, UniformAngle
+from oscbath.laws import (
+    GaussianVelocity,
+    IsotropicGaussianVector,
+    TwoPointVelocity,
+    UniformAngle,
+    UniformSymmetricVelocity,
+)
 
 finite = st.floats(min_value=-50.0, max_value=50.0, allow_nan=False)
 angle = st.floats(min_value=0.0, max_value=2 * np.pi, allow_nan=False)
@@ -106,6 +112,28 @@ def test_jump_jacobian_matches_central_differences(model):
     d_p, d_xi = model.jump_jacobian(xi, p1, mass)
     assert d_p.shape == (4, model.dim, model.dim)
     assert np.array_equal(d_xi[2], model.jump_jacobian(xi[2], p1[2], mass)[1])
+
+
+# --- input draws -----------------------------------------------------------------
+
+INPUT_MODELS = {
+    "elastic-gaussian": OneDimElastic(0.5, GaussianVelocity(2.0)),
+    "elastic-uniform": OneDimElastic(0.5, UniformSymmetricVelocity(1.5)),
+    "elastic-two-point": OneDimElastic(0.5, TwoPointVelocity(0.7)),
+    "affine": ContractiveAffine(reflection=0.5 * np.eye(3)),
+    "ball": TwoDimBall(external_mass=0.5),
+}
+
+
+@pytest.mark.parametrize("name", sorted(INPUT_MODELS))
+def test_input_block_equals_single_draws(name):
+    model = INPUT_MODELS[name]
+    block_rng, single_rng = np.random.default_rng(11), np.random.default_rng(11)
+    block = model.sample_input(block_rng, size=500)
+    singles = np.array([model.sample_input(single_rng) for _ in range(500)])
+    assert block.shape == singles.shape == (500, model.xi_dim)
+    assert np.array_equal(block, singles)
+    assert block_rng.bit_generator.state == single_rng.bit_generator.state
 
 
 # --- pair collision invariants -------------------------------------------------

@@ -123,6 +123,30 @@ def test_negative_time_inverts_flow():
     assert np.abs(roundtrip.vector - psi.vector).max() < 1e-12
 
 
+# --- mode basis ---------------------------------------------------------------
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+def test_mode_basis_rows_match_the_stacked_call_and_round_trip(dim):
+    net = OscillatorNetwork(3, dim, 1.5, np.kron(random_pd_matrix(3, 4), np.eye(dim)))
+    modes, dof = net.spectrum.eigenvectors, net.dof
+    x = np.random.default_rng(2).standard_normal((40, 2 * dof))
+    qh, ph = net.to_modes(x)
+    back = net.from_modes(qh, ph)
+    scale = np.abs(x).max()
+    for k in (0, 17, 39):
+        qh_k, ph_k = net.to_modes(x[k])
+        # one vector takes the matrix-vector product Q^T v bit for bit; a
+        # stack goes through matrix-matrix kernels that may sum in another order
+        assert np.array_equal(qh_k, modes.T @ x[k, :dof])
+        assert np.array_equal(ph_k, modes.T @ x[k, dof:])
+        assert np.abs(np.concatenate([qh_k - qh[k], ph_k - ph[k]])).max() <= 1e-15 * scale
+        assert np.abs(net.from_modes(qh_k, ph_k) - back[k]).max() <= 1e-15 * scale
+    assert np.abs(back - x).max() <= 1e-14 * scale
+    sites = list(net.contact_sites)
+    assert np.array_equal(net.contact_modes, net.spectrum.eigenvectors[sites])
+
+
 # --- generator and flow matrix ----------------------------------------------
 
 

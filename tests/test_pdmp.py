@@ -11,6 +11,7 @@ from oscbath.pdmp import (
     drift_estimate,
     empirical_covariance,
     jacobian_rank_probe,
+    reachability_jacobian,
     simulate_continuous,
     simulate_embedded,
     time_average,
@@ -107,9 +108,14 @@ def test_embedded_requires_steps_and_matching_dim():
     net, model, sched = elastic_setup()
     with pytest.raises(ValueError):
         simulate_embedded(net, model, sched, PhaseState.zero(3), n_steps=0, seed=0)
-    ball = TwoDimBall(external_mass=0.5)
-    with pytest.raises(ValueError):
-        simulate_embedded(net, ball, sched, PhaseState.zero(3), n_steps=1, seed=0)
+    ball, psi = TwoDimBall(external_mass=0.5), PhaseState(q=[1.0, 0.0, 0.0], p=[0.0, 1.0, 0.0])
+    for call in (
+        lambda: simulate_embedded(net, ball, sched, psi, n_steps=1, seed=0),
+        lambda: drift_estimate(net, ball, sched, psi, n_mc=10),
+        lambda: reachability_jacobian(net, ball, psi, 1, [0.5, 0.1, 0.2, 0.3]),
+    ):
+        with pytest.raises(ValueError, match="acts in dimension 2 but the network has d=1"):
+            call()
 
 
 # --- continuous sampling --------------------------------------------------------
