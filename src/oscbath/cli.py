@@ -1,18 +1,19 @@
 """Command-line entry point: experiment orchestration and result emission.
 
-Subcommands: ``simulate``, ``covariance``, ``stationarity``, ``dissipative``,
-``drift-check``, ``rank-probe``. Each reads a JSON config (see
-:mod:`oscbath.config`), writes ``summary.json`` / ``report.json`` (and CSV
-series where applicable) into ``--out``, and exits 0 on success, 2 on
-invalid configuration, 3 on numerical abort, and 4 when ``--check`` is
-passed and an acceptance threshold fails. Summaries carry the config, its
-hash, and the seed list, and contain no timestamps, so identical configs
-produce bitwise-identical outputs.
+``COMMANDS`` maps each subcommand to its runner and extra flags. Each runner
+takes a loaded JSON config (see :mod:`oscbath.config`) and returns through
+``_report``: the config, its hash and the seed list, the runner's fields,
+and its checks with ``passed`` their conjunction, written to ``summary.json``
+or ``report.json`` (plus CSV series where applicable) in ``--out``. Exit 0 on
+success, 2 on invalid configuration, 3 on numerical abort, and 4 when
+``--check`` is passed and an acceptance threshold fails. Outputs contain no
+timestamps, so identical configs produce bitwise-identical outputs.
 """
 
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import math
 import sys
@@ -92,14 +93,21 @@ def _moment_params(cfg: ExperimentConfig) -> MomentParams:
     )
 
 
-def _provenance(cfg: ExperimentConfig, command: str) -> dict:
-    return {
+def _report(cfg: ExperimentConfig, command: str, fields: dict, checks: dict,
+            out_dir: Path | None, name: str = "report.json") -> dict:
+    """Provenance, ``fields`` and ``checks`` plus ``passed``; written to ``out_dir / name``."""
+    report = {
         "command": command,
         "version": __version__,
         "config": cfg.raw,
         "config_hash": cfg.config_hash,
         "seeds": list(cfg.seeds),
+        **fields,
+        "checks": {**checks, "passed": all(checks.values())},
     }
+    if out_dir is not None:
+        _write_json(out_dir / name, report)  # creates out_dir
+    return report
 
 
 # ---------------------------------------------------------------------------
@@ -144,11 +152,6 @@ def _seed_stats(cfg: ExperimentConfig, seed: int, keep_trajectory: bool = False)
     return stats
 
 
-def _seed_worker(args):
-    raw, seed = args
-    return _seed_stats(load_config(raw), seed)
-
-
 def _merge_stats(per_seed: list) -> dict:
     """Pool per-seed accumulators (associative: plain sums of sufficient stats)."""
     n_total = sum(s["n_samples"] for s in per_seed)
@@ -160,11 +163,14 @@ def _merge_stats(per_seed: list) -> dict:
 
 
 def run_simulate(cfg: ExperimentConfig, out_dir: Path | None, workers: int = 1) -> dict:
-    # the first listed seed runs here, so its pass also gives trajectory.csv
+    if workers < 1:
+        raise ConfigError(f"--workers must be >= 1, got {workers}")
+    # the first listed seed runs here, so its pass also gives trajectory.csv;
+    # the pool gets the others, and never more processes than it has seeds
     keep = out_dir is not None
-    if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            rest = pool.map(_seed_worker, [(cfg.raw, s) for s in cfg.seeds[1:]])
+    if workers > 1 and len(cfg.seeds) > 1:
+        with ProcessPoolExecutor(max_workers=min(workers, len(cfg.seeds) - 1)) as pool:
+            rest = pool.map(_seed_stats, itertools.repeat(cfg), cfg.seeds[1:])
             first = _seed_stats(cfg, cfg.seeds[0], keep_trajectory=keep)
             per_seed = [first, *rest]
     else:
@@ -175,9 +181,7 @@ def run_simulate(cfg: ExperimentConfig, out_dir: Path | None, workers: int = 1) 
     pooled = _merge_stats(per_seed)
 
     comparison = None
-    if isinstance(cfg.model, OneDimElastic) and isinstance(
-        cfg.schedule.tau_law, Exponential
-    ):
+    if isinstance(cfg.model, OneDimElastic) and isinstance(cfg.schedule.tau_law, Exponential):
         params = _moment_params(cfg)
         beta = beta_from_params(params)
         target = gibbs_covariance(cfg.network, beta)
@@ -200,24 +204,19 @@ def run_simulate(cfg: ExperimentConfig, out_dir: Path | None, workers: int = 1) 
             "max_abs_z": max_z,
         }
 
-    summary = _provenance(cfg, "simulate")
-    summary["per_seed"] = [
-        {k: v for k, v in s.items() if k not in ("sum_x", "sum_xx")}
-        for s in per_seed
-    ]
-    summary["pooled"] = pooled
-    summary["comparison"] = comparison
-    checks = {"passed": True}
+    checks = {}
     if comparison is not None:
         checks["cov_diag_within_5pct"] = comparison["max_rel_cov_error"] <= 0.05
         checks["cov_within_5_se"] = comparison["max_abs_z"] <= 5.0
-        checks["passed"] = bool(
-            checks["cov_diag_within_5pct"] and checks["cov_within_5_se"]
-        )
-    summary["checks"] = checks
-
+    fields = {
+        "per_seed": [
+            {k: v for k, v in s.items() if k not in ("sum_x", "sum_xx")} for s in per_seed
+        ],
+        "pooled": pooled,
+        "comparison": comparison,
+    }
+    summary = _report(cfg, "simulate", fields, checks, out_dir, "summary.json")
     if out_dir is not None:
-        _write_json(out_dir / "summary.json", summary)  # creates out_dir
         trajectory_to_csv(trajectory, out_dir / "trajectory.csv")
     return summary
 
@@ -274,35 +273,29 @@ def run_covariance(cfg: ExperimentConfig, out_dir: Path | None) -> dict:
     mean_traj = mean_dynamics(net, params, psi0, t_end=200.0, sample_dt=200.0)
     mean_decay = energy_norm(net, mean_traj.final) / energy_norm(net, psi0.vector)
 
-    summary = _provenance(cfg, "covariance")
-    summary.update(
-        {
-            "beta": beta,
-            "fixed_point_residual": residual,
-            "residual_tolerance": 1e-12 * source_scale,
-            "spectral_abscissa": abscissa,
-            "horizon": horizon,
-            "sample_dt": CONVERGENCE_DT,
-            "convergence_time": convergence_time,
-            "final_gap": final_gap,
-            "min_psd_margin": min(margins),
-            "lyapunov_monotone": monotone,
-            "lyapunov_max_increase": f_slack,
-            "lyapunov_initial": float(f_series[0]),
-            "lyapunov_final": float(f_series[-1]),
-            "mean_energy_norm_decay_t200": float(mean_decay),
-        }
-    )
+    fields = {
+        "beta": beta,
+        "fixed_point_residual": residual,
+        "residual_tolerance": 1e-12 * source_scale,
+        "spectral_abscissa": abscissa,
+        "horizon": horizon,
+        "sample_dt": CONVERGENCE_DT,
+        "convergence_time": convergence_time,
+        "final_gap": final_gap,
+        "min_psd_margin": min(margins),
+        "lyapunov_monotone": monotone,
+        "lyapunov_max_increase": f_slack,
+        "lyapunov_initial": float(f_series[0]),
+        "lyapunov_final": float(f_series[-1]),
+        "mean_energy_norm_decay_t200": float(mean_decay),
+    }
     checks = {
         "fixed_point": bool(residual <= max(1e-12 * source_scale, 1e-300)),
         "converged": convergence_time is not None,
         "lyapunov_monotone": monotone,
     }
-    checks["passed"] = all(checks.values())
-    summary["checks"] = checks
-
+    summary = _report(cfg, "covariance", fields, checks, out_dir, "summary.json")
     if out_dir is not None:
-        _write_json(out_dir / "summary.json", summary)  # creates out_dir
         lyapunov_to_csv(hom, net, out_dir / "lyapunov.csv")
     return summary
 
@@ -314,6 +307,9 @@ def run_covariance(cfg: ExperimentConfig, out_dir: Path | None) -> dict:
 
 def run_stationarity(cfg: ExperimentConfig, out_dir: Path | None) -> dict:
     params = _moment_params(cfg)
+    if params.alpha == 0:
+        raise ConfigError("stationarity needs model.external_mass below network.mass: "
+                          "its identity inverts the kick through gamma = 1/alpha")
     beta = beta_from_params(params)
     law = cfg.model.velocity_law
     grid = np.linspace(-5.0, 5.0, 101)
@@ -328,19 +324,16 @@ def run_stationarity(cfg: ExperimentConfig, out_dir: Path | None) -> dict:
     )
     gaussian = isinstance(law, GaussianVelocity)
 
-    report = _provenance(cfg, "stationarity")
-    report.update(
-        {
-            "beta": beta,
-            "law": type(law).__name__,
-            "residual": residual,
-            "residual_doubled_beta": residual_doubled,
-            "m2_shift": shift.m2_shift,
-            "m2_shift_se": shift.m2_shift_se,
-            "m4_shift": shift.m4_shift,
-            "m4_shift_se": shift.m4_shift_se,
-        }
-    )
+    fields = {
+        "beta": beta,
+        "law": type(law).__name__,
+        "residual": residual,
+        "residual_doubled_beta": residual_doubled,
+        "m2_shift": shift.m2_shift,
+        "m2_shift_se": shift.m2_shift_se,
+        "m4_shift": shift.m4_shift,
+        "m4_shift_se": shift.m4_shift_se,
+    }
     if gaussian:
         checks = {
             "residual_small": residual <= 1e-10,
@@ -354,12 +347,7 @@ def run_stationarity(cfg: ExperimentConfig, out_dir: Path | None) -> dict:
             "variance_invariant": abs(shift.m2_shift) <= 4.0 * shift.m2_shift_se,
             "fourth_moment_detected": abs(shift.m4_shift) >= 4.0 * shift.m4_shift_se,
         }
-    checks["passed"] = all(checks.values())
-    report["checks"] = checks
-
-    if out_dir is not None:
-        _write_json(out_dir / "report.json", report)
-    return report
+    return _report(cfg, "stationarity", fields, checks, out_dir)
 
 
 # ---------------------------------------------------------------------------
@@ -371,10 +359,7 @@ def run_dissipative(cfg: ExperimentConfig, out_dir: Path | None) -> dict:
     dis = analyze(cfg.network.stiffness, cfg.network.contact_sites)
     invariant_ok = l0_invariance_check(cfg.network)
     bound_ok = multiplicity_bound_check(dis)
-    report = _provenance(cfg, "dissipative")
-    report.update(dis.to_dict())
-    report["l0_invariance"] = invariant_ok
-    report["multiplicity_bound"] = bound_ok
+    fields = {**dis.to_dict(), "l0_invariance": invariant_ok, "multiplicity_bound": bound_ok}
     checks = {
         "projection_sum_matches_rank": sum(dis.spectral_projection_dims)
         == dis.krylov_rank,
@@ -382,11 +367,7 @@ def run_dissipative(cfg: ExperimentConfig, out_dir: Path | None) -> dict:
         "l0_invariance": invariant_ok,
         "multiplicity_bound": bound_ok,
     }
-    checks["passed"] = all(checks.values())
-    report["checks"] = checks
-    if out_dir is not None:
-        _write_json(out_dir / "report.json", report)
-    return report
+    return _report(cfg, "dissipative", fields, checks, out_dir)
 
 
 # ---------------------------------------------------------------------------
@@ -426,17 +407,12 @@ def run_drift_check(
             }
         )
     worst = max(p["relative_change"] for p in probes)
-    report = _provenance(cfg, "drift-check")
-    report.update({"probes": probes, "worst_relative_change": worst})
     checks = {
         "all_negative": all(p["mean_change"] < 0 for p in probes),
         "below_minus_5pct": worst <= -0.05,
     }
-    checks["passed"] = all(checks.values())
-    report["checks"] = checks
-    if out_dir is not None:
-        _write_json(out_dir / "report.json", report)
-    return report
+    fields = {"probes": probes, "worst_relative_change": worst}
+    return _report(cfg, "drift-check", fields, checks, out_dir)
 
 
 # ---------------------------------------------------------------------------
@@ -469,30 +445,32 @@ def run_rank_probe(cfg: ExperimentConfig, out_dir: Path | None, legs: int | None
         psi0 = PhaseState(q=np.ones(dof), p=0.5 * np.ones(dof))
     rank, sv_ratio = jacobian_rank_probe(cfg.network, model, psi0, legs, point)
     input_dim = legs * (1 + l)
-    report = _provenance(cfg, "rank-probe")
-    report.update(
-        {
-            "legs": legs,
-            "input_dim": input_dim,
-            "phase_dim": full_dim,
-            "rank": rank,
-            "rank_bound": min(input_dim, full_dim),
-            "sv_ratio": sv_ratio,
-            # the probe's rank threshold relative to sigma_max
-            "rank_tolerance": max(input_dim, full_dim) * np.finfo(float).eps,
-        }
-    )
-    checks = {"full_rank": rank == full_dim}
-    checks["passed"] = checks["full_rank"]
-    report["checks"] = checks
-    if out_dir is not None:
-        _write_json(out_dir / "report.json", report)
-    return report
+    fields = {
+        "legs": legs,
+        "input_dim": input_dim,
+        "phase_dim": full_dim,
+        "rank": rank,
+        "rank_bound": min(input_dim, full_dim),
+        "sv_ratio": sv_ratio,
+        # the probe's rank threshold relative to sigma_max
+        "rank_tolerance": max(input_dim, full_dim) * np.finfo(float).eps,
+    }
+    return _report(cfg, "rank-probe", fields, {"full_rank": rank == full_dim}, out_dir)
 
 
 # ---------------------------------------------------------------------------
 # argument handling
 # ---------------------------------------------------------------------------
+
+#: subcommand -> (runner, {extra integer flag: default})
+COMMANDS = {
+    "simulate": (run_simulate, {"workers": 1}),
+    "covariance": (run_covariance, {}),
+    "stationarity": (run_stationarity, {}),
+    "dissipative": (run_dissipative, {}),
+    "drift-check": (run_drift_check, {}),
+    "rank-probe": (run_rank_probe, {"legs": None}),
+}
 
 
 def _parse_seed_range(text: str):
@@ -514,14 +492,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
-    for name in (
-        "simulate",
-        "covariance",
-        "stationarity",
-        "dissipative",
-        "drift-check",
-        "rank-probe",
-    ):
+    for name, (_, flags) in COMMANDS.items():
         p = sub.add_parser(name)
         p.add_argument("--config", required=True, help="path to the JSON config")
         p.add_argument("--out", default=None, help="output directory")
@@ -535,10 +506,8 @@ def build_parser() -> argparse.ArgumentParser:
             action="store_true",
             help="exit 4 when an acceptance threshold fails",
         )
-        if name == "simulate":
-            p.add_argument("--workers", type=int, default=1)
-        if name == "rank-probe":
-            p.add_argument("--legs", type=int, default=None)
+        for flag, default in flags.items():
+            p.add_argument(f"--{flag}", type=int, default=default)
     return parser
 
 
@@ -556,26 +525,15 @@ def main(argv=None) -> int:
             seeds = list(_parse_seed_range(args.seeds))
             if isinstance(raw, dict) and isinstance(raw.get("run", {}), dict):
                 raw.setdefault("run", {})["seeds"] = seeds
-        cfg = load_config(raw)
-        if args.command == "simulate":
-            result = run_simulate(cfg, out_dir, workers=args.workers)
-        elif args.command == "covariance":
-            result = run_covariance(cfg, out_dir)
-        elif args.command == "stationarity":
-            result = run_stationarity(cfg, out_dir)
-        elif args.command == "dissipative":
-            result = run_dissipative(cfg, out_dir)
-        elif args.command == "drift-check":
-            result = run_drift_check(cfg, out_dir)
-        else:
-            result = run_rank_probe(cfg, out_dir, legs=args.legs)
+        runner, flags = COMMANDS[args.command]
+        result = runner(load_config(raw), out_dir, **{f: getattr(args, f) for f in flags})
     except (ConfigError, json.JSONDecodeError) as exc:
         print(json.dumps({"error": "config", "message": str(exc)}), file=sys.stderr)
         return EXIT_CONFIG
     except NumericalAbort as exc:
         print(json.dumps({"error": "numerical", "message": str(exc)}), file=sys.stderr)
         return EXIT_NUMERIC
-    if args.check and not result.get("checks", {}).get("passed", False):
+    if args.check and not result["checks"]["passed"]:
         return EXIT_CHECK
     return EXIT_OK
 

@@ -201,6 +201,9 @@ def load_config(source) -> ExperimentConfig:
     if model.dim != net.dim:
         raise ConfigError(f"{type(model).__name__} acts in dimension {model.dim} "
                           f"but the network has dim {net.dim}")
+    if hasattr(model, "alpha"):  # the external mass must not exceed the network mass
+        with _invalid("model.external_mass"):
+            model.alpha(net.mass)
     with _invalid("waiting-time law"):
         tau_law = _build_tau_law(_field(_field(raw, "schedule", "config"), "tau", "schedule"))
     with _invalid("schedule"):

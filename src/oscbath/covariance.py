@@ -51,9 +51,9 @@ class MomentParams:
     """Rate/contraction/noise parameters of the kicked-momentum moment ODEs.
 
     ``lam`` is the exponential collision rate (0 selects the collision-free
-    reduction), ``alpha`` = (M-m)/(M+m) strictly inside (0, 1), ``sigma2``
-    the external-velocity variance (0 gives the homogeneous covariance
-    equation), and ``mass`` the particle mass M.
+    reduction), ``alpha`` = (M-m)/(M+m) in [0, 1) (0 is an equal-mass
+    exchange), ``sigma2`` the external-velocity variance (0 gives the
+    homogeneous covariance equation), and ``mass`` the particle mass M.
     """
 
     lam: float
@@ -64,8 +64,8 @@ class MomentParams:
     def __post_init__(self):
         if self.lam < 0:
             raise ValueError("collision rate must be nonnegative")
-        if not 0.0 < self.alpha < 1.0:
-            raise ValueError("alpha must lie strictly in (0, 1)")
+        if not 0.0 <= self.alpha < 1.0:
+            raise ValueError("alpha must lie in [0, 1)")
         if self.sigma2 < 0:
             raise ValueError("sigma2 must be nonnegative")
         if not self.mass > 0:

@@ -97,21 +97,19 @@ def gibbs_sampler(
     """i.i.d. draws from the density proportional to exp(-beta H).
 
     Positions are sampled mode-wise with standard deviation 1/(sqrt(beta)
-    omega_k) and rotated back; momenta are i.i.d. N(0, M/beta). Returns an
-    (n, 2*dof) array in PhaseState ordering.
+    omega_k), momenta mode-wise as N(0, M/beta), which the rotation back
+    leaves i.i.d. N(0, M/beta). Returns an (n, 2*dof) array in PhaseState
+    ordering.
     """
     if not beta > 0:
         raise ValueError("beta must be positive")
     if n < 1:
         raise ValueError("n must be >= 1")
     rng = np.random.default_rng(seed)
-    dof = net.dof
-    z_q = rng.standard_normal((n, dof))
-    z_p = rng.standard_normal((n, dof))
+    z_q = rng.standard_normal((n, net.dof))
+    z_p = rng.standard_normal((n, net.dof))
     mode_std = 1.0 / (math.sqrt(beta) * net.omegas)
-    q = (z_q * mode_std) @ net.spectrum.eigenvectors.T
-    p = math.sqrt(net.mass / beta) * z_p
-    return np.hstack([q, p])
+    return net.from_modes(z_q * mode_std, math.sqrt(net.mass / beta) * z_p)
 
 
 @dataclass(frozen=True)

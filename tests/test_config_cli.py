@@ -4,6 +4,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from oscbath import cli
 from oscbath.cli import (
     _merge_stats,
     main,
@@ -208,6 +209,33 @@ def test_simulate_worker_pool_matches_serial(tmp_path):
         ).read_bytes()
 
 
+def test_simulate_pool_never_outnumbers_its_seeds(monkeypatch):
+    # a stand-in executor that records its size and maps serially: no process starts
+    sizes = []
+
+    class RecordingPool:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, *iterables):
+            return map(fn, *iterables)
+
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", RecordingPool)
+    cfg = load_config(base_config(seeds=[2, 0, 1]))
+    pooled = run_simulate(cfg, None, workers=5000)
+    run_simulate(load_config(base_config(seeds=[0, 1])), None, workers=5000)
+    run_simulate(load_config(base_config(seeds=[0])), None, workers=5000)
+    assert sizes == [2, 1]  # the first seed runs in the caller; one seed needs no pool
+    serial = run_simulate(cfg, None, workers=1)
+    assert np.array_equal(pooled["pooled"]["covariance"], serial["pooled"]["covariance"])
+
+
 def test_trajectory_csv_is_the_first_listed_seed(tmp_path):
     from oscbath.pdmp import simulate_continuous, trajectory_to_csv
 
@@ -372,6 +400,17 @@ def test_cli_malformed_seed_override_exits_2(tmp_path, capsys, seeds):
     assert "--seeds" in err["message"]
 
 
+def test_equal_masses_run_simulate_and_covariance(tmp_path):
+    # m = M is an equal-mass exchange (alpha = 0): beta = 1/(M sigma2)
+    path = write_config(tmp_path, _set(base_config(), ("model", "external_mass"), 1.0))
+    assert main(["simulate", "--config", str(path), "--out", str(tmp_path / "s")]) == 0
+    assert main(["covariance", "--config", str(path), "--out", str(tmp_path / "c")]) == 0
+    simulate = json.loads((tmp_path / "s" / "summary.json").read_text())
+    covariance = json.loads((tmp_path / "c" / "summary.json").read_text())
+    assert simulate["comparison"]["beta"] == pytest.approx(1.0)
+    assert covariance["checks"]["converged"]
+
+
 def test_cli_check_failure_exits_4(tmp_path):
     # one leg cannot reach the 6-dimensional phase space
     path = write_config(tmp_path, base_config())
@@ -388,20 +427,28 @@ def test_cli_covariance_and_dissipative(tmp_path):
     assert (tmp_path / "d" / "report.json").exists()
 
 
-@pytest.mark.parametrize("command", ["covariance", "stationarity", "dissipative",
+@pytest.mark.parametrize("command", ["simulate", "covariance", "stationarity", "dissipative",
                                      "drift-check", "rank-probe"])
 @pytest.mark.parametrize("config", ["chain3", "oscillator1"])
 def test_shipped_configs_pass_their_checks(tmp_path, config, command):
     # a multi-oscillator network can hide energy from the contact site for one
-    # waiting time, so drift-check's uniform -5% gate fails on chain3 (exit 4)
+    # waiting time, so drift-check's uniform -5% gate fails on chain3 (exit 4);
+    # simulate runs seed 0 alone, whose T = 2000 on oscillator1 leaves an 8.6%
+    # error on the covariance diagonal, above the 5% gate (exit 4)
     out = tmp_path / "out"
     path = CONFIGS / f"{config}.json"
-    code = main([command, "--config", str(path), "--out", str(out), "--check"])
-    assert code == (4 if (config, command) == ("chain3", "drift-check") else 0)
+    seeds = ["--seeds", "0"] if command == "simulate" else []
+    code = main([command, "--config", str(path), "--out", str(out), "--check", *seeds])
+    failing = {("chain3", "drift-check"), ("oscillator1", "simulate")}
+    assert code == (4 if (config, command) in failing else 0)
     written = sorted(out.glob("*.json"))
     assert written
     for path in written:
-        assert json.loads(path.read_text())["command"] == command
+        report = json.loads(path.read_text())
+        assert report["command"] == command
+        assert {"version", "config_hash", "seeds"} <= report.keys()
+        checks = dict(report["checks"])
+        assert checks.pop("passed") == all(checks.values()) == (code == 0)
 
 
 def _set(raw, path, value):
@@ -427,9 +474,16 @@ def _set(raw, path, value):
         (("model",), {"kind": "contractive_affine", "reflection": [[0.5]]}, ["rank-probe"]),
         (("network", "n_particles"), 13, ["rank-probe"]),  # dof above RANK_MAX_DOF
         (("network", "mass"), 1.0, ["rank-probe", "--legs", "-1"]),  # valid config
+        (("model", "external_mass"), 2.0, ["simulate"]),  # heavier than the network's
+        (("model", "external_mass"), 2.0, ["covariance"]),
+        (("model", "external_mass"), 1.0, ["stationarity"]),  # gamma = 1/alpha at alpha = 0
+        (("network", "mass"), 1.0, ["simulate", "--workers", "0"]),  # valid config
+        (("network", "mass"), 1.0, ["simulate", "--workers", "-3"]),
     ],
     ids=["mass-null", "mass-text", "rate-null", "pinning-nan", "matrix-nan", "model-dim",
-         "rank-probe-affine", "rank-probe-dof13", "rank-probe-negative-legs"],
+         "rank-probe-affine", "rank-probe-dof13", "rank-probe-negative-legs",
+         "external-mass-above-simulate", "external-mass-above-covariance",
+         "stationarity-equal-masses", "simulate-zero-workers", "simulate-negative-workers"],
 )
 def test_cli_bad_config_field_exits_2(tmp_path, capsys, path, value, command):
     path_ = write_config(tmp_path, _set(base_config(), path, value))
