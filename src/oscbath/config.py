@@ -21,6 +21,7 @@ G G^T + jitter draw). Velocity-law kinds: "gaussian" {sigma2}, "uniform"
 "gamma" {shape, rate}, "uniform" {low, high}. ``run.n_steps`` is the
 post-collision chain length summarized per seed. The contact sites are the
 kicked particle's coordinates 0..d-1; a "contact_sites" entry must equal them.
+A key the loader does not read, in any section, is an error naming its path.
 """
 
 from __future__ import annotations
@@ -56,6 +57,22 @@ def _field(mapping, key: str, where: str, default=_REQUIRED):
     return default
 
 
+def _only(mapping, where: str, *keys) -> None:
+    """Reject a key of ``mapping`` the loader does not read, naming its path."""
+    unknown = sorted(set(mapping) - set(keys), key=str) if isinstance(mapping, dict) else []
+    if unknown:
+        raise ConfigError(f"unknown key '{where + '.' if where else ''}{unknown[0]}'")
+
+
+def _kind(section, where: str, what: str, **keys) -> str:
+    """The section's "kind", one of ``keys``; besides it, only that kind's keys are allowed."""
+    kind = _field(section, "kind", where)
+    if not isinstance(kind, str) or kind not in keys:
+        raise ConfigError(f"unknown {what} kind '{kind}'")
+    _only(section, where, "kind", *keys[kind])
+    return kind
+
+
 @contextmanager
 def _invalid(what: str):
     """Report a conversion or constructor error as an invalid ``what``."""
@@ -77,11 +94,13 @@ def _number(mapping, key: str, where: str, default=_REQUIRED, kind=float):
 
 
 def _build_network(section: dict) -> OscillatorNetwork:
+    _only(section, "network", "n_particles", "dim", "mass", "stiffness")
     n = _number(section, "n_particles", "network", kind=int)
     d = _number(section, "dim", "network", kind=int)
     mass = _number(section, "mass", "network")
-    stiff = _field(section, "stiffness", "network")
-    kind, where = _field(stiff, "kind", "network.stiffness"), "network.stiffness"
+    stiff, where = _field(section, "stiffness", "network"), "network.stiffness"
+    kind = _kind(stiff, where, "stiffness", chain=("coupling", "pinning"), explicit=("matrix",),
+                 random=("seed",))
     with _invalid("network"):
         if kind == "chain":
             matrix = np.kron(chain_stiffness(n, coupling=_number(stiff, "coupling", where, 1.0),
@@ -89,27 +108,26 @@ def _build_network(section: dict) -> OscillatorNetwork:
                              np.eye(d))
         elif kind == "explicit":
             matrix = np.asarray(_field(stiff, "matrix", where), dtype=float)
-        elif kind == "random":
-            matrix = random_pd_matrix(n * d, _number(stiff, "seed", where, 0, int))
         else:
-            raise ConfigError(f"unknown stiffness kind '{kind}'")
+            matrix = random_pd_matrix(n * d, _number(stiff, "seed", where, 0, int))
         return OscillatorNetwork(n_particles=n, dim=d, mass=mass, stiffness=matrix)
 
 
 def _build_velocity_law(section: dict):
     where = "model.velocity_law"
-    kind = _field(section, "kind", where)
+    kind = _kind(section, where, "velocity law", gaussian=("sigma2",), uniform=("half_width",),
+                 two_point=("magnitude",))
     if kind == "gaussian":
         return laws.GaussianVelocity(sigma2=_number(section, "sigma2", where, 1.0))
     if kind == "uniform":
         return laws.UniformSymmetricVelocity(half_width=_number(section, "half_width", where))
-    if kind == "two_point":
-        return laws.TwoPointVelocity(magnitude=_number(section, "magnitude", where))
-    raise ConfigError(f"unknown velocity law kind '{kind}'")
+    return laws.TwoPointVelocity(magnitude=_number(section, "magnitude", where))
 
 
 def _build_model(section: dict):
-    kind = _field(section, "kind", "model")
+    kind = _kind(section, "model", "model", one_dim_elastic=("external_mass", "velocity_law"),
+                 contractive_affine=("reflection", "noise_sigma2"),
+                 two_dim_ball=("external_mass", "velocity_sigma2"))
     if kind == "one_dim_elastic":
         law = _field(section, "velocity_law", "model", {"kind": "gaussian", "sigma2": 1.0})
         return OneDimElastic(
@@ -124,28 +142,25 @@ def _build_model(section: dict):
                 dim=len(reflection), sigma2=_number(section, "noise_sigma2", "model", 1.0)
             ),
         )
-    if kind == "two_dim_ball":
-        return TwoDimBall(
-            external_mass=_number(section, "external_mass", "model"),
-            velocity_law=laws.IsotropicGaussianVector(
-                dim=2, sigma2=_number(section, "velocity_sigma2", "model", 1.0)
-            ),
-        )
-    raise ConfigError(f"unknown model kind '{kind}'")
+    return TwoDimBall(
+        external_mass=_number(section, "external_mass", "model"),
+        velocity_law=laws.IsotropicGaussianVector(
+            dim=2, sigma2=_number(section, "velocity_sigma2", "model", 1.0)
+        ),
+    )
 
 
 def _build_tau_law(section: dict):
     where = "schedule.tau"
-    kind = _field(section, "kind", where)
+    kind = _kind(section, where, "waiting-time law", exponential=("rate",),
+                 gamma=("shape", "rate"), uniform=("low", "high"))
     if kind == "exponential":
         return laws.Exponential(rate=_number(section, "rate", where))
     if kind == "gamma":
         return laws.GammaLaw(shape=_number(section, "shape", where),
                              rate=_number(section, "rate", where))
-    if kind == "uniform":
-        return laws.UniformPositive(low=_number(section, "low", where),
-                                    high=_number(section, "high", where))
-    raise ConfigError(f"unknown waiting-time law kind '{kind}'")
+    return laws.UniformPositive(low=_number(section, "low", where),
+                                high=_number(section, "high", where))
 
 
 def _integers(values, what: str) -> tuple:
@@ -194,6 +209,7 @@ def load_config(source) -> ExperimentConfig:
             raise ConfigError(f"config is not valid JSON: {exc}") from exc
     if not isinstance(raw, dict):
         raise ConfigError("config root must be a JSON object")
+    _only(raw, "", "network", "model", "schedule", "run", "contact_sites", "psi0")
 
     net = _build_network(_field(raw, "network", "config"))
     with _invalid("model"):
@@ -204,12 +220,15 @@ def load_config(source) -> ExperimentConfig:
     if hasattr(model, "alpha"):  # the external mass must not exceed the network mass
         with _invalid("model.external_mass"):
             model.alpha(net.mass)
+    schedule_section = _field(raw, "schedule", "config")
+    _only(schedule_section, "schedule", "tau")
     with _invalid("waiting-time law"):
-        tau_law = _build_tau_law(_field(_field(raw, "schedule", "config"), "tau", "schedule"))
+        tau_law = _build_tau_law(_field(schedule_section, "tau", "schedule"))
     with _invalid("schedule"):
         schedule = EventSchedule(tau_law=tau_law)
 
     run = raw.get("run", {})
+    _only(run, "run", "t_end", "sample_dt", "n_steps", "burn_in", "seeds")
     omega_max = float(net.mode_frequencies[-1])
     t_end = _number(run, "t_end", "run", 100.0)
     sample_dt = _number(run, "sample_dt", "run", (2.0 * np.pi / omega_max) / 8.0)
@@ -233,6 +252,7 @@ def load_config(source) -> ExperimentConfig:
     if psi0_section is None:
         psi0 = PhaseState.zero(net.dof)
     else:
+        _only(psi0_section, "psi0", "q", "p")
         with _invalid("psi0"):
             psi0 = PhaseState(
                 q=np.asarray(_field(psi0_section, "q", "psi0"), dtype=float),

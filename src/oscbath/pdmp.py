@@ -9,8 +9,9 @@ state.
 The stepping engine works in the eigenbasis of the stiffness matrix, where
 the flow is a family of independent mode rotations; states are transformed
 back to physical coordinates (``OscillatorNetwork.from_modes``) only when
-stored. A single event loop records the post-jump states of a seeded run;
-the grid samples and the embedded chain are both read off that one record.
+stored. One event loop steps all seeds of a run together and records their
+post-jump states; each seed's grid samples and embedded chain are read off
+that one record.
 """
 
 from __future__ import annotations
@@ -107,10 +108,14 @@ def _require_dim(net: OscillatorNetwork, model: CollisionModel) -> None:
 
 
 def _kick(net: OscillatorNetwork, model: CollisionModel, ph, xi):
-    """Jump of mode-space momenta ph, (dof,) or (n, dof): a rank-d update through p1."""
+    """Jump of mode-space momenta ph, (dof,) or (n, dof): a rank-d update through p1.
+
+    Each row goes through its own one-row product, so a stack of rows is
+    kicked bitwise as its rows are one at a time.
+    """
     c = net.contact_modes
-    p1 = ph @ c.T
-    return ph + (model.jump(xi, p1, net.mass) - p1) @ c
+    p1 = (ph[..., None, :] @ c.T)[..., 0, :]
+    return ph + ((model.jump(xi, p1, net.mass) - p1)[..., None, :] @ c)[..., 0, :]
 
 
 def _input_sampler(model: CollisionModel, sched: EventSchedule):
@@ -121,12 +126,12 @@ def _input_sampler(model: CollisionModel, sched: EventSchedule):
 
 #: grid rows rotated per block when a pass is sampled on the time grid
 GRID_BLOCK = 4096
-#: most post-jump rows allocated before the first jump; the arrays grow by half
+#: most events per seed allocated before the first draw; the buffers grow by half
 INITIAL_JUMP_ROWS = 1 << 16
 
 
 @dataclass(frozen=True, eq=False)
-class _EventPass:
+class EventPass:
     """Mode-space states right after each jump of one seeded run.
 
     Row k of ``modes`` holds the eigen-coordinates (qh, ph) just after jump k,
@@ -138,26 +143,30 @@ class _EventPass:
     modes: np.ndarray
     times: np.ndarray
     events: int
+    t_end: float
+    seed: int
 
-    def chain(self, n_steps: int, seed: int) -> EmbeddedChain:
+    def chain(self, n_steps: int) -> EmbeddedChain:
         """The first n_steps post-jump states in physical coordinates."""
         dof = self.net.dof
         rows = self.modes[: n_steps + 1]
         states = self.net.from_modes(rows[:, :dof], rows[:, dof:])
         return EmbeddedChain(
-            states=states, jump_times=self.times[1 : n_steps + 1].copy(), seed=seed
+            states=states, jump_times=self.times[1 : n_steps + 1].copy(), seed=self.seed
         )
 
-    def grid_states(self, grid: np.ndarray) -> np.ndarray:
-        """Right-continuous states on the ascending grid, from jumps in [0, t_end].
+    def trajectory(self, sample_dt: float, n_steps: int = 0) -> Trajectory:
+        """Right-continuous states on the grid k*sample_dt in [0, t_end], from its jumps.
 
         Each block of grid times finds its last jump at or before it with one
         ``searchsorted`` and rotates that jump's state forward. Every block
-        has min(GRID_BLOCK, grid.size) rows (the last one overlaps its
+        has min(GRID_BLOCK, grid size) rows (the last one overlaps its
         predecessor), so each row's transform back to physical coordinates
-        is the same matrix product whatever the grid length.
+        is the same matrix product whatever the grid length. With ``n_steps``
+        >= 1 the chain of the first n_steps jumps rides along.
         """
         net, dof = self.net, self.net.dof
+        grid = np.arange(int(np.floor(self.t_end / sample_dt + 1e-12)) + 1) * sample_dt
         jump_times = self.times[: self.events + 1]
         states = np.empty((grid.size, 2 * dof))
         block = min(GRID_BLOCK, grid.size)
@@ -170,69 +179,79 @@ class _EventPass:
                 base[:, :dof], base[:, dof:], net.mode_frequencies, net.mass,
                 t - jump_times[last],
             ))
-        return states
+        return Trajectory(times=grid, states=states, events=self.events, seed=self.seed,
+                          chain=self.chain(n_steps) if n_steps else None)
 
 
-def _event_pass(
+def event_passes(
     net: OscillatorNetwork,
     model: CollisionModel,
     sched: EventSchedule,
     psi0: PhaseState,
     t_end: float,
     n_steps: int,
-    seed: int,
-) -> _EventPass:
-    """The event loop: jump until the first jump past t_end, and at least n_steps.
+    seeds: tuple,
+) -> list:
+    """The event loop: each seed jumps until its first jump past t_end, and at least n_steps.
 
-    Each event takes one waiting-time draw then one input draw from
-    ``default_rng(seed)``; the draw past t_end that ends the run is not
-    followed by an input draw. Aborts with the event index if the state
-    overflows: "after event k at t=..." inside [0, t_end], "at step k"
-    beyond it.
+    Each seed first draws its events from ``default_rng(seed)``, one waiting
+    time then one input per event; the waiting time past t_end that ends the
+    run is not followed by an input. Then all seeds step together, one event
+    per step, on (seeds, dof) arrays; a seed out of events rides along on a
+    zero wait and a zero input, and those rows are cut off. One
+    ``EventPass`` per seed, in the order given. Aborts for the first listed
+    seed whose state overflows, with the event index: "after event k at
+    t=..." inside [0, t_end], "at step k" beyond it.
     """
     _require_dim(net, model)
     draw_tau = sched.tau_law.sample
     draw_xi = _input_sampler(model, sched)
-    rng = np.random.default_rng(seed)
-    omega, mass, dof = net.mode_frequencies, net.mass, net.dof
-    qh, ph = net.to_modes(psi0.vector)
     expected = t_end / sched.tau_law.mean if t_end > 0 else 0.0
     # room for the expected events plus four standard deviations (Poisson)
-    capacity = max(
-        n_steps, min(int(expected + 4.0 * np.sqrt(expected)) + 16, INITIAL_JUMP_ROWS)
-    ) + 1
-    modes = np.empty((capacity, 2 * dof))
-    times = np.empty(capacity)
-    modes[0, :dof] = qh
-    modes[0, dof:] = ph
-    times[0] = 0.0
-    t = 0.0
-    k = 0
-    while k < n_steps or t <= t_end:
-        tau = float(draw_tau(rng))
-        t_next = t + tau
-        if t_next > t_end and k >= n_steps:
-            break
-        qh, ph = _mode_flow(qh, ph, omega, mass, tau)
-        ph = _kick(net, model, ph, draw_xi(rng))
-        k += 1
-        if k == capacity:  # np.resize keeps the filled rows in front
-            capacity += capacity // 2
-            modes = np.resize(modes, (capacity, 2 * dof))
-            times = np.resize(times, capacity)
-        row = modes[k]
-        row[:dof] = qh
-        row[dof:] = ph
-        if not np.isfinite(row).all():
-            if t_next > t_end:
-                raise NumericalAbort(f"non-finite state at step {k}")
-            raise NumericalAbort(
-                f"non-finite state after event {k} at t={t_next:.6g}"
-            )
-        t = t_next
-        times[k] = t
-    events = int(np.searchsorted(times[1 : k + 1], t_end, side="right"))
-    return _EventPass(net=net, modes=modes[: k + 1], times=times[: k + 1], events=events)
+    capacity = max(n_steps, min(int(expected + 4.0 * np.sqrt(expected)) + 16, INITIAL_JUMP_ROWS))
+    taus = np.zeros((capacity, len(seeds)))
+    xis = np.zeros((capacity, len(seeds), model.xi_dim))
+    counts = []
+    for s, seed in enumerate(seeds):
+        rng = np.random.default_rng(seed)
+        t, k = 0.0, 0
+        while k < n_steps or t <= t_end:
+            tau = float(draw_tau(rng))
+            if t + tau > t_end and k >= n_steps:
+                break
+            if k == len(taus):  # half as many rows again, zero like the rest
+                taus, xis = (np.concatenate([b, np.zeros_like(b[: k // 2])]) for b in (taus, xis))
+            taus[k, s] = tau
+            xis[k, s] = draw_xi(rng)
+            t += tau
+            k += 1
+        counts.append(k)
+
+    omega, mass, dof, steps = net.mode_frequencies, net.mass, net.dof, max(counts)
+    modes = np.empty((len(seeds), steps + 1, 2 * dof))
+    modes[:, 0] = np.concatenate(net.to_modes(psi0.vector))
+    qh, ph = modes[:, 0, :dof], modes[:, 0, dof:]
+    with np.errstate(over="ignore", invalid="ignore"):  # a non-finite state aborts below
+        for k in range(steps):
+            qh, ph = _mode_flow(qh, ph, omega, mass, taus[k])
+            ph = _kick(net, model, ph, xis[k])
+            modes[:, k + 1, :dof] = qh
+            modes[:, k + 1, dof:] = ph
+    del xis  # the inputs are spent; the jump times below need only the waits
+
+    times = np.zeros((len(seeds), steps + 1))
+    np.cumsum(taus[:steps].T, axis=1, out=times[:, 1:])
+    passes = []
+    for s, (seed, k) in enumerate(zip(seeds, counts)):
+        bad = np.flatnonzero(~np.isfinite(modes[s, 1 : k + 1]).all(axis=1))
+        if bad.size:
+            step, t = int(bad[0]) + 1, times[s, bad[0] + 1]
+            raise NumericalAbort(f"non-finite state at step {step}" if t > t_end else
+                                 f"non-finite state after event {step} at t={t:.6g}")
+        events = int(np.searchsorted(times[s, 1 : k + 1], t_end, side="right"))
+        passes.append(EventPass(net=net, modes=modes[s, : k + 1], times=times[s, : k + 1],
+                                events=events, t_end=t_end, seed=seed))
+    return passes
 
 
 def simulate_embedded(
@@ -250,8 +269,8 @@ def simulate_embedded(
     """
     if n_steps < 1:
         raise ValueError("n_steps must be >= 1")
-    run = _event_pass(net, model, sched, psi0, -np.inf, n_steps, seed)
-    return run.chain(n_steps, seed)
+    [run] = event_passes(net, model, sched, psi0, -np.inf, n_steps, (seed,))
+    return run.chain(n_steps)
 
 
 def simulate_continuous(
@@ -280,16 +299,8 @@ def simulate_continuous(
         raise ValueError("need 0 < sample_dt <= t_end")
     if n_steps < 0:
         raise ValueError("n_steps must be >= 0")
-    run = _event_pass(net, model, sched, psi0, t_end, n_steps, seed)
-    n_samples = int(np.floor(t_end / sample_dt + 1e-12)) + 1
-    times = np.arange(n_samples) * sample_dt
-    return Trajectory(
-        times=times,
-        states=run.grid_states(times),
-        events=run.events,
-        seed=seed,
-        chain=run.chain(n_steps, seed) if n_steps else None,
-    )
+    [run] = event_passes(net, model, sched, psi0, t_end, n_steps, (seed,))
+    return run.trajectory(sample_dt, n_steps)
 
 
 def time_average(traj: Trajectory, f, burn_in: float = 0.0) -> float:

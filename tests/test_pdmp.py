@@ -10,6 +10,7 @@ from oscbath.pdmp import (
     EventSchedule,
     drift_estimate,
     empirical_covariance,
+    event_passes,
     jacobian_rank_probe,
     reachability_jacobian,
     simulate_continuous,
@@ -177,6 +178,37 @@ def test_gamma_and_uniform_schedules_run():
         sched = EventSchedule(tau_law=law)
         traj = simulate_continuous(net, model, sched, PhaseState.zero(3), 20.0, 0.5, seed=1)
         assert traj.events > 0
+
+
+class MisstatedMean:
+    """Exponential waits whose declared mean is 50 times too long (test stub)."""
+
+    mean = 50.0
+
+    def sample(self, rng, size=None):
+        return rng.exponential(1.0, size=size)
+
+
+@pytest.mark.parametrize("model, dim", [
+    (OneDimElastic(external_mass=0.5), 1),
+    (ContractiveAffine(reflection=np.array([[0.5, 0.2], [-0.1, 0.6]])), 2),
+    (TwoDimBall(external_mass=0.5), 2),
+], ids=["elastic", "affine", "ball"])
+def test_batch_passes_equal_single_seed_passes(model, dim):
+    # the misstated mean leaves room for few events, so the shared draw buffers
+    # grow while later seeds draw; seeds end at different steps and ride along
+    net = OscillatorNetwork(3, dim, 1.0, np.kron(chain_stiffness(3), np.eye(dim)))
+    sched = EventSchedule(tau_law=MisstatedMean())
+    rng = np.random.default_rng(1)
+    psi0 = PhaseState(q=rng.standard_normal(net.dof), p=rng.standard_normal(net.dof))
+    seeds = (4, 0, 9, 2)
+    batch = event_passes(net, model, sched, psi0, 120.0, 40, seeds)
+    assert len({run.times.size for run in batch}) > 1
+    for seed, run in zip(seeds, batch):
+        [alone] = event_passes(net, model, sched, psi0, 120.0, 40, (seed,))
+        assert run.seed == seed and run.events == alone.events > 16
+        assert np.array_equal(run.times, alone.times)
+        assert np.array_equal(run.modes, alone.modes)
 
 
 # --- observables ---------------------------------------------------------------
