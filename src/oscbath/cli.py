@@ -43,9 +43,10 @@ from .laws import Exponential, GaussianVelocity
 from .network import PhaseState, energies, energy
 from .pdmp import (
     RANK_MAX_DOF,
-    Trajectory,
+    EventPass,
     drift_estimate,
     event_passes,
+    grid_size,
     jacobian_rank_probe,
     # unused here; perfbench/tracing.py probes both by these names
     simulate_continuous,  # noqa: F401
@@ -120,23 +121,31 @@ def _report(cfg: ExperimentConfig, command: str, fields: dict, checks: dict,
 # ---------------------------------------------------------------------------
 
 
-def _seed_stats(cfg: ExperimentConfig, traj: Trajectory) -> dict:
-    """Grid and chain statistics of one seed, from its trajectory with the chain."""
-    x = traj.states[np.searchsorted(traj.times, cfg.burn_in):]  # samples at t >= burn_in
-    dof = cfg.network.dof
-    grid_energy = energies(cfg.network, x)
-    chain_energy = energies(cfg.network, traj.chain.states)
+def _seed_stats(cfg: ExperimentConfig, run: EventPass, csv=None) -> dict:
+    """Grid sums and chain statistics of one seed; each grid block also goes to ``csv``, if open."""
+    net, dof = cfg.network, cfg.network.dof
+    n, sum_x, sum_xx, sum_energy = 0, 0.0, 0.0, 0.0  # sum_x and sum_xx become arrays
+    for times, states in run.trajectory(cfg.sample_dt, grid_size(cfg.t_end, cfg.sample_dt)):
+        if csv is not None:
+            trajectory_to_csv(csv, times, states)
+        x = states[np.searchsorted(times, cfg.burn_in):]  # samples at t >= burn_in
+        n += x.shape[0]
+        sum_x += x.sum(axis=0)
+        sum_xx += x.T @ x
+        sum_energy += energies(net, x).sum()
+    chain = run.chain(cfg.n_steps)
+    chain_energy = energies(net, chain.states)
     return {
-        "seed": traj.seed,
-        "events": traj.events,
-        "n_samples": x.shape[0],
-        "sum_x": x.sum(axis=0),
-        "sum_xx": x.T @ x,
-        "mean_energy": float(grid_energy.mean()),
-        "mean_p1": float(x[:, dof].mean()),
+        "seed": run.seed,
+        "events": run.events,
+        "n_samples": n,
+        "sum_x": sum_x,
+        "sum_xx": sum_xx,
+        "mean_energy": float(sum_energy / n),
+        "mean_p1": float(sum_x[dof] / n),
         "chain_steps": cfg.n_steps,
         "chain_mean_energy": float(chain_energy[cfg.n_steps // 10 :].mean()),
-        "chain_final_time": float(traj.chain.jump_times[-1]),
+        "chain_final_time": float(chain.jump_times[-1]),
     }
 
 
@@ -156,11 +165,13 @@ def run_simulate(cfg: ExperimentConfig, out_dir: Path | None, workers: int = 1) 
         raise ConfigError(f"--workers must be >= 1, got {workers}")
     runs = event_passes(cfg.network, cfg.model, cfg.schedule, cfg.psi0, cfg.t_end,
                         cfg.n_steps, cfg.seeds)
-    # one seed's grid states at a time; the first listed seed's last, for trajectory.csv
-    per_seed = [_seed_stats(cfg, run.trajectory(cfg.sample_dt, cfg.n_steps)) for run in runs[1:]]
-    trajectory = runs[0].trajectory(cfg.sample_dt, cfg.n_steps)
-    del runs  # frees the post-jump states
-    per_seed.append(_seed_stats(cfg, trajectory))
+    if out_dir is None:
+        per_seed = [_seed_stats(cfg, run) for run in runs]
+    else:  # trajectory.csv holds the first listed seed's grid, written as it is reduced
+        out_dir.mkdir(parents=True, exist_ok=True)
+        with open(out_dir / "trajectory.csv", "w") as csv:
+            per_seed = [_seed_stats(cfg, runs[0], csv)]
+        per_seed += [_seed_stats(cfg, run) for run in runs[1:]]
     per_seed.sort(key=lambda s: s["seed"])
     pooled = _merge_stats(per_seed)
 
@@ -198,10 +209,7 @@ def run_simulate(cfg: ExperimentConfig, out_dir: Path | None, workers: int = 1) 
         "pooled": pooled,
         "comparison": comparison,
     }
-    summary = _report(cfg, "simulate", fields, checks, out_dir, "summary.json")
-    if out_dir is not None:
-        trajectory_to_csv(trajectory, out_dir / "trajectory.csv")
-    return summary
+    return _report(cfg, "simulate", fields, checks, out_dir, "summary.json")
 
 
 # ---------------------------------------------------------------------------

@@ -84,13 +84,26 @@ def _invalid(what: str):
         raise ConfigError(f"invalid {what}: {exc}") from exc
 
 
+def _json_number(value, what: str, kind=float):
+    """``kind`` of ``value``, which must be a finite JSON number, integral for int."""
+    with _invalid(what):
+        if isinstance(value, bool) or not isinstance(value, (int, float)):
+            raise ValueError(f"{value!r} is not a JSON number")
+        if not math.isfinite(value) or (kind is int and value != math.floor(value)):
+            raise ValueError(f"{value!r} is not {'an integer' if kind is int else 'finite'}")
+        return kind(value)
+
+
 def _number(mapping, key: str, where: str, default=_REQUIRED, kind=float):
-    """``kind`` of the field, which must be a finite number."""
-    value = _field(mapping, key, where, default)
-    with _invalid(f"'{key}' in {where} section"):
-        if not math.isfinite(number := kind(value)):
-            raise ValueError(f"{value!r} is not finite")
-    return number
+    """``kind`` of the field, which must be a finite JSON number, integral for int."""
+    return _json_number(_field(mapping, key, where, default), f"'{key}' in {where} section", kind)
+
+
+def _array(values, what: str) -> np.ndarray:
+    """Nested JSON lists of finite numbers as a float array."""
+    def numbers(v):
+        return [numbers(x) for x in v] if isinstance(v, list) else _json_number(v, what)
+    return np.asarray(numbers(values), dtype=float)  # a ragged list fails in the caller's _invalid
 
 
 def _build_network(section: dict) -> OscillatorNetwork:
@@ -107,7 +120,7 @@ def _build_network(section: dict) -> OscillatorNetwork:
                                              pinning=_number(stiff, "pinning", where, 0.5)),
                              np.eye(d))
         elif kind == "explicit":
-            matrix = np.asarray(_field(stiff, "matrix", where), dtype=float)
+            matrix = _array(_field(stiff, "matrix", where), f"{where}.matrix")
         else:
             matrix = random_pd_matrix(n * d, _number(stiff, "seed", where, 0, int))
         return OscillatorNetwork(n_particles=n, dim=d, mass=mass, stiffness=matrix)
@@ -135,7 +148,7 @@ def _build_model(section: dict):
             velocity_law=_build_velocity_law(law),
         )
     if kind == "contractive_affine":
-        reflection = np.asarray(_field(section, "reflection", "model"), dtype=float)
+        reflection = _array(_field(section, "reflection", "model"), "model.reflection")
         return ContractiveAffine(
             reflection=reflection,
             noise_law=laws.IsotropicGaussianVector(
@@ -166,8 +179,7 @@ def _build_tau_law(section: dict):
 def _integers(values, what: str) -> tuple:
     if not isinstance(values, (list, tuple)) or not values:
         raise ConfigError(f"{what} must be a non-empty list of integers")
-    with _invalid(what):
-        return tuple(int(v) for v in values)
+    return tuple(_json_number(v, what, int) for v in values)
 
 
 @dataclass(frozen=True)
@@ -254,10 +266,8 @@ def load_config(source) -> ExperimentConfig:
     else:
         _only(psi0_section, "psi0", "q", "p")
         with _invalid("psi0"):
-            psi0 = PhaseState(
-                q=np.asarray(_field(psi0_section, "q", "psi0"), dtype=float),
-                p=np.asarray(_field(psi0_section, "p", "psi0"), dtype=float),
-            )
+            psi0 = PhaseState(q=_array(_field(psi0_section, "q", "psi0"), "psi0.q"),
+                              p=_array(_field(psi0_section, "p", "psi0"), "psi0.p"))
         if psi0.q.shape[0] != net.dof:
             raise ConfigError("psi0 dimension does not match the network")
 

@@ -2,10 +2,10 @@
 
 All laws are small frozen dataclasses with a ``sample(rng, ...)`` method
 driven by a caller-owned ``numpy.random.Generator``, which keeps every
-simulation reproducible per seed. The scalar velocity laws additionally
-expose a deterministic ``expect`` used by the stationarity checks:
-Gauss-Hermite nodes for the Gaussian, Gauss-Legendre for the uniform, and
-exact enumeration for the two-point law.
+simulation reproducible per seed. The uniform and two-point velocity laws
+also expose a deterministic ``expect`` for the stationarity residual
+(Gauss-Legendre nodes, exact enumeration); for the Gaussian law it uses
+adaptive Gauss-Hermite nodes of its own.
 """
 
 from __future__ import annotations
@@ -98,12 +98,6 @@ class GaussianVelocity:
 
     def sample(self, rng: np.random.Generator, size=None):
         return rng.normal(0.0, math.sqrt(self.sigma2), size=size)
-
-    def expect(self, f, nodes: int = 64) -> float:
-        # E f(v) with v ~ N(0, sigma2): substitute v = sqrt(2 sigma2) x
-        x, w = np.polynomial.hermite.hermgauss(nodes)
-        v = math.sqrt(2.0 * self.sigma2) * x
-        return float(np.dot(w, f(v)) / math.sqrt(math.pi))
 
 
 @dataclass(frozen=True)

@@ -10,8 +10,8 @@ The stepping engine works in the eigenbasis of the stiffness matrix, where
 the flow is a family of independent mode rotations; states are transformed
 back to physical coordinates (``OscillatorNetwork.from_modes``) only when
 stored. One event loop steps all seeds of a run together and records their
-post-jump states; each seed's grid samples and embedded chain are read off
-that one record.
+post-jump states; each seed's grid samples, block by block, and its embedded
+chain are read off that one record.
 """
 
 from __future__ import annotations
@@ -74,27 +74,18 @@ class EmbeddedChain:
 
 @dataclass(frozen=True, eq=False)
 class Trajectory:
-    """Uniform-grid samples of the continuous-time process.
-
-    ``chain`` is the embedded chain of the same run when one was requested
-    (see ``simulate_continuous``), else ``None``.
-    """
+    """Uniform-grid samples of the continuous-time process."""
 
     times: np.ndarray
     states: np.ndarray
     events: int
     seed: int
-    chain: EmbeddedChain | None = None
 
     def __post_init__(self):
         if self.times.shape[0] != self.states.shape[0]:
             raise ValueError("one state row per sample time required")
         if np.any(np.diff(self.times) <= 0):
             raise ValueError("sample times must be strictly ascending")
-
-    @property
-    def dof(self) -> int:
-        return self.states.shape[1] // 2
 
     def state(self, k: int) -> PhaseState:
         return PhaseState.from_vector(self.states[k])
@@ -130,6 +121,11 @@ GRID_BLOCK = 4096
 INITIAL_JUMP_ROWS = 1 << 16
 
 
+def grid_size(t_end: float, sample_dt: float) -> int:
+    """Samples on the grid k*sample_dt, k = 0..floor(t_end/sample_dt)."""
+    return int(np.floor(t_end / sample_dt + 1e-12)) + 1
+
+
 @dataclass(frozen=True, eq=False)
 class EventPass:
     """Mode-space states right after each jump of one seeded run.
@@ -143,7 +139,6 @@ class EventPass:
     modes: np.ndarray
     times: np.ndarray
     events: int
-    t_end: float
     seed: int
 
     def chain(self, n_steps: int) -> EmbeddedChain:
@@ -155,32 +150,28 @@ class EventPass:
             states=states, jump_times=self.times[1 : n_steps + 1].copy(), seed=self.seed
         )
 
-    def trajectory(self, sample_dt: float, n_steps: int = 0) -> Trajectory:
-        """Right-continuous states on the grid k*sample_dt in [0, t_end], from its jumps.
+    def trajectory(self, sample_dt: float, size: int):
+        """Right-continuous (times, states) blocks on the grid k*sample_dt, k < size, in [0, t_end].
 
         Each block of grid times finds its last jump at or before it with one
-        ``searchsorted`` and rotates that jump's state forward. Every block
-        has min(GRID_BLOCK, grid size) rows (the last one overlaps its
-        predecessor), so each row's transform back to physical coordinates
-        is the same matrix product whatever the grid length. With ``n_steps``
-        >= 1 the chain of the first n_steps jumps rides along.
+        ``searchsorted`` and rotates that jump's state forward. Every block is
+        computed on min(GRID_BLOCK, size) rows, so each row's transform back to
+        physical coordinates is the same matrix product whatever the grid length;
+        the last block overlaps its predecessor and yields only its new rows.
         """
         net, dof = self.net, self.net.dof
-        grid = np.arange(int(np.floor(self.t_end / sample_dt + 1e-12)) + 1) * sample_dt
         jump_times = self.times[: self.events + 1]
-        states = np.empty((grid.size, 2 * dof))
-        block = min(GRID_BLOCK, grid.size)
-        for start in range(0, grid.size, block):
-            rows = slice(min(start, grid.size - block), start + block)
-            t = grid[rows]
+        block = min(GRID_BLOCK, size)
+        for start in range(0, size, block):
+            first = min(start, size - block)
+            t = np.arange(first, first + block) * sample_dt
             last = np.searchsorted(jump_times, t, side="right") - 1
             base = self.modes[last]
-            states[rows] = net.from_modes(*_mode_flow(
+            states = net.from_modes(*_mode_flow(
                 base[:, :dof], base[:, dof:], net.mode_frequencies, net.mass,
                 t - jump_times[last],
             ))
-        return Trajectory(times=grid, states=states, events=self.events, seed=self.seed,
-                          chain=self.chain(n_steps) if n_steps else None)
+            yield t[start - first :], states[start - first :]
 
 
 def event_passes(
@@ -250,7 +241,7 @@ def event_passes(
                                  f"non-finite state after event {step} at t={t:.6g}")
         events = int(np.searchsorted(times[s, 1 : k + 1], t_end, side="right"))
         passes.append(EventPass(net=net, modes=modes[s, : k + 1], times=times[s, : k + 1],
-                                events=events, t_end=t_end, seed=seed))
+                                events=events, seed=seed))
     return passes
 
 
@@ -281,26 +272,22 @@ def simulate_continuous(
     t_end: float,
     sample_dt: float,
     seed: int,
-    n_steps: int = 0,
 ) -> Trajectory:
     """Sample the process on the grid k*sample_dt, k = 0..floor(t_end/dt).
 
     Grid states are computed by exact flow from the most recent post-jump
     state; a grid point coinciding with a jump time reports the post-jump
     state (right continuity). ``events`` counts collisions in [0, t_end].
-
-    With ``n_steps`` >= 1 the same run also yields the embedded chain of its
-    first n_steps collisions as ``chain``, continuing past t_end when fewer
-    collisions fall inside it; the chain equals
-    ``simulate_embedded(..., n_steps, seed)`` and the grid samples are the
-    same as without it.
     """
     if not 0 < sample_dt <= t_end:
         raise ValueError("need 0 < sample_dt <= t_end")
-    if n_steps < 0:
-        raise ValueError("n_steps must be >= 0")
-    [run] = event_passes(net, model, sched, psi0, t_end, n_steps, (seed,))
-    return run.trajectory(sample_dt, n_steps)
+    [run] = event_passes(net, model, sched, psi0, t_end, 0, (seed,))
+    size = grid_size(t_end, sample_dt)
+    times, states = np.empty(size), np.empty((size, 2 * net.dof))
+    for k, (t, x) in enumerate(run.trajectory(sample_dt, size)):  # GRID_BLOCK rows, the last fewer
+        times[k * GRID_BLOCK : (k + 1) * GRID_BLOCK] = t
+        states[k * GRID_BLOCK : (k + 1) * GRID_BLOCK] = x
+    return Trajectory(times=times, states=states, events=run.events, seed=seed)
 
 
 def time_average(traj: Trajectory, f, burn_in: float = 0.0) -> float:
@@ -444,13 +431,14 @@ def jacobian_rank_probe(
     return int(np.sum(sv > tol)), float(sv[-1] / sv[0])
 
 
-def trajectory_to_csv(traj: Trajectory, path) -> None:
-    """Write `t,q_1..q_dN,p_1..p_dN` rows at full double precision."""
-    dof = traj.dof
-    header = ",".join(
-        ["t"]
-        + [f"q_{i + 1}" for i in range(dof)]
-        + [f"p_{i + 1}" for i in range(dof)]
-    )
-    data = np.column_stack([traj.times, traj.states])
-    np.savetxt(path, data, fmt="%.17g", delimiter=",", header=header, comments="")
+def trajectory_to_csv(out, times: np.ndarray, states: np.ndarray) -> None:
+    """Append `t,q_1..q_dN,p_1..p_dN` rows to the open text file ``out``, the header if it is empty.
+
+    Rows are formatted as ``np.savetxt(..., fmt="%.17g", delimiter=",")`` formats them.
+    """
+    dof = states.shape[1] // 2
+    if out.tell() == 0:
+        names = ["t"] + [f"q_{i + 1}" for i in range(dof)] + [f"p_{i + 1}" for i in range(dof)]
+        out.write(",".join(names) + "\n")
+    row_format = ",".join(["%.17g"] * (1 + 2 * dof)) + "\n"
+    out.writelines(row_format % tuple(row) for row in np.column_stack([times, states]))

@@ -193,7 +193,7 @@ def test_merge_stats_associative():
     cfg = load_config(base_config(seeds=[0, 1, 2]))
     runs = event_passes(cfg.network, cfg.model, cfg.schedule, cfg.psi0, cfg.t_end,
                         cfg.n_steps, cfg.seeds)
-    stats = [_seed_stats(cfg, run.trajectory(cfg.sample_dt, cfg.n_steps)) for run in runs]
+    stats = [_seed_stats(cfg, run) for run in runs]
     forward = _merge_stats(stats)
     reverse = _merge_stats(stats[::-1])
     assert np.abs(forward["covariance"] - reverse["covariance"]).max() <= 1e-12
@@ -250,18 +250,54 @@ def test_overflow_in_a_batch_reports_the_first_listed_seed(tmp_path, monkeypatch
     assert json.loads(lines[0]) == {"error": "numerical", "message": late}
 
 
-def test_trajectory_csv_is_the_first_listed_seed(tmp_path):
-    from oscbath.pdmp import simulate_continuous, trajectory_to_csv
+def test_overflow_under_out_exits_3_and_writes_nothing(tmp_path, monkeypatch, capsys):
+    draw = OneDimElastic.sample_input
 
-    cfg = load_config(base_config(seeds=[3, 0]))
-    run_simulate(cfg, tmp_path, workers=1)
-    traj = simulate_continuous(
-        cfg.network, cfg.model, cfg.schedule, cfg.psi0, cfg.t_end, cfg.sample_dt, 3
-    )
-    trajectory_to_csv(traj, tmp_path / "expected.csv")
-    assert (tmp_path / "trajectory.csv").read_bytes() == (
-        tmp_path / "expected.csv"
-    ).read_bytes()
+    def inf_tail(self, rng, size=None):
+        u = draw(self, rng, size)
+        return np.where(np.abs(u) > 2.0, np.inf, u)
+
+    monkeypatch.setattr(OneDimElastic, "sample_input", inf_tail)
+    out = tmp_path / "out"
+    path = write_config(tmp_path, base_config(seeds=[1, 5]))
+    assert main(["simulate", "--config", str(path), "--out", str(out)]) == 3
+    assert json.loads(capsys.readouterr().err)["error"] == "numerical"
+    assert list(out.iterdir()) == []
+
+
+def test_trajectory_csv_is_the_first_listed_seed(tmp_path):
+    # against the former writer, np.savetxt of the whole trajectory; the second
+    # grid spans several GRID_BLOCK blocks and a short tail
+    from oscbath.pdmp import GRID_BLOCK, simulate_continuous
+
+    for name, run in [("one-block", {}), ("blocks", {"t_end": 1000.3, "sample_dt": 0.1})]:
+        cfg = load_config(base_config(seeds=[3, 0], **run))
+        run_simulate(cfg, tmp_path / name, workers=1)  # creates the directory
+        traj = simulate_continuous(
+            cfg.network, cfg.model, cfg.schedule, cfg.psi0, cfg.t_end, cfg.sample_dt, 3
+        )
+        if name == "blocks":
+            assert len(traj.times) > 2 * GRID_BLOCK and len(traj.times) % GRID_BLOCK
+        np.savetxt(tmp_path / f"{name}.csv", np.column_stack([traj.times, traj.states]),
+                   fmt="%.17g", delimiter=",", header="t,q_1,q_2,q_3,p_1,p_2,p_3", comments="")
+        assert (tmp_path / name / "trajectory.csv").read_bytes() == (
+            tmp_path / f"{name}.csv"
+        ).read_bytes()
+
+
+def test_simulate_holds_no_whole_grid():
+    # each seed's grid is reduced block by block: the allocation peak stays well
+    # below one seed's whole grid of 100,001 x 6 doubles
+    import tracemalloc
+
+    cfg = load_config(base_config(t_end=1000.0, sample_dt=0.01, burn_in=100.0))
+    tracemalloc.start()
+    try:
+        run_simulate(cfg, None)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 0.75 * 100_001 * 6 * 8
 
 
 def test_run_covariance_outputs(tmp_path):
@@ -498,11 +534,30 @@ def _set(raw, path, value):
         (("model", "external_mass"), 1.0, ["stationarity"]),  # gamma = 1/alpha at alpha = 0
         (("network", "mass"), 1.0, ["simulate", "--workers", "0"]),  # valid config
         (("network", "mass"), 1.0, ["simulate", "--workers", "-3"]),
+        # numbers must be JSON numbers, and integer fields integral: none is coerced
+        (("network", "n_particles"), 3.9, ["simulate"]),
+        (("network", "n_particles"), True, ["simulate"]),
+        (("network", "dim"), "1", ["simulate"]),
+        (("network", "mass"), True, ["simulate"]),
+        (("network", "stiffness"), {"kind": "random", "seed": 1.5}, ["simulate"]),
+        (("network", "stiffness"), {"kind": "explicit", "matrix": [["1.0", 0.0, 0.0],
+                                                                  [0.0, 1.0, 0.0],
+                                                                  [0.0, 0.0, 1.0]]},
+         ["simulate"]),
+        (("model",), {"kind": "contractive_affine", "reflection": [["0.5"]]}, ["simulate"]),
+        (("run", "seeds"), [0.5, 1.5], ["simulate"]),
+        (("run", "seeds"), [False, True], ["simulate"]),
+        (("run", "n_steps"), "12", ["simulate"]),
+        (("contact_sites",), [0.5], ["simulate"]),
+        (("psi0",), {"q": [0.0, 0.0, 0.0], "p": [False, 0.0, 0.0]}, ["simulate"]),
     ],
     ids=["mass-null", "mass-text", "rate-null", "pinning-nan", "matrix-nan", "model-dim",
          "rank-probe-affine", "rank-probe-dof13", "rank-probe-negative-legs",
          "external-mass-above-simulate", "external-mass-above-covariance",
-         "stationarity-equal-masses", "simulate-zero-workers", "simulate-negative-workers"],
+         "stationarity-equal-masses", "simulate-zero-workers", "simulate-negative-workers",
+         "n-particles-fraction", "n-particles-bool", "dim-text", "mass-bool",
+         "stiffness-seed-fraction", "matrix-text", "reflection-text", "seeds-fraction",
+         "seeds-bool", "n-steps-text", "contact-sites-fraction", "psi0-bool"],
 )
 def test_cli_bad_config_field_exits_2(tmp_path, capsys, path, value, command):
     path_ = write_config(tmp_path, _set(base_config(), path, value))

@@ -1,8 +1,9 @@
 """The engine against the code it replaced, kept in ``_reference_engine``.
 
 The single event pass must reproduce the former ``simulate_embedded`` and
-``simulate_continuous`` loops exactly (``np.array_equal``): states, jump
-times and event counts, and abort on the same event with the same message.
+``simulate_continuous`` loops exactly (``np.array_equal``): grid blocks,
+chain states, jump times and event counts, and abort on the same event with
+the same message.
 The stacked jump maps must reproduce the former one-row maps row by row
 (bitwise, except the ball's closed form: 1e-14 relative), and the batched
 Monte Carlo estimates the former per-draw loops. The exact reachability
@@ -28,6 +29,8 @@ from oscbath.pdmp import (
     EventSchedule,
     _kick,
     drift_estimate,
+    event_passes,
+    grid_size,
     reachability_jacobian,
     simulate_continuous,
     simulate_embedded,
@@ -103,21 +106,29 @@ class InfAt:
 
 
 def _assert_same(net, model, sched, psi0, t_end, dt, n_steps, seed):
-    new = simulate_continuous(net, model, sched, psi0, t_end, dt, seed, n_steps=n_steps)
+    """One pass's grid blocks and chain against the former loops; returns (pass, chain)."""
+    [run] = event_passes(net, model, sched, psi0, t_end, n_steps, (seed,))
     old = ref.simulate_continuous(net, model, sched, psi0, t_end, dt, seed)
     old_chain = ref.simulate_embedded(net, model, sched, psi0, n_steps, seed)
-    assert new.events == old.events
-    assert np.array_equal(new.times, old.times)
-    assert np.array_equal(new.states, old.states)
-    assert np.array_equal(new.chain.states, old_chain.states)
-    assert np.array_equal(new.chain.jump_times, old_chain.jump_times)
+    assert run.events == old.events
+    start = 0
+    for times, states in run.trajectory(dt, grid_size(t_end, dt)):
+        assert 0 < len(times) == len(states) <= GRID_BLOCK
+        assert np.array_equal(times, old.times[start : start + len(times)])
+        assert np.array_equal(states, old.states[start : start + len(times)])
+        start += len(times)
+    assert start == len(old.times)
+    chain = run.chain(n_steps)
+    assert np.array_equal(chain.states, old_chain.states)
+    assert np.array_equal(chain.jump_times, old_chain.jump_times)
     alone = simulate_embedded(net, model, sched, psi0, n_steps, seed)
     assert np.array_equal(alone.states, old_chain.states)
     assert np.array_equal(alone.jump_times, old_chain.jump_times)
     plain = simulate_continuous(net, model, sched, psi0, t_end, dt, seed)
-    assert plain.chain is None
+    assert plain.events == old.events
+    assert np.array_equal(plain.times, old.times)
     assert np.array_equal(plain.states, old.states)
-    return new
+    return run, chain
 
 
 @pytest.mark.parametrize("pairing", sorted(PAIRINGS))
@@ -126,26 +137,26 @@ def test_pass_matches_reference_loops(pairing, seed):
     net, model, tau_law = PAIRINGS[pairing]()
     sched = EventSchedule(tau_law=tau_law)
     # the chain ends inside [0, t_end]; t_end is not a multiple of sample_dt
-    new = _assert_same(net, model, sched, _psi0(net), 60.3, 0.25, 20, seed)
-    assert new.events > 20
-    assert new.chain.jump_times[-1] <= 60.3
+    run, chain = _assert_same(net, model, sched, _psi0(net), 60.3, 0.25, 20, seed)
+    assert run.events > 20
+    assert chain.jump_times[-1] <= 60.3
 
 
 @pytest.mark.parametrize("pairing", sorted(PAIRINGS))
 def test_chain_runs_past_the_horizon(pairing):
     net, model, tau_law = PAIRINGS[pairing]()
     sched = EventSchedule(tau_law=tau_law)
-    new = _assert_same(net, model, sched, _psi0(net), 7.7, 0.3, 60, seed=3)
-    assert new.events < 60
-    assert new.chain.jump_times[-1] > 7.7
+    run, chain = _assert_same(net, model, sched, _psi0(net), 7.7, 0.3, 60, seed=3)
+    assert run.events < 60
+    assert chain.jump_times[-1] > 7.7
 
 
 @pytest.mark.parametrize("pairing", sorted(PAIRINGS))
 def test_grid_times_on_jump_times_are_right_continuous(pairing):
     net, model, _ = PAIRINGS[pairing]()
     sched = EventSchedule(tau_law=FixedTau(0.5))
-    new = _assert_same(net, model, sched, _psi0(net), 10.0, 0.25, 5, seed=1)
-    assert new.events == 20  # the jump at t = t_end counts
+    run, _ = _assert_same(net, model, sched, _psi0(net), 10.0, 0.25, 5, seed=1)
+    assert run.events == 20  # the jump at t = t_end counts
 
 
 @pytest.mark.parametrize("pairing", sorted(PAIRINGS))
@@ -161,8 +172,8 @@ def test_multi_block_grid_matches(pairing):
 def test_jump_arrays_grow_past_the_expected_count(pairing):
     net, model, tau_law = PAIRINGS[pairing]()
     sched = EventSchedule(tau_law=MisstatedMean(tau_law))
-    new = _assert_same(net, model, sched, _psi0(net), 200.0, 0.25, 30, seed=2)
-    assert new.events > 16 + 200.0 / sched.tau_law.mean + 1
+    run, _ = _assert_same(net, model, sched, _psi0(net), 200.0, 0.25, 30, seed=2)
+    assert run.events > 16 + 200.0 / sched.tau_law.mean + 1
 
 
 def _message(fn):
@@ -189,9 +200,7 @@ def test_abort_reports_the_same_event(pairing, k):
         return EventSchedule(tau_law=tau_law, xi_law=InfAt(model, k))
 
     expected = _message(lambda: _reference_seed(net, model, sched, psi0, 8.0, 0.25, 40))
-    got = _message(
-        lambda: simulate_continuous(net, model, sched(), psi0, 8.0, 0.25, 4, n_steps=40)
-    )
+    got = _message(lambda: event_passes(net, model, sched(), psi0, 8.0, 40, (4,)))
     assert got == expected
     if k <= 3:
         assert got == _message(
