@@ -287,7 +287,7 @@ def run_covariance(cfg: ExperimentConfig, out_dir: Path | None) -> dict:
     }
     summary = _report(cfg, "covariance", fields, checks, out_dir, "summary.json")
     if out_dir is not None:
-        lyapunov_to_csv(hom, net, out_dir / "lyapunov.csv")
+        lyapunov_to_csv(hom, f_series, net, out_dir / "lyapunov.csv")
     return summary
 
 

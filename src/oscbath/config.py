@@ -39,7 +39,7 @@ from . import laws
 from .collisions import ContractiveAffine, OneDimElastic, TwoDimBall
 from .errors import ConfigError
 from .network import OscillatorNetwork, PhaseState, chain_stiffness
-from .pdmp import EventSchedule
+from .pdmp import EventSchedule, grid_size
 from .spectral import random_pd_matrix
 
 
@@ -253,6 +253,10 @@ def load_config(source) -> ExperimentConfig:
         raise ConfigError("need 0 < run.sample_dt <= run.t_end")
     if not 0 <= burn_in < t_end:
         raise ConfigError("need 0 <= run.burn_in < run.t_end")
+    last_sample = (grid_size(t_end, sample_dt) - 1) * sample_dt
+    if burn_in > last_sample:  # the moments would average no sample
+        raise ConfigError(f"need run.burn_in <= {last_sample!r}, the last grid time "
+                          f"k*run.sample_dt in [0, run.t_end]")
     if n_steps < 1:
         raise ConfigError("run.n_steps must be >= 1")
 

@@ -550,6 +550,9 @@ def _set(raw, path, value):
         (("run", "n_steps"), "12", ["simulate"]),
         (("contact_sites",), [0.5], ["simulate"]),
         (("psi0",), {"q": [0.0, 0.0, 0.0], "p": [False, 0.0, 0.0]}, ["simulate"]),
+        # burn_in below t_end but past the last grid sample, 0.6: nothing to average
+        (("run",), {"t_end": 1.0, "sample_dt": 0.6, "burn_in": 0.9, "seeds": [0]},
+         ["simulate", "--check"]),
     ],
     ids=["mass-null", "mass-text", "rate-null", "pinning-nan", "matrix-nan", "model-dim",
          "rank-probe-affine", "rank-probe-dof13", "rank-probe-negative-legs",
@@ -557,7 +560,8 @@ def _set(raw, path, value):
          "stationarity-equal-masses", "simulate-zero-workers", "simulate-negative-workers",
          "n-particles-fraction", "n-particles-bool", "dim-text", "mass-bool",
          "stiffness-seed-fraction", "matrix-text", "reflection-text", "seeds-fraction",
-         "seeds-bool", "n-steps-text", "contact-sites-fraction", "psi0-bool"],
+         "seeds-bool", "n-steps-text", "contact-sites-fraction", "psi0-bool",
+         "burn-in-past-grid"],
 )
 def test_cli_bad_config_field_exits_2(tmp_path, capsys, path, value, command):
     path_ = write_config(tmp_path, _set(base_config(), path, value))

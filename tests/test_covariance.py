@@ -10,6 +10,7 @@ from oscbath.cli import main, run_covariance
 from oscbath.config import load_config
 from oscbath.covariance import (
     MAX_DOF,
+    PSD_GUARD_TOL,
     MomentParams,
     beta_from_params,
     covariance_rhs,
@@ -247,13 +248,15 @@ def test_lyapunov_csv_export(tmp_path):
     traj = integrate_covariance(
         gibbs_covariance(net, 2.0), net, STANDARD, t_end=1.0, include_source=False
     )
+    f_values = np.array([lyapunov_functional(c, net) for c in traj.matrices])
     path = tmp_path / "lyapunov.csv"
-    lyapunov_to_csv(traj, net, path)
+    lyapunov_to_csv(traj, f_values, net, path)
     lines = path.read_text().splitlines()
     assert lines[0] == "t,F,C_q11,C_p11"
     data = np.loadtxt(path, delimiter=",", skiprows=1)
     assert data.shape[1] == 4
-    assert data[0, 1] == pytest.approx(lyapunov_functional(traj.matrices[0], net))
+    assert np.array_equal(data[:, 1], f_values)
+    assert np.array_equal(data[:, 3], traj.matrices[:, 3, 3])
 
 
 # --- mean dynamics -----------------------------------------------------------------
@@ -454,6 +457,47 @@ def test_psd_margin_is_reported():
     assert -1.0 <= forced.min_psd_margin <= 1e-6  # C(0) = 0 sits on the PSD boundary
 
 
+def _recording_eigvalsh(monkeypatch):
+    """Patch np.linalg.eigvalsh to keep every stack of matrices it is given."""
+    seen, eigvalsh = [], np.linalg.eigvalsh
+    monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: seen.append(a.copy()) or eigvalsh(a))
+    return seen
+
+
+def test_weyl_certificate_keeps_the_margin_and_clears_only_psd_samples(monkeypatch):
+    net = load_config(chain_config(6)).network
+    target = gibbs_covariance(net, beta_from_params(STANDARD))
+    c0 = np.zeros((12, 12))
+    full = integrate_covariance(c0, net, STANDARD, t_end=200.0, sample_dt=0.02)
+    seen = _recording_eigvalsh(monkeypatch)
+    march = integrate_covariance(c0, net, STANDARD, t_end=200.0, sample_dt=0.02,
+                                 target=target)  # tol 0: the march runs to t_end
+    monkeypatch.undo()
+    assert march.times.size == full.times.size
+    # every sample of the grid diagonalised: the same minimum, bit for bit
+    scale = np.maximum(np.abs(full.matrices).max(axis=(1, 2)), STANDARD.source)
+    margins = np.linalg.eigvalsh(full.matrices)[:, 0] / (PSD_GUARD_TOL * scale)
+    assert march.min_psd_margin == margins.min() == full.min_psd_margin
+    # the samples never diagonalised are the certified ones: all have margin >= 1
+    checked = {m.tobytes() for m in np.concatenate(seen)}
+    certified = np.array([m.tobytes() not in checked for m in full.matrices])
+    assert not certified[0] and certified.sum() > full.times.size // 3
+    assert margins[certified].min() >= 1.0
+
+
+def test_weyl_certificate_aborts_where_the_full_guard_does():
+    net = chain3_net()
+    target = gibbs_covariance(net, beta_from_params(STANDARD))
+    lam, vecs = np.linalg.eigh(target)
+    c0 = target - (lam[0] + 1e-3) * np.outer(vecs[:, 0], vecs[:, 0])  # one eigenvalue -1e-3
+    messages = []
+    for kwargs in ({}, {"target": target}):
+        with pytest.raises(NumericalAbort, match="t=") as abort:
+            integrate_covariance(c0, net, STANDARD, t_end=10.0, **kwargs)
+        messages.append(str(abort.value))
+    assert messages[0] == messages[1]
+
+
 def test_spectral_abscissa_complete_and_incomplete():
     assert spectral_abscissa(chain3_net(), STANDARD) < -0.05
     diag = OscillatorNetwork(2, 1, 1.0, np.diag([1.0, 4.0]))
@@ -505,6 +549,14 @@ def test_covariance_without_reachable_convergence_does_not_march(coupling):
     # nothing was marched: the gap is that of the start C = 0
     gap0 = np.abs(gibbs_covariance(cfg.network, 2.0)).max()
     assert summary["final_gap"] == pytest.approx(gap0, rel=1e-12)
+
+
+def test_covariance_diagonalises_only_uncertified_samples(monkeypatch):
+    # 36,341 matrices on a chain of 6 when every sample was diagonalised; the
+    # count is deterministic, so the bound catches a lost certificate
+    seen = _recording_eigvalsh(monkeypatch)
+    run_covariance(load_config(chain_config(6)), None)
+    assert sum(len(a) if a.ndim == 3 else 1 for a in seen) <= 8000
 
 
 def test_cli_covariance_rejects_dof_above_the_ceiling(tmp_path, capsys):
