@@ -39,7 +39,7 @@ from . import laws
 from .collisions import ContractiveAffine, OneDimElastic, TwoDimBall
 from .errors import ConfigError
 from .network import OscillatorNetwork, PhaseState, chain_stiffness
-from .pdmp import EventSchedule, grid_size
+from .pdmp import RECORD_MAX_BYTES, EventSchedule, grid_size, record_bytes
 from .spectral import random_pd_matrix
 
 
@@ -249,6 +249,8 @@ def load_config(source) -> ExperimentConfig:
     seeds = _integers(run.get("seeds"), "run.seeds")
     if len(set(seeds)) != len(seeds):
         raise ConfigError("run.seeds must not contain duplicates")
+    if min(seeds) < 0:  # numpy seeds its generators with non-negative integers only
+        raise ConfigError(f"run.seeds must be non-negative, got {min(seeds)}")
     if not 0 < sample_dt <= t_end:
         raise ConfigError("need 0 < run.sample_dt <= run.t_end")
     if not 0 <= burn_in < t_end:
@@ -259,6 +261,9 @@ def load_config(source) -> ExperimentConfig:
                           f"k*run.sample_dt in [0, run.t_end]")
     if n_steps < 1:
         raise ConfigError("run.n_steps must be >= 1")
+    if record_bytes(net, model, n_steps, len(seeds)) > RECORD_MAX_BYTES:
+        raise ConfigError(f"run.n_steps = {n_steps} needs more than {RECORD_MAX_BYTES} bytes "
+                          f"of event record for {len(seeds)} seeds")
 
     if _integers(raw.get("contact_sites", net.contact_sites), "contact_sites") != net.contact_sites:
         raise ConfigError(f"contact_sites must be {list(net.contact_sites)}, the coordinates "

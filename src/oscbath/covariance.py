@@ -28,6 +28,7 @@ import numpy as np
 
 from .errors import NumericalAbort
 from .network import OscillatorNetwork, PhaseState, energy, generator_matrix
+from .pdmp import write_csv_rows
 
 #: relative slack for the positive-semidefiniteness guard on every sample
 PSD_GUARD_TOL = 1e-8
@@ -377,11 +378,14 @@ def lyapunov_to_csv(
     traj: CovarianceTrajectory, f_values: np.ndarray, net: OscillatorNetwork, path
 ) -> None:
     """Write `t,F,C_q11,C_p11` rows at full double precision; ``f_values`` is
-    ``lyapunov_functional`` at each of ``traj.matrices``."""
+    ``lyapunov_functional`` at each of ``traj.matrices``.
+
+    The bytes are those of ``np.savetxt(..., fmt="%.17g", delimiter=",")``,
+    formatted by the trajectory writer's ``csv_rows``.
+    """
     dof = net.dof
     q11 = traj.matrices[:, 0, 0]
     p11 = traj.matrices[:, dof, dof]
-    data = np.column_stack([traj.times, f_values, q11, p11])
-    np.savetxt(
-        path, data, fmt="%.17g", delimiter=",", header="t,F,C_q11,C_p11", comments=""
-    )
+    with open(path, "w") as out:
+        out.write("t,F,C_q11,C_p11\n")
+        write_csv_rows(out, np.column_stack([traj.times, f_values, q11, p11]))

@@ -267,19 +267,28 @@ def test_overflow_under_out_exits_3_and_writes_nothing(tmp_path, monkeypatch, ca
 
 def test_trajectory_csv_is_the_first_listed_seed(tmp_path):
     # against the former writer, np.savetxt of the whole trajectory; the second
-    # grid spans several GRID_BLOCK blocks and a short tail
+    # grid spans several GRID_BLOCK blocks and a short tail, the third is a d = 2 ball
     from oscbath.pdmp import GRID_BLOCK, simulate_continuous
 
-    for name, run in [("one-block", {}), ("blocks", {"t_end": 1000.3, "sample_dt": 0.1})]:
-        cfg = load_config(base_config(seeds=[3, 0], **run))
+    ball = base_config(seeds=[3, 0])
+    ball["network"].update(n_particles=3, dim=2)
+    ball["model"] = {"kind": "two_dim_ball", "external_mass": 0.5, "velocity_sigma2": 1.0}
+    ball.pop("contact_sites")
+    for name, raw in [("one-block", base_config(seeds=[3, 0])),
+                      ("blocks", base_config(seeds=[3, 0], t_end=1000.3, sample_dt=0.1)),
+                      ("ball", ball)]:
+        cfg = load_config(raw)
         run_simulate(cfg, tmp_path / name, workers=1)  # creates the directory
         traj = simulate_continuous(
             cfg.network, cfg.model, cfg.schedule, cfg.psi0, cfg.t_end, cfg.sample_dt, 3
         )
         if name == "blocks":
             assert len(traj.times) > 2 * GRID_BLOCK and len(traj.times) % GRID_BLOCK
+        dof = cfg.network.dof
+        header = ",".join(["t", *(f"q_{i}" for i in range(1, dof + 1)),
+                           *(f"p_{i}" for i in range(1, dof + 1))])
         np.savetxt(tmp_path / f"{name}.csv", np.column_stack([traj.times, traj.states]),
-                   fmt="%.17g", delimiter=",", header="t,q_1,q_2,q_3,p_1,p_2,p_3", comments="")
+                   fmt="%.17g", delimiter=",", header=header, comments="")
         assert (tmp_path / name / "trajectory.csv").read_bytes() == (
             tmp_path / f"{name}.csv"
         ).read_bytes()
@@ -568,6 +577,25 @@ def test_cli_bad_config_field_exits_2(tmp_path, capsys, path, value, command):
     assert main([*command, "--config", str(path_)]) == 2
     err = json.loads(capsys.readouterr().err)
     assert err["error"] == "config" and err["message"]
+
+
+@pytest.mark.parametrize(
+    "run, flags, field",
+    [
+        ({"seeds": [2, -1]}, [], "run.seeds"),  # numpy's default_rng raised ValueError
+        ({}, ["--seeds", "-1"], "run.seeds"),
+        ({}, ["--seeds=-2..1"], "run.seeds"),
+        # 10**12 steps: event_passes' buffers raised MemoryError at once, with no
+        # large allocation; the config is refused before any is tried
+        ({"n_steps": 10**12}, [], "run.n_steps"),
+    ],
+    ids=["config-seeds-negative", "flag-seed-negative", "flag-range-negative", "n-steps-huge"],
+)
+def test_cli_out_of_range_run_field_exits_2_naming_it(tmp_path, capsys, run, flags, field):
+    path = write_config(tmp_path, base_config(**run))
+    assert main(["simulate", "--config", str(path), *flags]) == 2
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "config" and err["message"].startswith(field)
 
 
 def test_unknown_config_keys_exit_2_naming_their_path(tmp_path, capsys):

@@ -251,6 +251,11 @@ def test_lyapunov_csv_export(tmp_path):
     f_values = np.array([lyapunov_functional(c, net) for c in traj.matrices])
     path = tmp_path / "lyapunov.csv"
     lyapunov_to_csv(traj, f_values, net, path)
+    reference = tmp_path / "savetxt.csv"
+    np.savetxt(reference, np.column_stack([traj.times, f_values, traj.matrices[:, 0, 0],
+                                           traj.matrices[:, 3, 3]]),
+               fmt="%.17g", delimiter=",", header="t,F,C_q11,C_p11", comments="")
+    assert path.read_bytes() == reference.read_bytes()
     lines = path.read_text().splitlines()
     assert lines[0] == "t,F,C_q11,C_p11"
     data = np.loadtxt(path, delimiter=",", skiprows=1)

@@ -1,5 +1,8 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from oscbath.collisions import ContractiveAffine, OneDimElastic, TwoDimBall
 from oscbath.covariance import beta_from_params, MomentParams
@@ -7,7 +10,9 @@ from oscbath.errors import NumericalAbort
 from oscbath.laws import Exponential, GammaLaw, GaussianVelocity, UniformPositive
 from oscbath.network import OscillatorNetwork, PhaseState, chain_stiffness, energy, propagate
 from oscbath.pdmp import (
+    CSV_ROWS,
     EventSchedule,
+    csv_rows,
     drift_estimate,
     empirical_covariance,
     event_passes,
@@ -17,6 +22,7 @@ from oscbath.pdmp import (
     simulate_embedded,
     time_average,
     trajectory_to_csv,
+    write_csv_rows,
 )
 
 
@@ -349,6 +355,65 @@ def test_schedule_requires_finite_mean():
 
     with pytest.raises(ValueError):
         EventSchedule(tau_law=NoMean())
+
+
+def printf_rows(rows) -> bytes:
+    """The reference: one Python ``%`` per row, as np.savetxt formats it."""
+    row_format = ",".join(["%.17g"] * rows.shape[1]) + "\n"
+    return "".join(row_format % tuple(row) for row in rows).encode()
+
+
+row_shapes = st.tuples(st.integers(1, 9), st.integers(1, 6))
+
+
+@settings(max_examples=300, deadline=None)
+@given(arrays(np.float64, row_shapes, elements=st.floats(allow_nan=False, allow_infinity=False)))
+def test_csv_rows_match_printf_on_finite_doubles(rows):
+    assert csv_rows(rows) == printf_rows(rows)
+
+
+@settings(max_examples=300, deadline=None)
+@given(arrays(np.float64, row_shapes,
+              elements=st.floats(1e-11, 2.0**52) | st.floats(-(2.0**52), -1e-11)))
+def test_csv_rows_match_printf_inside_the_vectorised_window(rows):
+    assert csv_rows(rows) == printf_rows(rows)
+
+
+@settings(max_examples=300, deadline=None)
+@given(arrays(np.uint64, row_shapes, elements=st.integers(0, 2**64 - 1)))
+def test_csv_rows_match_printf_on_raw_bit_patterns(bits):
+    rows = bits.view(np.float64)  # every NaN payload, infinity and subnormal
+    assert csv_rows(rows) == printf_rows(rows)
+
+
+def test_csv_rows_match_printf_on_edge_families():
+    tens = np.array([float(f"1e{k}") for k in range(-323, 309)])
+    switch = np.concatenate([b * (1 + np.arange(-40, 41) * 2.0**-52) for b in (1e-5, 1e-4, 1e16, 1e17)])
+    ties = np.concatenate([  # x 10**(16 - X) ends in .25, .5 or .75: every other one is a tie
+        1e14 + 0.125 * np.arange(-64, 64), 1e15 + 0.125 * np.arange(64),
+        2.0**50 + 0.25 * np.arange(64), 2.0**51 + 0.5 * np.arange(64), 9e15 + np.arange(64),
+    ])
+    window = [1e-11, 2.0**52, 1e-14, 1e-7, 9.99995e-5, 0.1, 0.5, 1.0, 123.0]
+    tiny = [5e-324, 1e-320, 2.2250738585072009e-308, 2.2250738585072014e-308]
+    huge = [1e300, 1.7976931348623157e308]
+    values = np.concatenate([tens, np.nextafter(tens, 0), np.nextafter(tens, np.inf), switch, ties,
+                             window, np.nextafter(window, 0), np.nextafter(window, np.inf), tiny, huge])
+    values = np.concatenate([values, -values, [0.0, -0.0, np.nan, np.inf, -np.inf]])
+    rows = np.resize(values, (-(-values.size // 7), 7))
+    for start in range(0, len(rows), CSV_ROWS):
+        assert csv_rows(rows[start : start + CSV_ROWS]) == printf_rows(rows[start : start + CSV_ROWS])
+    # half to even at the 17th digit; 1e-7 is just below 10**-7, and 1e-14 rounds up to it
+    assert csv_rows(np.array([[1e15 + 0.25, 1e15 + 0.75, 1e-7, 1e-14, -0.0, 0.0]])) == (
+        b"1000000000000000.2,1000000000000000.8,9.9999999999999995e-08,1e-14,-0,0\n")
+
+
+def test_write_csv_rows_spans_sub_blocks():
+    import io
+
+    rows = np.random.default_rng(5).normal(size=(2 * CSV_ROWS + 3, 5)) * 10.0 ** np.arange(-6, 14, 4)
+    out = io.StringIO()
+    write_csv_rows(out, rows)
+    assert out.getvalue().encode() == printf_rows(rows)
 
 
 def test_trajectory_csv_roundtrip(tmp_path):
