@@ -5,8 +5,9 @@ takes a loaded JSON config (see :mod:`oscbath.config`) and returns through
 ``_report``: the config, its hash and the seed list, the runner's fields,
 and its checks with ``passed`` the conjunction of those not ``None``, written
 to ``summary.json`` or ``report.json`` (plus CSV series where applicable) in
-``--out``. Exit 0 on success, 2 on invalid configuration, 3 on numerical
-abort, and 4 when ``--check`` is passed and an acceptance threshold fails.
+``--out``. Exit 0 on success, 2 on invalid configuration or arguments, 3 on
+numerical abort, and 4 when ``--check`` is passed and an acceptance threshold
+fails; 2 and 3 print one JSON error line on stderr.
 Outputs contain no timestamps, so identical configs produce
 bitwise-identical outputs.
 """
@@ -476,8 +477,15 @@ def _parse_seed_range(text: str):
         ) from None
 
 
+class _Parser(argparse.ArgumentParser):
+    """An argument error is a ConfigError, which ``main`` reports as JSON; subparsers inherit this."""
+
+    def error(self, message):
+        raise ConfigError(f"{self.prog}: {message}")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="oscbath",
         description="Collisional thermostat dynamics for oscillator networks",
     )
@@ -503,9 +511,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
-    out_dir = Path(args.out) if args.out else None
     try:
+        args = build_parser().parse_args(argv)  # --help and --version still exit 0 here
+        out_dir = Path(args.out) if args.out else None
         try:  # an unreadable config or an --out that cannot be a directory
             raw = json.loads(Path(args.config).read_text())
             if out_dir is not None:

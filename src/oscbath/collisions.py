@@ -16,9 +16,12 @@ derivatives (D_p, D_xi) of the jump per row, for the reachability probe.
 
 Each model carries the sampling law of its random input xi so that
 ``verify_contraction`` (the numeric check of the kinetic-energy contraction
-hypothesis) is self-contained. The analyticity and sphere-covering
-hypotheses on the jump map are existence assumptions used in proofs only;
-they are documented here and not testable numerically.
+hypothesis) is self-contained. ``sample_input(rng, size=None)`` draws one
+input or a block of them; ``input_draws(rng)`` gives the xi_dim closures of
+one input in draw order (see :mod:`oscbath.laws`), which the event loop
+calls. The analyticity and sphere-covering hypotheses on the jump map are
+existence assumptions used in proofs only; they are documented here and not
+testable numerically.
 """
 
 from __future__ import annotations
@@ -95,6 +98,9 @@ class OneDimElastic:
         u = self.velocity_law.sample(rng, size)
         return np.atleast_1d(u) if size is None else np.reshape(u, (size, 1))
 
+    def input_draws(self, rng: np.random.Generator) -> tuple:
+        return self.velocity_law.draws(rng)
+
 
 @dataclass(frozen=True, eq=False)
 class ContractiveAffine:
@@ -137,6 +143,9 @@ class ContractiveAffine:
 
     def sample_input(self, rng: np.random.Generator, size=None) -> np.ndarray:
         return self.noise_law.sample(rng, size)
+
+    def input_draws(self, rng: np.random.Generator) -> tuple:
+        return self.noise_law.draws(rng)
 
 
 def impact_matrix(alpha: float, phi: float) -> np.ndarray:
@@ -205,6 +214,9 @@ class TwoDimBall:
         phi = self.angle_law.sample(rng)
         v = self.velocity_law.sample(rng)
         return np.concatenate([[phi], v])
+
+    def input_draws(self, rng: np.random.Generator) -> tuple:
+        return self.angle_law.draws(rng) + self.velocity_law.draws(rng)
 
 
 CollisionModel = Union[OneDimElastic, ContractiveAffine, TwoDimBall]

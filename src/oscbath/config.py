@@ -19,7 +19,9 @@ kron(chain(N), I_d)), "explicit" (row-major "matrix"), "random" (seeded
 G G^T + jitter draw). Velocity-law kinds: "gaussian" {sigma2}, "uniform"
 {half_width}, "two_point" {magnitude}. Tau kinds: "exponential" {rate},
 "gamma" {shape, rate}, "uniform" {low, high}. ``run.n_steps`` is the
-post-collision chain length summarized per seed. The contact sites are the
+post-collision chain length summarized per seed. Neither it nor the events
+that ``run.t_end`` leads one to expect may need more than
+``pdmp.RECORD_MAX_BYTES`` of event record. The contact sites are the
 kicked particle's coordinates 0..d-1; a "contact_sites" entry must equal them.
 A key the loader does not read, in any section, is an error naming its path.
 """
@@ -264,6 +266,12 @@ def load_config(source) -> ExperimentConfig:
     if record_bytes(net, model, n_steps, len(seeds)) > RECORD_MAX_BYTES:
         raise ConfigError(f"run.n_steps = {n_steps} needs more than {RECORD_MAX_BYTES} bytes "
                           f"of event record for {len(seeds)} seeds")
+    expected = t_end / schedule.tau_law.mean  # events per seed in [0, t_end]
+    # the expected count plus four standard deviations (Poisson) and 16
+    if record_bytes(net, model, int(expected + 4.0 * math.sqrt(expected)) + 16,
+                    len(seeds)) > RECORD_MAX_BYTES:
+        raise ConfigError(f"run.t_end = {t_end!r} expects {expected:.4g} events per seed, more "
+                          f"than {RECORD_MAX_BYTES} bytes of event record for {len(seeds)} seeds")
 
     if _integers(raw.get("contact_sites", net.contact_sites), "contact_sites") != net.contact_sites:
         raise ConfigError(f"contact_sites must be {list(net.contact_sites)}, the coordinates "

@@ -1,8 +1,17 @@
 """Sampling laws for waiting times and collision inputs.
 
-All laws are small frozen dataclasses with a ``sample(rng, ...)`` method
-driven by a caller-owned ``numpy.random.Generator``, which keeps every
-simulation reproducible per seed. The uniform and two-point velocity laws
+All laws are small frozen dataclasses driven by a caller-owned
+``numpy.random.Generator``, which keeps every simulation reproducible per
+seed. Each law draws in two ways from one definition of its scale and shift:
+
+* ``sample(rng, size=None)``: one value (a vector law: one vector), or a
+  block of ``size`` of them;
+* ``draws(rng)``: one zero-argument closure per variate of one value, bound
+  to ``rng``. Calling them in order returns, bit for bit, the Python floats
+  that ``sample(rng)`` returns and leaves ``rng`` where it leaves it, at a
+  fraction of the per-call cost. The event loop draws through these.
+
+The uniform and two-point velocity laws
 also expose a deterministic ``expect`` for the stationarity residual
 (Gauss-Legendre nodes, exact enumeration); for the Gaussian law it uses
 adaptive Gauss-Hermite nodes of its own.
@@ -14,6 +23,23 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+
+
+def _uniform_draw(rng: np.random.Generator, low: float, high: float):
+    """One value of ``rng.uniform(low, high)``: numpy forms it as low + (high - low) * U."""
+    width, standard = high - low, rng.random
+    return lambda: low + width * standard()
+
+
+def _normal_draw(rng: np.random.Generator, scale: float):
+    """One value of ``rng.normal(0.0, scale)``: numpy forms it as 0.0 + scale * Z, so -0.0 reads 0.0."""
+    standard = rng.standard_normal
+    return lambda: 0.0 + scale * standard()
+
+
+def _sign(bit):
+    """+1 for a 1 bit, -1 for a 0 bit (elementwise)."""
+    return bit * 2 - 1
 
 
 # ---------------------------------------------------------------------------
@@ -33,10 +59,18 @@ class Exponential:
 
     @property
     def mean(self) -> float:
+        return self.scale
+
+    @property
+    def scale(self) -> float:
         return 1.0 / self.rate
 
     def sample(self, rng: np.random.Generator, size=None):
-        return rng.exponential(1.0 / self.rate, size=size)
+        return rng.exponential(self.scale, size=size)
+
+    def draws(self, rng: np.random.Generator) -> tuple:
+        scale, standard = self.scale, rng.standard_exponential
+        return (lambda: scale * standard(),)
 
 
 @dataclass(frozen=True)
@@ -54,8 +88,16 @@ class GammaLaw:
     def mean(self) -> float:
         return self.shape / self.rate
 
+    @property
+    def scale(self) -> float:
+        return 1.0 / self.rate
+
     def sample(self, rng: np.random.Generator, size=None):
-        return rng.gamma(self.shape, 1.0 / self.rate, size=size)
+        return rng.gamma(self.shape, self.scale, size=size)
+
+    def draws(self, rng: np.random.Generator) -> tuple:
+        shape, scale, standard = self.shape, self.scale, rng.standard_gamma
+        return (lambda: scale * standard(shape),)
 
 
 @dataclass(frozen=True)
@@ -75,6 +117,9 @@ class UniformPositive:
 
     def sample(self, rng: np.random.Generator, size=None):
         return rng.uniform(self.low, self.high, size=size)
+
+    def draws(self, rng: np.random.Generator) -> tuple:
+        return (_uniform_draw(rng, self.low, self.high),)
 
 
 # ---------------------------------------------------------------------------
@@ -96,8 +141,15 @@ class GaussianVelocity:
     def fourth_moment(self) -> float:
         return 3.0 * self.sigma2**2
 
+    @property
+    def scale(self) -> float:
+        return math.sqrt(self.sigma2)
+
     def sample(self, rng: np.random.Generator, size=None):
-        return rng.normal(0.0, math.sqrt(self.sigma2), size=size)
+        return rng.normal(0.0, self.scale, size=size)
+
+    def draws(self, rng: np.random.Generator) -> tuple:
+        return (_normal_draw(rng, self.scale),)
 
 
 @dataclass(frozen=True)
@@ -120,6 +172,9 @@ class UniformSymmetricVelocity:
 
     def sample(self, rng: np.random.Generator, size=None):
         return rng.uniform(-self.half_width, self.half_width, size=size)
+
+    def draws(self, rng: np.random.Generator) -> tuple:
+        return (_uniform_draw(rng, -self.half_width, self.half_width),)
 
     def expect(self, f, nodes: int = 64) -> float:
         x, w = np.polynomial.legendre.leggauss(nodes)
@@ -150,8 +205,12 @@ class TwoPointVelocity:
         return self.magnitude**4
 
     def sample(self, rng: np.random.Generator, size=None):
-        signs = rng.integers(0, 2, size=size) * 2 - 1
-        return signs * self.magnitude
+        return _sign(rng.integers(0, 2, size=size)) * self.magnitude
+
+    def draws(self, rng: np.random.Generator) -> tuple:
+        # one scalar integers(0, 2) per value: a block call consumes the stream differently
+        magnitude, bit = self.magnitude, rng.integers
+        return (lambda: _sign(bit(0, 2)) * magnitude,)
 
     def expect(self, f, nodes: int = 0) -> float:
         # exact enumeration; the node count is accepted for API symmetry
@@ -177,9 +236,16 @@ class IsotropicGaussianVector:
         if not self.sigma2 > 0:
             raise ValueError("sigma2 must be positive")
 
+    @property
+    def scale(self) -> float:
+        return math.sqrt(self.sigma2)
+
     def sample(self, rng: np.random.Generator, size=None):
         shape = (self.dim,) if size is None else (size, self.dim)
-        return rng.normal(0.0, math.sqrt(self.sigma2), size=shape)
+        return rng.normal(0.0, self.scale, size=shape)
+
+    def draws(self, rng: np.random.Generator) -> tuple:
+        return (_normal_draw(rng, self.scale),) * self.dim  # the components in order
 
 
 @dataclass(frozen=True)
@@ -188,6 +254,9 @@ class UniformAngle:
 
     def sample(self, rng: np.random.Generator, size=None):
         return rng.uniform(0.0, 2.0 * math.pi, size=size)
+
+    def draws(self, rng: np.random.Generator) -> tuple:
+        return (_uniform_draw(rng, 0.0, 2.0 * math.pi),)
 
     @property
     def moment_matrix(self) -> np.ndarray:

@@ -16,6 +16,7 @@ chain are read off that one record.
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass
 
 import numpy as np
@@ -34,11 +35,12 @@ RANK_MAX_DOF = 12
 class EventSchedule:
     """Waiting-time law plus (optionally) an override collision-input law.
 
-    ``tau_law`` must expose ``sample(rng, size=None)`` and a finite ``mean``
-    (checked at construction). ``xi_law`` is any object with
-    ``sample(rng, size=None)`` returning a collision input matching the
-    model, or a block of ``size`` of them; ``None`` means "use the model's
-    own input law".
+    ``tau_law`` must expose ``sample(rng, size=None)``, ``draws(rng)`` (see
+    :mod:`oscbath.laws`) and a finite ``mean`` (checked at construction).
+    ``xi_law`` is any object with ``sample(rng, size=None)`` returning a
+    collision input matching the model, or a block of ``size`` of them, and
+    ``draws(rng)`` giving the input's xi_dim closures like the model's
+    ``input_draws``; ``None`` means "use the model's own input law".
     """
 
     tau_law: object
@@ -115,11 +117,15 @@ def _input_sampler(model: CollisionModel, sched: EventSchedule):
     return model.sample_input
 
 
+def _input_draws(model: CollisionModel, sched: EventSchedule, rng) -> tuple:
+    if sched.xi_law is not None:
+        return sched.xi_law.draws(rng)
+    return model.input_draws(rng)
+
+
 #: grid rows rotated per block when a pass is sampled on the time grid
 GRID_BLOCK = 4096
-#: most events per seed allocated before the first draw; the buffers grow by half
-INITIAL_JUMP_ROWS = 1 << 16
-#: largest record of n_steps events per seed that a config may ask ``event_passes`` for
+#: largest event record per seed that a config may ask ``event_passes`` for
 RECORD_MAX_BYTES = 1 << 30
 
 
@@ -194,38 +200,43 @@ def event_passes(
 
     Each seed first draws its events from ``default_rng(seed)``, one waiting
     time then one input per event; the waiting time past t_end that ends the
-    run is not followed by an input. Then all seeds step together, one event
-    per step, on (seeds, dof) arrays; a seed out of events rides along on a
-    zero wait and a zero input, and those rows are cut off. One
+    run is not followed by an input. The draws go through the laws' one-draw
+    closures (``draws``, ``input_draws``), bound once per seed, which return
+    the values of ``sample`` and ``sample_input`` bit for bit. Each seed's
+    values go to one typed array, and once every count is known into (events,
+    seeds) buffers of their final size. Then all seeds step together, one
+    event per step, on (seeds, dof) arrays; a seed out of events rides along
+    on a zero wait and a zero input, and those rows are cut off. One
     ``EventPass`` per seed, in the order given. Aborts for the first listed
     seed whose state overflows, with the event index: "after event k at
     t=..." inside [0, t_end], "at step k" beyond it.
     """
     _require_dim(net, model)
-    draw_tau = sched.tau_law.sample
-    draw_xi = _input_sampler(model, sched)
-    expected = t_end / sched.tau_law.mean if t_end > 0 else 0.0
-    # room for the expected events plus four standard deviations (Poisson)
-    capacity = max(n_steps, min(int(expected + 4.0 * np.sqrt(expected)) + 16, INITIAL_JUMP_ROWS))
-    taus = np.zeros((capacity, len(seeds)))
-    xis = np.zeros((capacity, len(seeds), model.xi_dim))
-    counts = []
-    for s, seed in enumerate(seeds):
+    draws, counts = [], []  # per seed: one typed array, each event's wait then its input
+    for seed in seeds:
         rng = np.random.default_rng(seed)
+        [draw_tau], draw_xi = sched.tau_law.draws(rng), _input_draws(model, sched, rng)
+        seed_draws = array("d")
         t, k = 0.0, 0
         while k < n_steps or t <= t_end:
-            tau = float(draw_tau(rng))
+            tau = draw_tau()
             if t + tau > t_end and k >= n_steps:
                 break
-            if k == len(taus):  # half as many rows again, zero like the rest
-                taus, xis = (np.concatenate([b, np.zeros_like(b[: k // 2])]) for b in (taus, xis))
-            taus[k, s] = tau
-            xis[k, s] = draw_xi(rng)
+            seed_draws.append(tau)
+            for draw in draw_xi:
+                seed_draws.append(draw())
             t += tau
             k += 1
+        draws.append(seed_draws)
         counts.append(k)
+    taus = np.zeros((max(counts), len(seeds)))
+    xis = np.zeros((max(counts), len(seeds), model.xi_dim))
+    for s, k in enumerate(counts):
+        rows = np.frombuffer(draws[s]).reshape(k, 1 + model.xi_dim)
+        taus[:k, s], xis[:k, s] = rows[:, 0], rows[:, 1:]
+    del draws, rows  # rows views the last seed's array
 
-    omega, mass, dof, steps = net.mode_frequencies, net.mass, net.dof, max(counts)
+    omega, mass, dof, steps = net.mode_frequencies, net.mass, net.dof, len(taus)
     modes = np.empty((len(seeds), steps + 1, 2 * dof))
     modes[:, 0] = np.concatenate(net.to_modes(psi0.vector))
     qh, ph = modes[:, 0, :dof], modes[:, 0, dof:]
@@ -238,7 +249,7 @@ def event_passes(
     del xis  # the inputs are spent; the jump times below need only the waits
 
     times = np.zeros((len(seeds), steps + 1))
-    np.cumsum(taus[:steps].T, axis=1, out=times[:, 1:])
+    np.cumsum(taus.T, axis=1, out=times[:, 1:])
     passes = []
     for s, (seed, k) in enumerate(zip(seeds, counts)):
         bad = np.flatnonzero(~np.isfinite(modes[s, 1 : k + 1]).all(axis=1))

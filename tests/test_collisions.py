@@ -12,10 +12,13 @@ from oscbath.collisions import (
     verify_contraction,
 )
 from oscbath.laws import (
+    Exponential,
+    GammaLaw,
     GaussianVelocity,
     IsotropicGaussianVector,
     TwoPointVelocity,
     UniformAngle,
+    UniformPositive,
     UniformSymmetricVelocity,
 )
 
@@ -134,6 +137,44 @@ def test_input_block_equals_single_draws(name):
     assert block.shape == singles.shape == (500, model.xi_dim)
     assert np.array_equal(block, singles)
     assert block_rng.bit_generator.state == single_rng.bit_generator.state
+    # the one-draw closures, xi_dim of them in draw order: the same bits
+    closure_rng = np.random.default_rng(11)
+    draws = model.input_draws(closure_rng)
+    assert len(draws) == model.xi_dim
+    closures = np.array([[draw() for draw in draws] for _ in range(500)])
+    assert np.array_equal(closures.view(np.uint64), singles.view(np.uint64))
+    assert closure_rng.bit_generator.state == single_rng.bit_generator.state
+
+
+positive = st.floats(min_value=0.05, max_value=20.0, allow_nan=False)
+any_law = st.one_of(
+    st.builds(Exponential, rate=positive),
+    st.builds(GammaLaw, shape=positive, rate=positive),
+    st.tuples(st.floats(0.0, 5.0), positive).map(lambda lw: UniformPositive(lw[0], lw[0] + lw[1])),
+    st.builds(GaussianVelocity, sigma2=positive),
+    st.builds(UniformSymmetricVelocity, half_width=positive),
+    st.builds(TwoPointVelocity, magnitude=positive),
+    st.builds(IsotropicGaussianVector, dim=st.integers(1, 3), sigma2=positive),
+    st.just(UniformAngle()),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(any_law, min_size=1, max_size=5), st.lists(st.integers(0, 4), max_size=40),
+       st.integers(0, 2**63))
+def test_law_closures_interleaved_equal_sample_calls_bit_for_bit(laws, order, seed):
+    # each law's closures bound once to one generator, called in a random
+    # interleaving, against sample(rng) calls in the same order on a twin
+    closure_rng, sample_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+    bound = [law.draws(closure_rng) for law in laws]
+    got, want = [], []
+    for i in order:
+        got += [draw() for draw in bound[i % len(laws)]]
+        want += list(np.atleast_1d(laws[i % len(laws)].sample(sample_rng)))
+    assert all(isinstance(x, float) for x in got)
+    assert np.array_equal(np.array(got, dtype=float).view(np.uint64),
+                          np.array(want, dtype=float).view(np.uint64))
+    assert closure_rng.bit_generator.state == sample_rng.bit_generator.state
 
 
 # --- pair collision invariants -------------------------------------------------

@@ -222,16 +222,18 @@ def test_simulate_batch_equals_its_single_seed_runs(tmp_path):
     ).read_bytes()
 
 
+def _inf_tail(input_draws):
+    """``OneDimElastic.input_draws`` with every velocity beyond two sigma made infinite."""
+    def draws(self, rng):
+        [draw] = input_draws(self, rng)
+        return (lambda: u if abs(u := draw()) <= 2.0 else np.inf,)
+    return draws
+
+
 def test_overflow_in_a_batch_reports_the_first_listed_seed(tmp_path, monkeypatch, capsys):
     # inputs beyond two sigma become infinite: seed 5 overflows at step 87, past
     # t_end, and seed 1 earlier, after event 17; the listed order decides
-    draw = OneDimElastic.sample_input
-
-    def inf_tail(self, rng, size=None):
-        u = draw(self, rng, size)
-        return np.where(np.abs(u) > 2.0, np.inf, u)
-
-    monkeypatch.setattr(OneDimElastic, "sample_input", inf_tail)
+    monkeypatch.setattr(OneDimElastic, "input_draws", _inf_tail(OneDimElastic.input_draws))
 
     def message(seeds):
         with pytest.raises(NumericalAbort) as info:
@@ -251,13 +253,7 @@ def test_overflow_in_a_batch_reports_the_first_listed_seed(tmp_path, monkeypatch
 
 
 def test_overflow_under_out_exits_3_and_writes_nothing(tmp_path, monkeypatch, capsys):
-    draw = OneDimElastic.sample_input
-
-    def inf_tail(self, rng, size=None):
-        u = draw(self, rng, size)
-        return np.where(np.abs(u) > 2.0, np.inf, u)
-
-    monkeypatch.setattr(OneDimElastic, "sample_input", inf_tail)
+    monkeypatch.setattr(OneDimElastic, "input_draws", _inf_tail(OneDimElastic.input_draws))
     out = tmp_path / "out"
     path = write_config(tmp_path, base_config(seeds=[1, 5]))
     assert main(["simulate", "--config", str(path), "--out", str(out)]) == 3
@@ -588,14 +584,56 @@ def test_cli_bad_config_field_exits_2(tmp_path, capsys, path, value, command):
         # 10**12 steps: event_passes' buffers raised MemoryError at once, with no
         # large allocation; the config is refused before any is tried
         ({"n_steps": 10**12}, [], "run.n_steps"),
+        # about 1e9 events per seed: the draw loop would have run for hours, growing
+        # its record toward 144 GB for the two seeds
+        ({"t_end": 1e9}, [], "run.t_end"),
     ],
-    ids=["config-seeds-negative", "flag-seed-negative", "flag-range-negative", "n-steps-huge"],
+    ids=["config-seeds-negative", "flag-seed-negative", "flag-range-negative", "n-steps-huge",
+         "t-end-huge"],
 )
 def test_cli_out_of_range_run_field_exits_2_naming_it(tmp_path, capsys, run, flags, field):
     path = write_config(tmp_path, base_config(**run))
     assert main(["simulate", "--config", str(path), *flags]) == 2
     err = json.loads(capsys.readouterr().err)
     assert err["error"] == "config" and err["message"].startswith(field)
+
+
+def test_shipped_configs_load_within_the_record_bound():
+    # the record bound refuses chain3 at t_end 1e9 (about 2,146 GiB for its
+    # 32 seeds) and nothing the shipped configs ask for
+    for path in sorted(CONFIGS.glob("*.json")):
+        load_config(path)
+    raw = json.loads((CONFIGS / "chain3.json").read_text())
+    raw["run"]["t_end"] = 1e9
+    with pytest.raises(ConfigError, match=r"^run\.t_end"):
+        load_config(raw)
+
+
+@pytest.mark.parametrize("argv", [
+    ["simulate", "--config", str(CONFIGS / "chain3.json"), "--seeds", "-2..1"],
+    ["simulate"],
+    [],
+    ["simulate", "--config", str(CONFIGS / "chain3.json"), "--workers", "two"],
+    ["simulate", "--config", str(CONFIGS / "chain3.json"), "--bogus"],
+    ["no-such-command", "--config", str(CONFIGS / "chain3.json")],
+], ids=["negative-range-read-as-flag", "no-config", "no-command", "bad-int", "unknown-flag",
+        "unknown-command"])
+def test_cli_argument_errors_exit_2_with_one_json_line(capsys, argv):
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and captured.out == ""
+    err = json.loads(lines[0])
+    assert err["error"] == "config" and err["message"].startswith("oscbath")
+
+
+def test_cli_help_and_version_still_exit_0(capsys):
+    for argv in (["--version"], ["--help"], ["simulate", "--help"]):
+        with pytest.raises(SystemExit) as info:
+            main(argv)
+        assert info.value.code == 0
+        captured = capsys.readouterr()
+        assert captured.out and captured.err == ""
 
 
 def test_unknown_config_keys_exit_2_naming_their_path(tmp_path, capsys):

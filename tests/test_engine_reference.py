@@ -22,7 +22,15 @@ from oscbath.collisions import (
     verify_contraction,
 )
 from oscbath.errors import NumericalAbort
-from oscbath.laws import Exponential, GammaLaw, UniformPositive
+from oscbath.laws import (
+    Exponential,
+    GammaLaw,
+    GaussianVelocity,
+    IsotropicGaussianVector,
+    TwoPointVelocity,
+    UniformPositive,
+    UniformSymmetricVelocity,
+)
 from oscbath.network import OscillatorNetwork, PhaseState, chain_stiffness, energy
 from oscbath.pdmp import (
     GRID_BLOCK,
@@ -55,7 +63,36 @@ def _ball():
     return net, TwoDimBall(external_mass=0.5), GammaLaw(shape=2.0, rate=2.0)
 
 
-PAIRINGS = {"elastic-exponential": _elastic, "affine-uniform": _affine, "ball-gamma": _ball}
+def _elastic_with(law, tau_law):
+    return lambda: (OscillatorNetwork(3, 1, 1.0, chain_stiffness(3)),
+                    OneDimElastic(external_mass=0.5, velocity_law=law), tau_law)
+
+
+def _affine_noisy():
+    net, model, _ = _affine()
+    noise = IsotropicGaussianVector(dim=2, sigma2=0.3)
+    return net, ContractiveAffine(reflection=model.reflection, noise_law=noise), GammaLaw(1.5, 1.2)
+
+
+def _ball_slow():
+    net, _, _ = _ball()
+    velocity = IsotropicGaussianVector(dim=2, sigma2=0.4)
+    return net, TwoDimBall(external_mass=0.5, velocity_law=velocity), Exponential(rate=1.6)
+
+
+# every law the config accepts, with non-unit sigma2, rate and shape among them
+PAIRINGS = {
+    "elastic-exponential": _elastic,
+    "affine-uniform": _affine,
+    "ball-gamma": _ball,
+    "elastic-uniform-fast": _elastic_with(UniformSymmetricVelocity(half_width=1.6),
+                                          Exponential(rate=2.5)),
+    "elastic-two-point-gamma": _elastic_with(TwoPointVelocity(magnitude=0.8),
+                                             GammaLaw(shape=0.6, rate=0.7)),
+    "elastic-wide-gamma": _elastic_with(GaussianVelocity(sigma2=2.5), GammaLaw(shape=3.5, rate=4.0)),
+    "affine-noisy-gamma": _affine_noisy,
+    "ball-slow-exponential": _ball_slow,
+}
 
 
 def _psi0(net):
@@ -70,8 +107,11 @@ class FixedTau:
         self.value = value
         self.mean = value
 
-    def sample(self, rng, size=None):
+    def sample(self, rng, size=None):  # the reference loops' seam
         return self.value
+
+    def draws(self, rng):  # the engine's seam
+        return (lambda: self.value,)
 
 
 class MisstatedMean:
@@ -84,25 +124,39 @@ class MisstatedMean:
     def sample(self, rng, size=None):
         return self.law.sample(rng, size)
 
+    def draws(self, rng):
+        return self.law.draws(rng)
+
 
 class InfAt:
-    """The model's own input law, except that draw ``k`` has an infinite last entry.
+    """The model's own input law, except that input ``k`` has an infinite last entry.
 
     The last entry is a velocity component for every model, never the ball's
-    impact angle, so the kick itself overflows the state.
+    impact angle, so the kick itself overflows the state. ``sample`` serves
+    the reference loops, ``draws`` the engine.
     """
 
     def __init__(self, model, k):
         self.model = model
         self.k = k
-        self.draws = 0
+        self.inputs = 0
 
     def sample(self, rng):
-        self.draws += 1
+        self.inputs += 1
         xi = self.model.sample_input(rng)
-        if self.draws == self.k:
+        if self.inputs == self.k:
             xi[-1] = np.inf
         return xi
+
+    def draws(self, rng):
+        *first, last = self.model.input_draws(rng)
+
+        def last_entry():
+            self.inputs += 1
+            value = last()
+            return np.inf if self.inputs == self.k else value
+
+        return (*first, last_entry)
 
 
 def _assert_same(net, model, sched, psi0, t_end, dt, n_steps, seed):

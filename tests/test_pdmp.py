@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -18,6 +20,7 @@ from oscbath.pdmp import (
     event_passes,
     jacobian_rank_probe,
     reachability_jacobian,
+    record_bytes,
     simulate_continuous,
     simulate_embedded,
     time_average,
@@ -33,20 +36,18 @@ class FixedTau:
         self.value = value
         self.mean = max(value, 1e-12)
 
-    def sample(self, rng, size=None):
-        if size is None:
-            return self.value
-        return np.full(size, self.value)
+    def draws(self, rng):
+        return (lambda: self.value,)
 
 
 class FixedXi:
     """Deterministic collision inputs (test stub)."""
 
     def __init__(self, values):
-        self.values = np.atleast_1d(np.asarray(values, dtype=float))
+        self.values = [float(v) for v in np.atleast_1d(values)]
 
-    def sample(self, rng):
-        return self.values
+    def draws(self, rng):
+        return tuple(lambda v=v: v for v in self.values)
 
 
 def chain3(mass=1.0):
@@ -191,8 +192,8 @@ class MisstatedMean:
 
     mean = 50.0
 
-    def sample(self, rng, size=None):
-        return rng.exponential(1.0, size=size)
+    def draws(self, rng):
+        return Exponential(rate=1.0).draws(rng)
 
 
 @pytest.mark.parametrize("model, dim", [
@@ -201,8 +202,8 @@ class MisstatedMean:
     (TwoDimBall(external_mass=0.5), 2),
 ], ids=["elastic", "affine", "ball"])
 def test_batch_passes_equal_single_seed_passes(model, dim):
-    # the misstated mean leaves room for few events, so the shared draw buffers
-    # grow while later seeds draw; seeds end at different steps and ride along
+    # many more events than the misstated mean suggests; seeds end at different
+    # steps and ride along
     net = OscillatorNetwork(3, dim, 1.0, np.kron(chain_stiffness(3), np.eye(dim)))
     sched = EventSchedule(tau_law=MisstatedMean())
     rng = np.random.default_rng(1)
@@ -215,6 +216,24 @@ def test_batch_passes_equal_single_seed_passes(model, dim):
         assert run.seed == seed and run.events == alone.events > 16
         assert np.array_equal(run.times, alone.times)
         assert np.array_equal(run.modes, alone.modes)
+
+
+def test_event_passes_holds_no_python_float_per_draw():
+    # chain3-events at T = 5000: the tracemalloc peak is 0.91 of record_bytes at
+    # the largest count (the mode states dominate it). Holding every seed's draws
+    # as Python floats (32 bytes each with the list slot) until the buffers are
+    # filled peaks at 1.13; the parent's capacity-guessed buffers at 0.90.
+    net, model, sched = elastic_setup()
+    seeds = tuple(range(16))
+    event_passes(net, model, sched, PhaseState.zero(3), 50.0, 10, seeds)  # warm caches
+    tracemalloc.start()
+    try:
+        runs = event_passes(net, model, sched, PhaseState.zero(3), 5000.0, 1000, seeds)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    largest = max(run.times.size - 1 for run in runs)
+    assert peak < 1.0 * record_bytes(net, model, largest, len(seeds))
 
 
 # --- observables ---------------------------------------------------------------
