@@ -254,7 +254,7 @@ def run_covariance(cfg: ExperimentConfig, out_dir: Path | None) -> dict:
         target, net, params, t_end=50.0, include_source=False, sample_dt=0.1
     )
     margins.append(hom.min_psd_margin)
-    f_series = np.array([lyapunov_functional(m, net) for m in hom.matrices])
+    f_series = lyapunov_functional(hom.matrices, net)
     f_slack = float(np.diff(f_series).max(initial=-np.inf))
     monotone = bool(f_slack <= 1e-10)
 

@@ -157,13 +157,13 @@ def one_step_moment_shift(
     p = rng.normal(0.0, math.sqrt(mass / beta), size=n)
     u = np.asarray(law.sample(rng, size=n), dtype=float)
     p_after = model.jump(u[:, None], p[:, None], mass)[:, 0]
-    d2 = p_after**2 - p**2
-    d4 = p_after**4 - p**4
+    p2, p_after2 = p**2, p_after**2
+    p4, p_after4 = p**4, p_after**4
     return MomentShift(
-        m2_before=float(np.mean(p**2)),
-        m2_after=float(np.mean(p_after**2)),
-        m4_before=float(np.mean(p**4)),
-        m4_after=float(np.mean(p_after**4)),
-        m2_shift_se=float(np.std(d2, ddof=1) / math.sqrt(n)),
-        m4_shift_se=float(np.std(d4, ddof=1) / math.sqrt(n)),
+        m2_before=float(np.mean(p2)),
+        m2_after=float(np.mean(p_after2)),
+        m4_before=float(np.mean(p4)),
+        m4_after=float(np.mean(p_after4)),
+        m2_shift_se=float(np.std(p_after2 - p2, ddof=1) / math.sqrt(n)),
+        m4_shift_se=float(np.std(p_after4 - p4, ddof=1) / math.sqrt(n)),
     )

@@ -3,12 +3,16 @@ import time
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import _reference_covariance as rk4
 from _ensembles import random_complete_network, random_moment_params
+from oscbath import cli, covariance
 from oscbath.cli import main, run_covariance
 from oscbath.config import load_config
 from oscbath.covariance import (
+    ANCHOR_STRIDE,
     MAX_DOF,
     PSD_GUARD_TOL,
     MomentParams,
@@ -188,6 +192,16 @@ def test_lyapunov_of_gibbs_matrix_counts_degrees():
     c_g = gibbs_covariance(net, 1.0)  # beta-free normalization
     assert lyapunov_functional(c_g, net) == pytest.approx(2 * net.dof)
     assert lyapunov_functional(np.zeros((6, 6)), net) == 0.0
+
+
+@pytest.mark.parametrize("n", [1, 3, 6, 12])
+def test_lyapunov_functional_on_a_stack_matches_each_matrix(n):
+    net = load_config(chain_config(n)).network
+    traj = integrate_covariance(gibbs_covariance(net, 2.0), net, STANDARD, t_end=5.0,
+                                include_source=False, sample_dt=0.1)
+    f = lyapunov_functional(traj.matrices, net)
+    assert f.shape == traj.times.shape
+    assert f.tobytes() == np.array([lyapunov_functional(c, net) for c in traj.matrices]).tobytes()
 
 
 def test_lyapunov_rate_identity():
@@ -469,25 +483,90 @@ def _recording_eigvalsh(monkeypatch):
     return seen
 
 
+def _recording_anchor_bound(monkeypatch):
+    """Patch covariance._anchor_bound to keep each (rows, bounds) it computes."""
+    seen, anchor_bound = [], covariance._anchor_bound
+
+    def recording(rows, *args):
+        bound = anchor_bound(rows, *args)
+        seen.append((rows.copy(), bound.copy()))
+        return bound
+
+    monkeypatch.setattr(covariance, "_anchor_bound", recording)
+    return seen
+
+
+def _symmetric(vech, dof):
+    rows, cols = np.triu_indices(2 * dof)
+    mats = np.empty((len(vech), 2 * dof, 2 * dof))
+    mats[:, rows, cols] = mats[:, cols, rows] = vech
+    return mats
+
+
+def _margins(mats, source):
+    """Exact min-eigenvalue / (PSD_GUARD_TOL * scale) of each matrix."""
+    scale = np.maximum(np.abs(mats).max(axis=(1, 2)), source)
+    return np.linalg.eigvalsh(mats)[:, 0] / (PSD_GUARD_TOL * scale)
+
+
 def test_weyl_certificate_keeps_the_margin_and_clears_only_psd_samples(monkeypatch):
     net = load_config(chain_config(6)).network
     target = gibbs_covariance(net, beta_from_params(STANDARD))
     c0 = np.zeros((12, 12))
     full = integrate_covariance(c0, net, STANDARD, t_end=200.0, sample_dt=0.02)
     seen = _recording_eigvalsh(monkeypatch)
+    bounds = _recording_anchor_bound(monkeypatch)
     march = integrate_covariance(c0, net, STANDARD, t_end=200.0, sample_dt=0.02,
                                  target=target)  # tol 0: the march runs to t_end
     monkeypatch.undo()
     assert march.times.size == full.times.size
     # every sample of the grid diagonalised: the same minimum, bit for bit
-    scale = np.maximum(np.abs(full.matrices).max(axis=(1, 2)), STANDARD.source)
-    margins = np.linalg.eigvalsh(full.matrices)[:, 0] / (PSD_GUARD_TOL * scale)
+    margins = _margins(full.matrices, STANDARD.source)
     assert march.min_psd_margin == margins.min() == full.min_psd_margin
     # the samples never diagonalised are the certified ones: all have margin >= 1
     checked = {m.tobytes() for m in np.concatenate(seen)}
     certified = np.array([m.tobytes() not in checked for m in full.matrices])
     assert not certified[0] and certified.sum() > full.times.size // 3
     assert margins[certified].min() >= 1.0
+    assert certified.sum() == march.certified_target + march.certified_anchor
+    assert march.diagonalised == full.times.size - certified.sum()
+    # a row an anchor certifies: exact margin >= its bound >= 1
+    rows = np.concatenate([r for r, _ in bounds])
+    scale = PSD_GUARD_TOL * np.maximum(np.abs(rows).max(axis=1), STANDARD.source)
+    bound = np.concatenate([b for _, b in bounds]) / scale
+    anchor = np.concatenate([np.arange(len(r)) % ANCHOR_STRIDE == 0 for r, _ in bounds])
+    by_anchor = ~anchor & (bound >= 1.0)
+    assert by_anchor.sum() == march.certified_anchor > full.times.size // 10
+    exact = _margins(_symmetric(rows[by_anchor], net.dof), STANDARD.source)
+    assert np.all(exact >= bound[by_anchor])
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.integers(2, 6), st.floats(0.05, 3.0), st.floats(0.05, 2.0), st.floats(0.0, 0.9),
+       st.floats(0.2, 3.0), st.integers(0, 2**32 - 1))
+def test_anchor_certificate_never_clears_a_sample_below_the_guard(n, coupling, pinning,
+                                                                   alpha, lam, seed):
+    # a random PSD start of random rank: its first samples sit on or near the PSD
+    # boundary, where the anchors' neighbours must still be diagonalised
+    net = OscillatorNetwork(n, 1, 1.0, chain_stiffness(n, coupling, pinning))
+    params = MomentParams(lam=lam, alpha=alpha, sigma2=1.0, mass=1.0)
+    rng = np.random.default_rng(seed)
+    g = rng.standard_normal((2 * n, int(rng.integers(0, 2 * n + 1))))
+    c0 = g @ g.T * 10.0 ** rng.uniform(-3, 1)
+    target = gibbs_covariance(net, beta_from_params(params))
+    full = integrate_covariance(c0, net, params, t_end=30.0, sample_dt=0.02)
+    with pytest.MonkeyPatch.context() as patch:
+        seen = _recording_eigvalsh(patch)
+        march = integrate_covariance(c0, net, params, t_end=30.0, sample_dt=0.02,
+                                     target=target)
+    checked = {m.tobytes() for m in np.concatenate(seen)}
+    certified = np.array([m.tobytes() not in checked for m in full.matrices])
+    margins = _margins(full.matrices, params.source)
+    assert np.all(margins[certified] >= 1.0)
+    # a minimum below 1 is never certified, so the march reports it bit for bit
+    if full.min_psd_margin < 1.0:
+        assert march.min_psd_margin == full.min_psd_margin
+    assert march.min_psd_margin <= full.min_psd_margin
 
 
 def test_weyl_certificate_aborts_where_the_full_guard_does():
@@ -501,6 +580,43 @@ def test_weyl_certificate_aborts_where_the_full_guard_does():
             integrate_covariance(c0, net, STANDARD, t_end=10.0, **kwargs)
         messages.append(str(abort.value))
     assert messages[0] == messages[1]
+
+
+def test_anchor_certificate_aborts_at_the_first_sample_lost_mid_block(monkeypatch):
+    # C[0, 0] is overwritten with -1, -2, ... on 40 rows of the first block, after
+    # anchors have certified earlier rows; the first of them is not an anchor but
+    # a later one is, so an abort that named the first anchor would be late
+    first = 901
+    exact_samples = covariance._exact_samples
+
+    def indefinite(*args):
+        h, blocks = exact_samples(*args)
+
+        def perturbed():
+            for k, rows in enumerate(blocks):
+                if k == 0:
+                    rows = rows.copy()
+                    rows[first : first + 40, 0] = -np.arange(1.0, 41.0)
+                yield rows
+
+        return h, perturbed()
+
+    monkeypatch.setattr(covariance, "_exact_samples", indefinite)
+    bounds = _recording_anchor_bound(monkeypatch)
+    net = chain3_net()
+    target = gibbs_covariance(net, beta_from_params(STANDARD))
+    messages = []
+    for kwargs in ({}, {"target": target}):
+        with pytest.raises(NumericalAbort, match="t=") as abort:
+            integrate_covariance(np.zeros((6, 6)), net, STANDARD, t_end=100.0,
+                                 sample_dt=0.02, **kwargs)
+        messages.append(str(abort.value))
+    assert messages[0] == messages[1] and "at t=18.02 (" in messages[0]
+    (rows, bound), = bounds
+    lost = np.flatnonzero(rows[:, 0] < 0)  # positions among the rows the target left
+    assert lost.size == 40 and lost[0] % ANCHOR_STRIDE and np.any(lost % ANCHOR_STRIDE == 0)
+    scale = PSD_GUARD_TOL * np.maximum(np.abs(rows).max(axis=1), STANDARD.source)
+    assert np.any(bound[: lost[0]] / scale[: lost[0]] >= 1.0)
 
 
 def test_spectral_abscissa_complete_and_incomplete():
@@ -557,11 +673,25 @@ def test_covariance_without_reachable_convergence_does_not_march(coupling):
 
 
 def test_covariance_diagonalises_only_uncertified_samples(monkeypatch):
-    # 36,341 matrices on a chain of 6 when every sample was diagonalised; the
-    # count is deterministic, so the bound catches a lost certificate
+    # measured counts (diagonalised, certified by the target, certified by an
+    # anchor) of the forced march, and matrices through eigvalsh per call; the
+    # homogeneous march diagonalises all of its 501 samples. Every sample
+    # diagonalised, a chain of 6 took 36,341 matrices, and 5,585 with the target
+    # bound alone; a chain of 10 took 20,982 with the target bound alone. The
+    # counts are deterministic, so a lost certificate shows.
     seen = _recording_eigvalsh(monkeypatch)
-    run_covariance(load_config(chain_config(6)), None)
-    assert sum(len(a) if a.ndim == 3 else 1 for a in seen) <= 8000
+    marches = []
+    integrate = cli.integrate_covariance
+    monkeypatch.setattr(cli, "integrate_covariance",
+                        lambda *a, **k: marches.append(integrate(*a, **k)) or marches[-1])
+    for n, forced, matrices in ((6, (1222, 30757, 3861), 1724),
+                                (10, (3250, 124928, 17230), 3752)):
+        seen.clear()
+        marches.clear()
+        run_covariance(load_config(chain_config(n)), None)
+        counts = [(m.diagonalised, m.certified_target, m.certified_anchor) for m in marches]
+        assert counts == [forced, (501, 0, 0)]
+        assert sum(len(a) if a.ndim == 3 else 1 for a in seen) == matrices
 
 
 def test_cli_covariance_rejects_dof_above_the_ceiling(tmp_path, capsys):
