@@ -10,7 +10,12 @@ Three concrete models are provided:
   the impact angle phi: p' = G_alpha(phi) p + M c_alpha(phi, v) R(phi).
 
 Every ``jump(xi, p1, mass)`` maps stacks, xi (..., xi_dim) and p1 (..., dim),
-to one kicked momentum per row, so a Monte Carlo sweep makes one call. The
+to one kicked momentum per row, so a Monte Carlo sweep makes one call. It is
+two steps: ``jump_terms(xi, mass)``, the terms that depend on the input alone
+((1 - alpha) M u; M w; R(phi) and M v), and ``jump_apply(terms, p1, mass)``,
+which combines them with the momentum, without checks. The event loop
+computes the terms of many steps in one call and applies them one step at a
+time, with the same operations as ``jump``. The
 two elastic models also give ``jump_jacobian(xi, p1, mass)``, the exact
 derivatives (D_p, D_xi) of the jump per row, for the reachability probe.
 
@@ -49,16 +54,18 @@ def _alpha_from_masses(heavy: float, light: float) -> float:
     return (heavy - light) / (heavy + light)
 
 
-def _stacks(xi, p1, model):
-    """xi and p1 as float arrays (..., xi_dim) and (..., dim); leading axes broadcast."""
-    xi = np.array(xi, dtype=float, copy=None, ndmin=1)
-    p1 = np.array(p1, dtype=float, copy=None, ndmin=1)
-    if xi.shape[-1] != model.xi_dim or p1.shape[-1] != model.dim:
-        raise ValueError(
-            f"{type(model).__name__} expects momenta (..., {model.dim}) and inputs "
-            f"(..., {model.xi_dim}), got {p1.shape} / {xi.shape}"
-        )
-    return xi, p1
+def _floats(x, width: int, what: str, model):
+    """x as a float array (..., width)."""
+    x = np.array(x, dtype=float, copy=None, ndmin=1)
+    if x.shape[-1] != width:
+        raise ValueError(f"{type(model).__name__} expects {what} (..., {width}), got {x.shape}")
+    return x
+
+
+def _jump(model, xi, p1, mass):
+    """``model.jump``: its ``jump_apply`` on its ``jump_terms`` of xi; leading axes broadcast."""
+    terms = model.jump_terms(xi, mass)
+    return model.jump_apply(terms, _floats(p1, model.dim, "momenta", model), mass)
 
 
 @dataclass(frozen=True)
@@ -82,14 +89,19 @@ class OneDimElastic:
     def alpha(self, mass: float) -> float:
         return _alpha_from_masses(mass, self.external_mass)
 
-    def jump(self, xi: np.ndarray, p1: np.ndarray, mass: float) -> np.ndarray:
-        u, p1 = _stacks(xi, p1, self)
-        a = self.alpha(mass)
-        return a * p1 + (1.0 - a) * mass * u
+    jump = _jump
+
+    def jump_terms(self, xi, mass: float) -> np.ndarray:
+        """(1 - alpha) M u per input row."""
+        return (1.0 - self.alpha(mass)) * mass * _floats(xi, self.xi_dim, "inputs", self)
+
+    def jump_apply(self, terms: np.ndarray, p1: np.ndarray, mass: float) -> np.ndarray:
+        """alpha p + (1 - alpha) M u."""
+        return self.alpha(mass) * p1 + terms
 
     def jump_jacobian(self, xi, p1, mass):
         """(D_p, D_xi) of the jump, each (..., 1, 1): alpha and (1 - alpha) M."""
-        u, p1 = _stacks(xi, p1, self)
+        u, p1 = _floats(xi, self.xi_dim, "inputs", self), _floats(p1, self.dim, "momenta", self)
         a = self.alpha(mass)
         rows = np.broadcast_shapes(u.shape[:-1], p1.shape[:-1]) + (1, 1)
         return np.full(rows, a), np.full(rows, (1.0 - a) * mass)
@@ -136,10 +148,15 @@ class ContractiveAffine:
 
     xi_dim = dim
 
-    def jump(self, xi: np.ndarray, p1: np.ndarray, mass: float) -> np.ndarray:
-        w, p1 = _stacks(xi, p1, self)
-        # one matrix-vector product per row, so a stack equals its rows bit for bit
-        return (self.reflection @ p1[..., None])[..., 0] + mass * w
+    jump = _jump
+
+    def jump_terms(self, xi, mass: float) -> np.ndarray:
+        """M w per input row."""
+        return mass * _floats(xi, self.xi_dim, "inputs", self)
+
+    def jump_apply(self, terms: np.ndarray, p1: np.ndarray, mass: float) -> np.ndarray:
+        """R p + M w, one matrix-vector product per row, so a stack equals its rows bit for bit."""
+        return (self.reflection @ p1[..., None])[..., 0] + terms
 
     def sample_input(self, rng: np.random.Generator, size=None) -> np.ndarray:
         return self.noise_law.sample(rng, size)
@@ -182,12 +199,18 @@ class TwoDimBall:
     def alpha(self, mass: float) -> float:
         return _alpha_from_masses(mass, self.external_mass)
 
-    def jump(self, xi: np.ndarray, p1: np.ndarray, mass: float) -> np.ndarray:
-        """p' = p + (1 - alpha) (r.(M v - p)) r, r = R(phi): the normal component alone moves."""
-        xi, p1 = _stacks(xi, p1, self)
+    jump = _jump
+
+    def jump_terms(self, xi, mass: float) -> np.ndarray:
+        """(cos phi, sin phi, M v_x, M v_y) per input row: r = R(phi), then M v."""
+        xi = _floats(xi, self.xi_dim, "inputs", self)
         phi = xi[..., :1]
-        r = np.concatenate([np.cos(phi), np.sin(phi)], axis=-1)
-        normal = np.vecdot(mass * xi[..., 1:] - p1, r)[..., None]
+        return np.concatenate([np.cos(phi), np.sin(phi), mass * xi[..., 1:]], axis=-1)
+
+    def jump_apply(self, terms: np.ndarray, p1: np.ndarray, mass: float) -> np.ndarray:
+        """p' = p + (1 - alpha) (r.(M v - p)) r: the normal component alone moves."""
+        r = terms[..., :2]
+        normal = np.vecdot(terms[..., 2:] - p1, r)[..., None]
         return p1 + (1.0 - self.alpha(mass)) * normal * r
 
     def jump_jacobian(self, xi, p1, mass):
@@ -197,11 +220,10 @@ class TwoDimBall:
         D_p = I - (1 - alpha) r r^T, and D_xi has the column
         (1 - alpha) ((r'.w) r + (r.w) r') for phi and (1 - alpha) M r r^T for v.
         """
-        xi, p1 = _stacks(xi, p1, self)
-        phi = xi[..., :1]
-        r = np.concatenate([np.cos(phi), np.sin(phi)], axis=-1)
-        dr = np.concatenate([-np.sin(phi), np.cos(phi)], axis=-1)
-        w = mass * xi[..., 1:] - p1
+        terms = self.jump_terms(xi, mass)
+        r = terms[..., :2]
+        dr = np.concatenate([-r[..., 1:], r[..., :1]], axis=-1)
+        w = terms[..., 2:] - _floats(p1, self.dim, "momenta", self)
         b = 1.0 - self.alpha(mass)
         rr = r[..., :, None] * r[..., None, :]
         d_phi = b * (np.vecdot(dr, w)[..., None] * r + np.vecdot(r, w)[..., None] * dr)
@@ -210,7 +232,8 @@ class TwoDimBall:
     def sample_input(self, rng: np.random.Generator, size=None) -> np.ndarray:
         """(phi, v_x, v_y), or a (size, 3) block; each row draws its angle then its velocity."""
         if size is not None:
-            return np.array([self.sample_input(rng) for _ in range(size)]).reshape(size, 3)
+            draws = self.input_draws(rng)
+            return np.array([[draw() for draw in draws] for _ in range(size)]).reshape(size, 3)
         phi = self.angle_law.sample(rng)
         v = self.velocity_law.sample(rng)
         return np.concatenate([[phi], v])

@@ -5,6 +5,12 @@ H = sum_k |p_k|^2/(2M) + (1/2) q^T V q, V positive definite. The flow of
 psi_dot = A psi, A = [[0, I/M], [-V, 0]], is evaluated exactly per spectral
 mode of V (frequency sqrt(lambda/M)), so there is no integration error and
 states at arbitrary jump times are exact.
+
+The flow by time t is one rotation per mode: ``_rotation`` gives the cosines
+and sines of the angles omega t, which depend on the times alone, and
+``_rotate`` turns eigen-coordinates through them. ``_mode_flow`` is the two
+in turn; the event loop computes the angles of many waits in one call
+ahead of the states they rotate.
 """
 
 from __future__ import annotations
@@ -172,15 +178,20 @@ def energy(net: OscillatorNetwork, psi: PhaseState) -> float:
     return float(energies(net, psi.vector[None])[0])
 
 
+def _rotation(omega, t):
+    """cos and sin of the mode angles omega t, shape t.shape + omega.shape."""
+    wt = np.multiply.outer(t, omega)
+    return np.cos(wt), np.sin(wt)
+
+
+def _rotate(qh, ph, c, s, momega):
+    """Rotate eigen-coordinates through the angles with cosines c and sines s; momega = M omega."""
+    return c * qh + s * (ph / momega), c * ph - s * (momega * qh)
+
+
 def _mode_flow(qh, ph, omega, mass, t):
     """Rotate eigen-coordinates by time t (vectorized over modes and times)."""
-    wt = np.multiply.outer(t, omega)
-    c = np.cos(wt)
-    s = np.sin(wt)
-    momega = mass * omega
-    qh_t = c * qh + s * (ph / momega)
-    ph_t = -s * (momega * qh) + c * ph
-    return qh_t, ph_t
+    return _rotate(qh, ph, *_rotation(omega, t), mass * omega)
 
 
 def propagate(net: OscillatorNetwork, psi: PhaseState, t: float) -> PhaseState:

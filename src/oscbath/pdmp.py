@@ -11,7 +11,10 @@ the flow is a family of independent mode rotations; states are transformed
 back to physical coordinates (``OscillatorNetwork.from_modes``) only when
 stored. One event loop steps all seeds of a run together and records their
 post-jump states; each seed's grid samples, block by block, and its embedded
-chain are read off that one record.
+chain are read off that one record. The loop computes the rotation angles'
+cosines and sines and the collision model's input-only jump terms for a
+block of steps at once, so each step does only the work that needs the
+state.
 """
 
 from __future__ import annotations
@@ -23,7 +26,15 @@ import numpy as np
 
 from .collisions import CollisionModel, OneDimElastic, TwoDimBall
 from .errors import NumericalAbort
-from .network import OscillatorNetwork, PhaseState, _mode_flow, energies, energy
+from .network import (
+    OscillatorNetwork,
+    PhaseState,
+    _mode_flow,
+    _rotate,
+    _rotation,
+    energies,
+    energy,
+)
 
 #: largest dof at which rank-probe's default legs certify full rank: the exact
 #: Jacobian's sigma_min / sigma_max clears the roundoff threshold by >= 20x on
@@ -100,15 +111,21 @@ def _require_dim(net: OscillatorNetwork, model: CollisionModel) -> None:
         )
 
 
-def _kick(net: OscillatorNetwork, model: CollisionModel, ph, xi):
-    """Jump of mode-space momenta ph, (dof,) or (n, dof): a rank-d update through p1.
+def _kick_rows(model: CollisionModel, contact, mass: float, ph, terms):
+    """Jump of mode-space momentum rows ph, (..., 1, dof), by ``model.jump_terms`` rows, (..., 1, w).
 
-    Each row goes through its own one-row product, so a stack of rows is
-    kicked bitwise as its rows are one at a time.
+    A rank-d update through p1 = ph @ contact.T. Each row goes through its
+    own one-row product, so a stack of rows is kicked bitwise as its rows
+    are one at a time.
     """
-    c = net.contact_modes
-    p1 = (ph[..., None, :] @ c.T)[..., 0, :]
-    return ph + ((model.jump(xi, p1, net.mass) - p1)[..., None, :] @ c)[..., 0, :]
+    p1 = ph @ contact.T
+    return ph + (model.jump_apply(terms, p1, mass) - p1) @ contact
+
+
+def _kick(net: OscillatorNetwork, model: CollisionModel, ph, xi):
+    """Jump of mode-space momenta ph, (dof,) or (n, dof), by inputs xi: ``_kick_rows`` on their terms."""
+    terms = model.jump_terms(xi, net.mass)[..., None, :]
+    return _kick_rows(model, net.contact_modes, net.mass, ph[..., None, :], terms)[..., 0, :]
 
 
 def _input_sampler(model: CollisionModel, sched: EventSchedule):
@@ -125,6 +142,11 @@ def _input_draws(model: CollisionModel, sched: EventSchedule, rng) -> tuple:
 
 #: grid rows rotated per block when a pass is sampled on the time grid
 GRID_BLOCK = 4096
+#: lockstep steps whose rotations and kick terms ``event_passes`` computes in
+#: one call each. Timed at 16, 32, 64 and 128 on (16, 3) and (2, 12) states,
+#: 64 and 128 step fastest; the block's scratch grows with it (about 80 kB at
+#: 64 on (2, 12) states)
+STEP_BLOCK = 64
 #: largest event record per seed that a config may ask ``event_passes`` for
 RECORD_MAX_BYTES = 1 << 30
 
@@ -187,6 +209,56 @@ class EventPass:
             yield t[start - first :], states[start - first :]
 
 
+def _seed_draws(model: CollisionModel, sched: EventSchedule, seed: int, t_end: float, n_steps: int):
+    """(values, count): one seed's events for ``event_passes``, each event's wait then its input."""
+    rng = np.random.default_rng(seed)
+    [draw_tau], draw_xi = sched.tau_law.draws(rng), _input_draws(model, sched, rng)
+    draw_one = draw_xi[0] if len(draw_xi) == 1 else None
+    values = array("d")
+    append = values.append
+    t, k = 0.0, 0
+    while k < n_steps or t <= t_end:
+        tau = draw_tau()
+        if t + tau > t_end and k >= n_steps:
+            break
+        append(tau)
+        if draw_one is not None:
+            append(draw_one())
+        else:
+            for draw in draw_xi:
+                append(draw())
+        t += tau
+        k += 1
+    return values, k
+
+
+def _step_seeds(net: OscillatorNetwork, model: CollisionModel, taus, xis, modes) -> None:
+    """Fill modes[:, k + 1], the seeds' mode states after step k, from modes[:, 0].
+
+    Step k rotates every seed's state by its wait taus[k] and kicks it by
+    its input xis[k]. The cosines and sines of the rotation angles and the
+    model's ``jump_terms`` are computed ``STEP_BLOCK`` steps at a time, so a
+    step does only what needs the state: ``_rotate``, then ``_kick_rows``.
+    Each block's states go to ``modes`` in one copy.
+    """
+    omega, mass, dof, steps = net.mode_frequencies, net.mass, net.dof, len(taus)
+    contact, momega = net.contact_modes, np.tile(mass * omega, (len(modes), 1, 1))
+    # a view of the contiguous modes: rows 2m and 2m + 1 are modes[:, m]'s qh and ph
+    halves = modes.reshape(len(modes), -1, dof)
+    qh, ph = halves[:, 0:1], halves[:, 1:2]  # one (1, dof) row per seed
+    with np.errstate(over="ignore", invalid="ignore"):  # a non-finite state aborts the caller
+        for k0 in range(0, steps, STEP_BLOCK):
+            k1 = min(k0 + STEP_BLOCK, steps)
+            rows = []  # the last block's rows are written; free them first
+            cos, sin = _rotation(omega, taus[k0:k1, :, None])
+            terms = model.jump_terms(xis[k0:k1, :, None], mass)
+            for c, s, jump_terms in zip(cos, sin, terms):
+                qh, ph = _rotate(qh, ph, c, s, momega)
+                ph = _kick_rows(model, contact, mass, ph, jump_terms)
+                rows += qh, ph
+            np.concatenate(rows, axis=1, out=halves[:, 2 * k0 + 2 : 2 * k1 + 2])
+
+
 def event_passes(
     net: OscillatorNetwork,
     model: CollisionModel,
@@ -205,30 +277,15 @@ def event_passes(
     the values of ``sample`` and ``sample_input`` bit for bit. Each seed's
     values go to one typed array, and once every count is known into (events,
     seeds) buffers of their final size. Then all seeds step together, one
-    event per step, on (seeds, dof) arrays; a seed out of events rides along
-    on a zero wait and a zero input, and those rows are cut off. One
+    event per step (``_step_seeds``); a seed out of events rides along on a
+    zero wait and a zero input, and those rows are cut off. One
     ``EventPass`` per seed, in the order given. Aborts for the first listed
     seed whose state overflows, with the event index: "after event k at
     t=..." inside [0, t_end], "at step k" beyond it.
     """
     _require_dim(net, model)
-    draws, counts = [], []  # per seed: one typed array, each event's wait then its input
-    for seed in seeds:
-        rng = np.random.default_rng(seed)
-        [draw_tau], draw_xi = sched.tau_law.draws(rng), _input_draws(model, sched, rng)
-        seed_draws = array("d")
-        t, k = 0.0, 0
-        while k < n_steps or t <= t_end:
-            tau = draw_tau()
-            if t + tau > t_end and k >= n_steps:
-                break
-            seed_draws.append(tau)
-            for draw in draw_xi:
-                seed_draws.append(draw())
-            t += tau
-            k += 1
-        draws.append(seed_draws)
-        counts.append(k)
+    # per seed: one typed array, each event's wait then its input, and the event count
+    draws, counts = zip(*(_seed_draws(model, sched, seed, t_end, n_steps) for seed in seeds))
     taus = np.zeros((max(counts), len(seeds)))
     xis = np.zeros((max(counts), len(seeds), model.xi_dim))
     for s, k in enumerate(counts):
@@ -236,19 +293,12 @@ def event_passes(
         taus[:k, s], xis[:k, s] = rows[:, 0], rows[:, 1:]
     del draws, rows  # rows views the last seed's array
 
-    omega, mass, dof, steps = net.mode_frequencies, net.mass, net.dof, len(taus)
-    modes = np.empty((len(seeds), steps + 1, 2 * dof))
+    modes = np.empty((len(seeds), len(taus) + 1, 2 * net.dof))
     modes[:, 0] = np.concatenate(net.to_modes(psi0.vector))
-    qh, ph = modes[:, 0, :dof], modes[:, 0, dof:]
-    with np.errstate(over="ignore", invalid="ignore"):  # a non-finite state aborts below
-        for k in range(steps):
-            qh, ph = _mode_flow(qh, ph, omega, mass, taus[k])
-            ph = _kick(net, model, ph, xis[k])
-            modes[:, k + 1, :dof] = qh
-            modes[:, k + 1, dof:] = ph
+    _step_seeds(net, model, taus, xis, modes)
     del xis  # the inputs are spent; the jump times below need only the waits
 
-    times = np.zeros((len(seeds), steps + 1))
+    times = np.zeros((len(seeds), len(taus) + 1))
     np.cumsum(taus.T, axis=1, out=times[:, 1:])
     passes = []
     for s, (seed, k) in enumerate(zip(seeds, counts)):

@@ -3,7 +3,9 @@
 The single event pass must reproduce the former ``simulate_embedded`` and
 ``simulate_continuous`` loops exactly (``np.array_equal``): grid blocks,
 chain states, jump times and event counts, and abort on the same event with
-the same message.
+the same message, also at the edges of the loop's ``STEP_BLOCK`` blocks and
+with seeds riding along after their last event. A jump applied to terms
+computed for a block of inputs must give the one-call jump's bits.
 The stacked jump maps must reproduce the former one-row maps row by row
 (bitwise, except the ball's closed form: 1e-14 relative), and the batched
 Monte Carlo estimates the former per-draw loops. The exact reachability
@@ -12,6 +14,8 @@ Jacobian must agree with central differences of the former composed map.
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import _reference_engine as ref
 from oscbath.collisions import (
@@ -34,8 +38,11 @@ from oscbath.laws import (
 from oscbath.network import OscillatorNetwork, PhaseState, chain_stiffness, energy
 from oscbath.pdmp import (
     GRID_BLOCK,
+    STEP_BLOCK,
     EventSchedule,
+    _input_sampler,
     _kick,
+    _kick_rows,
     drift_estimate,
     event_passes,
     grid_size,
@@ -159,11 +166,10 @@ class InfAt:
         return (*first, last_entry)
 
 
-def _assert_same(net, model, sched, psi0, t_end, dt, n_steps, seed):
-    """One pass's grid blocks and chain against the former loops; returns (pass, chain)."""
-    [run] = event_passes(net, model, sched, psi0, t_end, n_steps, (seed,))
-    old = ref.simulate_continuous(net, model, sched, psi0, t_end, dt, seed)
-    old_chain = ref.simulate_embedded(net, model, sched, psi0, n_steps, seed)
+def _assert_run_matches(run, net, model, sched, psi0, t_end, dt, n_steps):
+    """One seed's pass: its grid blocks and first n_steps chain states against the former loops."""
+    old = ref.simulate_continuous(net, model, sched, psi0, t_end, dt, run.seed)
+    old_chain = ref.simulate_embedded(net, model, sched, psi0, n_steps, run.seed)
     assert run.events == old.events
     start = 0
     for times, states in run.trajectory(dt, grid_size(t_end, dt)):
@@ -175,6 +181,13 @@ def _assert_same(net, model, sched, psi0, t_end, dt, n_steps, seed):
     chain = run.chain(n_steps)
     assert np.array_equal(chain.states, old_chain.states)
     assert np.array_equal(chain.jump_times, old_chain.jump_times)
+    return old, old_chain, chain
+
+
+def _assert_same(net, model, sched, psi0, t_end, dt, n_steps, seed):
+    """One pass's grid blocks and chain against the former loops; returns (pass, chain)."""
+    [run] = event_passes(net, model, sched, psi0, t_end, n_steps, (seed,))
+    old, old_chain, chain = _assert_run_matches(run, net, model, sched, psi0, t_end, dt, n_steps)
     alone = simulate_embedded(net, model, sched, psi0, n_steps, seed)
     assert np.array_equal(alone.states, old_chain.states)
     assert np.array_equal(alone.jump_times, old_chain.jump_times)
@@ -230,6 +243,23 @@ def test_jump_arrays_grow_past_the_expected_count(pairing):
     assert run.events > 16 + 200.0 / sched.tau_law.mean + 1
 
 
+@pytest.mark.parametrize("pairing", sorted(PAIRINGS))
+@pytest.mark.parametrize("steps", [STEP_BLOCK - 1, STEP_BLOCK, STEP_BLOCK + 1, 3 * STEP_BLOCK + 5])
+def test_step_block_edges_match_reference_loops(pairing, steps):
+    # three seeds with unequal event counts, so seeds ride along after their last event
+    net, model, tau_law = PAIRINGS[pairing]()
+    sched, psi0, seeds = EventSchedule(tau_law=tau_law), _psi0(net), (0, 1, 2)
+    long = event_passes(net, model, sched, psi0, -np.inf, steps + 1, seeds)
+    # a horizon by which the seed that jumps most has made `steps` jumps
+    t_end = 0.5 * (min(run.times[steps] for run in long) + min(run.times[steps + 1] for run in long))
+    runs = event_passes(net, model, sched, psi0, t_end, 0, seeds)
+    counts = [run.times.size - 1 for run in runs]
+    assert max(counts) == steps and len(set(counts)) > 1
+    for run, count in zip(runs, counts):
+        assert run.events == count
+        _assert_run_matches(run, net, model, sched, psi0, t_end, 0.5, count)
+
+
 def _message(fn):
     with pytest.raises(NumericalAbort) as info:
         fn()
@@ -266,6 +296,23 @@ def test_abort_reports_the_same_event(pairing, k):
     assert _message(
         lambda: simulate_embedded(net, model, sched(), psi0, 40, 4)
     ) == _message(lambda: ref.simulate_embedded(net, model, sched(), psi0, 40, 4))
+
+
+@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+@pytest.mark.parametrize("pairing", sorted(PAIRINGS))
+def test_abort_in_a_later_step_block_reports_the_same_event(pairing):
+    k = STEP_BLOCK + 7  # in the second block of steps, past t_end = 8
+    net, model, tau_law = PAIRINGS[pairing]()
+    psi0 = _psi0(net)
+
+    def sched():
+        return EventSchedule(tau_law=tau_law, xi_law=InfAt(model, k))
+
+    n_steps = 2 * STEP_BLOCK
+    expected = _message(lambda: _reference_seed(net, model, sched, psi0, 8.0, 0.25, n_steps))
+    got = _message(lambda: event_passes(net, model, sched(), psi0, 8.0, n_steps, (4,)))
+    assert got == expected
+    assert got.endswith(f"at step {k}")
 
 
 # --- stacked jump maps against the one-row maps -----------------------------------
@@ -322,6 +369,29 @@ def test_stacked_kick_matches_row_kicks(pairing):
     stacked = _kick(net, model, ph, xi)
     rows = np.array([_kick(net, model, p, x) for p, x in zip(ph, xi)])
     assert np.abs(stacked - rows).max() <= 1e-14 * np.abs(ph).max()
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(sorted(PAIRINGS)), st.booleans(), st.integers(1, 40),
+       st.integers(0, 2**32 - 1), st.floats(0.6, 3.0))
+def test_jump_is_its_apply_on_block_terms(pairing, override, n, seed, mass):
+    # the event loop computes jump terms for a block of inputs and kicks one
+    # step at a time; both must give the bits of the one-call jump and kick
+    net, model, tau_law = PAIRINGS[pairing]()
+    xi_law = IsotropicGaussianVector(dim=model.xi_dim, sigma2=9.0) if override else None
+    rng = np.random.default_rng(seed)
+    draw = _input_sampler(model, EventSchedule(tau_law=tau_law, xi_law=xi_law))
+    xi = np.reshape(draw(rng, size=n), (n, model.xi_dim))
+    p1 = 3.0 * rng.standard_normal((n, model.dim))
+    terms = model.jump_terms(xi, mass)
+    for x, p, t in zip(xi, p1, terms):
+        assert np.array_equal(model.jump(x, p, mass).view(np.uint64),
+                              model.jump_apply(t, p, mass).view(np.uint64))
+    ph = 3.0 * rng.standard_normal((n, net.dof))
+    rows = model.jump_terms(xi[:, None, :], net.mass)
+    stepped = _kick_rows(model, net.contact_modes, net.mass, ph[:, None, :], rows)[:, 0]
+    one_by_one = np.array([_kick(net, model, p, x) for p, x in zip(ph, xi)])
+    assert np.array_equal(stepped.view(np.uint64), one_by_one.view(np.uint64))
 
 
 # --- batched Monte Carlo against the per-draw loops ---------------------------------

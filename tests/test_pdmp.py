@@ -236,6 +236,25 @@ def test_event_passes_holds_no_python_float_per_draw():
     assert peak < 1.0 * record_bytes(net, model, largest, len(seeds))
 
 
+def test_event_passes_holds_no_python_float_per_draw_on_ball_shapes():
+    # ball-lattice-grid's shapes (dof 12, xi_dim 3, 2 seeds) at twice its horizon:
+    # the peak is 0.98 of record_bytes. The step blocks' scratch is a fixed
+    # 80 kB, 0.017 here. Keeping the last seed's draw array through the steps
+    # peaks at 1.04.
+    net = OscillatorNetwork(6, 2, 1.0, np.kron(chain_stiffness(6), np.eye(2)))
+    model, sched = TwoDimBall(external_mass=0.5), EventSchedule(tau_law=GammaLaw(2.0, 1.0))
+    seeds = (0, 1)
+    event_passes(net, model, sched, PhaseState.zero(12), 50.0, 10, seeds)  # warm caches
+    tracemalloc.start()
+    try:
+        runs = event_passes(net, model, sched, PhaseState.zero(12), 2.0e4, 10, seeds)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    largest = max(run.times.size - 1 for run in runs)
+    assert peak < 1.0 * record_bytes(net, model, largest, len(seeds))
+
+
 # --- observables ---------------------------------------------------------------
 
 
