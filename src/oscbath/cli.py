@@ -44,6 +44,7 @@ from .laws import Exponential, GaussianVelocity
 from .network import PhaseState, energies, energy
 from .pdmp import (
     RANK_MAX_DOF,
+    RNG_PROTOCOL,
     EventPass,
     drift_estimate,
     event_passes,
@@ -204,6 +205,7 @@ def run_simulate(cfg: ExperimentConfig, out_dir: Path | None, workers: int = 1) 
             "cov_within_5_se": None if max_z is None else max_z <= 5.0,
         }
     fields = {
+        "rng_protocol": RNG_PROTOCOL,
         "per_seed": [
             {k: v for k, v in s.items() if k not in ("sum_x", "sum_xx")} for s in per_seed
         ],

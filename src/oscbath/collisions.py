@@ -22,9 +22,9 @@ derivatives (D_p, D_xi) of the jump per row, for the reachability probe.
 Each model carries the sampling law of its random input xi so that
 ``verify_contraction`` (the numeric check of the kinetic-energy contraction
 hypothesis) is self-contained. ``sample_input(rng, size=None)`` draws one
-input or a block of them; ``input_draws(rng)`` gives the xi_dim closures of
-one input in draw order (see :mod:`oscbath.laws`), which the event loop
-calls. The analyticity and sphere-covering hypotheses on the jump map are
+input or a block of them from one generator; ``input_laws`` lists the laws
+of an input's entries in order, each of which the event loop draws from its
+own stream. The analyticity and sphere-covering hypotheses on the jump map are
 existence assumptions used in proofs only; they are documented here and not
 testable numerically.
 """
@@ -106,12 +106,13 @@ class OneDimElastic:
         rows = np.broadcast_shapes(u.shape[:-1], p1.shape[:-1]) + (1, 1)
         return np.full(rows, a), np.full(rows, (1.0 - a) * mass)
 
+    @property
+    def input_laws(self) -> tuple:
+        return (self.velocity_law,)
+
     def sample_input(self, rng: np.random.Generator, size=None) -> np.ndarray:
         u = self.velocity_law.sample(rng, size)
         return np.atleast_1d(u) if size is None else np.reshape(u, (size, 1))
-
-    def input_draws(self, rng: np.random.Generator) -> tuple:
-        return self.velocity_law.draws(rng)
 
 
 @dataclass(frozen=True, eq=False)
@@ -158,11 +159,12 @@ class ContractiveAffine:
         """R p + M w, one matrix-vector product per row, so a stack equals its rows bit for bit."""
         return (self.reflection @ p1[..., None])[..., 0] + terms
 
+    @property
+    def input_laws(self) -> tuple:
+        return (self.noise_law,)
+
     def sample_input(self, rng: np.random.Generator, size=None) -> np.ndarray:
         return self.noise_law.sample(rng, size)
-
-    def input_draws(self, rng: np.random.Generator) -> tuple:
-        return self.noise_law.draws(rng)
 
 
 def impact_matrix(alpha: float, phi: float) -> np.ndarray:
@@ -229,17 +231,17 @@ class TwoDimBall:
         d_phi = b * (np.vecdot(dr, w)[..., None] * r + np.vecdot(r, w)[..., None] * dr)
         return np.eye(2) - b * rr, np.concatenate([d_phi[..., None], b * mass * rr], axis=-1)
 
+    @property
+    def input_laws(self) -> tuple:
+        return (self.angle_law, self.velocity_law)
+
     def sample_input(self, rng: np.random.Generator, size=None) -> np.ndarray:
         """(phi, v_x, v_y), or a (size, 3) block; each row draws its angle then its velocity."""
-        if size is not None:
-            draws = self.input_draws(rng)
-            return np.array([[draw() for draw in draws] for _ in range(size)]).reshape(size, 3)
-        phi = self.angle_law.sample(rng)
-        v = self.velocity_law.sample(rng)
-        return np.concatenate([[phi], v])
-
-    def input_draws(self, rng: np.random.Generator) -> tuple:
-        return self.angle_law.draws(rng) + self.velocity_law.draws(rng)
+        rows = np.empty((1 if size is None else size, 3))
+        for row in rows:  # row by row, so a block is its rows' scalar draws
+            row[0] = self.angle_law.sample(rng)
+            row[1:] = self.velocity_law.sample(rng)
+        return rows[0] if size is None else rows
 
 
 CollisionModel = Union[OneDimElastic, ContractiveAffine, TwoDimBall]

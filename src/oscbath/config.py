@@ -41,7 +41,7 @@ from . import laws
 from .collisions import ContractiveAffine, OneDimElastic, TwoDimBall
 from .errors import ConfigError
 from .network import OscillatorNetwork, PhaseState, chain_stiffness
-from .pdmp import RECORD_MAX_BYTES, EventSchedule, grid_size, record_bytes
+from .pdmp import RECORD_MAX_BYTES, EventSchedule, event_estimate, grid_size, record_bytes
 from .spectral import random_pd_matrix
 
 
@@ -266,12 +266,12 @@ def load_config(source) -> ExperimentConfig:
     if record_bytes(net, model, n_steps, len(seeds)) > RECORD_MAX_BYTES:
         raise ConfigError(f"run.n_steps = {n_steps} needs more than {RECORD_MAX_BYTES} bytes "
                           f"of event record for {len(seeds)} seeds")
-    expected = t_end / schedule.tau_law.mean  # events per seed in [0, t_end]
-    # the expected count plus four standard deviations (Poisson) and 16
-    if record_bytes(net, model, int(expected + 4.0 * math.sqrt(expected)) + 16,
+    # the count event_passes sizes its first block of waits for
+    if record_bytes(net, model, event_estimate(t_end, schedule.tau_law.mean),
                     len(seeds)) > RECORD_MAX_BYTES:
-        raise ConfigError(f"run.t_end = {t_end!r} expects {expected:.4g} events per seed, more "
-                          f"than {RECORD_MAX_BYTES} bytes of event record for {len(seeds)} seeds")
+        raise ConfigError(f"run.t_end = {t_end!r} expects {t_end / schedule.tau_law.mean:.4g} "
+                          f"events per seed, more than {RECORD_MAX_BYTES} bytes of event record "
+                          f"for {len(seeds)} seeds")
 
     if _integers(raw.get("contact_sites", net.contact_sites), "contact_sites") != net.contact_sites:
         raise ConfigError(f"contact_sites must be {list(net.contact_sites)}, the coordinates "

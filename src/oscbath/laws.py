@@ -2,14 +2,11 @@
 
 All laws are small frozen dataclasses driven by a caller-owned
 ``numpy.random.Generator``, which keeps every simulation reproducible per
-seed. Each law draws in two ways from one definition of its scale and shift:
-
-* ``sample(rng, size=None)``: one value (a vector law: one vector), or a
-  block of ``size`` of them;
-* ``draws(rng)``: one zero-argument closure per variate of one value, bound
-  to ``rng``. Calling them in order returns, bit for bit, the Python floats
-  that ``sample(rng)`` returns and leaves ``rng`` where it leaves it, at a
-  fraction of the per-call cost. The event loop draws through these.
+seed. ``sample(rng, size=None)`` draws one value (a vector law: one vector),
+or a block of ``size`` of them. A block of n values is, bit for bit, the n
+values of n scalar calls, or of any split of n into consecutive blocks, and
+leaves ``rng`` in the same state; the event loop relies on this when it
+draws each seed's waits and inputs as blocks, one stream per law.
 
 The uniform and two-point velocity laws
 also expose a deterministic ``expect`` for the stationarity residual
@@ -23,18 +20,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-
-
-def _uniform_draw(rng: np.random.Generator, low: float, high: float):
-    """One value of ``rng.uniform(low, high)``: numpy forms it as low + (high - low) * U."""
-    width, standard = high - low, rng.random
-    return lambda: low + width * standard()
-
-
-def _normal_draw(rng: np.random.Generator, scale: float):
-    """One value of ``rng.normal(0.0, scale)``: numpy forms it as 0.0 + scale * Z, so -0.0 reads 0.0."""
-    standard = rng.standard_normal
-    return lambda: 0.0 + scale * standard()
 
 
 def _sign(bit):
@@ -68,10 +53,6 @@ class Exponential:
     def sample(self, rng: np.random.Generator, size=None):
         return rng.exponential(self.scale, size=size)
 
-    def draws(self, rng: np.random.Generator) -> tuple:
-        scale, standard = self.scale, rng.standard_exponential
-        return (lambda: scale * standard(),)
-
 
 @dataclass(frozen=True)
 class GammaLaw:
@@ -95,10 +76,6 @@ class GammaLaw:
     def sample(self, rng: np.random.Generator, size=None):
         return rng.gamma(self.shape, self.scale, size=size)
 
-    def draws(self, rng: np.random.Generator) -> tuple:
-        shape, scale, standard = self.shape, self.scale, rng.standard_gamma
-        return (lambda: scale * standard(shape),)
-
 
 @dataclass(frozen=True)
 class UniformPositive:
@@ -117,9 +94,6 @@ class UniformPositive:
 
     def sample(self, rng: np.random.Generator, size=None):
         return rng.uniform(self.low, self.high, size=size)
-
-    def draws(self, rng: np.random.Generator) -> tuple:
-        return (_uniform_draw(rng, self.low, self.high),)
 
 
 # ---------------------------------------------------------------------------
@@ -148,9 +122,6 @@ class GaussianVelocity:
     def sample(self, rng: np.random.Generator, size=None):
         return rng.normal(0.0, self.scale, size=size)
 
-    def draws(self, rng: np.random.Generator) -> tuple:
-        return (_normal_draw(rng, self.scale),)
-
 
 @dataclass(frozen=True)
 class UniformSymmetricVelocity:
@@ -172,9 +143,6 @@ class UniformSymmetricVelocity:
 
     def sample(self, rng: np.random.Generator, size=None):
         return rng.uniform(-self.half_width, self.half_width, size=size)
-
-    def draws(self, rng: np.random.Generator) -> tuple:
-        return (_uniform_draw(rng, -self.half_width, self.half_width),)
 
     def expect(self, f, nodes: int = 64) -> float:
         x, w = np.polynomial.legendre.leggauss(nodes)
@@ -206,11 +174,6 @@ class TwoPointVelocity:
 
     def sample(self, rng: np.random.Generator, size=None):
         return _sign(rng.integers(0, 2, size=size)) * self.magnitude
-
-    def draws(self, rng: np.random.Generator) -> tuple:
-        # one scalar integers(0, 2) per value: a block call consumes the stream differently
-        magnitude, bit = self.magnitude, rng.integers
-        return (lambda: _sign(bit(0, 2)) * magnitude,)
 
     def expect(self, f, nodes: int = 0) -> float:
         # exact enumeration; the node count is accepted for API symmetry
@@ -244,9 +207,6 @@ class IsotropicGaussianVector:
         shape = (self.dim,) if size is None else (size, self.dim)
         return rng.normal(0.0, self.scale, size=shape)
 
-    def draws(self, rng: np.random.Generator) -> tuple:
-        return (_normal_draw(rng, self.scale),) * self.dim  # the components in order
-
 
 @dataclass(frozen=True)
 class UniformAngle:
@@ -254,9 +214,6 @@ class UniformAngle:
 
     def sample(self, rng: np.random.Generator, size=None):
         return rng.uniform(0.0, 2.0 * math.pi, size=size)
-
-    def draws(self, rng: np.random.Generator) -> tuple:
-        return (_uniform_draw(rng, 0.0, 2.0 * math.pi),)
 
     @property
     def moment_matrix(self) -> np.ndarray:

@@ -15,11 +15,16 @@ chain are read off that one record. The loop computes the rotation angles'
 cosines and sines and the collision model's input-only jump terms for a
 block of steps at once, so each step does only the work that needs the
 state.
+
+Random protocol (``RNG_PROTOCOL``): each seed's ``SeedSequence(seed)``
+spawns one stream for the waiting times and one per input law, and each
+stream is drawn in blocks through the laws' ``sample(rng, size)``, whose
+values do not depend on how a stream is split into blocks.
 """
 
 from __future__ import annotations
 
-from array import array
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -40,18 +45,19 @@ from .network import (
 #: Jacobian's sigma_min / sigma_max clears the roundoff threshold by >= 20x on
 #: chains of 12 (100 seeds), by 1.3x at 13, and misses on 11 of 100 at 14
 RANK_MAX_DOF = 12
+#: version of the random protocol of ``event_passes``, recorded in ``simulate``'s summary
+RNG_PROTOCOL = 2
 
 
 @dataclass(frozen=True)
 class EventSchedule:
     """Waiting-time law plus (optionally) an override collision-input law.
 
-    ``tau_law`` must expose ``sample(rng, size=None)``, ``draws(rng)`` (see
+    ``tau_law`` must expose ``sample(rng, size=None)`` (see
     :mod:`oscbath.laws`) and a finite ``mean`` (checked at construction).
     ``xi_law`` is any object with ``sample(rng, size=None)`` returning a
-    collision input matching the model, or a block of ``size`` of them, and
-    ``draws(rng)`` giving the input's xi_dim closures like the model's
-    ``input_draws``; ``None`` means "use the model's own input law".
+    collision input matching the model, or a block of ``size`` of them;
+    ``None`` means "use the model's own input laws".
     """
 
     tau_law: object
@@ -134,10 +140,10 @@ def _input_sampler(model: CollisionModel, sched: EventSchedule):
     return model.sample_input
 
 
-def _input_draws(model: CollisionModel, sched: EventSchedule, rng) -> tuple:
+def _input_laws(model: CollisionModel, sched: EventSchedule) -> tuple:
     if sched.xi_law is not None:
-        return sched.xi_law.draws(rng)
-    return model.input_draws(rng)
+        return (sched.xi_law,)
+    return model.input_laws
 
 
 #: grid rows rotated per block when a pass is sampled on the time grid
@@ -154,6 +160,12 @@ RECORD_MAX_BYTES = 1 << 30
 def record_bytes(net: OscillatorNetwork, model: CollisionModel, n_events: int, n_seeds: int) -> int:
     """Bytes ``event_passes`` holds for n_events per seed: waits, inputs, mode states and jump times."""
     return 8 * n_events * n_seeds * (2 + model.xi_dim + 2 * net.dof)
+
+
+def event_estimate(t_end: float, tau_mean: float) -> int:
+    """Events per seed in [0, t_end] to size for: the expected count, four Poisson deviations and 16."""
+    expected = max(t_end, 0.0) / tau_mean
+    return int(expected + 4.0 * math.sqrt(expected)) + 16
 
 
 def grid_size(t_end: float, sample_dt: float) -> int:
@@ -209,27 +221,46 @@ class EventPass:
             yield t[start - first :], states[start - first :]
 
 
-def _seed_draws(model: CollisionModel, sched: EventSchedule, seed: int, t_end: float, n_steps: int):
-    """(values, count): one seed's events for ``event_passes``, each event's wait then its input."""
-    rng = np.random.default_rng(seed)
-    [draw_tau], draw_xi = sched.tau_law.draws(rng), _input_draws(model, sched, rng)
-    draw_one = draw_xi[0] if len(draw_xi) == 1 else None
-    values = array("d")
-    append = values.append
-    t, k = 0.0, 0
-    while k < n_steps or t <= t_end:
-        tau = draw_tau()
-        if t + tau > t_end and k >= n_steps:
-            break
-        append(tau)
-        if draw_one is not None:
-            append(draw_one())
-        else:
-            for draw in draw_xi:
-                append(draw())
-        t += tau
-        k += 1
-    return values, k
+def _streams(seed: int, n_laws: int) -> list:
+    """One seed's generators: child 0 of ``SeedSequence(seed)`` for the waits, then one per input law."""
+    return [np.random.default_rng(child) for child in np.random.SeedSequence(seed).spawn(1 + n_laws)]
+
+
+def _seed_waits(tau_law, rng, t_end: float, n_steps: int):
+    """(waits, count): one seed's waits, drawn in blocks, and how many of them are events.
+
+    The first block is sized by ``event_estimate``; blocks are added until
+    the waits reach past t_end and number more than n_steps. The events are
+    the waits up to the first whose jump lands past t_end, and at least
+    n_steps of them.
+    """
+    waits = tau_law.sample(rng, size=max(n_steps + 1, event_estimate(t_end, tau_law.mean)))
+    while True:
+        ends = np.cumsum(waits)  # the jump times, as event_passes adds them up
+        if len(waits) > n_steps and ends[-1] > t_end:
+            return waits, max(n_steps, int(np.searchsorted(ends, t_end, side="right")))
+        waits = np.concatenate([waits, tau_law.sample(rng, size=len(waits))])
+
+
+def _draw_events(model: CollisionModel, sched: EventSchedule, seeds: tuple, t_end: float, n_steps: int):
+    """(taus, xis, counts): the seeds' waits (events, seeds), inputs (events, seeds, xi_dim) and counts.
+
+    Each seed's waits come first (``_seed_waits``); once every count k is
+    known, each input law draws a seed's k values in one call, in order
+    across the input's entries. Rows past a seed's count stay zero.
+    """
+    laws = _input_laws(model, sched)
+    streams = [_streams(seed, len(laws)) for seed in seeds]
+    waits, counts = zip(*(_seed_waits(sched.tau_law, rngs[0], t_end, n_steps) for rngs in streams))
+    taus = np.zeros((max(counts), len(seeds)))
+    for s, k in enumerate(counts):
+        taus[:k, s] = waits[s][:k]
+    del waits
+    xis = np.zeros((max(counts), len(seeds), model.xi_dim))
+    for s, k in enumerate(counts):
+        blocks = [law.sample(rng, size=k) for law, rng in zip(laws, streams[s][1:])]
+        xis[:k, s] = np.column_stack(blocks)  # a scalar law's block is one column
+    return taus, xis, counts
 
 
 def _step_seeds(net: OscillatorNetwork, model: CollisionModel, taus, xis, modes) -> None:
@@ -270,29 +301,19 @@ def event_passes(
 ) -> list:
     """The event loop: each seed jumps until its first jump past t_end, and at least n_steps.
 
-    Each seed first draws its events from ``default_rng(seed)``, one waiting
-    time then one input per event; the waiting time past t_end that ends the
-    run is not followed by an input. The draws go through the laws' one-draw
-    closures (``draws``, ``input_draws``), bound once per seed, which return
-    the values of ``sample`` and ``sample_input`` bit for bit. Each seed's
-    values go to one typed array, and once every count is known into (events,
-    seeds) buffers of their final size. Then all seeds step together, one
-    event per step (``_step_seeds``); a seed out of events rides along on a
-    zero wait and a zero input, and those rows are cut off. One
-    ``EventPass`` per seed, in the order given. Aborts for the first listed
-    seed whose state overflows, with the event index: "after event k at
-    t=..." inside [0, t_end], "at step k" beyond it.
+    Each seed draws from its own streams (``_streams``): its waits in blocks
+    (``_seed_waits``), then, once its event count k is known, k inputs with
+    one ``sample(rng, size=k)`` call per input law, each law from its own
+    stream, into (events, seeds) buffers of their final size
+    (``_draw_events``). Then all seeds step together, one event per step
+    (``_step_seeds``); a seed out of events rides along on a zero wait and a
+    zero input, and those rows are cut off. One ``EventPass`` per seed, in
+    the order given. Aborts for the first listed seed whose state overflows,
+    with the event index: "after event k at t=..." inside [0, t_end], "at
+    step k" beyond it.
     """
     _require_dim(net, model)
-    # per seed: one typed array, each event's wait then its input, and the event count
-    draws, counts = zip(*(_seed_draws(model, sched, seed, t_end, n_steps) for seed in seeds))
-    taus = np.zeros((max(counts), len(seeds)))
-    xis = np.zeros((max(counts), len(seeds), model.xi_dim))
-    for s, k in enumerate(counts):
-        rows = np.frombuffer(draws[s]).reshape(k, 1 + model.xi_dim)
-        taus[:k, s], xis[:k, s] = rows[:, 0], rows[:, 1:]
-    del draws, rows  # rows views the last seed's array
-
+    taus, xis, counts = _draw_events(model, sched, seeds, t_end, n_steps)
     modes = np.empty((len(seeds), len(taus) + 1, 2 * net.dof))
     modes[:, 0] = np.concatenate(net.to_modes(psi0.vector))
     _step_seeds(net, model, taus, xis, modes)
@@ -323,8 +344,8 @@ def simulate_embedded(
 ) -> EmbeddedChain:
     """Run the post-collision chain psi_m = J(xi_m; e^{tau_m A} psi_{m-1}).
 
-    Reproducible per seed: one waiting-time draw then one input draw per
-    step. Aborts with the step index if the state overflows.
+    Reproducible per seed, with the draws of ``event_passes``. Aborts with
+    the step index if the state overflows.
     """
     if n_steps < 1:
         raise ValueError("n_steps must be >= 1")

@@ -1,12 +1,14 @@
-"""Test-only reference: former engine code, kept verbatim.
+"""Test-only reference: former engine code, kept verbatim but for its draws.
 
 ``simulate_embedded`` and ``simulate_continuous`` below are the two separate
 loops (and the stepping engine they shared) that ``oscbath.pdmp`` used to
 run, so tests can assert that the single event pass reproduces them bit for
-bit. ``jump`` holds the three one-row jump maps from before the maps took
-stacks, and ``drift_estimate`` / ``verify_contraction`` the Monte Carlo loops
-that kicked one draw per call, with those one-row maps and the mode-space
-energy they used. ``_composed_reachability_map`` and
+bit. They draw under random protocol 2 one value per event, with scalar
+``sample(rng)`` calls (``_draws``), where the engine draws blocks. ``jump``
+holds the three one-row jump maps from before the maps took stacks, and
+``drift_estimate`` / ``verify_contraction`` the Monte Carlo loops that
+kicked one draw per call, with those one-row maps and the mode-space energy
+they used. ``_composed_reachability_map`` and
 ``finite_difference_jacobian`` are the former rank probe's second copy of
 the dynamics (flow through ``propagate``, kick on ``PhaseState`` rows) and
 its finite-difference loop. Nothing in the package imports this module.
@@ -123,6 +125,32 @@ def _input_sampler(model: CollisionModel, sched: EventSchedule):
     return model.sample_input
 
 
+def _draws(model: CollisionModel, sched: EventSchedule, seed: int):
+    """(draw_tau, draw_xi): one wait, one input per call, under random protocol 2.
+
+    ``SeedSequence(seed)`` spawns the waits' stream, then one stream per law
+    of the input's entries: the schedule's override, or the model's laws.
+    """
+    if sched.xi_law is not None:
+        laws = (sched.xi_law,)
+    elif isinstance(model, TwoDimBall):
+        laws = (model.angle_law, model.velocity_law)
+    elif isinstance(model, ContractiveAffine):
+        laws = (model.noise_law,)
+    else:
+        laws = (model.velocity_law,)
+    tau_rng, *xi_rngs = [np.random.default_rng(child)
+                         for child in np.random.SeedSequence(seed).spawn(1 + len(laws))]
+
+    def draw_tau():
+        return float(sched.tau_law.sample(tau_rng))
+
+    def draw_xi():
+        return np.concatenate([np.atleast_1d(law.sample(rng)) for law, rng in zip(laws, xi_rngs)])
+
+    return draw_tau, draw_xi
+
+
 def simulate_embedded(
     net: OscillatorNetwork,
     model: CollisionModel,
@@ -139,8 +167,7 @@ def simulate_embedded(
     if n_steps < 1:
         raise ValueError("n_steps must be >= 1")
     engine = _EigenEngine(net, model)
-    draw_xi = _input_sampler(model, sched)
-    rng = np.random.default_rng(seed)
+    draw_tau, draw_xi = _draws(model, sched, seed)
     qh, ph = engine.eigen_coords(psi0)
     dof = net.dof
     states = np.empty((n_steps + 1, 2 * dof))
@@ -149,9 +176,9 @@ def simulate_embedded(
     states[0, dof:] = ph
     t = 0.0
     for m in range(1, n_steps + 1):
-        tau = float(sched.tau_law.sample(rng))
+        tau = draw_tau()
         qh, ph = engine.flow(qh, ph, tau)
-        ph = engine.kick(ph, draw_xi(rng))
+        ph = engine.kick(ph, draw_xi())
         if not np.all(np.isfinite(ph)) or not np.all(np.isfinite(qh)):
             raise NumericalAbort(f"non-finite state at step {m}")
         t += tau
@@ -182,8 +209,7 @@ def simulate_continuous(
     if not 0 < sample_dt <= t_end:
         raise ValueError("need 0 < sample_dt <= t_end")
     engine = _EigenEngine(net, model)
-    draw_xi = _input_sampler(model, sched)
-    rng = np.random.default_rng(seed)
+    draw_tau, draw_xi = _draws(model, sched, seed)
     qh, ph = engine.eigen_coords(psi0)
     dof = net.dof
     n_samples = int(np.floor(t_end / sample_dt + 1e-12)) + 1
@@ -194,7 +220,7 @@ def simulate_continuous(
     idx = 0
     events = 0
     while True:
-        tau = float(sched.tau_law.sample(rng))
+        tau = draw_tau()
         t_next = t_cur + tau
         hi = int(np.searchsorted(times, t_next, side="left"))
         if hi > idx:
@@ -205,7 +231,7 @@ def simulate_continuous(
         if t_next > t_end:
             break
         qh, ph = engine.flow(qh, ph, tau)
-        ph = engine.kick(ph, draw_xi(rng))
+        ph = engine.kick(ph, draw_xi())
         events += 1
         if not np.all(np.isfinite(ph)) or not np.all(np.isfinite(qh)):
             raise NumericalAbort(

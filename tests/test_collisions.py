@@ -137,13 +137,6 @@ def test_input_block_equals_single_draws(name):
     assert block.shape == singles.shape == (500, model.xi_dim)
     assert np.array_equal(block, singles)
     assert block_rng.bit_generator.state == single_rng.bit_generator.state
-    # the one-draw closures, xi_dim of them in draw order: the same bits
-    closure_rng = np.random.default_rng(11)
-    draws = model.input_draws(closure_rng)
-    assert len(draws) == model.xi_dim
-    closures = np.array([[draw() for draw in draws] for _ in range(500)])
-    assert np.array_equal(closures.view(np.uint64), singles.view(np.uint64))
-    assert closure_rng.bit_generator.state == single_rng.bit_generator.state
 
 
 positive = st.floats(min_value=0.05, max_value=20.0, allow_nan=False)
@@ -160,21 +153,22 @@ any_law = st.one_of(
 
 
 @settings(max_examples=200, deadline=None)
-@given(st.lists(any_law, min_size=1, max_size=5), st.lists(st.integers(0, 4), max_size=40),
+@given(any_law, st.integers(0, 300).flatmap(lambda n: st.tuples(st.just(n), st.integers(0, n))),
        st.integers(0, 2**63))
-def test_law_closures_interleaved_equal_sample_calls_bit_for_bit(laws, order, seed):
-    # each law's closures bound once to one generator, called in a random
-    # interleaving, against sample(rng) calls in the same order on a twin
-    closure_rng, sample_rng = np.random.default_rng(seed), np.random.default_rng(seed)
-    bound = [law.draws(closure_rng) for law in laws]
-    got, want = [], []
-    for i in order:
-        got += [draw() for draw in bound[i % len(laws)]]
-        want += list(np.atleast_1d(laws[i % len(laws)].sample(sample_rng)))
-    assert all(isinstance(x, float) for x in got)
-    assert np.array_equal(np.array(got, dtype=float).view(np.uint64),
-                          np.array(want, dtype=float).view(np.uint64))
-    assert closure_rng.bit_generator.state == sample_rng.bit_generator.state
+def test_law_block_equals_split_blocks_and_scalar_calls_bit_for_bit(law, sizes, seed):
+    # the event loop draws each stream in blocks of its own sizing, so a
+    # block of n must be any split of it into two blocks, and n scalar
+    # calls, bit for bit, leaving the generator in the same state
+    n, n1 = sizes
+    block_rng, split_rng, scalar_rng = (np.random.default_rng(seed) for _ in range(3))
+    block = law.sample(block_rng, size=n)
+    split = np.concatenate([law.sample(split_rng, size=n1), law.sample(split_rng, size=n - n1)])
+    scalars = np.array([law.sample(scalar_rng) for _ in range(n)], dtype=float).reshape(block.shape)
+    assert block.dtype == split.dtype == np.float64
+    assert np.array_equal(split.view(np.uint64), block.view(np.uint64))
+    assert np.array_equal(scalars.view(np.uint64), block.view(np.uint64))
+    assert block_rng.bit_generator.state == split_rng.bit_generator.state
+    assert scalar_rng.bit_generator.state == block_rng.bit_generator.state
 
 
 # --- pair collision invariants -------------------------------------------------

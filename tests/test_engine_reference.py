@@ -1,7 +1,9 @@
 """The engine against the code it replaced, kept in ``_reference_engine``.
 
-The single event pass must reproduce the former ``simulate_embedded`` and
-``simulate_continuous`` loops exactly (``np.array_equal``): grid blocks,
+The single event pass, which draws each seed's waits and inputs in blocks,
+must reproduce the former ``simulate_embedded`` and ``simulate_continuous``
+loops, which draw the same streams one value per event, exactly
+(``np.array_equal``): grid blocks,
 chain states, jump times and event counts, and abort on the same event with
 the same message, also at the edges of the loop's ``STEP_BLOCK`` blocks and
 with seeds riding along after their last event. A jump applied to terms
@@ -44,6 +46,7 @@ from oscbath.pdmp import (
     _kick,
     _kick_rows,
     drift_estimate,
+    event_estimate,
     event_passes,
     grid_size,
     reachability_jacobian,
@@ -114,11 +117,8 @@ class FixedTau:
         self.value = value
         self.mean = value
 
-    def sample(self, rng, size=None):  # the reference loops' seam
-        return self.value
-
-    def draws(self, rng):  # the engine's seam
-        return (lambda: self.value,)
+    def sample(self, rng, size=None):
+        return self.value if size is None else np.full(size, self.value)
 
 
 class MisstatedMean:
@@ -131,16 +131,13 @@ class MisstatedMean:
     def sample(self, rng, size=None):
         return self.law.sample(rng, size)
 
-    def draws(self, rng):
-        return self.law.draws(rng)
-
 
 class InfAt:
-    """The model's own input law, except that input ``k`` has an infinite last entry.
+    """The model's own inputs from one stream, except that input ``k`` has an infinite last entry.
 
     The last entry is a velocity component for every model, never the ball's
-    impact angle, so the kick itself overflows the state. ``sample`` serves
-    the reference loops, ``draws`` the engine.
+    impact angle, so the kick itself overflows the state. The reference
+    loops draw one input per call, the engine a block of them.
     """
 
     def __init__(self, model, k):
@@ -148,22 +145,13 @@ class InfAt:
         self.k = k
         self.inputs = 0
 
-    def sample(self, rng):
-        self.inputs += 1
-        xi = self.model.sample_input(rng)
-        if self.inputs == self.k:
-            xi[-1] = np.inf
+    def sample(self, rng, size=None):
+        xi = self.model.sample_input(rng, size)
+        rows = np.atleast_2d(xi)  # a view: one row per input
+        first, self.inputs = self.inputs, self.inputs + len(rows)
+        if first < self.k <= self.inputs:
+            rows[self.k - 1 - first, -1] = np.inf
         return xi
-
-    def draws(self, rng):
-        *first, last = self.model.input_draws(rng)
-
-        def last_entry():
-            self.inputs += 1
-            value = last()
-            return np.inf if self.inputs == self.k else value
-
-        return (*first, last_entry)
 
 
 def _assert_run_matches(run, net, model, sched, psi0, t_end, dt, n_steps):
@@ -240,7 +228,8 @@ def test_jump_arrays_grow_past_the_expected_count(pairing):
     net, model, tau_law = PAIRINGS[pairing]()
     sched = EventSchedule(tau_law=MisstatedMean(tau_law))
     run, _ = _assert_same(net, model, sched, _psi0(net), 200.0, 0.25, 30, seed=2)
-    assert run.events > 16 + 200.0 / sched.tau_law.mean + 1
+    # the waits' stream is extended at least twice past its first block
+    assert run.events > 2 * max(30 + 1, event_estimate(200.0, sched.tau_law.mean))
 
 
 @pytest.mark.parametrize("pairing", sorted(PAIRINGS))
@@ -276,9 +265,12 @@ def _reference_seed(net, model, sched_for, psi0, t_end, dt, n_steps):
 @pytest.mark.parametrize("pairing", sorted(PAIRINGS))
 @pytest.mark.parametrize("k", [1, 3, 30])
 def test_abort_reports_the_same_event(pairing, k):
-    # k = 30 lies past t_end = 8 and inside the 40-step chain
+    # k = 1 lies inside [0, t_end = 8] and k = 30 past it, inside the 40-step chain;
+    # k = 3 lies on either side, by the seed's event count
     net, model, tau_law = PAIRINGS[pairing]()
     psi0 = _psi0(net)
+    events = ref.simulate_continuous(net, model, EventSchedule(tau_law), psi0, 8.0, 0.25, 4).events
+    assert 1 <= events < 30
 
     def sched():
         return EventSchedule(tau_law=tau_law, xi_law=InfAt(model, k))
@@ -286,7 +278,7 @@ def test_abort_reports_the_same_event(pairing, k):
     expected = _message(lambda: _reference_seed(net, model, sched, psi0, 8.0, 0.25, 40))
     got = _message(lambda: event_passes(net, model, sched(), psi0, 8.0, 40, (4,)))
     assert got == expected
-    if k <= 3:
+    if k <= events:
         assert got == _message(
             lambda: ref.simulate_continuous(net, model, sched(), psi0, 8.0, 0.25, 4)
         )

@@ -36,18 +36,18 @@ class FixedTau:
         self.value = value
         self.mean = max(value, 1e-12)
 
-    def draws(self, rng):
-        return (lambda: self.value,)
+    def sample(self, rng, size=None):
+        return self.value if size is None else np.full(size, self.value)
 
 
 class FixedXi:
     """Deterministic collision inputs (test stub)."""
 
     def __init__(self, values):
-        self.values = [float(v) for v in np.atleast_1d(values)]
+        self.values = np.atleast_1d(np.asarray(values, dtype=float))
 
-    def draws(self, rng):
-        return tuple(lambda v=v: v for v in self.values)
+    def sample(self, rng, size=None):
+        return self.values.copy() if size is None else np.tile(self.values, (size, 1))
 
 
 def chain3(mass=1.0):
@@ -192,8 +192,8 @@ class MisstatedMean:
 
     mean = 50.0
 
-    def draws(self, rng):
-        return Exponential(rate=1.0).draws(rng)
+    def sample(self, rng, size=None):
+        return Exponential(rate=1.0).sample(rng, size)
 
 
 @pytest.mark.parametrize("model, dim", [
