@@ -49,14 +49,13 @@ from .network import (
 from .pdmp import (
     EmbeddedChain,
     EventSchedule,
+    Moments,
     Trajectory,
     drift_estimate,
-    empirical_covariance,
     jacobian_rank_probe,
     reachability_jacobian,
     simulate_continuous,
     simulate_embedded,
-    time_average,
 )
 from .spectral import (
     check_rational_independence,
@@ -79,6 +78,7 @@ __all__ = [
     "GaussianVelocity",
     "IsotropicGaussianVector",
     "MomentParams",
+    "Moments",
     "NumericalAbort",
     "OneDimElastic",
     "OscillatorNetwork",
@@ -96,7 +96,6 @@ __all__ = [
     "covariance_rhs",
     "decompose",
     "drift_estimate",
-    "empirical_covariance",
     "energy",
     "flow_matrix",
     "generator_matrix",
@@ -115,7 +114,6 @@ __all__ = [
     "simulate_continuous",
     "simulate_embedded",
     "stationarity_residual",
-    "time_average",
     "two_ball_pair_update",
     "verify_contraction",
 ]

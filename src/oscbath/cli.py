@@ -24,7 +24,7 @@ import numpy as np
 
 from . import __version__
 from .collisions import OneDimElastic, TwoDimBall
-from .config import ExperimentConfig, load_config
+from .config import MAX_SEEDS, ExperimentConfig, load_config
 from .covariance import (
     MAX_DOF,
     MomentParams,
@@ -46,6 +46,7 @@ from .pdmp import (
     RANK_MAX_DOF,
     RNG_PROTOCOL,
     EventPass,
+    Moments,
     drift_estimate,
     event_passes,
     grid_size,
@@ -123,42 +124,25 @@ def _report(cfg: ExperimentConfig, command: str, fields: dict, checks: dict,
 # ---------------------------------------------------------------------------
 
 
-def _seed_stats(cfg: ExperimentConfig, run: EventPass, csv=None) -> dict:
-    """Grid sums and chain statistics of one seed; each grid block also goes to ``csv``, if open."""
-    net, dof = cfg.network, cfg.network.dof
-    n, sum_x, sum_xx, sum_energy = 0, 0.0, 0.0, 0.0  # sum_x and sum_xx become arrays
+def _seed_stats(cfg: ExperimentConfig, run: EventPass, csv=None) -> tuple:
+    """One seed's summary entry and grid ``Moments``; the grid also goes to ``csv``, if open."""
+    net = cfg.network
+    moments = Moments()
     for times, states in run.trajectory(cfg.sample_dt, grid_size(cfg.t_end, cfg.sample_dt)):
         if csv is not None:
             trajectory_to_csv(csv, times, states)
-        x = states[np.searchsorted(times, cfg.burn_in):]  # samples at t >= burn_in
-        n += x.shape[0]
-        sum_x += x.sum(axis=0)
-        sum_xx += x.T @ x
-        sum_energy += energies(net, x).sum()
+        moments += Moments.of(net, states[np.searchsorted(times, cfg.burn_in):])  # t >= burn_in
     chain = run.chain(cfg.n_steps)
-    chain_energy = energies(net, chain.states)
     return {
         "seed": run.seed,
         "events": run.events,
-        "n_samples": n,
-        "sum_x": sum_x,
-        "sum_xx": sum_xx,
-        "mean_energy": float(sum_energy / n),
-        "mean_p1": float(sum_x[dof] / n),
+        "n_samples": moments.n,
+        "mean_energy": moments.mean_energy,
+        "mean_p1": float(moments.mean[net.dof]),
         "chain_steps": cfg.n_steps,
-        "chain_mean_energy": float(chain_energy[cfg.n_steps // 10 :].mean()),
+        "chain_mean_energy": float(energies(net, chain.states)[cfg.n_steps // 10 :].mean()),
         "chain_final_time": float(chain.jump_times[-1]),
-    }
-
-
-def _merge_stats(per_seed: list) -> dict:
-    """Pool per-seed accumulators (associative: plain sums of sufficient stats)."""
-    n_total = sum(s["n_samples"] for s in per_seed)
-    sum_x = sum(s["sum_x"] for s in per_seed)
-    sum_xx = sum(s["sum_xx"] for s in per_seed)
-    mean = sum_x / n_total
-    cov = sum_xx / n_total - np.outer(mean, mean)
-    return {"n_samples": n_total, "mean": mean, "covariance": cov}
+    }, moments
 
 
 def run_simulate(cfg: ExperimentConfig, out_dir: Path | None, workers: int = 1) -> dict:
@@ -168,14 +152,14 @@ def run_simulate(cfg: ExperimentConfig, out_dir: Path | None, workers: int = 1) 
     runs = event_passes(cfg.network, cfg.model, cfg.schedule, cfg.psi0, cfg.t_end,
                         cfg.n_steps, cfg.seeds)
     if out_dir is None:
-        per_seed = [_seed_stats(cfg, run) for run in runs]
+        stats = [_seed_stats(cfg, run) for run in runs]
     else:  # trajectory.csv holds the first listed seed's grid, written as it is reduced
         out_dir.mkdir(parents=True, exist_ok=True)
         with open(out_dir / "trajectory.csv", "w") as csv:
-            per_seed = [_seed_stats(cfg, runs[0], csv)]
-        per_seed += [_seed_stats(cfg, run) for run in runs[1:]]
-    per_seed.sort(key=lambda s: s["seed"])
-    pooled = _merge_stats(per_seed)
+            stats = [_seed_stats(cfg, runs[0], csv)]
+        stats += [_seed_stats(cfg, run) for run in runs[1:]]
+    per_seed, seed_moments = zip(*sorted(stats, key=lambda s: s[0]["seed"]))
+    pooled = sum(seed_moments, Moments())  # a left fold in seed order, which fixes the bits
 
     comparison = None
     checks = {}
@@ -183,12 +167,12 @@ def run_simulate(cfg: ExperimentConfig, out_dir: Path | None, workers: int = 1) 
         params = _moment_params(cfg)
         beta = beta_from_params(params)
         target = gibbs_covariance(cfg.network, beta)
-        diff = pooled["covariance"] - target
+        diff = pooled.covariance - target
         diag = np.diag(target)
         max_rel = float(np.abs(np.diag(diff) / diag).max())
         std_err = max_z = None  # one seed has no spread to compare against
         if len(per_seed) > 1:
-            seed_covs = np.array([_merge_stats([s])["covariance"] for s in per_seed])
+            seed_covs = np.array([m.covariance for m in seed_moments])
             std_err = seed_covs.std(axis=0, ddof=1) / math.sqrt(len(per_seed))
             with np.errstate(divide="ignore", invalid="ignore"):
                 z = np.abs(diff) / std_err
@@ -206,10 +190,8 @@ def run_simulate(cfg: ExperimentConfig, out_dir: Path | None, workers: int = 1) 
         }
     fields = {
         "rng_protocol": RNG_PROTOCOL,
-        "per_seed": [
-            {k: v for k, v in s.items() if k not in ("sum_x", "sum_xx")} for s in per_seed
-        ],
-        "pooled": pooled,
+        "per_seed": list(per_seed),
+        "pooled": {"n_samples": pooled.n, "mean": pooled.mean, "covariance": pooled.covariance},
         "comparison": comparison,
     }
     return _report(cfg, "simulate", fields, checks, out_dir, "summary.json")
@@ -467,15 +449,19 @@ COMMANDS = {
 }
 
 
-def _parse_seed_range(text: str):
+def _parse_seed_range(text: str) -> tuple:
+    """``--seeds``: 'a..b' inclusive, refused unbuilt over ``MAX_SEEDS`` seeds, or a comma list."""
     try:
         if ".." in text:
-            lo, hi = text.split("..", 1)
-            return tuple(range(int(lo), int(hi) + 1))
+            lo, hi = (int(s) for s in text.split("..", 1))
+            if hi - lo + 1 > MAX_SEEDS:
+                raise argparse.ArgumentTypeError(
+                    f"{text!r} names {hi - lo + 1} seeds; no config loads more than {MAX_SEEDS}")
+            return tuple(range(lo, hi + 1))
         return tuple(int(s) for s in text.split(","))
     except ValueError:
-        raise ConfigError(
-            f"--seeds {text!r}: expected 'a..b' (inclusive) or a comma list of integers"
+        raise argparse.ArgumentTypeError(
+            f"{text!r}: expected 'a..b' (inclusive) or a comma list of integers"
         ) from None
 
 
@@ -499,6 +485,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--out", default=None, help="output directory")
         p.add_argument(
             "--seeds",
+            type=_parse_seed_range,
             default=None,
             help="override run.seeds: 'a..b' inclusive or comma list",
         )
@@ -523,9 +510,8 @@ def main(argv=None) -> int:
         except (OSError, UnicodeDecodeError) as exc:
             raise ConfigError(str(exc)) from exc
         if args.seeds is not None:
-            seeds = list(_parse_seed_range(args.seeds))
             if isinstance(raw, dict) and isinstance(raw.get("run", {}), dict):
-                raw.setdefault("run", {})["seeds"] = seeds
+                raw.setdefault("run", {})["seeds"] = list(args.seeds)
         runner, flags = COMMANDS[args.command]
         result = runner(load_config(raw), out_dir, **{f: getattr(args, f) for f in flags})
     except (ConfigError, json.JSONDecodeError) as exc:

@@ -46,6 +46,9 @@ from .spectral import random_pd_matrix
 
 
 _REQUIRED = object()
+#: most seeds a config can load: each seed's event record holds at least 16 events
+#: (``event_estimate``) of at least 5 doubles (``record_bytes``), within ``RECORD_MAX_BYTES``
+MAX_SEEDS = RECORD_MAX_BYTES // (16 * 5 * 8)
 
 
 def _field(mapping, key: str, where: str, default=_REQUIRED):

@@ -26,9 +26,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .csvfmt import write_csv_rows
 from .errors import NumericalAbort
 from .network import OscillatorNetwork, PhaseState, energy, generator_matrix
-from .pdmp import write_csv_rows
 
 #: relative slack for the positive-semidefiniteness guard on every sample
 PSD_GUARD_TOL = 1e-8
@@ -439,7 +439,7 @@ def lyapunov_to_csv(
     ``lyapunov_functional`` at each of ``traj.matrices``.
 
     The bytes are those of ``np.savetxt(..., fmt="%.17g", delimiter=",")``,
-    formatted by the trajectory writer's ``csv_rows``.
+    formatted by ``csvfmt.csv_rows``.
     """
     dof = net.dof
     q11 = traj.matrices[:, 0, 0]

@@ -8,7 +8,6 @@ import pytest
 
 from oscbath import cli
 from oscbath.cli import (
-    _merge_stats,
     _seed_stats,
     main,
     run_covariance,
@@ -22,7 +21,7 @@ from oscbath.config import load_config
 from oscbath.errors import ConfigError, NumericalAbort
 from oscbath.laws import GaussianVelocity
 from oscbath.network import chain_stiffness
-from oscbath.pdmp import event_passes
+from oscbath.pdmp import Moments, event_passes
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
@@ -189,15 +188,18 @@ def test_summary_config_roundtrip_reproduces_run(tmp_path):
     )
 
 
-def test_merge_stats_associative():
-    cfg = load_config(base_config(seeds=[0, 1, 2]))
+def test_pooled_is_the_left_fold_of_the_seeds_moments_in_seed_order():
+    # the summary's bits rest on this summation order
+    cfg = load_config(base_config(seeds=[2, 0, 1]))
     runs = event_passes(cfg.network, cfg.model, cfg.schedule, cfg.psi0, cfg.t_end,
                         cfg.n_steps, cfg.seeds)
-    stats = [_seed_stats(cfg, run) for run in runs]
-    forward = _merge_stats(stats)
-    reverse = _merge_stats(stats[::-1])
-    assert np.abs(forward["covariance"] - reverse["covariance"]).max() <= 1e-12
-    assert forward["n_samples"] == reverse["n_samples"]
+    folded = Moments()
+    for run in sorted(runs, key=lambda run: run.seed):
+        folded += _seed_stats(cfg, run)[1]
+    pooled = run_simulate(cfg, None)["pooled"]
+    assert pooled["n_samples"] == folded.n
+    assert pooled["mean"].tobytes() == folded.mean.tobytes()
+    assert pooled["covariance"].tobytes() == folded.covariance.tobytes()
 
 
 def test_simulate_batch_equals_its_single_seed_runs(tmp_path):
@@ -635,8 +637,9 @@ def test_shipped_configs_load_within_the_record_bound():
     ["simulate", "--config", str(CONFIGS / "chain3.json"), "--workers", "two"],
     ["simulate", "--config", str(CONFIGS / "chain3.json"), "--bogus"],
     ["no-such-command", "--config", str(CONFIGS / "chain3.json")],
+    ["simulate", "--config", str(CONFIGS / "chain3.json"), "--seeds", "0..1000000000000000"],
 ], ids=["negative-range-read-as-flag", "no-config", "no-command", "bad-int", "unknown-flag",
-        "unknown-command"])
+        "unknown-command", "range-too-long-to-build"])
 def test_cli_argument_errors_exit_2_with_one_json_line(capsys, argv):
     assert main(argv) == 2
     captured = capsys.readouterr()

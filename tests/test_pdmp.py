@@ -8,24 +8,21 @@ from hypothesis.extra.numpy import arrays
 
 from oscbath.collisions import ContractiveAffine, OneDimElastic, TwoDimBall
 from oscbath.covariance import beta_from_params, MomentParams
+from oscbath.csvfmt import CSV_ROWS, csv_rows, write_csv_rows
 from oscbath.errors import NumericalAbort
 from oscbath.laws import Exponential, GammaLaw, GaussianVelocity, UniformPositive
 from oscbath.network import OscillatorNetwork, PhaseState, chain_stiffness, energy, propagate
 from oscbath.pdmp import (
-    CSV_ROWS,
     EventSchedule,
-    csv_rows,
+    Moments,
     drift_estimate,
-    empirical_covariance,
     event_passes,
     jacobian_rank_probe,
     reachability_jacobian,
     record_bytes,
     simulate_continuous,
     simulate_embedded,
-    time_average,
     trajectory_to_csv,
-    write_csv_rows,
 )
 
 
@@ -258,17 +255,37 @@ def test_event_passes_holds_no_python_float_per_draw_on_ball_shapes():
 # --- observables ---------------------------------------------------------------
 
 
-def test_time_average_constant():
-    net, model, sched = elastic_setup()
-    traj = simulate_continuous(net, model, sched, PhaseState.zero(3), 20.0, 0.5, seed=0)
-    assert time_average(traj, lambda s: 3.25, burn_in=2.0) == pytest.approx(3.25)
+#: phase-vector entries; below 1e-100 in magnitude a square underflows the tolerances' scale
+moment_entries = st.floats(-1e3, 1e3).map(lambda v: v if abs(v) >= 1e-100 else 0.0)
 
 
-def test_time_average_window_validation():
-    net, model, sched = elastic_setup()
-    traj = simulate_continuous(net, model, sched, PhaseState.zero(3), 10.0, 0.5, seed=0)
-    with pytest.raises(ValueError):
-        time_average(traj, lambda s: 1.0, burn_in=50.0)
+@settings(max_examples=200, deadline=None)
+@given(arrays(np.float64, st.tuples(st.integers(1, 60), st.just(6)), elements=moment_entries),
+       st.data())
+def test_moments_fold_matches_one_block(x, data):
+    # blocks split at random points and merged in any order give one block's
+    # count exactly, its sums to within 1e-12 of the magnitudes summed, and
+    # np.cov's covariance to within 1e-12 of the columns' root mean squares
+    net = chain3()
+    cuts = sorted(data.draw(st.lists(st.integers(0, len(x)), max_size=6)))
+    blocks = [Moments.of(net, rows) for rows in np.split(x, cuts)]
+    whole, abs_x = Moments.of(net, x), np.abs(x)
+    reference, rms = np.cov(x, rowvar=False, bias=True), np.sqrt(np.mean(x * x, axis=0))
+    for order in (blocks, data.draw(st.permutations(blocks))):
+        acc = sum(order, Moments())
+        assert acc.n == whole.n == len(x)
+        assert np.all(np.abs(acc.sum_x - whole.sum_x) <= 1e-12 * abs_x.sum(axis=0))
+        assert np.all(np.abs(acc.sum_xx - whole.sum_xx) <= 1e-12 * (abs_x.T @ abs_x))
+        assert abs(acc.sum_energy - whole.sum_energy) <= 1e-12 * whole.sum_energy
+        assert np.all(np.abs(acc.covariance - reference) <= 1e-12 * np.outer(rms, rms))
+
+
+def test_moments_without_samples_raise():
+    net = chain3()
+    for empty in (Moments(), Moments.of(net, np.empty((0, 6))), Moments() + Moments()):
+        for name in ("mean", "covariance", "mean_energy"):
+            with pytest.raises(ValueError):
+                getattr(empty, name)
 
 
 def test_long_run_matches_gibbs_moments():
@@ -276,8 +293,8 @@ def test_long_run_matches_gibbs_moments():
     params = MomentParams(lam=1.0, alpha=1.0 / 3.0, sigma2=1.0, mass=1.0)
     beta = beta_from_params(params)
     traj = simulate_continuous(net, model, sched, PhaseState.zero(3), 5000.0, 0.25, seed=11)
-    p1_avg = time_average(traj, lambda s: s.p[0], burn_in=500.0)
-    h_avg = time_average(traj, lambda s: energy(net, s), burn_in=500.0)
+    moments = Moments.of(net, traj.states[traj.times >= 500.0])
+    p1_avg, h_avg = moments.mean[net.dof], moments.mean_energy
     assert abs(p1_avg) < 0.1
     # equipartition: E H = dof / beta
     assert abs(h_avg - net.dof / beta) < 0.2
@@ -298,15 +315,6 @@ def test_stationary_momentum_variance_is_law_independent():
     mask = traj.times >= 400.0
     var_p1 = traj.states[mask, 3].var()
     assert abs(var_p1 - target) <= 0.12 * target
-
-
-def test_empirical_covariance_merges():
-    net, model, sched = elastic_setup()
-    traj = simulate_continuous(net, model, sched, PhaseState.zero(3), 50.0, 0.5, seed=0)
-    mean, cov, n = empirical_covariance(traj, burn_in=5.0)
-    assert n == np.sum(traj.times >= 5.0)
-    assert cov.shape == (6, 6)
-    assert np.allclose(cov, cov.T)
 
 
 # --- drift --------------------------------------------------------------------
