@@ -49,6 +49,7 @@ from .pdmp import (
     Moments,
     drift_estimate,
     event_passes,
+    grid_index,
     grid_size,
     jacobian_rank_probe,
     # unused here; perfbench/tracing.py probes both by these names
@@ -125,19 +126,27 @@ def _report(cfg: ExperimentConfig, command: str, fields: dict, checks: dict,
 
 
 def _seed_stats(cfg: ExperimentConfig, run: EventPass, csv=None) -> tuple:
-    """One seed's summary entry and grid ``Moments``; the grid also goes to ``csv``, if open."""
+    """One seed's summary entry and ``Moments`` of its grid from burn-in on.
+
+    The rows are summed in mode coordinates and the sums mapped to physical ones
+    once. The whole grid also goes to ``csv``, if open; without it the rows
+    before burn-in are not computed.
+    """
     net = cfg.network
+    first = 0 if csv is not None else grid_index(cfg.burn_in, cfg.sample_dt)
     moments = Moments()
-    for times, states in run.trajectory(cfg.sample_dt, grid_size(cfg.t_end, cfg.sample_dt)):
+    for times, modes, states in run.trajectory(cfg.sample_dt, grid_size(cfg.t_end, cfg.sample_dt),
+                                               first, physical=csv is not None):
         if csv is not None:
             trajectory_to_csv(csv, times, states)
-        moments += Moments.of(net, states[np.searchsorted(times, cfg.burn_in):])  # t >= burn_in
+        moments += Moments.of(modes[np.searchsorted(times, cfg.burn_in):])  # t >= burn_in
+    moments = moments.from_modes(net)
     chain = run.chain(cfg.n_steps)
     return {
         "seed": run.seed,
         "events": run.events,
         "n_samples": moments.n,
-        "mean_energy": moments.mean_energy,
+        "mean_energy": moments.mean_energy(net),
         "mean_p1": float(moments.mean[net.dof]),
         "chain_steps": cfg.n_steps,
         "chain_mean_energy": float(energies(net, chain.states)[cfg.n_steps // 10 :].mean()),

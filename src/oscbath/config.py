@@ -266,6 +266,10 @@ def load_config(source) -> ExperimentConfig:
                           f"k*run.sample_dt in [0, run.t_end]")
     if n_steps < 1:
         raise ConfigError("run.n_steps must be >= 1")
+    least = max(2, event_estimate(0.0, schedule.tau_law.mean))  # the smallest record a seed needs
+    if record_bytes(net, model, least, len(seeds)) > RECORD_MAX_BYTES:
+        raise ConfigError(f"run.seeds lists {len(seeds)} seeds, more than {RECORD_MAX_BYTES} bytes "
+                          f"of event record at even {least} events per seed")
     if record_bytes(net, model, n_steps, len(seeds)) > RECORD_MAX_BYTES:
         raise ConfigError(f"run.n_steps = {n_steps} needs more than {RECORD_MAX_BYTES} bytes "
                           f"of event record for {len(seeds)} seeds")

@@ -2,8 +2,10 @@
 
 import numpy as np
 
-#: rows per ``csv_rows`` call; its scratch is a few word arrays of this many rows
-CSV_ROWS = 256
+#: values per ``csv_rows`` call in ``write_csv_rows``, which takes max(1, CSV_VALUES // columns)
+#: rows at a time: 256 rows of a 25-column CSV. The call's scratch is a few word arrays of this
+#: many values; on fewer values per call, its fixed numpy overhead dominates
+CSV_VALUES = 6400
 
 _ONES = np.uint64(0x0101010101010101)
 #: |x| in [1e-11, 2**52) is formatted in numpy; other nonzero values by Python
@@ -79,7 +81,7 @@ def _digit_word(v):
 def csv_rows(rows: np.ndarray) -> bytes:
     """The rows of a 2-D float array as ``",".join(["%.17g"] * cols) % tuple(row) + "\n"`` formats them.
 
-    Exact and vectorised, for at most ``CSV_ROWS`` rows per call. Each |x| in
+    Exact and vectorised, for about ``CSV_VALUES`` values per call. Each |x| in
     [1e-11, 2**52) gets its 17 significant digits D = round(|x| 10**(16 - X)),
     half to even, by integer arithmetic on its mantissa (``_scaled``). The
     decimal exponent X is guessed from ``log10`` and corrected from the
@@ -154,5 +156,6 @@ def csv_rows(rows: np.ndarray) -> bytes:
 
 def write_csv_rows(out, data: np.ndarray) -> None:
     """Append the rows of ``data`` to the open text file ``out``, formatted by ``csv_rows``."""
-    for start in range(0, len(data), CSV_ROWS):
-        out.write(csv_rows(data[start : start + CSV_ROWS]).decode("ascii"))
+    rows = max(1, CSV_VALUES // data.shape[1])
+    for start in range(0, len(data), rows):
+        out.write(csv_rows(data[start : start + rows]).decode("ascii"))

@@ -14,7 +14,9 @@ post-jump states; each seed's grid samples, block by block, and its embedded
 chain are read off that one record. The loop computes the rotation angles'
 cosines and sines and the collision model's input-only jump terms for a
 block of steps at once, so each step does only the work that needs the
-state. ``Moments`` sums the grid samples for their time-averaged moments.
+state. ``Moments`` sums the grid samples for their time-averaged moments:
+in mode coordinates, from burn-in on, with the sums mapped to physical
+coordinates once per seed. Only the rows written out are transformed back.
 
 Random protocol (``RNG_PROTOCOL``): each seed's ``SeedSequence(seed)``
 spawns one stream for the waiting times and one per input law, and each
@@ -174,6 +176,16 @@ def grid_size(t_end: float, sample_dt: float) -> int:
     return int(np.floor(t_end / sample_dt + 1e-12)) + 1
 
 
+def grid_index(t: float, sample_dt: float) -> int:
+    """The first k with k*sample_dt >= t, by the product that gives the grid's times."""
+    k = max(0, math.ceil(t / sample_dt))
+    while k > 0 and (k - 1) * sample_dt >= t:
+        k -= 1
+    while k * sample_dt < t:
+        k += 1
+    return k
+
+
 @dataclass(frozen=True, eq=False)
 class EventPass:
     """Mode-space states right after each jump of one seeded run.
@@ -198,28 +210,35 @@ class EventPass:
             states=states, jump_times=self.times[1 : n_steps + 1].copy(), seed=self.seed
         )
 
-    def trajectory(self, sample_dt: float, size: int):
-        """Right-continuous (times, states) blocks on the grid k*sample_dt, k < size, in [0, t_end].
+    def trajectory(self, sample_dt: float, size: int, first: int = 0, physical: bool = False):
+        """Right-continuous grid blocks (times, modes, states) at k*sample_dt, first <= k < size.
 
-        Each block of grid times finds its last jump at or before it with one
-        ``searchsorted`` and rotates that jump's state forward. Every block is
-        computed on min(GRID_BLOCK, size) rows, so each row's transform back to
-        physical coordinates is the same matrix product whatever the grid length;
-        the last block overlaps its predecessor and yields only its new rows.
+        ``modes`` holds the eigen-coordinates (qh, ph) of the state at each grid
+        time: each block of grid times finds its last jump at or before it with
+        one ``searchsorted`` and rotates that jump's state forward, one
+        ``_mode_flow`` per row, so a row's bits do not depend on its block.
+        ``states`` holds the same rows in physical coordinates if ``physical``,
+        else None. The grid is cut into windows of min(GRID_BLOCK, size) rows,
+        the last overlapping its predecessor, and each physical block is the
+        transform of its whole window, so a row's transform back is the same
+        matrix product whatever the grid length. Rows before ``first`` are not
+        computed, except inside a physical window.
         """
         net, dof = self.net, self.net.dof
         jump_times = self.times[: self.events + 1]
         block = min(GRID_BLOCK, size)
-        for start in range(0, size, block):
-            first = min(start, size - block)
-            t = np.arange(first, first + block) * sample_dt
+        for start in range(first // block * block, size, block):
+            lo = min(start, size - block) if physical else max(start, first)
+            t = np.arange(lo, min(start + block, size)) * sample_dt
             last = np.searchsorted(jump_times, t, side="right") - 1
             base = self.modes[last]
-            states = net.from_modes(*_mode_flow(
-                base[:, :dof], base[:, dof:], net.mode_frequencies, net.mass,
-                t - jump_times[last],
-            ))
-            yield t[start - first :], states[start - first :]
+            qh, ph = _mode_flow(base[:, :dof], base[:, dof:], net.mode_frequencies, net.mass,
+                                t - jump_times[last])
+            new = max(start, first) - lo
+            states = net.from_modes(qh, ph)[new:] if physical else None
+            modes = np.concatenate([qh[new:], ph[new:]], axis=1)
+            del base, qh, ph  # the block's caller holds only what is yielded
+            yield t[new:], modes, states
 
 
 def _streams(seed: int, n_laws: int) -> list:
@@ -374,7 +393,8 @@ def simulate_continuous(
     [run] = event_passes(net, model, sched, psi0, t_end, 0, (seed,))
     size = grid_size(t_end, sample_dt)
     times, states = np.empty(size), np.empty((size, 2 * net.dof))
-    for k, (t, x) in enumerate(run.trajectory(sample_dt, size)):  # GRID_BLOCK rows, the last fewer
+    # GRID_BLOCK rows per block, the last fewer
+    for k, (t, _, x) in enumerate(run.trajectory(sample_dt, size, physical=True)):
         times[k * GRID_BLOCK : (k + 1) * GRID_BLOCK] = t
         states[k * GRID_BLOCK : (k + 1) * GRID_BLOCK] = x
     return Trajectory(times=times, states=states, events=run.events, seed=seed)
@@ -382,25 +402,35 @@ def simulate_continuous(
 
 @dataclass(frozen=True, eq=False)
 class Moments:
-    """Sums of phase-vector rows x: the count, sum x, sum x x^T and sum H(x); ``Moments()`` has none.
+    """Sums of phase-vector rows x: the count, sum x and sum x x^T; ``Moments()`` has none.
 
     ``Moments.of`` takes one block's sums and ``+`` merges two. The sums are
     raw, so merging is associative up to roundoff and the merge order fixes
-    the bits (Chan, Golub and LeVeque 1979).
+    the bits (Chan, Golub and LeVeque 1979). They are linear in the rows, so
+    sums of rows in mode coordinates map to those of the physical rows in one
+    step (``from_modes``), and the mean energy follows from the second moments.
     """
 
     n: int = 0
     sum_x: np.ndarray | float = 0.0  # an array once a block is added, as is sum_xx
     sum_xx: np.ndarray | float = 0.0
-    sum_energy: float = 0.0
 
     @classmethod
-    def of(cls, net: OscillatorNetwork, rows: np.ndarray) -> Moments:
-        return cls(len(rows), rows.sum(axis=0), rows.T @ rows, energies(net, rows).sum())
+    def of(cls, rows: np.ndarray) -> Moments:
+        return cls(len(rows), rows.sum(axis=0), rows.T @ rows)
 
     def __add__(self, other: Moments) -> Moments:
-        return Moments(self.n + other.n, self.sum_x + other.sum_x, self.sum_xx + other.sum_xx,
-                       self.sum_energy + other.sum_energy)
+        return Moments(self.n + other.n, self.sum_x + other.sum_x, self.sum_xx + other.sum_xx)
+
+    def from_modes(self, net: OscillatorNetwork) -> Moments:
+        """These sums of mode rows y as those of the phase rows x = T y: T sum y and T Syy T^T.
+
+        T = blockdiag(Q, Q), with Q the eigenvectors of V, as ``OscillatorNetwork.from_modes``.
+        """
+        dof = net.dof
+        sum_xx = net.from_modes(self.sum_xx[:, :dof], self.sum_xx[:, dof:])  # Syy T^T
+        sum_xx = net.from_modes(sum_xx.T[:, :dof], sum_xx.T[:, dof:]).T  # T Syy T^T
+        return Moments(self.n, net.from_modes(self.sum_x[:dof], self.sum_x[dof:]), sum_xx)
 
     def _average(self, total):
         if self.n == 0:
@@ -417,9 +447,11 @@ class Moments:
         mean = self.mean
         return self._average(self.sum_xx) - np.outer(mean, mean)
 
-    @property
-    def mean_energy(self) -> float:
-        return float(self._average(self.sum_energy))
+    def mean_energy(self, net: OscillatorNetwork) -> float:
+        """E H = (1/2) tr(V S_qq) / n + tr(S_pp) / (2 M n), with S = sum_xx."""
+        dof, second = net.dof, self._average(self.sum_xx)
+        potential = np.einsum("ij,ji->", net.stiffness, second[:dof, :dof])
+        return float(0.5 * potential + np.trace(second[dof:, dof:]) / (2.0 * net.mass))
 
 
 @dataclass(frozen=True)

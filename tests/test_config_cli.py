@@ -1,4 +1,5 @@
 import copy
+import io
 import json
 import warnings
 from pathlib import Path
@@ -17,11 +18,11 @@ from oscbath.cli import (
     run_simulate,
     run_stationarity,
 )
-from oscbath.config import load_config
+from oscbath.config import MAX_SEEDS, load_config
 from oscbath.errors import ConfigError, NumericalAbort
 from oscbath.laws import GaussianVelocity
 from oscbath.network import chain_stiffness
-from oscbath.pdmp import Moments, event_passes
+from oscbath.pdmp import GRID_BLOCK, Moments, event_passes, grid_size
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
@@ -200,6 +201,37 @@ def test_pooled_is_the_left_fold_of_the_seeds_moments_in_seed_order():
     assert pooled["n_samples"] == folded.n
     assert pooled["mean"].tobytes() == folded.mean.tobytes()
     assert pooled["covariance"].tobytes() == folded.covariance.tobytes()
+
+
+@pytest.mark.parametrize(
+    "burn_in", [0.0, 250.0, 250.1, 1100.0, 1000.1, 1050.1],
+    ids=["zero", "grid-time", "between-grid-times", "last-grid-time", "last-window-overlap",
+         "last-window-new-rows"])
+def test_n_samples_counts_the_grid_times_from_burn_in(burn_in):
+    # 4,401 grid times, so the last GRID_BLOCK window overlaps the first. Without the
+    # csv a seed's grid starts at burn-in; it counts the same rows and folds the same sums
+    cfg = load_config(base_config(t_end=1100.1, sample_dt=0.25, burn_in=burn_in, seeds=[0]))
+    size = grid_size(cfg.t_end, cfg.sample_dt)
+    assert size > GRID_BLOCK and size % GRID_BLOCK
+    [run] = event_passes(cfg.network, cfg.model, cfg.schedule, cfg.psi0, cfg.t_end,
+                         cfg.n_steps, cfg.seeds)
+    entry, moments = _seed_stats(cfg, run)
+    written, written_moments = _seed_stats(cfg, run, io.StringIO())
+    expected = np.count_nonzero(np.arange(size) * cfg.sample_dt >= burn_in)
+    assert entry["n_samples"] == moments.n == expected
+    assert entry == written
+    assert moments.sum_x.tobytes() == written_moments.sum_x.tobytes()
+    assert moments.sum_xx.tobytes() == written_moments.sum_xx.tobytes()
+
+
+def test_simulate_reduces_the_same_bits_with_and_without_out(tmp_path):
+    # seed 1 writes the csv and computes its whole grid; the others start at burn-in
+    cfg = load_config(base_config(t_end=2100.1, sample_dt=0.25, burn_in=1000.1, seeds=[1, 0, 2]))
+    written, alone = run_simulate(cfg, tmp_path), run_simulate(cfg, None)
+    assert written["per_seed"] == alone["per_seed"]
+    assert written["pooled"]["n_samples"] == alone["pooled"]["n_samples"]
+    for key in ("mean", "covariance"):
+        assert written["pooled"][key].tobytes() == alone["pooled"][key].tobytes()
 
 
 def test_simulate_batch_equals_its_single_seed_runs(tmp_path):
@@ -617,6 +649,15 @@ def test_cli_out_of_range_run_field_exits_2_naming_it(tmp_path, capsys, run, fla
     assert main(["simulate", "--config", str(path), *flags]) == 2
     err = json.loads(capsys.readouterr().err)
     assert err["error"] == "config" and err["message"].startswith(field)
+
+
+def test_seed_count_alone_past_the_record_bound_names_run_seeds(capsys):
+    # MAX_SEEDS seeds of chain3 pass the bound at the smallest record a seed can
+    # need (16 events); the loader blamed run.n_steps, which the config does not set
+    argv = ["simulate", "--config", str(CONFIGS / "chain3.json"), "--seeds", f"0..{MAX_SEEDS - 1}"]
+    assert main(argv) == 2
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "config" and err["message"].startswith("run.seeds")
 
 
 def test_shipped_configs_load_within_the_record_bound():

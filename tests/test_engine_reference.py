@@ -160,8 +160,8 @@ def _assert_run_matches(run, net, model, sched, psi0, t_end, dt, n_steps):
     old_chain = ref.simulate_embedded(net, model, sched, psi0, n_steps, run.seed)
     assert run.events == old.events
     start = 0
-    for times, states in run.trajectory(dt, grid_size(t_end, dt)):
-        assert 0 < len(times) == len(states) <= GRID_BLOCK
+    for times, modes, states in run.trajectory(dt, grid_size(t_end, dt), physical=True):
+        assert 0 < len(times) == len(modes) == len(states) <= GRID_BLOCK
         assert np.array_equal(times, old.times[start : start + len(times)])
         assert np.array_equal(states, old.states[start : start + len(times)])
         start += len(times)

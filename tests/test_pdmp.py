@@ -8,10 +8,17 @@ from hypothesis.extra.numpy import arrays
 
 from oscbath.collisions import ContractiveAffine, OneDimElastic, TwoDimBall
 from oscbath.covariance import beta_from_params, MomentParams
-from oscbath.csvfmt import CSV_ROWS, csv_rows, write_csv_rows
+from oscbath.csvfmt import CSV_VALUES, csv_rows, write_csv_rows
 from oscbath.errors import NumericalAbort
 from oscbath.laws import Exponential, GammaLaw, GaussianVelocity, UniformPositive
-from oscbath.network import OscillatorNetwork, PhaseState, chain_stiffness, energy, propagate
+from oscbath.network import (
+    OscillatorNetwork,
+    PhaseState,
+    chain_stiffness,
+    energies,
+    energy,
+    propagate,
+)
 from oscbath.pdmp import (
     EventSchedule,
     Moments,
@@ -268,24 +275,43 @@ def test_moments_fold_matches_one_block(x, data):
     # np.cov's covariance to within 1e-12 of the columns' root mean squares
     net = chain3()
     cuts = sorted(data.draw(st.lists(st.integers(0, len(x)), max_size=6)))
-    blocks = [Moments.of(net, rows) for rows in np.split(x, cuts)]
-    whole, abs_x = Moments.of(net, x), np.abs(x)
+    blocks = [Moments.of(rows) for rows in np.split(x, cuts)]
+    whole, abs_x = Moments.of(x), np.abs(x)
     reference, rms = np.cov(x, rowvar=False, bias=True), np.sqrt(np.mean(x * x, axis=0))
     for order in (blocks, data.draw(st.permutations(blocks))):
         acc = sum(order, Moments())
         assert acc.n == whole.n == len(x)
         assert np.all(np.abs(acc.sum_x - whole.sum_x) <= 1e-12 * abs_x.sum(axis=0))
         assert np.all(np.abs(acc.sum_xx - whole.sum_xx) <= 1e-12 * (abs_x.T @ abs_x))
-        assert abs(acc.sum_energy - whole.sum_energy) <= 1e-12 * whole.sum_energy
+        assert abs(acc.mean_energy(net) - whole.mean_energy(net)) <= 1e-12 * whole.mean_energy(net)
         assert np.all(np.abs(acc.covariance - reference) <= 1e-12 * np.outer(rms, rms))
+
+
+@settings(max_examples=200, deadline=None)
+@given(arrays(np.float64, st.tuples(st.integers(1, 60), st.just(6)), elements=moment_entries),
+       st.sampled_from([1.0, 2.5]))
+def test_moments_of_mode_rows_map_to_those_of_their_phase_rows(y, mass):
+    # sums of mode rows y mapped through T = blockdiag(Q, Q) give the sums of the
+    # phase rows x = T y to within 1e-12 of the magnitudes summed, and the mean
+    # energy from the second moments is the rows' mean energy to within 1e-12
+    net = chain3(mass)
+    x = net.from_modes(y[:, :3], y[:, 3:])
+    mapped, direct = Moments.of(y).from_modes(net), Moments.of(x)
+    size = np.linalg.norm(x, axis=1)
+    assert mapped.n == direct.n == len(x)
+    assert np.all(np.abs(mapped.sum_x - direct.sum_x) <= 1e-12 * size.sum())
+    assert np.all(np.abs(mapped.sum_xx - direct.sum_xx) <= 1e-12 * (size @ size))
+    h = energies(net, x).mean()
+    for moments in (mapped, direct):
+        assert abs(moments.mean_energy(net) - h) <= 1e-12 * h
 
 
 def test_moments_without_samples_raise():
     net = chain3()
-    for empty in (Moments(), Moments.of(net, np.empty((0, 6))), Moments() + Moments()):
-        for name in ("mean", "covariance", "mean_energy"):
+    for empty in (Moments(), Moments.of(np.empty((0, 6))), Moments() + Moments()):
+        for read in (lambda m: m.mean, lambda m: m.covariance, lambda m: m.mean_energy(net)):
             with pytest.raises(ValueError):
-                getattr(empty, name)
+                read(empty)
 
 
 def test_long_run_matches_gibbs_moments():
@@ -293,8 +319,8 @@ def test_long_run_matches_gibbs_moments():
     params = MomentParams(lam=1.0, alpha=1.0 / 3.0, sigma2=1.0, mass=1.0)
     beta = beta_from_params(params)
     traj = simulate_continuous(net, model, sched, PhaseState.zero(3), 5000.0, 0.25, seed=11)
-    moments = Moments.of(net, traj.states[traj.times >= 500.0])
-    p1_avg, h_avg = moments.mean[net.dof], moments.mean_energy
+    moments = Moments.of(traj.states[traj.times >= 500.0])
+    p1_avg, h_avg = moments.mean[net.dof], moments.mean_energy(net)
     assert abs(p1_avg) < 0.1
     # equipartition: E H = dof / beta
     assert abs(h_avg - net.dof / beta) < 0.2
@@ -446,8 +472,9 @@ def test_csv_rows_match_printf_on_edge_families():
                              window, np.nextafter(window, 0), np.nextafter(window, np.inf), tiny, huge])
     values = np.concatenate([values, -values, [0.0, -0.0, np.nan, np.inf, -np.inf]])
     rows = np.resize(values, (-(-values.size // 7), 7))
-    for start in range(0, len(rows), CSV_ROWS):
-        assert csv_rows(rows[start : start + CSV_ROWS]) == printf_rows(rows[start : start + CSV_ROWS])
+    step = CSV_VALUES // 7
+    for start in range(0, len(rows), step):
+        assert csv_rows(rows[start : start + step]) == printf_rows(rows[start : start + step])
     # half to even at the 17th digit; 1e-7 is just below 10**-7, and 1e-14 rounds up to it
     assert csv_rows(np.array([[1e15 + 0.25, 1e15 + 0.75, 1e-7, 1e-14, -0.0, 0.0]])) == (
         b"1000000000000000.2,1000000000000000.8,9.9999999999999995e-08,1e-14,-0,0\n")
@@ -456,7 +483,8 @@ def test_csv_rows_match_printf_on_edge_families():
 def test_write_csv_rows_spans_sub_blocks():
     import io
 
-    rows = np.random.default_rng(5).normal(size=(2 * CSV_ROWS + 3, 5)) * 10.0 ** np.arange(-6, 14, 4)
+    size = (2 * CSV_VALUES // 5 + 3, 5)  # two full calls' rows and three more
+    rows = np.random.default_rng(5).normal(size=size) * 10.0 ** np.arange(-6, 14, 4)
     out = io.StringIO()
     write_csv_rows(out, rows)
     assert out.getvalue().encode() == printf_rows(rows)
