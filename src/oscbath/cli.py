@@ -44,6 +44,7 @@ from .laws import Exponential, GaussianVelocity
 from .network import PhaseState, energies, energy
 from .pdmp import (
     RANK_MAX_DOF,
+    RANK_MAX_LEGS,
     RNG_PROTOCOL,
     EventPass,
     Moments,
@@ -140,6 +141,7 @@ def _seed_stats(cfg: ExperimentConfig, run: EventPass, csv=None) -> tuple:
         if csv is not None:
             trajectory_to_csv(csv, times, states)
         moments += Moments.of(modes[np.searchsorted(times, cfg.burn_in):])  # t >= burn_in
+        del modes, states  # not held while the next block is computed
     moments = moments.from_modes(net)
     chain = run.chain(cfg.n_steps)
     return {
@@ -412,8 +414,8 @@ def run_rank_probe(cfg: ExperimentConfig, out_dir: Path | None, legs: int | None
         raise ConfigError("rank-probe requires the one_dim_elastic or two_dim_ball model")
     if dof > RANK_MAX_DOF:
         raise ConfigError(f"rank-probe supports dof <= {RANK_MAX_DOF}; this network has dof {dof}")
-    if legs is not None and legs < 0:
-        raise ConfigError(f"--legs must be nonnegative, got {legs}")
+    if legs is not None and not 0 <= legs <= RANK_MAX_LEGS:  # before the point is allocated
+        raise ConfigError(f"--legs must be in 0..{RANK_MAX_LEGS}, got {legs}")
     l = model.xi_dim
     full_dim = 2 * dof
     if legs is None:

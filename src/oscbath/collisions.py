@@ -19,25 +19,24 @@ time, with the same operations as ``jump``. The
 two elastic models also give ``jump_jacobian(xi, p1, mass)``, the exact
 derivatives (D_p, D_xi) of the jump per row, for the reachability probe.
 
-Each model carries the sampling law of its random input xi so that
+Each model lists the sampling laws of its random input xi in the order of
+its entries (``input_laws``), which ``laws.sample_columns`` draws, so
 ``verify_contraction`` (the numeric check of the kinetic-energy contraction
-hypothesis) is self-contained. ``sample_input(rng, size=None)`` draws one
-input or a block of them from one generator; ``input_laws`` lists the laws
-of an input's entries in order, each of which the event loop draws from its
-own stream. The analyticity and sphere-covering hypotheses on the jump map are
-existence assumptions used in proofs only; they are documented here and not
-testable numerically.
+hypothesis) is self-contained. The analyticity and sphere-covering
+hypotheses on the jump map are existence assumptions used in proofs only;
+they are documented here and not testable numerically.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 from typing import Union
 
 import numpy as np
 
-from .laws import IsotropicGaussianVector, GaussianVelocity, UniformAngle
+from .laws import IsotropicGaussianVector, GaussianVelocity, UniformAngle, sample_columns
 
 #: margin keeping ||R|| strictly below 1 at construction
 CONTRACTION_MARGIN = 1e-9
@@ -110,10 +109,6 @@ class OneDimElastic:
     def input_laws(self) -> tuple:
         return (self.velocity_law,)
 
-    def sample_input(self, rng: np.random.Generator, size=None) -> np.ndarray:
-        u = self.velocity_law.sample(rng, size)
-        return np.atleast_1d(u) if size is None else np.reshape(u, (size, 1))
-
 
 @dataclass(frozen=True, eq=False)
 class ContractiveAffine:
@@ -162,9 +157,6 @@ class ContractiveAffine:
     @property
     def input_laws(self) -> tuple:
         return (self.noise_law,)
-
-    def sample_input(self, rng: np.random.Generator, size=None) -> np.ndarray:
-        return self.noise_law.sample(rng, size)
 
 
 def impact_matrix(alpha: float, phi: float) -> np.ndarray:
@@ -235,14 +227,6 @@ class TwoDimBall:
     def input_laws(self) -> tuple:
         return (self.angle_law, self.velocity_law)
 
-    def sample_input(self, rng: np.random.Generator, size=None) -> np.ndarray:
-        """(phi, v_x, v_y), or a (size, 3) block; each row draws its angle then its velocity."""
-        rows = np.empty((1 if size is None else size, 3))
-        for row in rows:  # row by row, so a block is its rows' scalar draws
-            row[0] = self.angle_law.sample(rng)
-            row[1:] = self.velocity_law.sample(rng)
-        return rows[0] if size is None else rows
-
 
 CollisionModel = Union[OneDimElastic, ContractiveAffine, TwoDimBall]
 
@@ -300,10 +284,10 @@ def verify_contraction(
 ) -> ContractionReport:
     """Estimate the kinetic-energy contraction ratio on spheres |p| = r.
 
-    For each radius, momenta are drawn uniformly on the sphere and xi from
-    the model's own input law; the report carries the per-radius ratio
-    E|J|^2 / r^2 and the fitted r^2-coefficient. Report-only: no exception
-    for non-contracting parameter sets.
+    For each radius, momenta are drawn uniformly on the sphere, then xi
+    from the model's own input laws, one block per law; the report carries
+    the per-radius ratio E|J|^2 / r^2 and the fitted r^2-coefficient.
+    Report-only: no exception for non-contracting parameter sets.
     """
     radii = np.asarray(radii, dtype=float)
     if radii.ndim != 1 or radii.size < 3:
@@ -318,7 +302,7 @@ def verify_contraction(
     for i, r in enumerate(radii):
         dirs = rng.standard_normal((n_mc, d))
         dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
-        xi = model.sample_input(rng, size=n_mc)
+        xi = sample_columns(model.input_laws, itertools.repeat(rng), n_mc)
         j = model.jump(xi, r * dirs, mass)
         mean_sq[i] = float(np.sum(j * j)) / n_mc
     design = np.column_stack([radii**2, radii, np.ones_like(radii)])

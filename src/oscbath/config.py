@@ -21,7 +21,8 @@ G G^T + jitter draw). Velocity-law kinds: "gaussian" {sigma2}, "uniform"
 "gamma" {shape, rate}, "uniform" {low, high}. ``run.n_steps`` is the
 post-collision chain length summarized per seed. Neither it nor the events
 that ``run.t_end`` leads one to expect may need more than
-``pdmp.RECORD_MAX_BYTES`` of event record. The contact sites are the
+``pdmp.RECORD_MAX_BYTES`` of event record, nor the network more than
+``pdmp.NETWORK_MAX_DOF`` degrees of freedom. The contact sites are the
 kicked particle's coordinates 0..d-1; a "contact_sites" entry must equal them.
 A key the loader does not read, in any section, is an error naming its path.
 """
@@ -41,7 +42,8 @@ from . import laws
 from .collisions import ContractiveAffine, OneDimElastic, TwoDimBall
 from .errors import ConfigError
 from .network import OscillatorNetwork, PhaseState, chain_stiffness
-from .pdmp import RECORD_MAX_BYTES, EventSchedule, event_estimate, grid_size, record_bytes
+from .pdmp import (NETWORK_MAX_DOF, RECORD_MAX_BYTES, EventSchedule, event_estimate, grid_size,
+                   record_bytes)
 from .spectral import random_pd_matrix
 
 
@@ -115,6 +117,8 @@ def _build_network(section: dict) -> OscillatorNetwork:
     _only(section, "network", "n_particles", "dim", "mass", "stiffness")
     n = _number(section, "n_particles", "network", kind=int)
     d = _number(section, "dim", "network", kind=int)
+    if n * d > NETWORK_MAX_DOF:  # before any dof x dof matrix is built
+        raise ConfigError(f"network.n_particles = {n} at dim {d} is {n * d} dof, above {NETWORK_MAX_DOF}")
     mass = _number(section, "mass", "network")
     stiff, where = _field(section, "stiffness", "network"), "network.stiffness"
     kind = _kind(stiff, where, "stiffness", chain=("coupling", "pinning"), explicit=("matrix",),

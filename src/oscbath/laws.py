@@ -22,6 +22,15 @@ from dataclasses import dataclass
 import numpy as np
 
 
+def sample_columns(laws, rngs, size: int) -> np.ndarray:
+    """(size, width) inputs: each law's ``sample(rng, size=size)`` block from its generator, as columns.
+
+    ``rngs`` has one generator per law: the event loop's streams, or one
+    generator repeated (``itertools.repeat(rng)``), which the laws draw in turn.
+    """
+    return np.column_stack([law.sample(rng, size=size) for law, rng in zip(laws, rngs)])
+
+
 def _sign(bit):
     """+1 for a 1 bit, -1 for a 0 bit (elementwise)."""
     return bit * 2 - 1

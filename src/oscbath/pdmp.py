@@ -26,6 +26,7 @@ values do not depend on how a stream is split into blocks.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -34,6 +35,7 @@ import numpy as np
 from .collisions import CollisionModel, OneDimElastic, TwoDimBall
 from .csvfmt import write_csv_rows
 from .errors import NumericalAbort
+from .laws import sample_columns
 from .network import (
     OscillatorNetwork,
     PhaseState,
@@ -48,6 +50,10 @@ from .network import (
 #: Jacobian's sigma_min / sigma_max clears the roundoff threshold by >= 20x on
 #: chains of 12 (100 seeds), by 1.3x at 13, and misses on 11 of 100 at 14
 RANK_MAX_DOF = 12
+#: most legs rank-probe takes: the rank is at most 2 dof <= 24, which the default <= 15
+#: legs reach. 1000 legs of the dof-12 ball's 1 + 3 coordinates make a point of 4,000
+#: and a (24, 4000) Jacobian; each leg rotates every tangent row (0.77 s; 3.0 s at 2000)
+RANK_MAX_LEGS = 1000
 #: version of the random protocol of ``event_passes``, recorded in ``simulate``'s summary
 RNG_PROTOCOL = 2
 
@@ -137,16 +143,8 @@ def _kick(net: OscillatorNetwork, model: CollisionModel, ph, xi):
     return _kick_rows(model, net.contact_modes, net.mass, ph[..., None, :], terms)[..., 0, :]
 
 
-def _input_sampler(model: CollisionModel, sched: EventSchedule):
-    if sched.xi_law is not None:
-        return sched.xi_law.sample
-    return model.sample_input
-
-
 def _input_laws(model: CollisionModel, sched: EventSchedule) -> tuple:
-    if sched.xi_law is not None:
-        return (sched.xi_law,)
-    return model.input_laws
+    return model.input_laws if sched.xi_law is None else (sched.xi_law,)
 
 
 #: grid rows rotated per block when a pass is sampled on the time grid
@@ -158,6 +156,9 @@ GRID_BLOCK = 4096
 STEP_BLOCK = 64
 #: largest event record per seed that a config may ask ``event_passes`` for
 RECORD_MAX_BYTES = 1 << 30
+#: largest dof = n_particles * dim of a config: building a network peaks at six dof x dof
+#: float matrices (tracemalloc, dof 256 to 1024), 768 MiB at 4096, within RECORD_MAX_BYTES
+NETWORK_MAX_DOF = 4096
 
 
 def record_bytes(net: OscillatorNetwork, model: CollisionModel, n_events: int, n_seeds: int) -> int:
@@ -239,6 +240,7 @@ class EventPass:
             modes = np.concatenate([qh[new:], ph[new:]], axis=1)
             del base, qh, ph  # the block's caller holds only what is yielded
             yield t[new:], modes, states
+            del modes, states  # nor is it held here while the next block is computed
 
 
 def _streams(seed: int, n_laws: int) -> list:
@@ -266,8 +268,8 @@ def _draw_events(model: CollisionModel, sched: EventSchedule, seeds: tuple, t_en
     """(taus, xis, counts): the seeds' waits (events, seeds), inputs (events, seeds, xi_dim) and counts.
 
     Each seed's waits come first (``_seed_waits``); once every count k is
-    known, each input law draws a seed's k values in one call, in order
-    across the input's entries. Rows past a seed's count stay zero.
+    known, each input law draws a seed's k values in one call from its own
+    stream (``sample_columns``). Rows past a seed's count stay zero.
     """
     laws = _input_laws(model, sched)
     streams = [_streams(seed, len(laws)) for seed in seeds]
@@ -278,8 +280,7 @@ def _draw_events(model: CollisionModel, sched: EventSchedule, seeds: tuple, t_en
     del waits
     xis = np.zeros((max(counts), len(seeds), model.xi_dim))
     for s, k in enumerate(counts):
-        blocks = [law.sample(rng, size=k) for law, rng in zip(laws, streams[s][1:])]
-        xis[:k, s] = np.column_stack(blocks)  # a scalar law's block is one column
+        xis[:k, s] = sample_columns(laws, streams[s][1:], k)
     return taus, xis, counts
 
 
@@ -482,13 +483,12 @@ def drift_estimate(
     one-step energy drift.
     """
     _require_dim(net, model)
-    draw_xi = _input_sampler(model, sched)
     rng = np.random.default_rng(seed)
     h0 = energy(net, psi)
     qh, ph = net.to_modes(psi.vector)
-    # all waiting times first, then the inputs as one block
+    # all waiting times first, then the inputs, one block per input law
     taus = np.asarray(sched.tau_law.sample(rng, size=n_mc), dtype=float)
-    xi = np.reshape(draw_xi(rng, size=n_mc), (n_mc, -1))
+    xi = sample_columns(_input_laws(model, sched), itertools.repeat(rng), n_mc)
     qh_t, ph_t = _mode_flow(qh, ph, net.mode_frequencies, net.mass, taus)
     change = energies(net, net.from_modes(qh_t, _kick(net, model, ph_t, xi))) - h0
     return DriftEstimate(

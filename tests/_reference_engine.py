@@ -8,14 +8,16 @@ bit. They draw under random protocol 2 one value per event, with scalar
 holds the three one-row jump maps from before the maps took stacks, and
 ``drift_estimate`` / ``verify_contraction`` the Monte Carlo loops that
 kicked one draw per call, with those one-row maps and the mode-space energy
-they used. ``_composed_reachability_map`` and
-``finite_difference_jacobian`` are the former rank probe's second copy of
-the dynamics (flow through ``propagate``, kick on ``PhaseState`` rows) and
-its finite-difference loop. Nothing in the package imports this module.
+they used; they kick the rows of the package's own input block
+(``laws.sample_columns`` over the laws of ``_input_laws``).
+``_composed_reachability_map`` and ``finite_difference_jacobian`` are the
+former rank probe's second copy of the dynamics (flow through
+``propagate``, kick on ``PhaseState`` rows) and its finite-difference loop. Nothing in the package imports this module.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 
 import numpy as np
@@ -29,6 +31,7 @@ from oscbath.collisions import (
     impact_matrix,
 )
 from oscbath.errors import NumericalAbort
+from oscbath.laws import sample_columns
 from oscbath.network import OscillatorNetwork, PhaseState, _mode_flow, propagate
 from oscbath.pdmp import DriftEstimate, EmbeddedChain, EventSchedule, Trajectory
 
@@ -119,26 +122,24 @@ class _EigenEngine:
         return ph + self.contact_rows.T @ (p1_new - p1)
 
 
-def _input_sampler(model: CollisionModel, sched: EventSchedule):
-    if sched.xi_law is not None:
-        return sched.xi_law.sample
-    return model.sample_input
+def _input_laws(model: CollisionModel, xi_law=None) -> tuple:
+    """The laws of an input's entries: the schedule's override, or the model's laws."""
+    if xi_law is not None:
+        return (xi_law,)
+    if isinstance(model, TwoDimBall):
+        return (model.angle_law, model.velocity_law)
+    if isinstance(model, ContractiveAffine):
+        return (model.noise_law,)
+    return (model.velocity_law,)
 
 
 def _draws(model: CollisionModel, sched: EventSchedule, seed: int):
     """(draw_tau, draw_xi): one wait, one input per call, under random protocol 2.
 
     ``SeedSequence(seed)`` spawns the waits' stream, then one stream per law
-    of the input's entries: the schedule's override, or the model's laws.
+    of the input's entries (``_input_laws``).
     """
-    if sched.xi_law is not None:
-        laws = (sched.xi_law,)
-    elif isinstance(model, TwoDimBall):
-        laws = (model.angle_law, model.velocity_law)
-    elif isinstance(model, ContractiveAffine):
-        laws = (model.noise_law,)
-    else:
-        laws = (model.velocity_law,)
+    laws = _input_laws(model, sched.xi_law)
     tau_rng, *xi_rngs = [np.random.default_rng(child)
                          for child in np.random.SeedSequence(seed).spawn(1 + len(laws))]
 
@@ -284,17 +285,17 @@ def drift_estimate(
     one-step energy drift.
     """
     engine = _OneRowEngine(net, model)
-    draw_xi = _input_sampler(model, sched)
     rng = np.random.default_rng(seed)
     h0 = energy(net, psi)
     qh, ph = engine.eigen_coords(psi)
     taus = np.asarray(sched.tau_law.sample(rng, size=n_mc), dtype=float)
+    xi = sample_columns(_input_laws(model, sched.xi_law), itertools.repeat(rng), n_mc)
     qh_t, ph_t = _mode_flow(qh, ph, engine.omega, engine.mass, taus)
     # potential term is basis-independent: q^T V q = sum lambda_k qh_k^2
     lam = net.spectrum.eigenvalues
     h_after = np.empty(n_mc)
     for k in range(n_mc):
-        ph_k = engine.kick(ph_t[k], draw_xi(rng))
+        ph_k = engine.kick(ph_t[k], xi[k])
         h_after[k] = 0.5 * float(lam @ (qh_t[k] ** 2)) + float(
             ph_k @ ph_k
         ) / (2.0 * net.mass)
@@ -333,10 +334,10 @@ def verify_contraction(
     for i, r in enumerate(radii):
         dirs = rng.standard_normal((n_mc, d))
         dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
+        xi = sample_columns(_input_laws(model), itertools.repeat(rng), n_mc)
         total = 0.0
         for k in range(n_mc):
-            xi = model.sample_input(rng)
-            j = jump(model, xi, r * dirs[k], mass)
+            j = jump(model, xi[k], r * dirs[k], mass)
             total += float(j @ j)
         mean_sq[i] = total / n_mc
     design = np.column_stack([radii**2, radii, np.ones_like(radii)])

@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -20,6 +22,7 @@ from oscbath.laws import (
     UniformAngle,
     UniformPositive,
     UniformSymmetricVelocity,
+    sample_columns,
 )
 
 finite = st.floats(min_value=-50.0, max_value=50.0, allow_nan=False)
@@ -128,15 +131,30 @@ INPUT_MODELS = {
 }
 
 
+def _streams(n_laws, seed):
+    return [np.random.default_rng(child) for child in np.random.SeedSequence(seed).spawn(n_laws)]
+
+
 @pytest.mark.parametrize("name", sorted(INPUT_MODELS))
 def test_input_block_equals_single_draws(name):
+    # one stream per law, as the event loop draws: a block of inputs is its
+    # rows' one-input draws, and leaves every stream in the same state
     model = INPUT_MODELS[name]
-    block_rng, single_rng = np.random.default_rng(11), np.random.default_rng(11)
-    block = model.sample_input(block_rng, size=500)
-    singles = np.array([model.sample_input(single_rng) for _ in range(500)])
+    laws = model.input_laws
+    block_rngs, single_rngs = _streams(len(laws), 11), _streams(len(laws), 11)
+    block = sample_columns(laws, block_rngs, 500)
+    singles = np.concatenate([sample_columns(laws, single_rngs, 1) for _ in range(500)])
     assert block.shape == singles.shape == (500, model.xi_dim)
-    assert np.array_equal(block, singles)
-    assert block_rng.bit_generator.state == single_rng.bit_generator.state
+    assert np.array_equal(block.view(np.uint64), singles.view(np.uint64))
+    for block_rng, single_rng in zip(block_rngs, single_rngs):
+        assert block_rng.bit_generator.state == single_rng.bit_generator.state
+    # one generator, as the Monte Carlo checks draw: the laws' blocks in turn
+    rng, again = np.random.default_rng(5), np.random.default_rng(5)
+    block = sample_columns(laws, itertools.repeat(rng), 300)
+    in_turn = np.column_stack([law.sample(again, size=300) for law in laws])
+    assert block.shape == (300, model.xi_dim)
+    assert np.array_equal(block.view(np.uint64), in_turn.view(np.uint64))
+    assert rng.bit_generator.state == again.bit_generator.state
 
 
 positive = st.floats(min_value=0.05, max_value=20.0, allow_nan=False)

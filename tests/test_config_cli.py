@@ -340,19 +340,30 @@ def test_trajectory_csv_is_the_first_listed_seed(tmp_path):
         ).read_bytes()
 
 
-def test_simulate_holds_no_whole_grid():
+def test_simulate_holds_no_whole_grid(tmp_path):
     # each seed's grid is reduced block by block: the allocation peak stays well
     # below one seed's whole grid of 100,001 x 6 doubles
     import tracemalloc
 
+    def peak(cfg, out_dir):
+        tracemalloc.start()
+        try:
+            run_simulate(cfg, out_dir)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
     cfg = load_config(base_config(t_end=1000.0, sample_dt=0.01, burn_in=100.0))
-    tracemalloc.start()
-    try:
-        run_simulate(cfg, None)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 0.75 * 100_001 * 6 * 8
+    assert peak(cfg, None) < 0.75 * 100_001 * 6 * 8
+    # the CSV seed computes and writes its whole grid, a block at a time, and drops
+    # each block before computing the next: on a d = 2 ball grid of 100,001 x 24
+    # doubles the peak measured 0.239 of the grid, and 0.294 with the previous
+    # block still referenced
+    ball = base_config(t_end=2000.0, sample_dt=0.02, burn_in=200.0)
+    ball["network"].update(n_particles=6, dim=2)
+    ball["model"] = {"kind": "two_dim_ball", "external_mass": 0.5, "velocity_sigma2": 1.0}
+    ball.pop("contact_sites")
+    assert peak(load_config(ball), tmp_path) < 0.265 * 100_001 * 24 * 8
 
 
 def test_run_covariance_outputs(tmp_path):
@@ -587,6 +598,12 @@ def _set(raw, path, value):
         (("model",), {"kind": "contractive_affine", "reflection": [[0.5]]}, ["rank-probe"]),
         (("network", "n_particles"), 13, ["rank-probe"]),  # dof above RANK_MAX_DOF
         (("network", "mass"), 1.0, ["rank-probe", "--legs", "-1"]),  # valid config
+        # far past RANK_MAX_LEGS: the probe's point alone would need 16 TB
+        (("network", "mass"), 1.0, ["rank-probe", "--legs", "1000000000000"]),
+        # dof 10**7: the stiffness alone would need 728 TiB; refused before it is built
+        (("network", "n_particles"), 10**7, ["simulate"]),
+        (("network",), {"n_particles": 10**7, "dim": 1, "mass": 1.0,
+                        "stiffness": {"kind": "random", "seed": 0}}, ["dissipative"]),
         (("model", "external_mass"), 2.0, ["simulate"]),  # heavier than the network's
         (("model", "external_mass"), 2.0, ["covariance"]),
         (("model", "external_mass"), 1.0, ["stationarity"]),  # gamma = 1/alpha at alpha = 0
@@ -614,6 +631,7 @@ def _set(raw, path, value):
     ],
     ids=["mass-null", "mass-text", "rate-null", "pinning-nan", "matrix-nan", "model-dim",
          "rank-probe-affine", "rank-probe-dof13", "rank-probe-negative-legs",
+         "rank-probe-huge-legs", "n-particles-huge-chain", "n-particles-huge-random",
          "external-mass-above-simulate", "external-mass-above-covariance",
          "stationarity-equal-masses", "simulate-zero-workers", "simulate-negative-workers",
          "n-particles-fraction", "n-particles-bool", "dim-text", "mass-bool",

@@ -14,6 +14,8 @@ Monte Carlo estimates the former per-draw loops. The exact reachability
 Jacobian must agree with central differences of the former composed map.
 """
 
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -36,13 +38,13 @@ from oscbath.laws import (
     TwoPointVelocity,
     UniformPositive,
     UniformSymmetricVelocity,
+    sample_columns,
 )
 from oscbath.network import OscillatorNetwork, PhaseState, chain_stiffness, energy
 from oscbath.pdmp import (
     GRID_BLOCK,
     STEP_BLOCK,
     EventSchedule,
-    _input_sampler,
     _kick,
     _kick_rows,
     drift_estimate,
@@ -133,20 +135,21 @@ class MisstatedMean:
 
 
 class InfAt:
-    """The model's own inputs from one stream, except that input ``k`` has an infinite last entry.
+    """Unit normal inputs of the model's width, except that input ``k`` has an infinite last entry.
 
     The last entry is a velocity component for every model, never the ball's
     impact angle, so the kick itself overflows the state. The reference
-    loops draw one input per call, the engine a block of them.
+    loops draw one input per call, the engine a block of them; a vector
+    law's block is its single draws.
     """
 
     def __init__(self, model, k):
-        self.model = model
+        self.law = IsotropicGaussianVector(dim=model.xi_dim)
         self.k = k
         self.inputs = 0
 
     def sample(self, rng, size=None):
-        xi = self.model.sample_input(rng, size)
+        xi = self.law.sample(rng, size)
         rows = np.atleast_2d(xi)  # a view: one row per input
         first, self.inputs = self.inputs, self.inputs + len(rows)
         if first < self.k <= self.inputs:
@@ -312,7 +315,7 @@ def test_abort_in_a_later_step_block_reports_the_same_event(pairing):
 
 def _stack(model, n, seed):
     rng = np.random.default_rng(seed)
-    xi = np.array([model.sample_input(rng) for _ in range(n)])
+    xi = sample_columns(model.input_laws, itertools.repeat(rng), n)
     p1 = 3.0 * rng.standard_normal((n, model.dim))
     return xi, p1
 
@@ -357,7 +360,7 @@ def test_stacked_kick_matches_row_kicks(pairing):
     net, model, _ = PAIRINGS[pairing]()
     rng = np.random.default_rng(5)
     ph = rng.standard_normal((200, net.dof))
-    xi = np.array([model.sample_input(rng) for _ in range(200)])
+    xi = sample_columns(model.input_laws, itertools.repeat(rng), 200)
     stacked = _kick(net, model, ph, xi)
     rows = np.array([_kick(net, model, p, x) for p, x in zip(ph, xi)])
     assert np.abs(stacked - rows).max() <= 1e-14 * np.abs(ph).max()
@@ -369,11 +372,10 @@ def test_stacked_kick_matches_row_kicks(pairing):
 def test_jump_is_its_apply_on_block_terms(pairing, override, n, seed, mass):
     # the event loop computes jump terms for a block of inputs and kicks one
     # step at a time; both must give the bits of the one-call jump and kick
-    net, model, tau_law = PAIRINGS[pairing]()
+    net, model, _ = PAIRINGS[pairing]()
     xi_law = IsotropicGaussianVector(dim=model.xi_dim, sigma2=9.0) if override else None
     rng = np.random.default_rng(seed)
-    draw = _input_sampler(model, EventSchedule(tau_law=tau_law, xi_law=xi_law))
-    xi = np.reshape(draw(rng, size=n), (n, model.xi_dim))
+    xi = sample_columns(ref._input_laws(model, xi_law), itertools.repeat(rng), n)
     p1 = 3.0 * rng.standard_normal((n, model.dim))
     terms = model.jump_terms(xi, mass)
     for x, p, t in zip(xi, p1, terms):
