@@ -50,7 +50,7 @@ from .spectral import random_pd_matrix
 _REQUIRED = object()
 #: most seeds a config can load: each seed's event record holds at least 16 events
 #: (``event_estimate``) of at least 5 doubles (``record_bytes``), within ``RECORD_MAX_BYTES``
-MAX_SEEDS = RECORD_MAX_BYTES // (16 * 5 * 8)
+MAX_SEEDS = RECORD_MAX_BYTES // (event_estimate(0.0, 1.0) * 5 * 8)
 
 
 def _field(mapping, key: str, where: str, default=_REQUIRED):
@@ -270,7 +270,7 @@ def load_config(source) -> ExperimentConfig:
                           f"k*run.sample_dt in [0, run.t_end]")
     if n_steps < 1:
         raise ConfigError("run.n_steps must be >= 1")
-    least = max(2, event_estimate(0.0, schedule.tau_law.mean))  # the smallest record a seed needs
+    least = event_estimate(0.0, schedule.tau_law.mean)  # the smallest record a seed needs
     if record_bytes(net, model, least, len(seeds)) > RECORD_MAX_BYTES:
         raise ConfigError(f"run.seeds lists {len(seeds)} seeds, more than {RECORD_MAX_BYTES} bytes "
                           f"of event record at even {least} events per seed")

@@ -129,10 +129,7 @@ def analyze(
     projection_dims = tuple(projection_dims)
 
     if all(m == 1 for m in multiplicities):
-        dead = 0
-        for k in range(order):
-            if np.all(np.abs(dec.eigenvectors[list(sites), k]) <= tol):
-                dead += 1
+        dead = int(np.all(np.abs(dec.eigenvectors[list(sites)]) <= tol, axis=0).sum())
         if 2 * dead != dim_neutral:
             raise RuntimeError(
                 "inconsistent neutral-space dimension: Krylov rank gives "

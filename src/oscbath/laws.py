@@ -8,10 +8,9 @@ values of n scalar calls, or of any split of n into consecutive blocks, and
 leaves ``rng`` in the same state; the event loop relies on this when it
 draws each seed's waits and inputs as blocks, one stream per law.
 
-The uniform and two-point velocity laws
-also expose a deterministic ``expect`` for the stationarity residual
-(Gauss-Legendre nodes, exact enumeration); for the Gaussian law it uses
-adaptive Gauss-Hermite nodes of its own.
+Each scalar velocity law also gives ``gauss_kernel_mean(a, b)``, the mean
+E exp(-(a + b v)^2) over its velocity v in closed form, for the
+stationarity residual.
 """
 
 from __future__ import annotations
@@ -29,6 +28,10 @@ def sample_columns(laws, rngs, size: int) -> np.ndarray:
     generator repeated (``itertools.repeat(rng)``), which the laws draw in turn.
     """
     return np.column_stack([law.sample(rng, size=size) for law, rng in zip(laws, rngs)])
+
+
+#: math.erf elementwise: numpy has no erf, and scipy is not a runtime dependency
+_erf = np.vectorize(math.erf, otypes=[float])
 
 
 def _sign(bit):
@@ -131,6 +134,11 @@ class GaussianVelocity:
     def sample(self, rng: np.random.Generator, size=None):
         return rng.normal(0.0, self.scale, size=size)
 
+    def gauss_kernel_mean(self, a, b: float) -> np.ndarray:
+        """E exp(-(a + b v)^2) elementwise over ``a``: exp(-a^2/D)/sqrt(D), D = 1 + 2 b^2 sigma2."""
+        d = 1.0 + 2.0 * b * b * self.sigma2
+        return np.exp(-np.square(a) / d) / math.sqrt(d)
+
 
 @dataclass(frozen=True)
 class UniformSymmetricVelocity:
@@ -153,10 +161,10 @@ class UniformSymmetricVelocity:
     def sample(self, rng: np.random.Generator, size=None):
         return rng.uniform(-self.half_width, self.half_width, size=size)
 
-    def expect(self, f, nodes: int = 64) -> float:
-        x, w = np.polynomial.legendre.leggauss(nodes)
-        v = self.half_width * x
-        return float(np.dot(w, f(v)) * 0.5)
+    def gauss_kernel_mean(self, a, b: float) -> np.ndarray:
+        """E exp(-(a + b v)^2) elementwise over ``a``, b != 0: sqrt(pi) (erf(a + bh) - erf(a - bh)) / (4bh)."""
+        bh = b * self.half_width
+        return math.sqrt(math.pi) * (_erf(a + bh) - _erf(a - bh)) / (4.0 * bh)
 
 
 @dataclass(frozen=True)
@@ -184,10 +192,10 @@ class TwoPointVelocity:
     def sample(self, rng: np.random.Generator, size=None):
         return _sign(rng.integers(0, 2, size=size)) * self.magnitude
 
-    def expect(self, f, nodes: int = 0) -> float:
-        # exact enumeration; the node count is accepted for API symmetry
-        a = self.magnitude
-        return 0.5 * (float(f(a)) + float(f(-a)))
+    def gauss_kernel_mean(self, a, b: float) -> np.ndarray:
+        """E exp(-(a + b v)^2) elementwise over ``a``: the mean over v = +-magnitude."""
+        ba = b * self.magnitude
+        return 0.5 * (np.exp(-np.square(a + ba)) + np.exp(-np.square(a - ba)))
 
 
 # ---------------------------------------------------------------------------

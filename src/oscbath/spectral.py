@@ -197,12 +197,7 @@ def check_rational_independence(
     for omega in w:
         values = (values[:, None] + coeffs * omega).ravel()
     for idx in np.flatnonzero(np.abs(values) <= tol):
-        digits = []
-        rest = int(idx)
-        for _ in range(w.size):
-            digits.append(rest % base - max_coeff)
-            rest //= base
-        alpha = np.array(digits[::-1], dtype=int)
+        alpha = np.array(np.unravel_index(idx, (base,) * w.size)) - max_coeff
         if not alpha.any():
             continue  # the trivial all-zero combination
         first = alpha[np.nonzero(alpha)[0][0]]

@@ -6,7 +6,7 @@ are provided:
 
 * ``stationarity_residual`` -- the adjoint-generator fixed-point identity
   gamma E_v exp(-beta/(2M) (gamma p - (1-gamma) M v)^2) = exp(-beta p^2/(2M)),
-  gamma = 1/alpha, evaluated by quadrature/enumeration on a momentum grid;
+  gamma = 1/alpha, evaluated in closed form per velocity law on a momentum grid;
 * ``gibbs_sampler`` -- exact draws from exp(-beta H) for moment batteries;
 * ``one_step_moment_shift`` -- second/fourth moment of the kicked momentum
   before and after a single collision at exact stationarity (the fourth
@@ -21,25 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .collisions import OneDimElastic
-from .laws import GaussianVelocity
 from .network import OscillatorNetwork
-
-
-def _gaussian_expectation_of_squared_exponent(a, b, sigma2, y, w):
-    """E exp(-(a + b v)^2) for v ~ N(0, sigma2) by Gauss-Hermite nodes y, weights w.
-
-    Adaptive node placement: the affine substitution centers the nodes at
-    the mode of the product integrand and matches its curvature, the
-    standard way to keep Gauss-Hermite at full accuracy when the integrand
-    is much narrower than the sampling law.
-    """
-    curv = b * b + 0.5 / sigma2  # half-curvature of the log-integrand
-    mode = -a * b / curv
-    s = 1.0 / math.sqrt(2.0 * curv)
-    v = mode + math.sqrt(2.0) * s * y
-    exponent = -((a + b * v) ** 2) - v * v / (2.0 * sigma2) + y * y
-    total = float(np.dot(w, np.exp(exponent)))
-    return s * math.sqrt(2.0 / (2.0 * math.pi * sigma2)) * total
 
 
 def stationarity_residual(
@@ -48,16 +30,14 @@ def stationarity_residual(
     mass: float,
     law,
     p1_grid,
-    nodes: int = 64,
 ) -> float:
     """Max absolute defect of the invariance identity over the momentum grid.
 
-    The expectation over the external velocity is evaluated per law:
-    variance-matched Gauss-Hermite nodes for the Gaussian law,
-    ``law.expect`` (Gauss-Legendre) for the uniform law, and exact
-    enumeration for the two-point law. A matched Gaussian law drives the
-    residual to quadrature precision; any other case stays bounded away
-    from zero.
+    The mean over the external velocity is the law's closed-form
+    ``gauss_kernel_mean(a, b)`` = E exp(-(a + b v)^2), at a = sqrt(c) gamma p
+    and b = -sqrt(c) (1 - gamma) M, c = beta/(2M). A matched Gaussian law
+    drives the residual to rounding level; any other case stays bounded
+    away from zero.
     """
     if not beta > 0 or not mass > 0:
         raise ValueError("beta and mass must be positive")
@@ -69,26 +49,8 @@ def stationarity_residual(
     gamma = 1.0 / alpha
     coeff = beta / (2.0 * mass)
     scale = math.sqrt(coeff)
-    worst = 0.0
-    y, w = np.polynomial.hermite.hermgauss(nodes)
-    for p1 in grid:
-        if isinstance(law, GaussianVelocity):
-            lhs = gamma * _gaussian_expectation_of_squared_exponent(
-                a=scale * gamma * p1,
-                b=-scale * (1.0 - gamma) * mass,
-                sigma2=law.sigma2,
-                y=y, w=w,
-            )
-        else:
-            lhs = gamma * law.expect(
-                lambda v: np.exp(
-                    -coeff * (gamma * p1 - (1.0 - gamma) * mass * v) ** 2
-                ),
-                nodes=nodes,
-            )
-        rhs = math.exp(-coeff * p1 * p1)
-        worst = max(worst, abs(lhs - rhs))
-    return worst
+    lhs = gamma * law.gauss_kernel_mean(scale * gamma * grid, -scale * (1.0 - gamma) * mass)
+    return float(np.max(np.abs(lhs - np.exp(-coeff * grid * grid))))
 
 
 def gibbs_sampler(

@@ -23,6 +23,34 @@ def matched_beta(sigma2=1.0, mass=1.0):
     return beta_from_params(MomentParams(lam=1.0, alpha=ALPHA, sigma2=sigma2, mass=mass))
 
 
+def _quad_kernel_mean(law, a, b):
+    """E exp(-(a + b v)^2) over the law's velocity v: scipy quadrature of the density, split at the peak."""
+    kernel = lambda v: np.exp(-((a + b * v) ** 2))
+    if isinstance(law, TwoPointVelocity):  # no density: the mean of its two atoms
+        return 0.5 * (kernel(law.magnitude) + kernel(-law.magnitude))
+    quad = pytest.importorskip("scipy.integrate").quad
+    if isinstance(law, GaussianVelocity):
+        lo, peak = 12.0 * law.scale, -a * b / (b * b + 0.5 / law.sigma2)
+        density = lambda v: np.exp(-v * v / (2.0 * law.sigma2)) / np.sqrt(2.0 * np.pi * law.sigma2)
+    else:
+        lo, peak = law.half_width, -a / b
+        density = lambda v: 0.5 / lo
+    points = [peak] if -lo < peak < lo else None
+    return quad(lambda v: kernel(v) * density(v), -lo, lo, points=points,
+                epsabs=1e-15, epsrel=1e-13, limit=500)[0]
+
+
+@pytest.mark.parametrize(
+    "law", [GaussianVelocity(0.7), UniformSymmetricVelocity(np.sqrt(3.0)), TwoPointVelocity(1.3)],
+    ids=lambda law: type(law).__name__,
+)
+@pytest.mark.parametrize("b", [-3.0, 0.2, 1.0, 16.8])  # 16.8 sqrt(3) ~ 29: a narrow integrand
+def test_gauss_kernel_mean_matches_quadrature(law, b):
+    a = np.linspace(-8.0, 8.0, 33)
+    want = [_quad_kernel_mean(law, ai, b) for ai in a]
+    np.testing.assert_allclose(law.gauss_kernel_mean(a, b), want, rtol=0.0, atol=1e-13)
+
+
 # --- fixed-point identity ------------------------------------------------------
 
 
@@ -56,16 +84,18 @@ def test_residual_uniform_law_never_matches():
     assert stationarity_residual(matched_beta(), ALPHA, 1.0, law, GRID) >= 1e-3
 
 
-def test_quadrature_node_count_self_check():
-    beta = matched_beta()
-    for wrong in (1.0, 2.0):
-        vals = [
-            stationarity_residual(
-                wrong * beta, ALPHA, 1.0, GaussianVelocity(1.0), GRID, nodes=n
-            )
-            for n in (32, 64)
-        ]
-        assert abs(vals[0] - vals[1]) <= 1e-12
+def test_residual_uniform_law_narrow_integrand():
+    # at alpha = 0.05 and twice the matched beta the kernel is ~70 times narrower than the
+    # law (b h ~ 35), where a fixed-node rule misses it; the residual is quadrature's
+    alpha = 0.05
+    beta = 2.0 * beta_from_params(MomentParams(lam=1.0, alpha=alpha, sigma2=1.0, mass=1.0))
+    law = UniformSymmetricVelocity(half_width=np.sqrt(3.0))
+    gamma, coeff = 1.0 / alpha, beta / 2.0
+    a, b = np.sqrt(coeff) * gamma * GRID, -np.sqrt(coeff) * (1.0 - gamma)
+    want = max(abs(gamma * _quad_kernel_mean(law, ai, b) - np.exp(-coeff * p * p))
+               for ai, p in zip(a, GRID))
+    assert want == pytest.approx(0.4877, abs=1e-4)
+    assert stationarity_residual(beta, alpha, 1.0, law, GRID) == pytest.approx(want, abs=1e-12)
 
 
 def test_residual_validation():
