@@ -48,7 +48,6 @@ from .network import (
 )
 from .pdmp import (
     EmbeddedChain,
-    EventSchedule,
     Moments,
     Trajectory,
     drift_estimate,
@@ -72,7 +71,6 @@ __all__ = [
     "ContractiveAffine",
     "DissipativeReport",
     "EmbeddedChain",
-    "EventSchedule",
     "Exponential",
     "GammaLaw",
     "GaussianVelocity",

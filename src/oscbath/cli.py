@@ -88,13 +88,18 @@ def _write_json(path: Path, payload: dict) -> None:
     path.write_text(json.dumps(payload, indent=2, sort_keys=True, default=_json_default) + "\n")
 
 
+def _exponent(x: np.ndarray) -> int:
+    """e with max |x| < 2^e: np.ldexp(x, -e) is x scaled exactly into (-1, 1) (bar subnormals)."""
+    return int(np.frexp(np.abs(x).max())[1])
+
+
 def _moment_params(cfg: ExperimentConfig) -> MomentParams:
     if not isinstance(cfg.model, OneDimElastic):
         raise ConfigError("moment analysis requires the one_dim_elastic model")
-    if not isinstance(cfg.schedule.tau_law, Exponential):
+    if not isinstance(cfg.tau_law, Exponential):
         raise ConfigError("moment analysis requires exponential waiting times")
     return MomentParams(
-        lam=cfg.schedule.tau_law.rate,
+        lam=cfg.tau_law.rate,
         alpha=cfg.model.alpha(cfg.network.mass),
         sigma2=cfg.model.velocity_law.sigma2,
         mass=cfg.network.mass,
@@ -131,7 +136,7 @@ def _seed_stats(cfg: ExperimentConfig, run: EventPass, csv=None) -> tuple:
 
     The rows are summed in mode coordinates and the sums mapped to physical ones
     once. The whole grid also goes to ``csv``, if open; without it the rows
-    before burn-in are not computed.
+    before burn-in are not computed. Sums or entries that overflow abort.
     """
     net = cfg.network
     first = 0 if csv is not None else grid_index(cfg.burn_in, cfg.sample_dt)
@@ -140,41 +145,55 @@ def _seed_stats(cfg: ExperimentConfig, run: EventPass, csv=None) -> tuple:
                                                first, physical=csv is not None):
         if csv is not None:
             trajectory_to_csv(csv, times, states)
-        moments += Moments.of(modes[np.searchsorted(times, cfg.burn_in):])  # t >= burn_in
+        with np.errstate(over="ignore", invalid="ignore"):  # a finite state's squares may overflow
+            moments += Moments.of(modes[np.searchsorted(times, cfg.burn_in):])  # t >= burn_in
         del modes, states  # not held while the next block is computed
-    moments = moments.from_modes(net)
-    chain = run.chain(cfg.n_steps)
-    return {
-        "seed": run.seed,
-        "events": run.events,
-        "n_samples": moments.n,
-        "mean_energy": moments.mean_energy(net),
-        "mean_p1": float(moments.mean[net.dof]),
-        "chain_steps": cfg.n_steps,
-        "chain_mean_energy": float(energies(net, chain.states)[cfg.n_steps // 10 :].mean()),
-        "chain_final_time": float(chain.jump_times[-1]),
-    }, moments
+    with np.errstate(over="ignore", invalid="ignore"):
+        moments = moments.from_modes(net)
+        chain = run.chain(cfg.n_steps)
+        entry = {
+            "seed": run.seed,
+            "events": run.events,
+            "n_samples": moments.n,
+            "mean_energy": moments.mean_energy(net),
+            "mean_p1": float(moments.mean[net.dof]),
+            "chain_steps": cfg.n_steps,
+            "chain_mean_energy": float(energies(net, chain.states)[cfg.n_steps // 10 :].mean()),
+            "chain_final_time": float(chain.jump_times[-1]),
+        }
+    if not (np.isfinite(moments.sum_xx).all() and np.isfinite(list(entry.values())).all()):
+        raise NumericalAbort(f"grid moments of seed {run.seed} overflow")
+    return entry, moments
 
 
 def run_simulate(cfg: ExperimentConfig, out_dir: Path | None, workers: int = 1) -> dict:
     # --workers is still accepted, and has no effect: every seed steps in one event loop
     if workers < 1:
         raise ConfigError(f"--workers must be >= 1, got {workers}")
-    runs = event_passes(cfg.network, cfg.model, cfg.schedule, cfg.psi0, cfg.t_end,
+    runs = event_passes(cfg.network, cfg.model, cfg.tau_law, cfg.psi0, cfg.t_end,
                         cfg.n_steps, cfg.seeds)
-    if out_dir is None:
-        stats = [_seed_stats(cfg, run) for run in runs]
-    else:  # trajectory.csv holds the first listed seed's grid, written as it is reduced
-        out_dir.mkdir(parents=True, exist_ok=True)
-        with open(out_dir / "trajectory.csv", "w") as csv:
-            stats = [_seed_stats(cfg, runs[0], csv)]
-        stats += [_seed_stats(cfg, run) for run in runs[1:]]
-    per_seed, seed_moments = zip(*sorted(stats, key=lambda s: s[0]["seed"]))
-    pooled = sum(seed_moments, Moments())  # a left fold in seed order, which fixes the bits
+    csv_path = None if out_dir is None else out_dir / "trajectory.csv"
+    try:
+        if csv_path is None:
+            stats = [_seed_stats(cfg, run) for run in runs]
+        else:  # trajectory.csv holds the first listed seed's grid, written as it is reduced
+            out_dir.mkdir(parents=True, exist_ok=True)
+            with open(csv_path, "w") as csv:
+                stats = [_seed_stats(cfg, runs[0], csv)]
+            stats += [_seed_stats(cfg, run) for run in runs[1:]]
+        per_seed, seed_moments = zip(*sorted(stats, key=lambda s: s[0]["seed"]))
+        with np.errstate(over="ignore", invalid="ignore"):
+            pooled = sum(seed_moments, Moments())  # a left fold in seed order, which fixes the bits
+        if not np.isfinite(pooled.sum_xx).all():
+            raise NumericalAbort("the seeds' pooled grid moments overflow")
+    except NumericalAbort:  # an aborted run leaves no output
+        if csv_path is not None:
+            csv_path.unlink(missing_ok=True)
+        raise
 
     comparison = None
     checks = {}
-    if isinstance(cfg.model, OneDimElastic) and isinstance(cfg.schedule.tau_law, Exponential):
+    if isinstance(cfg.model, OneDimElastic) and isinstance(cfg.tau_law, Exponential):
         params = _moment_params(cfg)
         beta = beta_from_params(params)
         target = gibbs_covariance(cfg.network, beta)
@@ -184,7 +203,9 @@ def run_simulate(cfg: ExperimentConfig, out_dir: Path | None, workers: int = 1) 
         std_err = max_z = None  # one seed has no spread to compare against
         if len(per_seed) > 1:
             seed_covs = np.array([m.covariance for m in seed_moments])
-            std_err = seed_covs.std(axis=0, ddof=1) / math.sqrt(len(per_seed))
+            e = _exponent(seed_covs)  # std's squares stay finite on covariances scaled by 2^-e
+            std = np.ldexp(np.ldexp(seed_covs, -e).std(axis=0, ddof=1), e)
+            std_err = std / math.sqrt(len(per_seed))
             with np.errstate(divide="ignore", invalid="ignore"):
                 z = np.abs(diff) / std_err
             max_z = float(np.nanmax(z))
@@ -257,6 +278,8 @@ def run_covariance(cfg: ExperimentConfig, out_dir: Path | None) -> dict:
     psi0 = cfg.psi0
     if not np.any(psi0.vector):
         psi0 = PhaseState(q=np.ones(dof), p=np.zeros(dof))
+    # the decay factor is scale-free; at psi0 scaled by 2^-e the energies stay finite
+    psi0 = PhaseState.from_vector(np.ldexp(psi0.vector, -_exponent(psi0.vector)))
     mean_traj = mean_dynamics(net, params, psi0, t_end=200.0, sample_dt=200.0)
     mean_decay = energy_norm(net, mean_traj.final) / energy_norm(net, psi0.vector)
 
@@ -383,7 +406,7 @@ def run_drift_check(
     for i, h in enumerate(levels):
         psi = _state_at_energy(cfg, float(h), rng)
         est = drift_estimate(
-            cfg.network, cfg.model, cfg.schedule, psi, n_mc=n_mc, seed=cfg.seeds[0] + i
+            cfg.network, cfg.model, cfg.tau_law, psi, n_mc=n_mc, seed=cfg.seeds[0] + i
         )
         probes.append(
             {

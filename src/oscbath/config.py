@@ -16,13 +16,15 @@ load time, so a config that loads is a config that runs.
 
 Stiffness kinds: "chain" (nearest-neighbor + pinning between particles,
 kron(chain(N), I_d)), "explicit" (row-major "matrix"), "random" (seeded
-G G^T + jitter draw). Velocity-law kinds: "gaussian" {sigma2}, "uniform"
+G G^T + 1e-6 I draw). Velocity-law kinds: "gaussian" {sigma2}, "uniform"
 {half_width}, "two_point" {magnitude}. Tau kinds: "exponential" {rate},
-"gamma" {shape, rate}, "uniform" {low, high}. ``run.n_steps`` is the
-post-collision chain length summarized per seed. Neither it nor the events
-that ``run.t_end`` leads one to expect may need more than
-``pdmp.RECORD_MAX_BYTES`` of event record, nor the network more than
-``pdmp.NETWORK_MAX_DOF`` degrees of freedom. The contact sites are the
+"gamma" {shape, rate}, "uniform" {low, high}: ``schedule.tau`` becomes
+``ExperimentConfig.tau_law``, a law of :mod:`oscbath.laws` whose constructor
+also requires the finite positive mean that the event loop sizes its draws
+by. ``run.n_steps`` is the post-collision chain length summarized per seed.
+Neither it nor the events that ``run.t_end`` leads one to expect may need
+more than ``pdmp.RECORD_MAX_BYTES`` of event record, nor the network more
+than ``pdmp.NETWORK_MAX_DOF`` degrees of freedom. The contact sites are the
 kicked particle's coordinates 0..d-1; a "contact_sites" entry must equal them.
 A key the loader does not read, in any section, is an error naming its path.
 """
@@ -42,8 +44,7 @@ from . import laws
 from .collisions import ContractiveAffine, OneDimElastic, TwoDimBall
 from .errors import ConfigError
 from .network import OscillatorNetwork, PhaseState, chain_stiffness
-from .pdmp import (NETWORK_MAX_DOF, RECORD_MAX_BYTES, EventSchedule, event_estimate, grid_size,
-                   record_bytes)
+from .pdmp import NETWORK_MAX_DOF, RECORD_MAX_BYTES, event_estimate, grid_size, record_bytes
 from .spectral import random_pd_matrix
 
 
@@ -197,7 +198,7 @@ class ExperimentConfig:
 
     network: OscillatorNetwork
     model: object
-    schedule: EventSchedule
+    tau_law: object
     t_end: float
     sample_dt: float
     n_steps: int
@@ -243,10 +244,8 @@ def load_config(source) -> ExperimentConfig:
             model.alpha(net.mass)
     schedule_section = _field(raw, "schedule", "config")
     _only(schedule_section, "schedule", "tau")
-    with _invalid("waiting-time law"):
+    with _invalid("waiting-time law"):  # the law checks its mean is finite and positive
         tau_law = _build_tau_law(_field(schedule_section, "tau", "schedule"))
-    with _invalid("schedule"):
-        schedule = EventSchedule(tau_law=tau_law)
 
     run = raw.get("run", {})
     _only(run, "run", "t_end", "sample_dt", "n_steps", "burn_in", "seeds")
@@ -270,7 +269,7 @@ def load_config(source) -> ExperimentConfig:
                           f"k*run.sample_dt in [0, run.t_end]")
     if n_steps < 1:
         raise ConfigError("run.n_steps must be >= 1")
-    least = event_estimate(0.0, schedule.tau_law.mean)  # the smallest record a seed needs
+    least = event_estimate(0.0, tau_law.mean)  # the smallest record a seed needs
     if record_bytes(net, model, least, len(seeds)) > RECORD_MAX_BYTES:
         raise ConfigError(f"run.seeds lists {len(seeds)} seeds, more than {RECORD_MAX_BYTES} bytes "
                           f"of event record at even {least} events per seed")
@@ -278,9 +277,8 @@ def load_config(source) -> ExperimentConfig:
         raise ConfigError(f"run.n_steps = {n_steps} needs more than {RECORD_MAX_BYTES} bytes "
                           f"of event record for {len(seeds)} seeds")
     # the count event_passes sizes its first block of waits for
-    if record_bytes(net, model, event_estimate(t_end, schedule.tau_law.mean),
-                    len(seeds)) > RECORD_MAX_BYTES:
-        raise ConfigError(f"run.t_end = {t_end!r} expects {t_end / schedule.tau_law.mean:.4g} "
+    if record_bytes(net, model, event_estimate(t_end, tau_law.mean), len(seeds)) > RECORD_MAX_BYTES:
+        raise ConfigError(f"run.t_end = {t_end!r} expects {t_end / tau_law.mean:.4g} "
                           f"events per seed, more than {RECORD_MAX_BYTES} bytes of event record "
                           f"for {len(seeds)} seeds")
 
@@ -302,7 +300,7 @@ def load_config(source) -> ExperimentConfig:
     return ExperimentConfig(
         network=net,
         model=model,
-        schedule=schedule,
+        tau_law=tau_law,
         t_end=t_end,
         sample_dt=sample_dt,
         n_steps=n_steps,

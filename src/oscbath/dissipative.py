@@ -78,25 +78,22 @@ def _cluster_eigenvalues(eigenvalues: np.ndarray, tol: float):
     return slices, ambiguous
 
 
-def _independence_coeff_bound(order: int, cap: int = spectral.INDEPENDENCE_SEARCH_CAP):
-    """Largest max_coeff <= 5 whose search box fits under the cap, or None."""
-    return next((c for c in range(5, 0, -1) if (2 * c + 1) ** order <= cap), None)
+def _independence_coeff_bound(order: int):
+    """Largest max_coeff <= 5 whose search box fits under ``spectral.INDEPENDENCE_SEARCH_CAP``, or None."""
+    return next((c for c in range(5, 0, -1)
+                 if (2 * c + 1) ** order <= spectral.INDEPENDENCE_SEARCH_CAP), None)
 
 
-def analyze(
-    stiffness: np.ndarray,
-    contact_sites,
-    tol: float = CLUSTER_TOL,
-    independence_max_coeff: int | None = None,
-    independence_tol: float = 1e-9,
-) -> DissipativeReport:
+def analyze(stiffness: np.ndarray, contact_sites, tol: float = CLUSTER_TOL) -> DissipativeReport:
     """Full damped-subspace report for a stiffness matrix and contact sites.
 
     ``tol`` controls eigenvalue clustering, the Gram-Schmidt drop rule, and
-    the zero-component test on eigenvectors. For simple spectra the neutral
-    dimension is cross-checked against the eigenvector count
-    2 * #{k : v_k has zero entries at every contact site}; a mismatch is a
-    numerical-rank inconsistency and raises.
+    the zero-component test on eigenvectors. The rational-independence scan
+    takes the largest coefficient box that fits the search cap
+    (``_independence_coeff_bound``) and the scan's own tolerance. For simple
+    spectra the neutral dimension is cross-checked against the eigenvector
+    count 2 * #{k : v_k has zero entries at every contact site}; a mismatch
+    is a numerical-rank inconsistency and raises.
     """
     if not tol > 0:
         raise ValueError("tol must be positive")
@@ -140,14 +137,8 @@ def analyze(
     omegas = np.sqrt(np.maximum(dec.eigenvalues, 0.0))
     if np.any(omegas <= 0):
         raise ValueError("stiffness must be positive definite for the frequency scan")
-    max_coeff = (
-        independence_max_coeff
-        if independence_max_coeff is not None
-        else _independence_coeff_bound(order)
-    )
-    indep = None if max_coeff is None else spectral.check_rational_independence(
-        omegas, max_coeff=max_coeff, tol=independence_tol
-    )
+    max_coeff = _independence_coeff_bound(order)
+    indep = None if max_coeff is None else spectral.check_rational_independence(omegas, max_coeff)
 
     return DissipativeReport(
         order=order,
@@ -172,42 +163,31 @@ def multiplicity_bound_check(report: DissipativeReport) -> bool:
     return max(report.eigen_multiplicities) <= len(report.contact_sites)
 
 
-def damped_subspace_basis(
-    stiffness: np.ndarray, contact_sites, tol: float = CLUSTER_TOL
-) -> np.ndarray:
+def damped_subspace_basis(stiffness: np.ndarray, contact_sites) -> np.ndarray:
     """Orthonormal basis of L_minus = {(q, p): q, p in l_V}, shape (2n, 2r)."""
-    basis, _ = spectral.krylov_basis(stiffness, contact_sites, tol=tol)
+    basis, _ = spectral.krylov_basis(stiffness, contact_sites, tol=CLUSTER_TOL)
     return np.kron(np.eye(2), basis)
 
 
-def neutral_subspace_basis(
-    stiffness: np.ndarray, contact_sites, tol: float = CLUSTER_TOL
-) -> np.ndarray:
+def neutral_subspace_basis(stiffness: np.ndarray, contact_sites) -> np.ndarray:
     """Orthonormal basis of L_0 (orthogonal complement of L_minus)."""
-    basis, rank = spectral.krylov_basis(stiffness, contact_sites, tol=tol)
+    basis, rank = spectral.krylov_basis(stiffness, contact_sites, tol=CLUSTER_TOL)
     # complement of the Krylov space in R^n via full SVD
     u = np.linalg.svd(basis, full_matrices=True)[0] if rank else np.eye(basis.shape[0])
     return np.kron(np.eye(2), u[:, rank:])
 
 
-def l0_invariance_check(
-    net: OscillatorNetwork,
-    n_probes: int = 5,
-    t_grid=None,
-    tol: float = 1e-9,
-    seed: int = 0,
-) -> bool:
+def l0_invariance_check(net: OscillatorNetwork, n_probes: int = 5, tol: float = 1e-9) -> bool:
     """Check that L_0 states keep zero contact-site momenta along the flow.
 
-    Propagates random L_0 combinations over the time grid and requires
-    |p_n(t)| <= tol*|psi| for every contact site of the network (particle
-    1's coordinates); additionally requires a random state outside L_0 to
-    violate that bound somewhere on the grid.
+    Propagates random L_0 combinations (from ``default_rng(0)``) over the
+    time grid 0, 0.25, ..., 20 and requires |p_n(t)| <= tol*|psi| for every
+    contact site of the network (particle 1's coordinates); additionally
+    requires a random state outside L_0 to violate that bound somewhere on
+    the grid.
     """
-    if t_grid is None:
-        t_grid = np.linspace(0.0, 20.0, 81)
-    t_grid = np.asarray(t_grid, dtype=float)
-    rng = np.random.default_rng(seed)
+    t_grid = np.linspace(0.0, 20.0, 81)
+    rng = np.random.default_rng(0)
     basis = neutral_subspace_basis(net.stiffness, net.contact_sites)
 
     def max_site_momentum(vec: np.ndarray) -> float:

@@ -6,7 +6,9 @@ seed. ``sample(rng, size=None)`` draws one value (a vector law: one vector),
 or a block of ``size`` of them. A block of n values is, bit for bit, the n
 values of n scalar calls, or of any split of n into consecutive blocks, and
 leaves ``rng`` in the same state; the event loop relies on this when it
-draws each seed's waits and inputs as blocks, one stream per law.
+draws each seed's waits and inputs as blocks, one stream per law. A
+waiting-time law's constructor requires a finite positive ``mean``, by
+which the event loop sizes its first block of waits.
 
 Each scalar velocity law also gives ``gauss_kernel_mean(a, b)``, the mean
 E exp(-(a + b v)^2) over its velocity v in closed form, for the
@@ -44,6 +46,12 @@ def _sign(bit):
 # ---------------------------------------------------------------------------
 
 
+def _require_finite_mean(law) -> None:
+    """Refuse a waiting-time law whose ``mean`` is infinite or zero."""
+    if not (math.isfinite(law.mean) and law.mean > 0):
+        raise ValueError(f"mean {law.mean!r} must be finite and positive")
+
+
 @dataclass(frozen=True)
 class Exponential:
     """Exponential waiting times with rate > 0 (the Markov case)."""
@@ -53,6 +61,7 @@ class Exponential:
     def __post_init__(self):
         if not self.rate > 0:
             raise ValueError("rate must be positive")
+        _require_finite_mean(self)
 
     @property
     def mean(self) -> float:
@@ -76,6 +85,7 @@ class GammaLaw:
     def __post_init__(self):
         if not self.shape > 0 or not self.rate > 0:
             raise ValueError("shape and rate must be positive")
+        _require_finite_mean(self)
 
     @property
     def mean(self) -> float:
@@ -99,6 +109,7 @@ class UniformPositive:
     def __post_init__(self):
         if self.low < 0 or not self.high > self.low:
             raise ValueError("need 0 <= low < high")
+        _require_finite_mean(self)
 
     @property
     def mean(self) -> float:

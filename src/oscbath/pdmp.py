@@ -19,9 +19,10 @@ in mode coordinates, from burn-in on, with the sums mapped to physical
 coordinates once per seed. Only the rows written out are transformed back.
 
 Random protocol (``RNG_PROTOCOL``): each seed's ``SeedSequence(seed)``
-spawns one stream for the waiting times and one per input law, and each
-stream is drawn in blocks through the laws' ``sample(rng, size)``, whose
-values do not depend on how a stream is split into blocks.
+spawns child 0 for the waiting times, then one child per law of the model's
+``input_laws``, in their order. Each stream is drawn in blocks through the
+laws' ``sample(rng, size)``, whose values do not depend on how a stream is
+split into blocks.
 """
 
 from __future__ import annotations
@@ -56,26 +57,6 @@ RANK_MAX_DOF = 12
 RANK_MAX_LEGS = 1000
 #: version of the random protocol of ``event_passes``, recorded in ``simulate``'s summary
 RNG_PROTOCOL = 2
-
-
-@dataclass(frozen=True)
-class EventSchedule:
-    """Waiting-time law plus (optionally) an override collision-input law.
-
-    ``tau_law`` must expose ``sample(rng, size=None)`` (see
-    :mod:`oscbath.laws`) and a finite ``mean`` (checked at construction).
-    ``xi_law`` is any object with ``sample(rng, size=None)`` returning a
-    collision input matching the model, or a block of ``size`` of them;
-    ``None`` means "use the model's own input laws".
-    """
-
-    tau_law: object
-    xi_law: object | None = None
-
-    def __post_init__(self):
-        mean = getattr(self.tau_law, "mean", None)
-        if mean is None or not np.isfinite(mean) or mean <= 0:
-            raise ValueError("waiting-time law must have a finite positive mean")
 
 
 @dataclass(frozen=True, eq=False)
@@ -141,10 +122,6 @@ def _kick(net: OscillatorNetwork, model: CollisionModel, ph, xi):
     """Jump of mode-space momenta ph, (dof,) or (n, dof), by inputs xi: ``_kick_rows`` on their terms."""
     terms = model.jump_terms(xi, net.mass)[..., None, :]
     return _kick_rows(model, net.contact_modes, net.mass, ph[..., None, :], terms)[..., 0, :]
-
-
-def _input_laws(model: CollisionModel, sched: EventSchedule) -> tuple:
-    return model.input_laws if sched.xi_law is None else (sched.xi_law,)
 
 
 #: grid rows rotated per block when a pass is sampled on the time grid
@@ -264,23 +241,22 @@ def _seed_waits(tau_law, rng, t_end: float, n_steps: int):
         waits = np.concatenate([waits, tau_law.sample(rng, size=len(waits))])
 
 
-def _draw_events(model: CollisionModel, sched: EventSchedule, seeds: tuple, t_end: float, n_steps: int):
+def _draw_events(model: CollisionModel, tau_law, seeds: tuple, t_end: float, n_steps: int):
     """(taus, xis, counts): the seeds' waits (events, seeds), inputs (events, seeds, xi_dim) and counts.
 
     Each seed's waits come first (``_seed_waits``); once every count k is
     known, each input law draws a seed's k values in one call from its own
     stream (``sample_columns``). Rows past a seed's count stay zero.
     """
-    laws = _input_laws(model, sched)
-    streams = [_streams(seed, len(laws)) for seed in seeds]
-    waits, counts = zip(*(_seed_waits(sched.tau_law, rngs[0], t_end, n_steps) for rngs in streams))
+    streams = [_streams(seed, len(model.input_laws)) for seed in seeds]
+    waits, counts = zip(*(_seed_waits(tau_law, rngs[0], t_end, n_steps) for rngs in streams))
     taus = np.zeros((max(counts), len(seeds)))
     for s, k in enumerate(counts):
         taus[:k, s] = waits[s][:k]
     del waits
     xis = np.zeros((max(counts), len(seeds), model.xi_dim))
     for s, k in enumerate(counts):
-        xis[:k, s] = sample_columns(laws, streams[s][1:], k)
+        xis[:k, s] = sample_columns(model.input_laws, streams[s][1:], k)
     return taus, xis, counts
 
 
@@ -314,7 +290,7 @@ def _step_seeds(net: OscillatorNetwork, model: CollisionModel, taus, xis, modes)
 def event_passes(
     net: OscillatorNetwork,
     model: CollisionModel,
-    sched: EventSchedule,
+    tau_law,
     psi0: PhaseState,
     t_end: float,
     n_steps: int,
@@ -322,10 +298,11 @@ def event_passes(
 ) -> list:
     """The event loop: each seed jumps until its first jump past t_end, and at least n_steps.
 
-    Each seed draws from its own streams (``_streams``): its waits in blocks
+    ``tau_law`` is a waiting-time law of :mod:`oscbath.laws`. Each seed
+    draws from its own streams (``_streams``): its waits in blocks
     (``_seed_waits``), then, once its event count k is known, k inputs with
-    one ``sample(rng, size=k)`` call per input law, each law from its own
-    stream, into (events, seeds) buffers of their final size
+    one ``sample(rng, size=k)`` call per law of ``model.input_laws``, each
+    from its own stream, into (events, seeds) buffers of their final size
     (``_draw_events``). Then all seeds step together, one event per step
     (``_step_seeds``); a seed out of events rides along on a zero wait and a
     zero input, and those rows are cut off. One ``EventPass`` per seed, in
@@ -334,7 +311,7 @@ def event_passes(
     step k" beyond it.
     """
     _require_dim(net, model)
-    taus, xis, counts = _draw_events(model, sched, seeds, t_end, n_steps)
+    taus, xis, counts = _draw_events(model, tau_law, seeds, t_end, n_steps)
     modes = np.empty((len(seeds), len(taus) + 1, 2 * net.dof))
     modes[:, 0] = np.concatenate(net.to_modes(psi0.vector))
     _step_seeds(net, model, taus, xis, modes)
@@ -358,7 +335,7 @@ def event_passes(
 def simulate_embedded(
     net: OscillatorNetwork,
     model: CollisionModel,
-    sched: EventSchedule,
+    tau_law,
     psi0: PhaseState,
     n_steps: int,
     seed: int,
@@ -370,14 +347,14 @@ def simulate_embedded(
     """
     if n_steps < 1:
         raise ValueError("n_steps must be >= 1")
-    [run] = event_passes(net, model, sched, psi0, -np.inf, n_steps, (seed,))
+    [run] = event_passes(net, model, tau_law, psi0, -np.inf, n_steps, (seed,))
     return run.chain(n_steps)
 
 
 def simulate_continuous(
     net: OscillatorNetwork,
     model: CollisionModel,
-    sched: EventSchedule,
+    tau_law,
     psi0: PhaseState,
     t_end: float,
     sample_dt: float,
@@ -391,7 +368,7 @@ def simulate_continuous(
     """
     if not 0 < sample_dt <= t_end:
         raise ValueError("need 0 < sample_dt <= t_end")
-    [run] = event_passes(net, model, sched, psi0, t_end, 0, (seed,))
+    [run] = event_passes(net, model, tau_law, psi0, t_end, 0, (seed,))
     size = grid_size(t_end, sample_dt)
     times, states = np.empty(size), np.empty((size, 2 * net.dof))
     # GRID_BLOCK rows per block, the last fewer
@@ -471,7 +448,7 @@ class DriftEstimate:
 def drift_estimate(
     net: OscillatorNetwork,
     model: CollisionModel,
-    sched: EventSchedule,
+    tau_law,
     psi: PhaseState,
     n_mc: int = 10_000,
     seed: int = 0,
@@ -487,8 +464,8 @@ def drift_estimate(
     h0 = energy(net, psi)
     qh, ph = net.to_modes(psi.vector)
     # all waiting times first, then the inputs, one block per input law
-    taus = np.asarray(sched.tau_law.sample(rng, size=n_mc), dtype=float)
-    xi = sample_columns(_input_laws(model, sched), itertools.repeat(rng), n_mc)
+    taus = np.asarray(tau_law.sample(rng, size=n_mc), dtype=float)
+    xi = sample_columns(model.input_laws, itertools.repeat(rng), n_mc)
     qh_t, ph_t = _mode_flow(qh, ph, net.mode_frequencies, net.mass, taus)
     change = energies(net, net.from_modes(qh_t, _kick(net, model, ph_t, xi))) - h0
     return DriftEstimate(

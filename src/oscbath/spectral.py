@@ -132,13 +132,13 @@ def krylov_basis(
     return q, q.shape[1]
 
 
-def random_pd_matrix(order: int, seed: int, jitter: float = 1e-6) -> np.ndarray:
-    """Random positive definite matrix G G^T + jitter*I, deterministic per seed."""
+def random_pd_matrix(order: int, seed: int) -> np.ndarray:
+    """Random positive definite matrix G G^T + 1e-6 I, deterministic per seed."""
     if order < 1:
         raise ValueError("order must be >= 1")
     rng = np.random.default_rng(seed)
     g = rng.standard_normal((order, order))
-    return g @ g.T + jitter * np.eye(order)
+    return g @ g.T + 1e-6 * np.eye(order)
 
 
 @dataclass(frozen=True)
@@ -157,12 +157,7 @@ class IndependenceResult:
     tol: float
 
 
-def check_rational_independence(
-    omegas,
-    max_coeff: int = 5,
-    tol: float = 1e-9,
-    search_cap: int = INDEPENDENCE_SEARCH_CAP,
-) -> IndependenceResult:
+def check_rational_independence(omegas, max_coeff: int = 5, tol: float = 1e-9) -> IndependenceResult:
     """Scan for integer relations sum_k a_k w_k = 0 with |a_k| <= max_coeff.
 
     This is a heuristic, not a certificate: rational independence is
@@ -173,7 +168,8 @@ def check_rational_independence(
     ------
     ValueError
         if any frequency is non-positive, or the search space exceeds
-        ``search_cap`` (an explicit refusal rather than silent truncation).
+        ``INDEPENDENCE_SEARCH_CAP`` (an explicit refusal rather than silent
+        truncation).
     """
     w = np.asarray(omegas, dtype=float).ravel()
     if w.size == 0:
@@ -184,11 +180,9 @@ def check_rational_independence(
         raise ValueError("max_coeff must be >= 1")
     base = 2 * max_coeff + 1
     n_cases = base**w.size
-    if n_cases > search_cap:
-        raise ValueError(
-            f"search space {n_cases} exceeds cap {search_cap}; "
-            "lower max_coeff or raise the cap explicitly"
-        )
+    if n_cases > INDEPENDENCE_SEARCH_CAP:
+        raise ValueError(f"search space {n_cases} exceeds cap {INDEPENDENCE_SEARCH_CAP}; "
+                         "lower max_coeff")
     # evaluate all lattice combinations by repeated outer sums; the flat
     # index encodes the coefficients base (2*max_coeff+1), first frequency
     # most significant

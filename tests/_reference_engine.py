@@ -33,7 +33,7 @@ from oscbath.collisions import (
 from oscbath.errors import NumericalAbort
 from oscbath.laws import sample_columns
 from oscbath.network import OscillatorNetwork, PhaseState, _mode_flow, propagate
-from oscbath.pdmp import DriftEstimate, EmbeddedChain, EventSchedule, Trajectory
+from oscbath.pdmp import DriftEstimate, EmbeddedChain, Trajectory
 
 
 # --- the one-row jump maps ---------------------------------------------------
@@ -122,10 +122,8 @@ class _EigenEngine:
         return ph + self.contact_rows.T @ (p1_new - p1)
 
 
-def _input_laws(model: CollisionModel, xi_law=None) -> tuple:
-    """The laws of an input's entries: the schedule's override, or the model's laws."""
-    if xi_law is not None:
-        return (xi_law,)
+def _input_laws(model: CollisionModel) -> tuple:
+    """The laws of an input's entries, read off the model's fields."""
     if isinstance(model, TwoDimBall):
         return (model.angle_law, model.velocity_law)
     if isinstance(model, ContractiveAffine):
@@ -133,18 +131,18 @@ def _input_laws(model: CollisionModel, xi_law=None) -> tuple:
     return (model.velocity_law,)
 
 
-def _draws(model: CollisionModel, sched: EventSchedule, seed: int):
+def _draws(model: CollisionModel, tau_law, seed: int):
     """(draw_tau, draw_xi): one wait, one input per call, under random protocol 2.
 
     ``SeedSequence(seed)`` spawns the waits' stream, then one stream per law
     of the input's entries (``_input_laws``).
     """
-    laws = _input_laws(model, sched.xi_law)
+    laws = _input_laws(model)
     tau_rng, *xi_rngs = [np.random.default_rng(child)
                          for child in np.random.SeedSequence(seed).spawn(1 + len(laws))]
 
     def draw_tau():
-        return float(sched.tau_law.sample(tau_rng))
+        return float(tau_law.sample(tau_rng))
 
     def draw_xi():
         return np.concatenate([np.atleast_1d(law.sample(rng)) for law, rng in zip(laws, xi_rngs)])
@@ -155,7 +153,7 @@ def _draws(model: CollisionModel, sched: EventSchedule, seed: int):
 def simulate_embedded(
     net: OscillatorNetwork,
     model: CollisionModel,
-    sched: EventSchedule,
+    tau_law,
     psi0: PhaseState,
     n_steps: int,
     seed: int,
@@ -168,7 +166,7 @@ def simulate_embedded(
     if n_steps < 1:
         raise ValueError("n_steps must be >= 1")
     engine = _EigenEngine(net, model)
-    draw_tau, draw_xi = _draws(model, sched, seed)
+    draw_tau, draw_xi = _draws(model, tau_law, seed)
     qh, ph = engine.eigen_coords(psi0)
     dof = net.dof
     states = np.empty((n_steps + 1, 2 * dof))
@@ -195,7 +193,7 @@ def simulate_embedded(
 def simulate_continuous(
     net: OscillatorNetwork,
     model: CollisionModel,
-    sched: EventSchedule,
+    tau_law,
     psi0: PhaseState,
     t_end: float,
     sample_dt: float,
@@ -210,7 +208,7 @@ def simulate_continuous(
     if not 0 < sample_dt <= t_end:
         raise ValueError("need 0 < sample_dt <= t_end")
     engine = _EigenEngine(net, model)
-    draw_tau, draw_xi = _draws(model, sched, seed)
+    draw_tau, draw_xi = _draws(model, tau_law, seed)
     qh, ph = engine.eigen_coords(psi0)
     dof = net.dof
     n_samples = int(np.floor(t_end / sample_dt + 1e-12)) + 1
@@ -273,7 +271,7 @@ def energy(net: OscillatorNetwork, psi: PhaseState) -> float:
 def drift_estimate(
     net: OscillatorNetwork,
     model: CollisionModel,
-    sched: EventSchedule,
+    tau_law,
     psi: PhaseState,
     n_mc: int = 10_000,
     seed: int = 0,
@@ -288,8 +286,8 @@ def drift_estimate(
     rng = np.random.default_rng(seed)
     h0 = energy(net, psi)
     qh, ph = engine.eigen_coords(psi)
-    taus = np.asarray(sched.tau_law.sample(rng, size=n_mc), dtype=float)
-    xi = sample_columns(_input_laws(model, sched.xi_law), itertools.repeat(rng), n_mc)
+    taus = np.asarray(tau_law.sample(rng, size=n_mc), dtype=float)
+    xi = sample_columns(_input_laws(model), itertools.repeat(rng), n_mc)
     qh_t, ph_t = _mode_flow(qh, ph, engine.omega, engine.mass, taus)
     # potential term is basis-independent: q^T V q = sum lambda_k qh_k^2
     lam = net.spectrum.eigenvalues

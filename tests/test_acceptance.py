@@ -39,7 +39,7 @@ from oscbath.network import (
     flow_matrix,
     propagate,
 )
-from oscbath.pdmp import EventSchedule, drift_estimate, simulate_continuous, simulate_embedded
+from oscbath.pdmp import drift_estimate, simulate_continuous, simulate_embedded
 from oscbath.spectral import random_pd_matrix
 from oscbath.stationarity import one_step_moment_shift, stationarity_residual
 
@@ -195,7 +195,7 @@ def test_criterion_5_stationarity_identity():
 def test_criterion_6_energy_drift():
     net = OscillatorNetwork(1, 1, 1.0, np.array([[1.0]]))
     model = OneDimElastic(external_mass=0.5, velocity_law=GaussianVelocity(1.0))
-    sched = EventSchedule(tau_law=Exponential(rate=1.0))
+    tau_law = Exponential(rate=1.0)
     rng = np.random.default_rng(6)
     energies = np.exp(np.linspace(np.log(1e3), np.log(1e4), 20))
     worst = -np.inf
@@ -205,7 +205,7 @@ def test_criterion_6_energy_drift():
         psi = PhaseState(q=vec[:1], p=vec[1:])
         scale = np.sqrt(target_h / energy(net, psi))
         psi = PhaseState(q=scale * psi.q, p=scale * psi.p)
-        est = drift_estimate(net, model, sched, psi, n_mc=10_000, seed=600 + i)
+        est = drift_estimate(net, model, tau_law, psi, n_mc=10_000, seed=600 + i)
         all_negative &= est.mean_change < 0
         worst = max(worst, est.relative_change)
     report(
@@ -330,19 +330,19 @@ def test_criterion_8e_impact_matrix_spectrum_fuzz():
 def test_criterion_8f_determinism_fuzz():
     net = OscillatorNetwork(3, 1, 1.0, chain_stiffness(3))
     model = OneDimElastic(external_mass=0.5)
-    sched = EventSchedule(tau_law=Exponential(rate=1.0))
+    tau_law = Exponential(rate=1.0)
     psi0 = PhaseState(q=[1.0, 0.0, -1.0], p=[0.0, 0.5, 0.0])
     failures = 0
     for seed in range(500):
-        a = simulate_embedded(net, model, sched, psi0, n_steps=20, seed=seed)
-        b = simulate_embedded(net, model, sched, psi0, n_steps=20, seed=seed)
+        a = simulate_embedded(net, model, tau_law, psi0, n_steps=20, seed=seed)
+        b = simulate_embedded(net, model, tau_law, psi0, n_steps=20, seed=seed)
         failures += not (
             np.array_equal(a.states, b.states)
             and np.array_equal(a.jump_times, b.jump_times)
         )
     for seed in range(500):
-        a = simulate_continuous(net, model, sched, psi0, 5.0, 0.5, seed=seed)
-        b = simulate_continuous(net, model, sched, psi0, 5.0, 0.5, seed=seed)
+        a = simulate_continuous(net, model, tau_law, psi0, 5.0, 0.5, seed=seed)
+        b = simulate_continuous(net, model, tau_law, psi0, 5.0, 0.5, seed=seed)
         failures += not (
             np.array_equal(a.states, b.states) and a.events == b.events
         )

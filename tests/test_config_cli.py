@@ -192,7 +192,7 @@ def test_summary_config_roundtrip_reproduces_run(tmp_path):
 def test_pooled_is_the_left_fold_of_the_seeds_moments_in_seed_order():
     # the summary's bits rest on this summation order
     cfg = load_config(base_config(seeds=[2, 0, 1]))
-    runs = event_passes(cfg.network, cfg.model, cfg.schedule, cfg.psi0, cfg.t_end,
+    runs = event_passes(cfg.network, cfg.model, cfg.tau_law, cfg.psi0, cfg.t_end,
                         cfg.n_steps, cfg.seeds)
     folded = Moments()
     for run in sorted(runs, key=lambda run: run.seed):
@@ -213,7 +213,7 @@ def test_n_samples_counts_the_grid_times_from_burn_in(burn_in):
     cfg = load_config(base_config(t_end=1100.1, sample_dt=0.25, burn_in=burn_in, seeds=[0]))
     size = grid_size(cfg.t_end, cfg.sample_dt)
     assert size > GRID_BLOCK and size % GRID_BLOCK
-    [run] = event_passes(cfg.network, cfg.model, cfg.schedule, cfg.psi0, cfg.t_end,
+    [run] = event_passes(cfg.network, cfg.model, cfg.tau_law, cfg.psi0, cfg.t_end,
                          cfg.n_steps, cfg.seeds)
     entry, moments = _seed_stats(cfg, run)
     written, written_moments = _seed_stats(cfg, run, io.StringIO())
@@ -326,7 +326,7 @@ def test_trajectory_csv_is_the_first_listed_seed(tmp_path):
         cfg = load_config(raw)
         run_simulate(cfg, tmp_path / name, workers=1)  # creates the directory
         traj = simulate_continuous(
-            cfg.network, cfg.model, cfg.schedule, cfg.psi0, cfg.t_end, cfg.sample_dt, 3
+            cfg.network, cfg.model, cfg.tau_law, cfg.psi0, cfg.t_end, cfg.sample_dt, 3
         )
         if name == "blocks":
             assert len(traj.times) > 2 * GRID_BLOCK and len(traj.times) % GRID_BLOCK
@@ -667,6 +667,67 @@ def test_cli_out_of_range_run_field_exits_2_naming_it(tmp_path, capsys, run, fla
     assert main(["simulate", "--config", str(path), *flags]) == 2
     err = json.loads(capsys.readouterr().err)
     assert err["error"] == "config" and err["message"].startswith(field)
+
+
+@pytest.mark.parametrize("tau", [
+    {"kind": "exponential", "rate": 5e-324},
+    {"kind": "gamma", "shape": 1e308, "rate": 1e-308},
+    {"kind": "uniform", "low": 1e308, "high": 1.7e308},
+], ids=["exponential", "gamma", "uniform"])
+def test_waiting_time_law_without_a_finite_mean_exits_2_naming_it(tmp_path, capsys, tau):
+    # each mean overflows to inf; the event loop would size its draws by it
+    path = write_config(tmp_path, _set(base_config(), ("schedule", "tau"), tau))
+    assert main(["simulate", "--config", str(path)]) == 2
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1
+    err = json.loads(lines[0])
+    assert err["error"] == "config" and "waiting-time law" in err["message"]
+
+
+def _strict_json(text):
+    """JSON that holds no NaN or Infinity."""
+    def reject(constant):
+        raise ValueError(f"{constant} in JSON output")
+    return json.loads(text, parse_constant=reject)
+
+
+def _chain3_from(q1, **run):
+    """configs/chain3.json started at q = (q1, 0, 0), with ``run`` fields replaced."""
+    raw = json.loads((CONFIGS / "chain3.json").read_text())
+    raw["run"].update(run)
+    raw["psi0"] = {"q": [q1, 0.0, 0.0], "p": [0.0, 0.0, 0.0]}
+    return raw
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_a_large_finite_start_writes_finite_json_or_exits_3(tmp_path, capsys):
+    # at 1e80 the seeds' covariances, near 1e160, are finite but their squares are
+    # not: the standard errors were Infinity and NaN, now they are finite
+    run = {"t_end": 50.0, "burn_in": 5.0, "seeds": [0, 1]}
+    out = tmp_path / "1e80"
+    path = write_config(tmp_path, _chain3_from(1e80, **run), "1e80.json")
+    assert main(["simulate", "--config", str(path), "--check", "--out", str(out)]) == 4
+    assert capsys.readouterr().err == ""
+    comparison = _strict_json((out / "summary.json").read_text())["comparison"]
+    assert np.all(np.asarray(comparison["std_error"]) > 0) and comparison["max_abs_z"] > 0
+    # at 1e160 the grid sums overflow: one JSON line, exit 3 and no output
+    out = tmp_path / "1e160"
+    path = write_config(tmp_path, _chain3_from(1e160, **run), "1e160.json")
+    assert main(["simulate", "--config", str(path), "--check", "--out", str(out)]) == 3
+    [line] = capsys.readouterr().err.splitlines()
+    assert _strict_json(line) == {"error": "numerical",
+                                  "message": "grid moments of seed 0 overflow"}
+    assert list(out.iterdir()) == []
+    # the mean's energy-norm decay factor is scale-free: it read 0.0 and NaN at these starts
+    decays = []
+    for q1 in (1.0, 1e154, 1e155, 1e300, 1e-200):
+        out = tmp_path / f"covariance-{q1}"
+        path = write_config(tmp_path, _chain3_from(q1), f"covariance-{q1}.json")
+        assert main(["covariance", "--config", str(path), "--check", "--out", str(out)]) == 0
+        assert capsys.readouterr().err == ""
+        decays.append(_strict_json((out / "summary.json").read_text())["mean_energy_norm_decay_t200"])
+    assert 0 < decays[0] < 1e-3
+    assert decays == pytest.approx([decays[0]] * len(decays), rel=1e-12)
 
 
 def test_seed_count_alone_past_the_record_bound_names_run_seeds(capsys):

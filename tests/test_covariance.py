@@ -43,7 +43,7 @@ from oscbath.network import (
     generator_matrix,
     propagate,
 )
-from oscbath.pdmp import EventSchedule, simulate_continuous
+from oscbath.pdmp import simulate_continuous
 
 
 def chain3_net():
@@ -344,13 +344,13 @@ def test_ode_matches_ensemble_covariance():
     # ensemble second moments of the simulator follow the covariance ODE
     net = chain3_net()
     model = OneDimElastic(external_mass=0.5, velocity_law=GaussianVelocity(1.0))
-    sched = EventSchedule(tau_law=Exponential(rate=1.0))
+    tau_law = Exponential(rate=1.0)
     psi0 = PhaseState.zero(3)
     n_runs = 400
     t_end, sample_dt = 20.0, 5.0
     states = np.stack(
         [
-            simulate_continuous(net, model, sched, psi0, t_end, sample_dt, seed).states
+            simulate_continuous(net, model, tau_law, psi0, t_end, sample_dt, seed).states
             for seed in range(n_runs)
         ]
     )  # (runs, times, 6)

@@ -14,6 +14,7 @@ Monte Carlo estimates the former per-draw loops. The exact reachability
 Jacobian must agree with central differences of the former composed map.
 """
 
+import dataclasses
 import itertools
 
 import numpy as np
@@ -44,7 +45,6 @@ from oscbath.network import OscillatorNetwork, PhaseState, chain_stiffness, ener
 from oscbath.pdmp import (
     GRID_BLOCK,
     STEP_BLOCK,
-    EventSchedule,
     _kick,
     _kick_rows,
     drift_estimate,
@@ -135,16 +135,18 @@ class MisstatedMean:
 
 
 class InfAt:
-    """Unit normal inputs of the model's width, except that input ``k`` has an infinite last entry.
+    """Unit normal velocities of width ``dim``, except that draw ``k`` has an infinite last entry.
 
-    The last entry is a velocity component for every model, never the ball's
-    impact angle, so the kick itself overflows the state. The reference
-    loops draw one input per call, the engine a block of them; a vector
-    law's block is its single draws.
+    A model takes it as its own velocity law (the affine map's noise law,
+    ``_inf_at``), so the kick itself overflows the state; the ball's impact
+    angle keeps its own law and stream. The reference loops draw one input
+    per call, the engine a block of them; a vector law's block is its single
+    draws.
     """
 
-    def __init__(self, model, k):
-        self.law = IsotropicGaussianVector(dim=model.xi_dim)
+    def __init__(self, dim, k):
+        self.dim = dim
+        self.law = IsotropicGaussianVector(dim=dim)
         self.k = k
         self.inputs = 0
 
@@ -157,10 +159,16 @@ class InfAt:
         return xi
 
 
-def _assert_run_matches(run, net, model, sched, psi0, t_end, dt, n_steps):
+def _inf_at(model, k):
+    """``model`` with ``InfAt(model.dim, k)`` in its velocity law's field (the affine map's noise law's)."""
+    field = "noise_law" if isinstance(model, ContractiveAffine) else "velocity_law"
+    return dataclasses.replace(model, **{field: InfAt(model.dim, k)})
+
+
+def _assert_run_matches(run, net, model, tau_law, psi0, t_end, dt, n_steps):
     """One seed's pass: its grid blocks and first n_steps chain states against the former loops."""
-    old = ref.simulate_continuous(net, model, sched, psi0, t_end, dt, run.seed)
-    old_chain = ref.simulate_embedded(net, model, sched, psi0, n_steps, run.seed)
+    old = ref.simulate_continuous(net, model, tau_law, psi0, t_end, dt, run.seed)
+    old_chain = ref.simulate_embedded(net, model, tau_law, psi0, n_steps, run.seed)
     assert run.events == old.events
     start = 0
     for times, modes, states in run.trajectory(dt, grid_size(t_end, dt), physical=True):
@@ -175,14 +183,14 @@ def _assert_run_matches(run, net, model, sched, psi0, t_end, dt, n_steps):
     return old, old_chain, chain
 
 
-def _assert_same(net, model, sched, psi0, t_end, dt, n_steps, seed):
+def _assert_same(net, model, tau_law, psi0, t_end, dt, n_steps, seed):
     """One pass's grid blocks and chain against the former loops; returns (pass, chain)."""
-    [run] = event_passes(net, model, sched, psi0, t_end, n_steps, (seed,))
-    old, old_chain, chain = _assert_run_matches(run, net, model, sched, psi0, t_end, dt, n_steps)
-    alone = simulate_embedded(net, model, sched, psi0, n_steps, seed)
+    [run] = event_passes(net, model, tau_law, psi0, t_end, n_steps, (seed,))
+    old, old_chain, chain = _assert_run_matches(run, net, model, tau_law, psi0, t_end, dt, n_steps)
+    alone = simulate_embedded(net, model, tau_law, psi0, n_steps, seed)
     assert np.array_equal(alone.states, old_chain.states)
     assert np.array_equal(alone.jump_times, old_chain.jump_times)
-    plain = simulate_continuous(net, model, sched, psi0, t_end, dt, seed)
+    plain = simulate_continuous(net, model, tau_law, psi0, t_end, dt, seed)
     assert plain.events == old.events
     assert np.array_equal(plain.times, old.times)
     assert np.array_equal(plain.states, old.states)
@@ -193,9 +201,8 @@ def _assert_same(net, model, sched, psi0, t_end, dt, n_steps, seed):
 @pytest.mark.parametrize("seed", [0, 7])
 def test_pass_matches_reference_loops(pairing, seed):
     net, model, tau_law = PAIRINGS[pairing]()
-    sched = EventSchedule(tau_law=tau_law)
     # the chain ends inside [0, t_end]; t_end is not a multiple of sample_dt
-    run, chain = _assert_same(net, model, sched, _psi0(net), 60.3, 0.25, 20, seed)
+    run, chain = _assert_same(net, model, tau_law, _psi0(net), 60.3, 0.25, 20, seed)
     assert run.events > 20
     assert chain.jump_times[-1] <= 60.3
 
@@ -203,8 +210,7 @@ def test_pass_matches_reference_loops(pairing, seed):
 @pytest.mark.parametrize("pairing", sorted(PAIRINGS))
 def test_chain_runs_past_the_horizon(pairing):
     net, model, tau_law = PAIRINGS[pairing]()
-    sched = EventSchedule(tau_law=tau_law)
-    run, chain = _assert_same(net, model, sched, _psi0(net), 7.7, 0.3, 60, seed=3)
+    run, chain = _assert_same(net, model, tau_law, _psi0(net), 7.7, 0.3, 60, seed=3)
     assert run.events < 60
     assert chain.jump_times[-1] > 7.7
 
@@ -212,27 +218,25 @@ def test_chain_runs_past_the_horizon(pairing):
 @pytest.mark.parametrize("pairing", sorted(PAIRINGS))
 def test_grid_times_on_jump_times_are_right_continuous(pairing):
     net, model, _ = PAIRINGS[pairing]()
-    sched = EventSchedule(tau_law=FixedTau(0.5))
-    run, _ = _assert_same(net, model, sched, _psi0(net), 10.0, 0.25, 5, seed=1)
+    run, _ = _assert_same(net, model, FixedTau(0.5), _psi0(net), 10.0, 0.25, 5, seed=1)
     assert run.events == 20  # the jump at t = t_end counts
 
 
 @pytest.mark.parametrize("pairing", sorted(PAIRINGS))
 def test_multi_block_grid_matches(pairing):
     net, model, tau_law = PAIRINGS[pairing]()
-    sched = EventSchedule(tau_law=tau_law)
     t_end, dt = 1000.0, 0.1
     assert int(t_end / dt) + 1 > 2 * GRID_BLOCK  # several blocks and a short tail
-    _assert_same(net, model, sched, _psi0(net), t_end, dt, 100, seed=5)
+    _assert_same(net, model, tau_law, _psi0(net), t_end, dt, 100, seed=5)
 
 
 @pytest.mark.parametrize("pairing", sorted(PAIRINGS))
 def test_jump_arrays_grow_past_the_expected_count(pairing):
     net, model, tau_law = PAIRINGS[pairing]()
-    sched = EventSchedule(tau_law=MisstatedMean(tau_law))
-    run, _ = _assert_same(net, model, sched, _psi0(net), 200.0, 0.25, 30, seed=2)
+    misstated = MisstatedMean(tau_law)
+    run, _ = _assert_same(net, model, misstated, _psi0(net), 200.0, 0.25, 30, seed=2)
     # the waits' stream is extended at least twice past its first block
-    assert run.events > 2 * max(30 + 1, event_estimate(200.0, sched.tau_law.mean))
+    assert run.events > 2 * max(30 + 1, event_estimate(200.0, misstated.mean))
 
 
 @pytest.mark.parametrize("pairing", sorted(PAIRINGS))
@@ -240,16 +244,16 @@ def test_jump_arrays_grow_past_the_expected_count(pairing):
 def test_step_block_edges_match_reference_loops(pairing, steps):
     # three seeds with unequal event counts, so seeds ride along after their last event
     net, model, tau_law = PAIRINGS[pairing]()
-    sched, psi0, seeds = EventSchedule(tau_law=tau_law), _psi0(net), (0, 1, 2)
-    long = event_passes(net, model, sched, psi0, -np.inf, steps + 1, seeds)
+    psi0, seeds = _psi0(net), (0, 1, 2)
+    long = event_passes(net, model, tau_law, psi0, -np.inf, steps + 1, seeds)
     # a horizon by which the seed that jumps most has made `steps` jumps
     t_end = 0.5 * (min(run.times[steps] for run in long) + min(run.times[steps + 1] for run in long))
-    runs = event_passes(net, model, sched, psi0, t_end, 0, seeds)
+    runs = event_passes(net, model, tau_law, psi0, t_end, 0, seeds)
     counts = [run.times.size - 1 for run in runs]
     assert max(counts) == steps and len(set(counts)) > 1
     for run, count in zip(runs, counts):
         assert run.events == count
-        _assert_run_matches(run, net, model, sched, psi0, t_end, 0.5, count)
+        _assert_run_matches(run, net, model, tau_law, psi0, t_end, 0.5, count)
 
 
 def _message(fn):
@@ -258,10 +262,10 @@ def _message(fn):
     return str(info.value)
 
 
-def _reference_seed(net, model, sched_for, psi0, t_end, dt, n_steps):
+def _reference_seed(net, model_for, tau_law, psi0, t_end, dt, n_steps):
     """The former per-seed order: the grid run, then the chain run."""
-    ref.simulate_continuous(net, model, sched_for(), psi0, t_end, dt, 4)
-    ref.simulate_embedded(net, model, sched_for(), psi0, n_steps, 4)
+    ref.simulate_continuous(net, model_for(), tau_law, psi0, t_end, dt, 4)
+    ref.simulate_embedded(net, model_for(), tau_law, psi0, n_steps, 4)
 
 
 @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
@@ -272,25 +276,25 @@ def test_abort_reports_the_same_event(pairing, k):
     # k = 3 lies on either side, by the seed's event count
     net, model, tau_law = PAIRINGS[pairing]()
     psi0 = _psi0(net)
-    events = ref.simulate_continuous(net, model, EventSchedule(tau_law), psi0, 8.0, 0.25, 4).events
+    events = ref.simulate_continuous(net, model, tau_law, psi0, 8.0, 0.25, 4).events
     assert 1 <= events < 30
 
-    def sched():
-        return EventSchedule(tau_law=tau_law, xi_law=InfAt(model, k))
+    def inf_model():
+        return _inf_at(model, k)
 
-    expected = _message(lambda: _reference_seed(net, model, sched, psi0, 8.0, 0.25, 40))
-    got = _message(lambda: event_passes(net, model, sched(), psi0, 8.0, 40, (4,)))
+    expected = _message(lambda: _reference_seed(net, inf_model, tau_law, psi0, 8.0, 0.25, 40))
+    got = _message(lambda: event_passes(net, inf_model(), tau_law, psi0, 8.0, 40, (4,)))
     assert got == expected
     if k <= events:
         assert got == _message(
-            lambda: ref.simulate_continuous(net, model, sched(), psi0, 8.0, 0.25, 4)
+            lambda: ref.simulate_continuous(net, inf_model(), tau_law, psi0, 8.0, 0.25, 4)
         )
         assert "after event" in got
     else:
         assert got.endswith(f"at step {k}")
     assert _message(
-        lambda: simulate_embedded(net, model, sched(), psi0, 40, 4)
-    ) == _message(lambda: ref.simulate_embedded(net, model, sched(), psi0, 40, 4))
+        lambda: simulate_embedded(net, inf_model(), tau_law, psi0, 40, 4)
+    ) == _message(lambda: ref.simulate_embedded(net, inf_model(), tau_law, psi0, 40, 4))
 
 
 @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
@@ -300,12 +304,12 @@ def test_abort_in_a_later_step_block_reports_the_same_event(pairing):
     net, model, tau_law = PAIRINGS[pairing]()
     psi0 = _psi0(net)
 
-    def sched():
-        return EventSchedule(tau_law=tau_law, xi_law=InfAt(model, k))
+    def inf_model():
+        return _inf_at(model, k)
 
     n_steps = 2 * STEP_BLOCK
-    expected = _message(lambda: _reference_seed(net, model, sched, psi0, 8.0, 0.25, n_steps))
-    got = _message(lambda: event_passes(net, model, sched(), psi0, 8.0, n_steps, (4,)))
+    expected = _message(lambda: _reference_seed(net, inf_model, tau_law, psi0, 8.0, 0.25, n_steps))
+    got = _message(lambda: event_passes(net, inf_model(), tau_law, psi0, 8.0, n_steps, (4,)))
     assert got == expected
     assert got.endswith(f"at step {k}")
 
@@ -373,9 +377,10 @@ def test_jump_is_its_apply_on_block_terms(pairing, override, n, seed, mass):
     # the event loop computes jump terms for a block of inputs and kicks one
     # step at a time; both must give the bits of the one-call jump and kick
     net, model, _ = PAIRINGS[pairing]()
-    xi_law = IsotropicGaussianVector(dim=model.xi_dim, sigma2=9.0) if override else None
     rng = np.random.default_rng(seed)
-    xi = sample_columns(ref._input_laws(model, xi_law), itertools.repeat(rng), n)
+    # override: wide Gaussian values in every entry, the ball's angle among them
+    xi = (rng.normal(0.0, 3.0, size=(n, model.xi_dim)) if override
+          else sample_columns(ref._input_laws(model), itertools.repeat(rng), n))
     p1 = 3.0 * rng.standard_normal((n, model.dim))
     terms = model.jump_terms(xi, mass)
     for x, p, t in zip(xi, p1, terms):
@@ -401,13 +406,12 @@ def _state_at(net, h, rng):
 def test_drift_estimate_matches_the_per_draw_loop_on_one_oscillator():
     # the drift-check physics of configs/oscillator1.json
     net = OscillatorNetwork(1, 1, 1.0, np.array([[1.0]]))
-    model = OneDimElastic(external_mass=0.5)
-    sched = EventSchedule(tau_law=Exponential(rate=1.0))
+    model, tau_law = OneDimElastic(external_mass=0.5), Exponential(rate=1.0)
     rng = np.random.default_rng(7)
     for i, h in enumerate(np.exp(np.linspace(np.log(1e3), np.log(1e4), 4))):
         psi = _state_at(net, h, rng)
-        new = drift_estimate(net, model, sched, psi, n_mc=3000, seed=7 + i)
-        old = ref.drift_estimate(net, model, sched, psi, n_mc=3000, seed=7 + i)
+        new = drift_estimate(net, model, tau_law, psi, n_mc=3000, seed=7 + i)
+        old = ref.drift_estimate(net, model, tau_law, psi, n_mc=3000, seed=7 + i)
         assert new.energy_before == old.energy_before
         assert new.mean_change == old.mean_change
         assert new.std_error == old.std_error
@@ -416,10 +420,9 @@ def test_drift_estimate_matches_the_per_draw_loop_on_one_oscillator():
 @pytest.mark.parametrize("pairing", sorted(PAIRINGS))
 def test_drift_estimate_matches_the_per_draw_loop(pairing):
     net, model, tau_law = PAIRINGS[pairing]()
-    sched = EventSchedule(tau_law=tau_law)
     psi = _state_at(net, 2e3, np.random.default_rng(3))
-    new = drift_estimate(net, model, sched, psi, n_mc=2000, seed=4)
-    old = ref.drift_estimate(net, model, sched, psi, n_mc=2000, seed=4)
+    new = drift_estimate(net, model, tau_law, psi, n_mc=2000, seed=4)
+    old = ref.drift_estimate(net, model, tau_law, psi, n_mc=2000, seed=4)
     assert new.energy_before == pytest.approx(old.energy_before, rel=1e-14)
     # the kick is bitwise per row; only the energy sums round differently
     assert new.mean_change == pytest.approx(

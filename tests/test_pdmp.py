@@ -20,7 +20,6 @@ from oscbath.network import (
     propagate,
 )
 from oscbath.pdmp import (
-    EventSchedule,
     Moments,
     drift_estimate,
     event_passes,
@@ -45,7 +44,7 @@ class FixedTau:
 
 
 class FixedXi:
-    """Deterministic collision inputs (test stub)."""
+    """Deterministic velocity law: every input is ``values`` (test stub)."""
 
     def __init__(self, values):
         self.values = np.atleast_1d(np.asarray(values, dtype=float))
@@ -61,8 +60,7 @@ def chain3(mass=1.0):
 def elastic_setup(rate=1.0, sigma2=1.0, external_mass=0.5):
     net = chain3()
     model = OneDimElastic(external_mass=external_mass, velocity_law=GaussianVelocity(sigma2))
-    sched = EventSchedule(tau_law=Exponential(rate=rate))
-    return net, model, sched
+    return net, model, Exponential(rate=rate)
 
 
 # --- embedded chain -----------------------------------------------------------
@@ -70,10 +68,9 @@ def elastic_setup(rate=1.0, sigma2=1.0, external_mass=0.5):
 
 def test_zero_tau_equal_mass_jump_replaces_momentum():
     net = chain3()
-    model = OneDimElastic(external_mass=1.0)  # alpha = 0
-    sched = EventSchedule(tau_law=FixedTau(0.0), xi_law=FixedXi([2.5]))
+    model = OneDimElastic(external_mass=1.0, velocity_law=FixedXi([2.5]))  # alpha = 0
     psi0 = PhaseState(q=[0.4, -0.2, 0.1], p=[1.0, 2.0, 3.0])
-    chain = simulate_embedded(net, model, sched, psi0, n_steps=1, seed=0)
+    chain = simulate_embedded(net, model, FixedTau(0.0), psi0, n_steps=1, seed=0)
     after = chain.state(1)
     assert np.allclose(after.q, psi0.q, atol=1e-14)
     assert after.p[0] == pytest.approx(2.5)  # M * u with M = 1
@@ -82,9 +79,9 @@ def test_zero_tau_equal_mass_jump_replaces_momentum():
 
 def test_embedded_energy_bookkeeping_identity():
     # jump energy identity: H after = H before-jump + (|J|^2 - |p1|^2)/(2M)
-    net, model, sched = elastic_setup()
+    net, model, tau_law = elastic_setup()
     psi0 = PhaseState(q=[1.0, 0.0, -1.0], p=[0.5, 0.0, 0.0])
-    chain = simulate_embedded(net, model, sched, psi0, n_steps=200, seed=42)
+    chain = simulate_embedded(net, model, tau_law, psi0, n_steps=200, seed=42)
     taus = np.diff(np.concatenate([[0.0], chain.jump_times]))
     for m in range(1, 51):
         before = chain.state(m - 1)
@@ -99,31 +96,31 @@ def test_embedded_energy_bookkeeping_identity():
 
 
 def test_embedded_chain_deterministic_per_seed():
-    net, model, sched = elastic_setup()
+    net, model, tau_law = elastic_setup()
     psi0 = PhaseState.zero(3)
-    a = simulate_embedded(net, model, sched, psi0, n_steps=100, seed=7)
-    b = simulate_embedded(net, model, sched, psi0, n_steps=100, seed=7)
+    a = simulate_embedded(net, model, tau_law, psi0, n_steps=100, seed=7)
+    b = simulate_embedded(net, model, tau_law, psi0, n_steps=100, seed=7)
     assert np.array_equal(a.states, b.states)
     assert np.array_equal(a.jump_times, b.jump_times)
-    c = simulate_embedded(net, model, sched, psi0, n_steps=100, seed=8)
+    c = simulate_embedded(net, model, tau_law, psi0, n_steps=100, seed=8)
     assert not np.array_equal(a.states, c.states)
 
 
 def test_embedded_aborts_on_overflow():
-    net, model, _ = elastic_setup()
-    sched = EventSchedule(tau_law=FixedTau(0.1), xi_law=FixedXi([np.inf]))
+    net = chain3()
+    model = OneDimElastic(external_mass=0.5, velocity_law=FixedXi([np.inf]))
     with pytest.raises(NumericalAbort, match="step 1"):
-        simulate_embedded(net, model, sched, PhaseState.zero(3), n_steps=5, seed=0)
+        simulate_embedded(net, model, FixedTau(0.1), PhaseState.zero(3), n_steps=5, seed=0)
 
 
 def test_embedded_requires_steps_and_matching_dim():
-    net, model, sched = elastic_setup()
+    net, model, tau_law = elastic_setup()
     with pytest.raises(ValueError):
-        simulate_embedded(net, model, sched, PhaseState.zero(3), n_steps=0, seed=0)
+        simulate_embedded(net, model, tau_law, PhaseState.zero(3), n_steps=0, seed=0)
     ball, psi = TwoDimBall(external_mass=0.5), PhaseState(q=[1.0, 0.0, 0.0], p=[0.0, 1.0, 0.0])
     for call in (
-        lambda: simulate_embedded(net, ball, sched, psi, n_steps=1, seed=0),
-        lambda: drift_estimate(net, ball, sched, psi, n_mc=10),
+        lambda: simulate_embedded(net, ball, tau_law, psi, n_steps=1, seed=0),
+        lambda: drift_estimate(net, ball, tau_law, psi, n_mc=10),
         lambda: reachability_jacobian(net, ball, psi, 1, [0.5, 0.1, 0.2, 0.3]),
     ):
         with pytest.raises(ValueError, match="acts in dimension 2 but the network has d=1"):
@@ -135,9 +132,9 @@ def test_embedded_requires_steps_and_matching_dim():
 
 def test_no_events_reduces_to_free_flow():
     net, model, _ = elastic_setup()
-    sched = EventSchedule(tau_law=FixedTau(1e9))  # no event within horizon
     psi0 = PhaseState(q=[1.0, 0.0, 0.0], p=[0.0, 1.0, 0.0])
-    traj = simulate_continuous(net, model, sched, psi0, t_end=10.0, sample_dt=0.5, seed=0)
+    # no event within the horizon
+    traj = simulate_continuous(net, model, FixedTau(1e9), psi0, t_end=10.0, sample_dt=0.5, seed=0)
     assert traj.events == 0
     for k, t in enumerate(traj.times):
         expected = propagate(net, psi0, float(t)).vector
@@ -146,21 +143,20 @@ def test_no_events_reduces_to_free_flow():
 
 def test_sample_at_jump_time_is_right_continuous():
     net = chain3()
-    model = OneDimElastic(external_mass=1.0)  # alpha = 0: p1 -> M u
-    sched = EventSchedule(tau_law=FixedTau(1.0), xi_law=FixedXi([5.0]))
+    model = OneDimElastic(external_mass=1.0, velocity_law=FixedXi([5.0]))  # alpha = 0: p1 -> M u
     psi0 = PhaseState.zero(3)
-    traj = simulate_continuous(net, model, sched, psi0, t_end=1.0, sample_dt=0.5, seed=0)
+    traj = simulate_continuous(net, model, FixedTau(1.0), psi0, t_end=1.0, sample_dt=0.5, seed=0)
     # grid point t = 1.0 coincides with the first jump: must include it
     assert traj.times[-1] == pytest.approx(1.0)
     assert traj.states[-1][3] == pytest.approx(5.0)
 
 
 def test_event_count_matches_poisson_rate():
-    net, model, sched = elastic_setup(rate=1.0)
+    net, model, tau_law = elastic_setup(rate=1.0)
     psi0 = PhaseState.zero(3)
     lam_t = 200.0
     counts = [
-        simulate_continuous(net, model, sched, psi0, t_end=200.0, sample_dt=1.0, seed=s).events
+        simulate_continuous(net, model, tau_law, psi0, t_end=200.0, sample_dt=1.0, seed=s).events
         for s in range(50)
     ]
     assert abs(np.mean(counts) - lam_t) <= 3.0 * np.sqrt(lam_t / 50.0)
@@ -168,26 +164,24 @@ def test_event_count_matches_poisson_rate():
 
 def test_energy_constant_between_events():
     net, model, _ = elastic_setup()
-    sched = EventSchedule(tau_law=FixedTau(2.0))
     psi0 = PhaseState(q=[1.0, -0.5, 0.2], p=[0.3, 0.0, -0.7])
-    traj = simulate_continuous(net, model, sched, psi0, t_end=1.9, sample_dt=0.1, seed=3)
+    traj = simulate_continuous(net, model, FixedTau(2.0), psi0, t_end=1.9, sample_dt=0.1, seed=3)
     h = [energy(net, traj.state(k)) for k in range(len(traj.times))]
     assert np.abs(np.diff(h)).max() <= 1e-9 * (1.0 + h[0])
 
 
 def test_continuous_input_validation():
-    net, model, sched = elastic_setup()
+    net, model, tau_law = elastic_setup()
     with pytest.raises(ValueError):
-        simulate_continuous(net, model, sched, PhaseState.zero(3), t_end=1.0, sample_dt=0.0, seed=0)
+        simulate_continuous(net, model, tau_law, PhaseState.zero(3), t_end=1.0, sample_dt=0.0, seed=0)
     with pytest.raises(ValueError):
-        simulate_continuous(net, model, sched, PhaseState.zero(3), t_end=1.0, sample_dt=2.0, seed=0)
+        simulate_continuous(net, model, tau_law, PhaseState.zero(3), t_end=1.0, sample_dt=2.0, seed=0)
 
 
 def test_gamma_and_uniform_schedules_run():
     net, model, _ = elastic_setup()
     for law in (GammaLaw(shape=2.0, rate=3.0), UniformPositive(low=0.0, high=0.5)):
-        sched = EventSchedule(tau_law=law)
-        traj = simulate_continuous(net, model, sched, PhaseState.zero(3), 20.0, 0.5, seed=1)
+        traj = simulate_continuous(net, model, law, PhaseState.zero(3), 20.0, 0.5, seed=1)
         assert traj.events > 0
 
 
@@ -209,14 +203,14 @@ def test_batch_passes_equal_single_seed_passes(model, dim):
     # many more events than the misstated mean suggests; seeds end at different
     # steps and ride along
     net = OscillatorNetwork(3, dim, 1.0, np.kron(chain_stiffness(3), np.eye(dim)))
-    sched = EventSchedule(tau_law=MisstatedMean())
+    tau_law = MisstatedMean()
     rng = np.random.default_rng(1)
     psi0 = PhaseState(q=rng.standard_normal(net.dof), p=rng.standard_normal(net.dof))
     seeds = (4, 0, 9, 2)
-    batch = event_passes(net, model, sched, psi0, 120.0, 40, seeds)
+    batch = event_passes(net, model, tau_law, psi0, 120.0, 40, seeds)
     assert len({run.times.size for run in batch}) > 1
     for seed, run in zip(seeds, batch):
-        [alone] = event_passes(net, model, sched, psi0, 120.0, 40, (seed,))
+        [alone] = event_passes(net, model, tau_law, psi0, 120.0, 40, (seed,))
         assert run.seed == seed and run.events == alone.events > 16
         assert np.array_equal(run.times, alone.times)
         assert np.array_equal(run.modes, alone.modes)
@@ -227,12 +221,12 @@ def test_event_passes_holds_no_python_float_per_draw():
     # the largest count (the mode states dominate it). Holding every seed's draws
     # as Python floats (32 bytes each with the list slot) until the buffers are
     # filled peaks at 1.13; the parent's capacity-guessed buffers at 0.90.
-    net, model, sched = elastic_setup()
+    net, model, tau_law = elastic_setup()
     seeds = tuple(range(16))
-    event_passes(net, model, sched, PhaseState.zero(3), 50.0, 10, seeds)  # warm caches
+    event_passes(net, model, tau_law, PhaseState.zero(3), 50.0, 10, seeds)  # warm caches
     tracemalloc.start()
     try:
-        runs = event_passes(net, model, sched, PhaseState.zero(3), 5000.0, 1000, seeds)
+        runs = event_passes(net, model, tau_law, PhaseState.zero(3), 5000.0, 1000, seeds)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -246,12 +240,12 @@ def test_event_passes_holds_no_python_float_per_draw_on_ball_shapes():
     # 80 kB, 0.017 here. Keeping the last seed's draw array through the steps
     # peaks at 1.04.
     net = OscillatorNetwork(6, 2, 1.0, np.kron(chain_stiffness(6), np.eye(2)))
-    model, sched = TwoDimBall(external_mass=0.5), EventSchedule(tau_law=GammaLaw(2.0, 1.0))
+    model, tau_law = TwoDimBall(external_mass=0.5), GammaLaw(2.0, 1.0)
     seeds = (0, 1)
-    event_passes(net, model, sched, PhaseState.zero(12), 50.0, 10, seeds)  # warm caches
+    event_passes(net, model, tau_law, PhaseState.zero(12), 50.0, 10, seeds)  # warm caches
     tracemalloc.start()
     try:
-        runs = event_passes(net, model, sched, PhaseState.zero(12), 2.0e4, 10, seeds)
+        runs = event_passes(net, model, tau_law, PhaseState.zero(12), 2.0e4, 10, seeds)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -315,10 +309,10 @@ def test_moments_without_samples_raise():
 
 
 def test_long_run_matches_gibbs_moments():
-    net, model, sched = elastic_setup()
+    net, model, tau_law = elastic_setup()
     params = MomentParams(lam=1.0, alpha=1.0 / 3.0, sigma2=1.0, mass=1.0)
     beta = beta_from_params(params)
-    traj = simulate_continuous(net, model, sched, PhaseState.zero(3), 5000.0, 0.25, seed=11)
+    traj = simulate_continuous(net, model, tau_law, PhaseState.zero(3), 5000.0, 0.25, seed=11)
     moments = Moments.of(traj.states[traj.times >= 500.0])
     p1_avg, h_avg = moments.mean[net.dof], moments.mean_energy(net)
     assert abs(p1_avg) < 0.1
@@ -329,7 +323,7 @@ def test_long_run_matches_gibbs_moments():
 def test_stationary_momentum_variance_is_law_independent():
     # zero-mean laws with the same variance share the stationary p1 variance
     net = chain3()
-    sched = EventSchedule(tau_law=Exponential(rate=1.0))
+    tau_law = Exponential(rate=1.0)
     target = 1.0 / beta_from_params(
         MomentParams(lam=1.0, alpha=1.0 / 3.0, sigma2=1.0, mass=1.0)
     )  # = M/beta
@@ -337,7 +331,7 @@ def test_stationary_momentum_variance_is_law_independent():
 
     law = UniformSymmetricVelocity(half_width=np.sqrt(3.0))  # sigma2 = 1
     model = OneDimElastic(external_mass=0.5, velocity_law=law)
-    traj = simulate_continuous(net, model, sched, PhaseState.zero(3), 4000.0, 0.25, seed=5)
+    traj = simulate_continuous(net, model, tau_law, PhaseState.zero(3), 4000.0, 0.25, seed=5)
     mask = traj.times >= 400.0
     var_p1 = traj.states[mask, 3].var()
     assert abs(var_p1 - target) <= 0.12 * target
@@ -351,15 +345,14 @@ def test_drift_negative_at_high_energy():
     # every state direction (multi-oscillator networks admit directions
     # that hide energy from the contact site over one waiting time)
     net = OscillatorNetwork(1, 1, 1.0, np.array([[1.0]]))
-    model = OneDimElastic(external_mass=0.5)
-    sched = EventSchedule(tau_law=Exponential(rate=1.0))
+    model, tau_law = OneDimElastic(external_mass=0.5), Exponential(rate=1.0)
     rng = np.random.default_rng(0)
     vec = rng.standard_normal(2)
     psi = PhaseState(q=vec[:1], p=vec[1:])
     h = energy(net, psi)
     scale = np.sqrt(5000.0 / h)
     psi = PhaseState(q=scale * psi.q, p=scale * psi.p)
-    est = drift_estimate(net, model, sched, psi, n_mc=4000, seed=1)
+    est = drift_estimate(net, model, tau_law, psi, n_mc=4000, seed=1)
     assert est.mean_change < 0
     assert est.relative_change <= -0.05
     assert est.std_error < abs(est.mean_change)
@@ -421,12 +414,14 @@ def test_rank_probe_rejects_affine_model():
 
 
 def test_schedule_requires_finite_mean():
-    class NoMean:
-        def sample(self, rng):
-            return 1.0
-
-    with pytest.raises(ValueError):
-        EventSchedule(tau_law=NoMean())
+    # each waiting-time law refuses a mean that overflows or underflows; the
+    # event loop sizes its first block of waits by the mean
+    for make in (lambda: Exponential(rate=5e-324), lambda: GammaLaw(shape=1e308, rate=1e-308),
+                 lambda: GammaLaw(shape=1e-308, rate=1e308),
+                 lambda: UniformPositive(low=1e308, high=1.7e308),
+                 lambda: UniformPositive(low=0.0, high=5e-324)):
+        with pytest.raises(ValueError, match="finite and positive"):
+            make()
 
 
 def printf_rows(rows) -> bytes:
@@ -491,8 +486,8 @@ def test_write_csv_rows_spans_sub_blocks():
 
 
 def test_trajectory_csv_roundtrip(tmp_path):
-    net, model, sched = elastic_setup()
-    traj = simulate_continuous(net, model, sched, PhaseState.zero(3), 5.0, 0.5, seed=0)
+    net, model, tau_law = elastic_setup()
+    traj = simulate_continuous(net, model, tau_law, PhaseState.zero(3), 5.0, 0.5, seed=0)
     path = tmp_path / "traj.csv"
     with open(path, "w") as out:  # two blocks: the header goes in once
         trajectory_to_csv(out, traj.times[:4], traj.states[:4])
