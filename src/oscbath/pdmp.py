@@ -507,13 +507,16 @@ def reachability_jacobian(
     tq = np.zeros((coords.size, net.dof))
     tp = np.zeros_like(tq)
     for k in range(m):
+        # rows from i on belong to legs not reached yet and are still zero
         i = k * (1 + l)
         t_k, u_k = coords[i], coords[i + 1 : i + 1 + l]
         qh, ph = _mode_flow(qh, ph, omega, mass, t_k)
-        tq, tp = _mode_flow(tq, tp, omega, mass, t_k)
+        tq[:i], tp[:i] = _mode_flow(tq[:i], tp[:i], omega, mass, t_k)
         tq[i], tp[i] = ph / mass, -mass * omega**2 * qh
         d_p, d_xi = model.jump_jacobian(u_k, ph @ c.T, mass)
-        tp += (tp @ c.T) @ (d_p - np.eye(model.dim)).T @ c
+        # the kick's products keep the full row count, so BLAS rounds each row as it did
+        # when every row moved
+        tp[: i + 1] += ((tp @ c.T) @ (d_p - np.eye(model.dim)).T @ c)[: i + 1]
         tp[i + 1 : i + 1 + l] = d_xi.T @ c
         ph = _kick(net, model, ph, u_k)
     return net.from_modes(tq, tp).T

@@ -22,6 +22,13 @@ DECOMPOSITION_TOL = 1e-10
 #: hard cap on the rational-relation search space
 INDEPENDENCE_SEARCH_CAP = 10_000_000
 
+#: coefficient boxes up to this many vectors are scanned with every sum at
+#: once: below about 1.5e4 vectors that is faster than the split scan's
+#: sorting and search (about 35 us on 2 vCPUs), and it holds at most 128 KiB
+_EXHAUSTIVE_MAX_CASES = 1 << 14
+#: candidate pairs the split scan re-tests per block
+_RECHECK_BLOCK = 1 << 16
+
 
 def symmetrize(matrix: np.ndarray) -> np.ndarray:
     """Return the symmetric part (a + a^T)/2 as a float array."""
@@ -157,25 +164,96 @@ class IndependenceResult:
     tol: float
 
 
+def _lattice_sums(w: np.ndarray, coeffs: np.ndarray) -> np.ndarray:
+    """Sums sum_k a_k w_k over the coefficient box by left-to-right outer sums.
+
+    The flat index encodes the coefficients in base len(coeffs), first
+    frequency most significant; no frequencies give the one empty sum 0.
+    """
+    values = np.zeros(1)
+    for omega in w:
+        values = (values[:, None] + coeffs * omega).ravel()
+    return values
+
+
+def _split_relations(w: np.ndarray, coeffs: np.ndarray, tol: float) -> np.ndarray:
+    """Flat indices of the lattice sums within ``tol``, meet-in-the-middle
+    (Horowitz and Sahni, J. ACM 21:277, 1974).
+
+    The sums over the first ceil(order/2) frequencies (l) and over the rest
+    (r) are formed separately and the r are sorted. Each l takes, by binary
+    search, the r within ``tol`` plus a rounding slack of -l: the slack
+    bounds how far the sequential sum over the whole vector strays from
+    l + r, so every sum within ``tol`` is a candidate. Candidates are
+    re-tested with that sequential sum and ``<= tol``, a block of left sums
+    at a time in flat order; the first block holding any relation is
+    returned (it holds the smallest flat index), else an empty array.
+    """
+    base, half = coeffs.size, (w.size + 1) // 2
+    left = _lattice_sums(w[:half], coeffs)  # bitwise the sequential sums' prefixes
+    right = _lattice_sums(w[half:], coeffs)
+    right_size = right.size
+    order = np.argsort(right, kind="stable")
+    right = right[order]
+    # Each product a_k w_k is rounded the same way in every sum, and each
+    # recursive sum of m terms strays from the exact one by at most
+    # (m - 1) eps/2 times the sum of their magnitudes, at most c sum(w). So
+    # the full sum is within order eps c sum(w) of l + r; the pad keeps a
+    # factor 4 over that, plus room for rounding -l +- pad and tol itself.
+    c = (base - 1) // 2
+    pad = tol + 4 * (w.size + 1) * np.finfo(float).eps * (c * float(w.sum()) + abs(tol))
+    lo = np.searchsorted(right, -left - pad, side="left")
+    counts = np.maximum(np.searchsorted(right, -left + pad, side="right") - lo, 0)
+    rows = np.flatnonzero(counts)  # left sums with candidates, in flat order
+    ends = np.cumsum(counts[rows])
+    trivial = (left.size * right_size - 1) // 2  # flat index of the all-zero vector
+    start = 0
+    while start < rows.size:
+        done = ends[start - 1] if start else 0
+        stop = max(start + 1, int(np.searchsorted(ends, done + _RECHECK_BLOCK, side="right")))
+        block, n_block = rows[start:stop], counts[rows[start:stop]]
+        li = np.repeat(block, n_block)
+        offsets = np.arange(li.size) - np.repeat(np.cumsum(n_block) - n_block, n_block)
+        ri = order[np.repeat(lo[block], n_block) + offsets]
+        values = left[li]
+        for k, omega in enumerate(w[half:]):
+            digit = ri // base ** (w.size - half - 1 - k) % base
+            values = values + coeffs[digit] * omega
+        flat = li * right_size + ri
+        hits = flat[(np.abs(values) <= tol) & (flat != trivial)]
+        if hits.size:
+            return hits
+        start = stop
+    return np.zeros(0, dtype=np.intp)
+
+
 def check_rational_independence(omegas, max_coeff: int = 5, tol: float = 1e-9) -> IndependenceResult:
     """Scan for integer relations sum_k a_k w_k = 0 with |a_k| <= max_coeff.
 
     This is a heuristic, not a certificate: rational independence is
     undecidable from floating-point data, so we only exhaust the bounded
-    coefficient box and report the first relation found (if any).
+    coefficient box and report the first relation found (if any): the
+    nontrivial vector of smallest flat index (coefficients in base
+    2 max_coeff + 1, first frequency most significant) whose sequential sum
+    a_1 w_1 + a_2 w_2 + ... is within ``tol`` of zero.
+
+    Boxes above ``_EXHAUSTIVE_MAX_CASES`` vectors are scanned meet-in-the-
+    middle (``_split_relations``), in memory O((2c+1)^ceil(order/2)); each
+    of its candidates is re-tested exactly, so the result is the one every
+    sum at once would give.
 
     Raises
     ------
     ValueError
-        if any frequency is non-positive, or the search space exceeds
-        ``INDEPENDENCE_SEARCH_CAP`` (an explicit refusal rather than silent
-        truncation).
+        if any frequency is non-positive or not finite, or the search space
+        exceeds ``INDEPENDENCE_SEARCH_CAP`` (an explicit refusal rather than
+        silent truncation).
     """
     w = np.asarray(omegas, dtype=float).ravel()
     if w.size == 0:
         raise ValueError("need at least one frequency")
-    if np.any(w <= 0):
-        raise ValueError("frequencies must be strictly positive")
+    if not (w.min() > 0 and np.isfinite(w).all()):
+        raise ValueError("frequencies must be finite and strictly positive")
     if max_coeff < 1:
         raise ValueError("max_coeff must be >= 1")
     base = 2 * max_coeff + 1
@@ -183,23 +261,19 @@ def check_rational_independence(omegas, max_coeff: int = 5, tol: float = 1e-9) -
     if n_cases > INDEPENDENCE_SEARCH_CAP:
         raise ValueError(f"search space {n_cases} exceeds cap {INDEPENDENCE_SEARCH_CAP}; "
                          "lower max_coeff")
-    # evaluate all lattice combinations by repeated outer sums; the flat
-    # index encodes the coefficients base (2*max_coeff+1), first frequency
-    # most significant
     coeffs = np.arange(-max_coeff, max_coeff + 1, dtype=float)
-    values = np.zeros(1)
-    for omega in w:
-        values = (values[:, None] + coeffs * omega).ravel()
-    for idx in np.flatnonzero(np.abs(values) <= tol):
-        alpha = np.array(np.unravel_index(idx, (base,) * w.size)) - max_coeff
-        if not alpha.any():
-            continue  # the trivial all-zero combination
-        first = alpha[np.nonzero(alpha)[0][0]]
-        if first < 0:
-            alpha = -alpha
+    if n_cases <= _EXHAUSTIVE_MAX_CASES:
+        hits = np.flatnonzero(np.abs(_lattice_sums(w, coeffs)) <= tol)
+        hits = hits[hits != (n_cases - 1) // 2]  # not the trivial all-zero vector
+    else:
+        hits = _split_relations(w, coeffs, tol)
+    if hits.size == 0:
         return IndependenceResult(
-            independent=False, witness=alpha, max_coeff=max_coeff, tol=tol
+            independent=True, witness=None, max_coeff=max_coeff, tol=tol
         )
+    alpha = np.array(np.unravel_index(hits.min(), (base,) * w.size)) - max_coeff
+    if alpha[np.nonzero(alpha)[0][0]] < 0:
+        alpha = -alpha
     return IndependenceResult(
-        independent=True, witness=None, max_coeff=max_coeff, tol=tol
+        independent=False, witness=alpha, max_coeff=max_coeff, tol=tol
     )

@@ -12,7 +12,10 @@ they used; they kick the rows of the package's own input block
 (``laws.sample_columns`` over the laws of ``_input_laws``).
 ``_composed_reachability_map`` and ``finite_difference_jacobian`` are the
 former rank probe's second copy of the dynamics (flow through
-``propagate``, kick on ``PhaseState`` rows) and its finite-difference loop. Nothing in the package imports this module.
+``propagate``, kick on ``PhaseState`` rows) and its finite-difference loop;
+``all_rows_reachability_jacobian`` is the exact Jacobian's loop as it was
+when every leg rotated and kicked all tangent rows, the zero rows of legs
+not yet reached among them. Nothing in the package imports this module.
 """
 
 from __future__ import annotations
@@ -33,7 +36,7 @@ from oscbath.collisions import (
 from oscbath.errors import NumericalAbort
 from oscbath.laws import sample_columns
 from oscbath.network import OscillatorNetwork, PhaseState, _mode_flow, propagate
-from oscbath.pdmp import DriftEstimate, EmbeddedChain, Trajectory
+from oscbath.pdmp import DriftEstimate, EmbeddedChain, Trajectory, _kick
 
 
 # --- the one-row jump maps ---------------------------------------------------
@@ -386,3 +389,24 @@ def finite_difference_jacobian(net, model, psi0, m, point, h=1e-5, central=False
         else:
             jac[:, i] = (forward - base) / step
     return jac
+
+
+def all_rows_reachability_jacobian(net, model, psi0, m, point):
+    """``pdmp.reachability_jacobian``'s legs, each moving all m (1 + l) tangent rows."""
+    l = model.xi_dim
+    coords = np.asarray(point, dtype=float).ravel()
+    omega, mass, c = net.mode_frequencies, net.mass, net.contact_modes
+    qh, ph = net.to_modes(psi0.vector)
+    tq = np.zeros((coords.size, net.dof))
+    tp = np.zeros_like(tq)
+    for k in range(m):
+        i = k * (1 + l)
+        t_k, u_k = coords[i], coords[i + 1 : i + 1 + l]
+        qh, ph = _mode_flow(qh, ph, omega, mass, t_k)
+        tq, tp = _mode_flow(tq, tp, omega, mass, t_k)
+        tq[i], tp[i] = ph / mass, -mass * omega**2 * qh
+        d_p, d_xi = model.jump_jacobian(u_k, ph @ c.T, mass)
+        tp += (tp @ c.T) @ (d_p - np.eye(model.dim)).T @ c
+        tp[i + 1 : i + 1 + l] = d_xi.T @ c
+        ph = _kick(net, model, ph, u_k)
+    return net.from_modes(tq, tp).T

@@ -778,6 +778,20 @@ def test_cli_help_and_version_still_exit_0(capsys):
         assert captured.out and captured.err == ""
 
 
+def test_cli_parser_is_built_once_and_reused(capsys):
+    """One parser serves every call: an error, help or a bad flag leaves nothing behind."""
+    assert cli.build_parser() is cli.build_parser()
+    bad = ["simulate", "--config", str(CONFIGS / "chain3.json"), "--workers", "two"]
+    for _ in range(2):
+        assert main(bad) == 2
+        assert json.loads(capsys.readouterr().err)["error"] == "config"
+        with pytest.raises(SystemExit) as info:
+            main(["dissipative", "--help"])
+        assert info.value.code == 0 and "--config" in capsys.readouterr().out
+    args = cli.build_parser().parse_args(["rank-probe", "--config", "x.json"])
+    assert (args.seeds, args.check, args.legs) == (None, False, None)
+
+
 def test_unknown_config_keys_exit_2_naming_their_path(tmp_path, capsys):
     # psi0 under run, say, would otherwise be ignored without a word
     raw = base_config()

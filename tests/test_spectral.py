@@ -1,6 +1,11 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
+import _reference_spectral as ref
+from oscbath import spectral
+from oscbath.network import chain_stiffness
 from oscbath.spectral import (
     check_rational_independence,
     decompose,
@@ -144,3 +149,82 @@ def test_independence_refuses_oversized_search():
 def test_independence_rejects_nonpositive():
     with pytest.raises(ValueError):
         check_rational_independence([1.0, -2.0])
+
+
+def test_independence_rejects_non_finite():
+    for bad in (np.inf, np.nan):
+        with pytest.raises(ValueError, match="finite"):
+            check_rational_independence([1.0, bad])
+
+
+# --- the split scan against the exhaustive one -------------------------------------
+
+
+def _families():
+    """(name, frequencies): chains, random, small integers, doubled, planted near tol."""
+    rng = np.random.default_rng(2024)
+    for n in range(1, 7):
+        yield f"chain{n}", np.sqrt(np.linalg.eigvalsh(chain_stiffness(n)))
+    for n in (2, 4, 6):
+        yield f"uniform{n}", rng.uniform(0.1, 3.0, n)
+        yield f"integers{n}", rng.integers(1, 6, n).astype(float)
+        yield f"doubled{n}", np.repeat(rng.uniform(0.2, 2.0, n // 2), 2)
+    for n in (3, 5, 6):
+        for factor in (1.0 - 1e-3, 1.0 + 1e-3):
+            # alpha . w = tol * factor, alpha = (2, -1, 1, 2, ...); abs() flips the last
+            # coefficient's sign when that frequency came out negative
+            w = rng.uniform(0.5, 1.5, n)
+            alpha = np.resize([2, -1, 1], n)
+            w[-1] = (1e-9 * factor - np.dot(alpha[:-1], w[:-1])) / alpha[-1]
+            yield f"planted{n}-{factor}", np.abs(w)
+
+
+@pytest.fixture(params=["as-shipped", "split-always"])
+def scan_path(request, monkeypatch):
+    """Run the scan as shipped, and again with every box sent through the split."""
+    if request.param == "split-always":
+        monkeypatch.setattr(spectral, "_EXHAUSTIVE_MAX_CASES", 0)
+
+
+def _same(a, b):
+    return (a.independent, a.max_coeff, a.tol) == (b.independent, b.max_coeff, b.tol) and (
+        a.witness is b.witness is None
+        or (a.witness is not None and b.witness is not None and np.array_equal(a.witness, b.witness))
+    )
+
+
+@pytest.mark.parametrize("max_coeff", [1, 2, 5])
+def test_split_scan_matches_exhaustive_reference(scan_path, max_coeff):
+    relations = 0
+    for name, w in _families():
+        if (2 * max_coeff + 1) ** w.size > 2_000_000:
+            continue
+        new = check_rational_independence(w, max_coeff)
+        old = ref.check_rational_independence(w, max_coeff)
+        assert _same(new, old), (name, new, old)
+        relations += not new.independent
+    assert relations >= 5  # the families hold relations, not only their absence
+
+
+@pytest.mark.parametrize("tol", [0.0, 1e-3, -1.0, np.inf, np.nan])
+def test_split_scan_matches_reference_at_any_tol(scan_path, tol):
+    for name, w in _families():
+        if w.size > 4:
+            continue
+        new = check_rational_independence(w, 2, tol)
+        old = ref.check_rational_independence(w, 2, tol)
+        assert new.independent == old.independent, (name, tol)
+        assert new.witness is old.witness is None or np.array_equal(new.witness, old.witness)
+
+
+def test_split_scan_is_small_at_order_6():
+    w = np.sqrt(np.linalg.eigvalsh(chain_stiffness(6)))
+    check_rational_independence(w, 5)  # warm numpy's caches
+    tracemalloc.start()
+    try:
+        result = check_rational_independence(w, 5)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert result.independent
+    assert peak < 1 << 20, peak  # the 11^6 sums alone are 13.5 MiB

@@ -199,3 +199,32 @@ def test_moment_shift_validation():
         one_step_moment_shift(0.0, 1.0, model, GaussianVelocity(1.0), n=100, seed=0)
     with pytest.raises(ValueError):
         one_step_moment_shift(1.0, 1.0, model, GaussianVelocity(1.0), n=1, seed=0)
+
+
+@pytest.mark.parametrize(
+    "seed, model, law",
+    [
+        (0, OneDimElastic(external_mass=0.5), GaussianVelocity(1.0)),
+        (1, OneDimElastic(external_mass=0.5), TwoPointVelocity(magnitude=1.0)),
+        (2, OneDimElastic(external_mass=1e-9), TwoPointVelocity(1.0)),
+    ],
+    ids=["gaussian", "two-point", "near-identity"],
+)
+def test_fourth_moments_by_squaring_match_pow(seed, model, law):
+    beta, n = matched_beta(), 50_000
+    shift = one_step_moment_shift(beta, 1.0, model, law, n=n, seed=seed)
+    # the function's own draws, with the fourth powers taken by ``**``
+    rng = np.random.default_rng(seed)
+    p = rng.normal(0.0, np.sqrt(1.0 / beta), size=n)
+    u = np.asarray(law.sample(rng, size=n), dtype=float)
+    p_after = model.jump(u[:, None], p[:, None], 1.0)[:, 0]
+    m4_before, m4_after = np.mean(p**4), np.mean(p_after**4)
+    assert shift.m4_before == pytest.approx(m4_before, rel=1e-14, abs=0.0)
+    assert shift.m4_after == pytest.approx(m4_after, rel=1e-14, abs=0.0)
+    # the shift and its error are differences of fourth powers (about 1e-10 of
+    # them on the near-identity kick), so they agree to 1e-14 of the moments
+    scale = 1e-14 * m4_before
+    assert shift.m4_shift == pytest.approx(m4_after - m4_before, rel=0.0, abs=scale)
+    se = np.std(p_after**4 - p**4, ddof=1) / np.sqrt(n)
+    assert shift.m4_shift_se == pytest.approx(se, rel=0.0, abs=scale)
+    assert shift.m2_before == np.mean(p**2) and shift.m2_after == np.mean(p_after**2)
