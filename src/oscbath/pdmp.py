@@ -514,9 +514,7 @@ def reachability_jacobian(
         tq[:i], tp[:i] = _mode_flow(tq[:i], tp[:i], omega, mass, t_k)
         tq[i], tp[i] = ph / mass, -mass * omega**2 * qh
         d_p, d_xi = model.jump_jacobian(u_k, ph @ c.T, mass)
-        # the kick's products keep the full row count, so BLAS rounds each row as it did
-        # when every row moved
-        tp[: i + 1] += ((tp @ c.T) @ (d_p - np.eye(model.dim)).T @ c)[: i + 1]
+        tp += (tp @ c.T) @ (d_p - np.eye(model.dim)).T @ c
         tp[i + 1 : i + 1 + l] = d_xi.T @ c
         ph = _kick(net, model, ph, u_k)
     return net.from_modes(tq, tp).T

