@@ -136,8 +136,9 @@ def _seed_stats(cfg: ExperimentConfig, run: EventPass, csv=None) -> tuple:
     """One seed's summary entry and ``Moments`` of its grid from burn-in on.
 
     The rows are summed in mode coordinates and the sums mapped to physical ones
-    once. The whole grid also goes to ``csv``, if open; without it the rows
-    before burn-in are not computed. Sums or entries that overflow abort.
+    once; the embedded chain's energies are taken from its mode rows. The whole
+    grid also goes to ``csv``, if open; without it the rows before burn-in are
+    not computed. Sums or entries that overflow abort.
     """
     net = cfg.network
     first = 0 if csv is not None else grid_index(cfg.burn_in, cfg.sample_dt)
@@ -151,7 +152,8 @@ def _seed_stats(cfg: ExperimentConfig, run: EventPass, csv=None) -> tuple:
         del modes, states  # not held while the next block is computed
     with np.errstate(over="ignore", invalid="ignore"):
         moments = moments.from_modes(net)
-        chain = run.chain(cfg.n_steps)
+        chain = run.modes[cfg.n_steps // 10 : cfg.n_steps + 1]  # post-jump mode rows
+        qh, ph = chain[:, : net.dof], chain[:, net.dof :]
         entry = {
             "seed": run.seed,
             "events": run.events,
@@ -159,8 +161,8 @@ def _seed_stats(cfg: ExperimentConfig, run: EventPass, csv=None) -> tuple:
             "mean_energy": moments.mean_energy(net),
             "mean_p1": float(moments.mean[net.dof]),
             "chain_steps": cfg.n_steps,
-            "chain_mean_energy": float(energies(net, chain.states)[cfg.n_steps // 10 :].mean()),
-            "chain_final_time": float(chain.jump_times[-1]),
+            "chain_mean_energy": float(energies(net, qh, ph).mean()),
+            "chain_final_time": float(run.times[cfg.n_steps]),
         }
     if not (np.isfinite(moments.sum_xx).all() and np.isfinite(list(entry.values())).all()):
         raise NumericalAbort(f"grid moments of seed {run.seed} overflow")

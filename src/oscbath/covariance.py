@@ -374,7 +374,7 @@ def integrate_covariance(
 def lyapunov_functional(c: np.ndarray, net: OscillatorNetwork):
     """F(C) = Tr(diag(V, I/M) C), the beta-free Lyapunov functional: a float
     for one matrix, an array of one value per matrix for a (..., 2dof, 2dof)
-    stack."""
+    stack. Of second moments C = E x x^T it is 2 E H."""
     c = np.asarray(c, dtype=float)
     dof = net.dof
     qq = c[..., :dof, :dof]

@@ -114,12 +114,6 @@ class OscillatorNetwork:
         return self.n_particles * self.dim
 
     @property
-    def omegas(self) -> np.ndarray:
-        """sqrt of the eigenvalues of V (the spectrum entering rational
-        independence), ascending."""
-        return np.sqrt(self.spectrum.eigenvalues)
-
-    @property
     def contact_sites(self) -> tuple:
         """Coordinates of particle 1, the one every collision kicks: 0..d-1."""
         return tuple(range(self.dim))
@@ -162,11 +156,13 @@ def chain_stiffness(n: int, coupling: float = 1.0, pinning: float = 0.5) -> np.n
     return v
 
 
-def energies(net: OscillatorNetwork, x: np.ndarray) -> np.ndarray:
-    """H = (1/2) q^T V q + sum |p_k|^2/(2M) of each phase-vector row of x, shape (n, 2 dof)."""
-    q, p = x[:, : net.dof], x[:, net.dof :]
-    kinetic = np.einsum("ij,ij->i", p, p) / (2.0 * net.mass)
-    return 0.5 * np.einsum("ij,jk,ik->i", q, net.stiffness, q) + kinetic
+def energies(net: OscillatorNetwork, qh: np.ndarray, ph: np.ndarray) -> np.ndarray:
+    """H = (1/2) sum_i lambda_i qh_i^2 + |ph|^2/(2M) of eigen-coordinate rows (..., dof).
+
+    lambda are the eigenvalues of V, so every term is nonnegative.
+    """
+    potential = np.einsum("...i,...i->...", qh * net.spectrum.eigenvalues, qh)
+    return 0.5 * potential + np.einsum("...i,...i->...", ph, ph) / (2.0 * net.mass)
 
 
 def energy(net: OscillatorNetwork, psi: PhaseState) -> float:
@@ -175,7 +171,7 @@ def energy(net: OscillatorNetwork, psi: PhaseState) -> float:
         raise ValueError(
             f"state dimension {psi.q.shape[0]} does not match network dof {net.dof}"
         )
-    return float(energies(net, psi.vector[None])[0])
+    return float(energies(net, *net.to_modes(psi.vector)))
 
 
 def _rotation(omega, t):

@@ -34,6 +34,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .collisions import CollisionModel, OneDimElastic, TwoDimBall
+from .covariance import lyapunov_functional
 from .csvfmt import write_csv_rows
 from .errors import NumericalAbort
 from .laws import sample_columns
@@ -426,10 +427,8 @@ class Moments:
         return self._average(self.sum_xx) - np.outer(mean, mean)
 
     def mean_energy(self, net: OscillatorNetwork) -> float:
-        """E H = (1/2) tr(V S_qq) / n + tr(S_pp) / (2 M n), with S = sum_xx."""
-        dof, second = net.dof, self._average(self.sum_xx)
-        potential = np.einsum("ij,ji->", net.stiffness, second[:dof, :dof])
-        return float(0.5 * potential + np.trace(second[dof:, dof:]) / (2.0 * net.mass))
+        """E H = F(sum_xx / n) / 2, with F the ``lyapunov_functional`` of the second moments."""
+        return 0.5 * lyapunov_functional(self._average(self.sum_xx), net)
 
 
 @dataclass(frozen=True)
@@ -455,9 +454,9 @@ def drift_estimate(
 ) -> DriftEstimate:
     """Estimate E{H(psi_1) | psi_0 = psi} - H(psi) over n_mc (tau, xi) draws.
 
-    Energies after the jump are evaluated from scratch (not through the
-    energy-bookkeeping identity), so this is an independent check of the
-    one-step energy drift.
+    Energies after the jump are evaluated in mode coordinates (not through
+    the energy-bookkeeping identity), so this is an independent check of
+    the one-step energy drift.
     """
     _require_dim(net, model)
     rng = np.random.default_rng(seed)
@@ -467,7 +466,7 @@ def drift_estimate(
     taus = np.asarray(tau_law.sample(rng, size=n_mc), dtype=float)
     xi = sample_columns(model.input_laws, itertools.repeat(rng), n_mc)
     qh_t, ph_t = _mode_flow(qh, ph, net.mode_frequencies, net.mass, taus)
-    change = energies(net, net.from_modes(qh_t, _kick(net, model, ph_t, xi))) - h0
+    change = energies(net, qh_t, _kick(net, model, ph_t, xi)) - h0
     return DriftEstimate(
         energy_before=h0,
         mean_change=float(change.mean()),

@@ -3,8 +3,8 @@
 Everything here works on plain ``numpy`` arrays. Symmetric matrices are
 symmetrized on entry, eigendecompositions are validated against
 reconstruction/orthonormality residuals, and Krylov bases are built by
-Arnoldi iteration with reorthogonalization so downstream code can trust the
-reported ranks.
+Arnoldi iteration with full reorthogonalization (classical Gram-Schmidt
+applied twice) so downstream code can trust the reported ranks.
 """
 
 from __future__ import annotations
@@ -92,8 +92,11 @@ def krylov_basis(
     Per seed, Arnoldi with full reorthogonalization: the candidates are e_n,
     then V times the newest basis vector (not the raw powers V^k e_n, which
     collapse onto the top eigenvector and lose rank on long chains), each
-    orthogonalized against the basis by twice-applied modified Gram-Schmidt.
-    A residual below ``tol`` times the candidate's norm ends the seed.
+    orthogonalized against the basis by classical Gram-Schmidt applied twice
+    (CGS2: two matrix-vector products per pass; as orthogonal as modified
+    Gram-Schmidt twice, Giraud, Langou and Rozloznik, Comput. Math. Appl.
+    50:1069, 2005). A residual below ``tol`` times the candidate's norm ends
+    the seed.
 
     Parameters
     ----------
@@ -116,23 +119,22 @@ def krylov_basis(
     if not tol > 0:
         raise ValueError("drop tolerance must be positive")
 
-    basis: list[np.ndarray] = []
+    basis = np.empty((n, n))  # row k is basis vector k
+    rank = 0
     for seed in seeds:
-        candidate = np.zeros(n)
-        candidate[seed] = 1.0
-        while len(basis) < n:
-            norm0 = float(np.linalg.norm(candidate))
-            residual = candidate
-            for _ in range(2):  # second MGS pass for orthogonality quality
-                for b in basis:
-                    residual = residual - (b @ residual) * b
-            norm = float(np.linalg.norm(residual))
+        r = np.zeros(n)  # the candidate, orthogonalized in place
+        r[seed] = 1.0
+        while rank < n:
+            norm0 = float(np.linalg.norm(r))
+            for _ in range(2):  # second pass for orthogonality quality
+                r -= (basis[:rank] @ r) @ basis[:rank]
+            norm = float(np.linalg.norm(r))
             if not norm > tol * norm0:
                 break
-            basis.append(residual / norm)
-            candidate = v @ basis[-1]
-    q = np.column_stack(basis) if basis else np.zeros((n, 0))
-    return q, q.shape[1]
+            basis[rank] = r / norm
+            r = v @ basis[rank]
+            rank += 1
+    return np.ascontiguousarray(basis[:rank].T), rank
 
 
 def random_pd_matrix(order: int, seed: int) -> np.ndarray:

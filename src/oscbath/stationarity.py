@@ -70,7 +70,7 @@ def gibbs_sampler(
     rng = np.random.default_rng(seed)
     z_q = rng.standard_normal((n, net.dof))
     z_p = rng.standard_normal((n, net.dof))
-    mode_std = 1.0 / (math.sqrt(beta) * net.omegas)
+    mode_std = 1.0 / (math.sqrt(beta) * np.sqrt(net.spectrum.eigenvalues))
     return net.from_modes(z_q * mode_std, math.sqrt(net.mass / beta) * z_p)
 
 

@@ -5,6 +5,7 @@ from oscbath.network import (
     OscillatorNetwork,
     PhaseState,
     chain_stiffness,
+    energies,
     energy,
     flow_matrix,
     generator_matrix,
@@ -51,6 +52,27 @@ def test_energy_dimension_mismatch():
     net = single_oscillator()
     with pytest.raises(ValueError):
         energy(net, PhaseState(q=[0.0, 0.0], p=[0.0, 0.0]))
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+def test_mode_energies_match_the_physical_formula(dim):
+    # H = (1/2) sum lambda_i qh_i^2 + |ph|^2/(2M) against (1/2) q^T V q + |p|^2/(2M)
+    for seed in range(20):
+        rng = np.random.default_rng(seed)
+        n, mass = int(rng.integers(1, 6)), float(rng.uniform(0.5, 3.0))
+        net = OscillatorNetwork(n, dim, mass, random_pd_matrix(n * dim, seed))
+        dof = net.dof
+        x = rng.standard_normal((60, 2 * dof))
+        x[:10, dof:] = 0.0  # potential only
+        x[10:20, :dof] = 0.0  # kinetic only
+        q, p = x[:, :dof], x[:, dof:]
+        reference = 0.5 * ((q @ net.stiffness) * q).sum(axis=1) + (p * p).sum(axis=1) / (2.0 * mass)
+        h = energies(net, *net.to_modes(x))
+        assert np.all(np.abs(h - reference) <= 1e-12 * reference)
+        assert np.all(h >= 0.0)
+        # along the softest mode q^T V q is all cancellation; the mode formula stays >= 0
+        soft = np.outer(rng.standard_normal(20), net.spectrum.eigenvectors[:, 0])
+        assert np.all(energies(net, *net.to_modes(np.hstack([soft, np.zeros_like(soft)]))) >= 0.0)
 
 
 # --- propagate --------------------------------------------------------------

@@ -113,6 +113,32 @@ def test_krylov_full_rank_on_long_chains(n):
     assert np.abs(q.T @ q - np.eye(n)).max() <= 1e-12
 
 
+def _krylov_cases():
+    for n in (3, 4, 5, 8, 13, 20, 60, 200):
+        yield pytest.param(chain_stiffness(n), [0], id=f"chain{n}")
+    for k in range(20):
+        yield pytest.param(random_pd_matrix(6, 2000 + k), [0] if k % 2 else [0, 3], id=f"random6-{k}")
+    for n in (30, 60):  # one Gram-Schmidt pass loses orthogonality here (1.6e-11 at 30)
+        yield pytest.param(random_pd_matrix(n, 5), [0], id=f"random{n}")
+    yield pytest.param(np.diag([1.0, 4.0, 4.0, 9.0]), [0], id="diag-1-4-4-9")
+    yield pytest.param(np.diag([1.0, 4.0, 4.0, 9.0]), [1, 2], id="diag-1-4-4-9-two-seeds")
+    ball = np.kron(chain_stiffness(6), np.eye(2))
+    yield pytest.param(ball, [0, 1], id="ball12")
+    yield pytest.param(ball, [0], id="ball12-one-site")
+
+
+@pytest.mark.parametrize("v, seeds", _krylov_cases())
+def test_krylov_cgs2_matches_the_mgs2_reference(v, seeds):
+    # classical Gram-Schmidt applied twice gives the rank of the former modified
+    # Gram-Schmidt, an orthonormal basis, and the same space
+    basis, rank = krylov_basis(v, seeds)
+    old, old_rank = ref.krylov_basis(v, seeds)
+    assert rank == old_rank
+    assert basis.shape == (v.shape[0], rank)
+    assert np.abs(basis.T @ basis - np.eye(rank)).max() <= 1e-12
+    assert np.abs(basis @ (basis.T @ old) - old).max() <= 1e-10
+
+
 def test_random_pd_matrix_properties():
     assert random_pd_matrix(1, 3)[0, 0] > 0
     a = random_pd_matrix(3, 7)
