@@ -13,8 +13,6 @@ from .collisions import (
     ContractiveAffine,
     OneDimElastic,
     TwoDimBall,
-    two_ball_pair_update,
-    verify_contraction,
 )
 from .covariance import (
     MomentParams,
@@ -42,9 +40,7 @@ from .network import (
     PhaseState,
     chain_stiffness,
     energy,
-    flow_matrix,
     generator_matrix,
-    propagate,
 )
 from .pdmp import (
     EmbeddedChain,
@@ -62,7 +58,7 @@ from .spectral import (
     krylov_basis,
     random_pd_matrix,
 )
-from .stationarity import gibbs_sampler, one_step_moment_shift, stationarity_residual
+from .stationarity import one_step_moment_shift, stationarity_residual
 
 __version__ = "0.1.0"
 
@@ -95,10 +91,8 @@ __all__ = [
     "decompose",
     "drift_estimate",
     "energy",
-    "flow_matrix",
     "generator_matrix",
     "gibbs_covariance",
-    "gibbs_sampler",
     "integrate_covariance",
     "jacobian_rank_probe",
     "krylov_basis",
@@ -106,12 +100,9 @@ __all__ = [
     "lyapunov_functional",
     "mean_dynamics",
     "one_step_moment_shift",
-    "propagate",
     "random_pd_matrix",
     "reachability_jacobian",
     "simulate_continuous",
     "simulate_embedded",
     "stationarity_residual",
-    "two_ball_pair_update",
-    "verify_contraction",
 ]

@@ -20,37 +20,43 @@ two elastic models also give ``jump_jacobian(xi, p1, mass)``, the exact
 derivatives (D_p, D_xi) of the jump per row, for the reachability probe.
 
 Each model lists the sampling laws of its random input xi in the order of
-its entries (``input_laws``), which ``laws.sample_columns`` draws, so
-``verify_contraction`` (the numeric check of the kinetic-energy contraction
-hypothesis) is self-contained. The analyticity and sphere-covering
-hypotheses on the jump map are existence assumptions used in proofs only;
-they are documented here and not testable numerically.
+its entries (``input_laws``), which ``laws.sample_columns`` draws. The
+analyticity and sphere-covering hypotheses on the jump map are existence
+assumptions used in proofs only; they are documented here and not testable
+numerically.
+
+The two elastic models take alpha = (M - m)/(M + m) from the external mass m,
+which must lie in (0, M]. An m so light against M that alpha rounds to 1 is
+refused too: such a kick moves nothing, and the moment analysis needs
+alpha < 1.
 """
 
 from __future__ import annotations
 
-import itertools
-import math
 from dataclasses import dataclass, field
 from typing import Union
 
 import numpy as np
 
-from .laws import IsotropicGaussianVector, GaussianVelocity, UniformAngle, sample_columns
+from .laws import IsotropicGaussianVector, GaussianVelocity, UniformAngle
 
 #: margin keeping ||R|| strictly below 1 at construction
 CONTRACTION_MARGIN = 1e-9
 
 
 def _alpha_from_masses(heavy: float, light: float) -> float:
-    """(M - m)/(M + m) for 0 < m <= M; alpha in [0, 1)."""
+    """(M - m)/(M + m) for 0 < m <= M; alpha in [0, 1), refused where it rounds to 1."""
     if not light > 0:
         raise ValueError("external mass must be positive")
     if light > heavy:
         raise ValueError(
             f"external mass {light} must not exceed internal mass {heavy}"
         )
-    return (heavy - light) / (heavy + light)
+    alpha = (heavy - light) / (heavy + light)
+    if alpha == 1.0:
+        raise ValueError(f"external mass {light!r} is so light against internal mass {heavy!r} "
+                         "that alpha = (M - m)/(M + m) rounds to 1: a kick would move nothing")
+    return alpha
 
 
 def _floats(x, width: int, what: str, model):
@@ -159,13 +165,6 @@ class ContractiveAffine:
         return (self.noise_law,)
 
 
-def impact_matrix(alpha: float, phi: float) -> np.ndarray:
-    """G_alpha(phi) = I - (1 - alpha) R(phi) R(phi)^T (symmetric, spectrum {alpha, 1})."""
-    c, s = math.cos(phi), math.sin(phi)
-    r = np.array([c, s])
-    return np.eye(2) - (1.0 - alpha) * np.outer(r, r)
-
-
 @dataclass(frozen=True)
 class TwoDimBall:
     """Non-central elastic collision of 2-D balls, d = 2 only.
@@ -229,84 +228,3 @@ class TwoDimBall:
 
 
 CollisionModel = Union[OneDimElastic, ContractiveAffine, TwoDimBall]
-
-
-def two_ball_pair_update(m1, m2, v1, v2, phi):
-    """Elastic collision of two 2-D balls along contact direction R(phi).
-
-    Tangential velocity components are unchanged; normal components follow
-    the 1-D elastic rule for both balls (the second ball sees alpha -> -alpha
-    by exchanging roles). Conserves total momentum and kinetic energy.
-
-    Returns (v1_after, v2_after).
-    """
-    if not m1 > 0 or not m2 > 0:
-        raise ValueError("masses must be positive")
-    v1 = np.asarray(v1, dtype=float)
-    v2 = np.asarray(v2, dtype=float)
-    if v1.shape != (2,) or v2.shape != (2,):
-        raise ValueError("velocities must be 2-vectors")
-    c, s = math.cos(phi), math.sin(phi)
-    normal = np.array([c, s])
-    tangent = np.array([-s, c])
-    a = (m1 - m2) / (m1 + m2)
-    v1n, v1t = v1 @ normal, v1 @ tangent
-    v2n, v2t = v2 @ normal, v2 @ tangent
-    v1n_new = a * v1n + (1.0 - a) * v2n
-    v2n_new = -a * v2n + (1.0 + a) * v1n
-    return v1n_new * normal + v1t * tangent, v2n_new * normal + v2t * tangent
-
-
-@dataclass(frozen=True, eq=False)
-class ContractionReport:
-    """Monte Carlo sweep of E|J(xi; p)|^2 / |p|^2 over momentum radii.
-
-    ``asymptote`` is the leading coefficient of a least-squares fit
-    E|J|^2 ~ a r^2 + b r + c; a model satisfies the large-energy contraction
-    hypothesis when the asymptote sits below 1.
-    """
-
-    radii: np.ndarray
-    ratios: np.ndarray
-    asymptote: float
-
-    @property
-    def contracts(self) -> bool:
-        return self.asymptote < 1.0
-
-
-def verify_contraction(
-    model: CollisionModel,
-    mass: float,
-    radii,
-    n_mc: int = 10_000,
-    seed: int = 0,
-) -> ContractionReport:
-    """Estimate the kinetic-energy contraction ratio on spheres |p| = r.
-
-    For each radius, momenta are drawn uniformly on the sphere, then xi
-    from the model's own input laws, one block per law; the report carries
-    the per-radius ratio E|J|^2 / r^2 and the fitted r^2-coefficient.
-    Report-only: no exception for non-contracting parameter sets.
-    """
-    radii = np.asarray(radii, dtype=float)
-    if radii.ndim != 1 or radii.size < 3:
-        raise ValueError("need at least three radii for the asymptote fit")
-    if np.any(np.diff(radii) <= 0) or np.any(radii <= 0):
-        raise ValueError("radii must be positive ascending")
-    if n_mc < 1000:
-        raise ValueError("n_mc must be at least 1000")
-    d = model.dim
-    rng = np.random.default_rng(seed)
-    mean_sq = np.empty(radii.size)
-    for i, r in enumerate(radii):
-        dirs = rng.standard_normal((n_mc, d))
-        dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
-        xi = sample_columns(model.input_laws, itertools.repeat(rng), n_mc)
-        j = model.jump(xi, r * dirs, mass)
-        mean_sq[i] = float(np.sum(j * j)) / n_mc
-    design = np.column_stack([radii**2, radii, np.ones_like(radii)])
-    coeffs, *_ = np.linalg.lstsq(design, mean_sq, rcond=None)
-    return ContractionReport(
-        radii=radii, ratios=mean_sq / radii**2, asymptote=float(coeffs[0])
-    )

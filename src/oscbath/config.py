@@ -140,11 +140,12 @@ def _build_velocity_law(section: dict):
     where = "model.velocity_law"
     kind = _kind(section, where, "velocity law", gaussian=("sigma2",), uniform=("half_width",),
                  two_point=("magnitude",))
-    if kind == "gaussian":
-        return laws.GaussianVelocity(sigma2=_number(section, "sigma2", where, 1.0))
-    if kind == "uniform":
-        return laws.UniformSymmetricVelocity(half_width=_number(section, "half_width", where))
-    return laws.TwoPointVelocity(magnitude=_number(section, "magnitude", where))
+    with _invalid(where):  # the law checks its variance is finite and positive
+        if kind == "gaussian":
+            return laws.GaussianVelocity(sigma2=_number(section, "sigma2", where, 1.0))
+        if kind == "uniform":
+            return laws.UniformSymmetricVelocity(half_width=_number(section, "half_width", where))
+        return laws.TwoPointVelocity(magnitude=_number(section, "magnitude", where))
 
 
 def _build_model(section: dict):

@@ -94,13 +94,6 @@ def beta_from_params(params: MomentParams) -> float:
     )
 
 
-def gamma_matrix(dof: int) -> np.ndarray:
-    """Rank-one selector Gamma = g g^T for the kicked momentum coordinate."""
-    g = np.zeros((2 * dof, 2 * dof))
-    g[dof, dof] = 1.0
-    return g
-
-
 def gibbs_covariance(net: OscillatorNetwork, beta: float) -> np.ndarray:
     """Stationary covariance beta^{-1} diag(V^{-1}, M I) (symmetric PD)."""
     if not beta > 0:
@@ -265,6 +258,9 @@ def _anchor_bound(rows, anchor_eig, weights, roundoff):
                      for a in (before, after)))
 
 
+# a sample that overflows is not finite and fails the guard; a Weyl bound that
+# overflows leaves its sample to eigvalsh
+@np.errstate(over="ignore", invalid="ignore")
 def integrate_covariance(
     c0: np.ndarray,
     net: OscillatorNetwork,
@@ -279,7 +275,8 @@ def integrate_covariance(
 
     The samples come from one exponential of ``moment_generator`` (spacing
     as in ``_exact_samples``), and every one must pass the PSD guard; a
-    violation aborts with its time stamp. With ``target`` the march keeps
+    violation, or a sample with a non-finite entry, aborts with its time
+    stamp. With ``target`` the march keeps
     only the gaps max|C(t_k) - target| and stops at the first sample with
     gap <= ``tol``, or at t_end. On that march a sample is certified by
     Weyl's inequality, lambda_min(C) >= lambda_min(target) - |C - target|_F,
@@ -325,7 +322,11 @@ def integrate_covariance(
     counts = {"diagonalised": 0, "certified_target": 0, "certified_anchor": 0}
     for block in blocks:
         vech = block[:, :-1]
-        scale = PSD_GUARD_TOL * np.maximum(np.abs(vech).max(axis=1), floor)
+        size = np.abs(vech).max(axis=1)  # NaN or inf where a sample is not finite
+        if not np.isfinite(size).all():  # guard the samples before the first non-finite one
+            vech = vech[: int(np.argmin(np.isfinite(size)))]
+            size = size[: len(vech)]
+        scale = PSD_GUARD_TOL * np.maximum(size, floor)
         margin = np.empty(len(vech))
         min_eig = np.full(len(vech), np.nan)
         exact = todo = np.arange(len(vech))  # rows with an exact margin, rows to diagonalise
@@ -351,6 +352,9 @@ def integrate_covariance(
             t = (sum(map(len, margins)) + k) * h
             raise NumericalAbort(f"covariance lost positive semidefiniteness at t={t:.6g} "
                                  f"(min eigenvalue {min_eig[k]:.3e})")
+        if len(vech) < len(block):
+            t = (sum(map(len, margins)) + len(vech)) * h
+            raise NumericalAbort(f"covariance sample not finite at t={t:.6g}")
         margins.append(margin)
         if target is None:
             kept.append(symmetric(vech))
@@ -382,12 +386,6 @@ def lyapunov_functional(c: np.ndarray, net: OscillatorNetwork):
     f = (np.trace(net.stiffness @ qq, axis1=-2, axis2=-1)
          + np.trace(pp, axis1=-2, axis2=-1) / net.mass)
     return float(f) if f.ndim == 0 else f
-
-
-def lyapunov_rate(c: np.ndarray, net: OscillatorNetwork, params: MomentParams) -> float:
-    """Analytic dF/dt along the homogeneous flow: -lam (1-alpha^2)/M * C[g, g]."""
-    c_gg = float(np.asarray(c)[net.dof, net.dof])
-    return -params.lam * (1.0 - params.alpha**2) / params.mass * c_gg
 
 
 def damped_generator(net: OscillatorNetwork, params: MomentParams) -> np.ndarray:

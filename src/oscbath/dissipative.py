@@ -21,6 +21,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from . import spectral
+from .errors import NumericalAbort
 from .network import OscillatorNetwork, _mode_flow
 
 #: default eigenvalue clustering tolerance, relative to the spectral radius
@@ -93,7 +94,8 @@ def analyze(stiffness: np.ndarray, contact_sites, tol: float = CLUSTER_TOL) -> D
     (``_independence_coeff_bound``) and the scan's own tolerance. For simple
     spectra the neutral dimension is cross-checked against the eigenvector
     count 2 * #{k : v_k has zero entries at every contact site}; a mismatch
-    is a numerical-rank inconsistency and raises.
+    is a numerical-rank inconsistency (an eigenvector entry at a contact
+    site near ``tol``) and raises ``NumericalAbort``.
     """
     if not tol > 0:
         raise ValueError("tol must be positive")
@@ -128,7 +130,7 @@ def analyze(stiffness: np.ndarray, contact_sites, tol: float = CLUSTER_TOL) -> D
     if all(m == 1 for m in multiplicities):
         dead = int(np.all(np.abs(dec.eigenvectors[list(sites)]) <= tol, axis=0).sum())
         if 2 * dead != dim_neutral:
-            raise RuntimeError(
+            raise NumericalAbort(
                 "inconsistent neutral-space dimension: Krylov rank gives "
                 f"{dim_neutral}, eigenvector zero-count gives {2 * dead}; "
                 "the matrix sits on a numerical-rank boundary"
@@ -161,12 +163,6 @@ def multiplicity_bound_check(report: DissipativeReport) -> bool:
     if not report.complete:
         return True
     return max(report.eigen_multiplicities) <= len(report.contact_sites)
-
-
-def damped_subspace_basis(stiffness: np.ndarray, contact_sites) -> np.ndarray:
-    """Orthonormal basis of L_minus = {(q, p): q, p in l_V}, shape (2n, 2r)."""
-    basis, _ = spectral.krylov_basis(stiffness, contact_sites, tol=CLUSTER_TOL)
-    return np.kron(np.eye(2), basis)
 
 
 def neutral_subspace_basis(stiffness: np.ndarray, contact_sites) -> np.ndarray:

@@ -10,7 +10,10 @@ draws each seed's waits and inputs as blocks, one stream per law. A
 waiting-time law's constructor requires a finite positive ``mean``, by
 which the event loop sizes its first block of waits.
 
-Each scalar velocity law also gives ``gauss_kernel_mean(a, b)``, the mean
+A scalar velocity law's constructor requires a finite positive variance
+``sigma2``, from which the moment analysis takes beta; a ``half_width`` or
+``magnitude`` whose square underflows to 0 or overflows is refused. Each
+scalar velocity law also gives ``gauss_kernel_mean(a, b)``, the mean
 E exp(-(a + b v)^2) over its velocity v in closed form, for the
 stationarity residual.
 """
@@ -124,6 +127,20 @@ class UniformPositive:
 # ---------------------------------------------------------------------------
 
 
+def _require_finite_variance(law, field: str) -> None:
+    """Refuse a velocity law whose ``field`` is not positive or whose ``sigma2`` is 0 or not finite."""
+    value = getattr(law, field)
+    if not value > 0:
+        raise ValueError(f"{field} must be positive")
+    try:
+        sigma2 = law.sigma2
+    except OverflowError:  # a float's ** overflows with an exception, not to inf
+        sigma2 = math.inf
+    if not (math.isfinite(sigma2) and sigma2 > 0):
+        raise ValueError(f"{field} {value!r} gives sigma2 {sigma2!r}; "
+                         "the variance must be finite and positive")
+
+
 @dataclass(frozen=True)
 class GaussianVelocity:
     """Centered normal velocity with variance sigma2."""
@@ -131,8 +148,7 @@ class GaussianVelocity:
     sigma2: float = 1.0
 
     def __post_init__(self):
-        if not self.sigma2 > 0:
-            raise ValueError("sigma2 must be positive")
+        _require_finite_variance(self, "sigma2")
 
     @property
     def fourth_moment(self) -> float:
@@ -158,8 +174,7 @@ class UniformSymmetricVelocity:
     half_width: float
 
     def __post_init__(self):
-        if not self.half_width > 0:
-            raise ValueError("half_width must be positive")
+        _require_finite_variance(self, "half_width")
 
     @property
     def sigma2(self) -> float:
@@ -189,8 +204,7 @@ class TwoPointVelocity:
     magnitude: float
 
     def __post_init__(self):
-        if not self.magnitude > 0:
-            raise ValueError("magnitude must be positive")
+        _require_finite_variance(self, "magnitude")
 
     @property
     def sigma2(self) -> float:
@@ -243,7 +257,3 @@ class UniformAngle:
     def sample(self, rng: np.random.Generator, size=None):
         return rng.uniform(0.0, 2.0 * math.pi, size=size)
 
-    @property
-    def moment_matrix(self) -> np.ndarray:
-        # E[R(phi) R(phi)^T] = I/2 exactly for the uniform angle
-        return 0.5 * np.eye(2)

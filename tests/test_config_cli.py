@@ -628,6 +628,20 @@ def _set(raw, path, value):
         # burn_in below t_end but past the last grid sample, 0.6: nothing to average
         (("run",), {"t_end": 1.0, "sample_dt": 0.6, "burn_in": 0.9, "seeds": [0]},
          ["simulate", "--check"]),
+        # beta = (1+alpha)/(M (1-alpha) sigma2) needs a finite positive sigma2 and alpha < 1:
+        # a half_width or magnitude whose square underflows or overflows, or an
+        # external mass so light that alpha rounds to 1, ended in a traceback
+        (("model", "velocity_law"), {"kind": "uniform", "half_width": 1e-300}, ["simulate"]),
+        (("model", "velocity_law"), {"kind": "uniform", "half_width": 1e-300}, ["covariance"]),
+        (("model", "velocity_law"), {"kind": "uniform", "half_width": 1e-300},
+         ["stationarity"]),
+        (("model", "velocity_law"), {"kind": "two_point", "magnitude": 1e-300},
+         ["stationarity"]),
+        (("model", "velocity_law"), {"kind": "uniform", "half_width": 1e300}, ["covariance"]),
+        (("model", "velocity_law"), {"kind": "uniform", "half_width": 1e300}, ["stationarity"]),
+        (("model", "external_mass"), 1e-300, ["simulate"]),
+        (("model", "external_mass"), 1e-300, ["covariance"]),
+        (("model", "external_mass"), 1e-300, ["stationarity"]),
     ],
     ids=["mass-null", "mass-text", "rate-null", "pinning-nan", "matrix-nan", "model-dim",
          "rank-probe-affine", "rank-probe-dof13", "rank-probe-negative-legs",
@@ -637,13 +651,73 @@ def _set(raw, path, value):
          "n-particles-fraction", "n-particles-bool", "dim-text", "mass-bool",
          "stiffness-seed-fraction", "matrix-text", "reflection-text", "seeds-fraction",
          "seeds-bool", "n-steps-text", "contact-sites-fraction", "psi0-bool",
-         "burn-in-past-grid"],
+         "burn-in-past-grid", "half-width-tiny-simulate", "half-width-tiny-covariance",
+         "half-width-tiny-stationarity", "magnitude-tiny-stationarity",
+         "half-width-huge-covariance", "half-width-huge-stationarity",
+         "external-mass-tiny-simulate", "external-mass-tiny-covariance",
+         "external-mass-tiny-stationarity"],
 )
 def test_cli_bad_config_field_exits_2(tmp_path, capsys, path, value, command):
     path_ = write_config(tmp_path, _set(base_config(), path, value))
     assert main([*command, "--config", str(path_)]) == 2
     err = json.loads(capsys.readouterr().err)
     assert err["error"] == "config" and err["message"]
+
+
+def _ball(raw):
+    """``raw`` with a d = 2 network and the ball model at the same external mass."""
+    raw["network"]["dim"] = 2
+    raw["model"] = {"kind": "two_dim_ball", "external_mass": raw["model"]["external_mass"]}
+    raw.pop("contact_sites")
+    return raw
+
+
+@pytest.mark.parametrize(
+    "raw, field",
+    [
+        (_set(base_config(), ("model", "velocity_law"), {"kind": "uniform", "half_width": 1e-300}),
+         "model.velocity_law"),
+        (_set(base_config(), ("model", "velocity_law"), {"kind": "two_point", "magnitude": 1e300}),
+         "model.velocity_law"),
+        (_set(base_config(), ("model", "external_mass"), 1e-300), "model.external_mass"),
+        # the ball ran with kicks that moved nothing
+        (_ball(_set(base_config(), ("model", "external_mass"), 1e-300)), "model.external_mass"),
+    ],
+    ids=["half-width-tiny", "magnitude-huge", "external-mass-tiny", "ball-external-mass-tiny"],
+)
+def test_load_refuses_a_zero_or_infinite_variance_or_unit_alpha_naming_the_field(raw, field):
+    with pytest.raises(ConfigError, match=f"^invalid {field}: "):
+        load_config(raw)
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize(
+    "path, value, command",
+    [
+        # one eigenvector is about 1e-8 at site 0, where the zero-count test cuts:
+        # the Krylov rank and the eigenvector count disagree (a RuntimeError, exit 1)
+        (("network", "stiffness"), {"kind": "explicit", "matrix": [
+            [1.372930523312534, -0.08620165973177689, 0.2143368630782256],
+            [-0.08620165973177688, 1.4201154709696449, -0.4031255624755946],
+            [0.21433686307822558, -0.40312556247559467, 2.2603421287656755]]}, "dissipative"),
+        # the moment samples overflow: NaN reached eigvalsh (a LinAlgError, exit 1)
+        (("network", "stiffness", "coupling"), 1e20, "covariance"),
+    ],
+    ids=["dissipative-rank-boundary", "covariance-coupling-huge"],
+)
+def test_cli_numerical_abort_exits_3_with_one_strict_json_line(tmp_path, capsys, path, value,
+                                                               command):
+    path_ = write_config(tmp_path, _set(base_config(), path, value))
+    assert main([command, "--config", str(path_), "--check"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    [line] = captured.err.splitlines()
+
+    def reject(constant):
+        raise ValueError(f"{constant} in the error line")
+
+    err = json.loads(line, parse_constant=reject)
+    assert err["error"] == "numerical" and err["message"]
 
 
 @pytest.mark.parametrize(

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 import _reference_covariance as rk4
 from _ensembles import random_complete_network, random_moment_params
+from _reference_engine import flow_matrix, propagate
 from oscbath import cli, covariance
 from oscbath.cli import main, run_covariance
 from oscbath.config import load_config
@@ -21,11 +22,9 @@ from oscbath.covariance import (
     damped_generator,
     energy_norm,
     expm,
-    gamma_matrix,
     gibbs_covariance,
     integrate_covariance,
     lyapunov_functional,
-    lyapunov_rate,
     lyapunov_to_csv,
     mean_dynamics,
     moment_generator,
@@ -39,15 +38,18 @@ from oscbath.network import (
     OscillatorNetwork,
     PhaseState,
     chain_stiffness,
-    flow_matrix,
     generator_matrix,
-    propagate,
 )
 from oscbath.pdmp import simulate_continuous
 
 
 def chain3_net():
     return OscillatorNetwork(3, 1, 1.0, chain_stiffness(3))
+
+
+def lyapunov_rate(c, net, params):
+    """Analytic dF/dt along the homogeneous flow: -lam (1-alpha^2)/M * C[g, g]."""
+    return -params.lam * (1.0 - params.alpha**2) / params.mass * float(c[net.dof, net.dof])
 
 
 STANDARD = MomentParams(lam=1.0, alpha=1.0 / 3.0, sigma2=1.0, mass=1.0)
@@ -149,12 +151,6 @@ def test_rhs_at_zero_is_pure_source():
     assert np.abs(rhs).max() == 0.0
 
 
-def test_gamma_matrix_selector():
-    g = gamma_matrix(3)
-    assert g[3, 3] == 1.0
-    assert np.sum(g) == 1.0
-
-
 def test_integrate_holds_fixed_point():
     net = chain3_net()
     target = gibbs_covariance(net, beta_from_params(STANDARD))
@@ -182,6 +178,17 @@ def test_integrate_aborts_on_indefinite_start():
     net = chain3_net()
     with pytest.raises(NumericalAbort, match="t="):
         integrate_covariance(-np.eye(6), net, STANDARD, t_end=1.0)
+
+
+@pytest.mark.parametrize("with_target", [False, True])
+def test_integrate_aborts_at_the_first_non_finite_sample(with_target):
+    # a PSD start near the largest double: its samples overflow from t = 0.7 on, and the
+    # guard stops there instead of handing NaN to eigvalsh
+    net = chain3_net()
+    target = gibbs_covariance(net, 2.0) if with_target else None
+    with pytest.raises(NumericalAbort, match=r"^covariance sample not finite at t=0\.7$"):
+        integrate_covariance(8e307 * np.ones((6, 6)), net, STANDARD, t_end=5.0, sample_dt=0.1,
+                             target=target, tol=1e-6)
 
 
 # --- Lyapunov functional -----------------------------------------------------------

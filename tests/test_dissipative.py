@@ -4,15 +4,17 @@ import numpy as np
 import pytest
 
 from _ensembles import conditioned_pd_matrix
+from _reference_engine import propagate
 from oscbath.dissipative import (
+    CLUSTER_TOL,
     analyze,
-    damped_subspace_basis,
     l0_invariance_check,
     multiplicity_bound_check,
     neutral_subspace_basis,
 )
-from oscbath.network import OscillatorNetwork, PhaseState, chain_stiffness, propagate
-from oscbath.spectral import random_pd_matrix
+from oscbath.errors import NumericalAbort
+from oscbath.network import OscillatorNetwork, PhaseState, chain_stiffness
+from oscbath.spectral import krylov_basis, random_pd_matrix
 
 
 def double_eigenvalue_3x3():
@@ -172,9 +174,18 @@ def test_genericity_of_completeness():
 # --- subspace geometry ----------------------------------------------------------------
 
 
+def test_analyze_aborts_on_a_numerical_rank_boundary():
+    # one eigenvector is about 1e-8 at site 0, where the zero-component test cuts
+    v = np.array([[1.372930523312534, -0.08620165973177689, 0.2143368630782256],
+                  [-0.08620165973177688, 1.4201154709696449, -0.4031255624755946],
+                  [0.21433686307822558, -0.40312556247559467, 2.2603421287656755]])
+    with pytest.raises(NumericalAbort, match="numerical-rank boundary"):
+        analyze(v, [0])
+
+
 def test_neutral_and_damped_bases_are_orthogonal_complements():
     v = np.diag([1.0, 4.0, 9.0])
-    minus = damped_subspace_basis(v, [0])
+    minus = np.kron(np.eye(2), krylov_basis(v, [0], tol=CLUSTER_TOL)[0])  # L_minus
     zero = neutral_subspace_basis(v, [0])
     assert minus.shape == (6, 2)
     assert zero.shape == (6, 4)
@@ -219,7 +230,7 @@ def test_l0_scaling_invariance():
 def test_neutral_subspace_is_flow_invariant():
     # propagate L0 states and check the damped-subspace component stays zero
     net = OscillatorNetwork(3, 1, 1.3, np.diag([1.0, 2.0, 5.0]))
-    minus = damped_subspace_basis(net.stiffness, [1])
+    minus = np.kron(np.eye(2), krylov_basis(net.stiffness, [1], tol=CLUSTER_TOL)[0])  # L_minus
     zero = neutral_subspace_basis(net.stiffness, [1])
     rng = np.random.default_rng(6)
     for _ in range(5):

