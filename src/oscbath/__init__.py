@@ -23,7 +23,7 @@ from .covariance import (
     lyapunov_functional,
     mean_dynamics,
 )
-from .dissipative import DissipativeReport, analyze, l0_invariance_check
+from .dissipative import DissipativeReport, analyze
 from .errors import ConfigError, NumericalAbort
 from .laws import (
     Exponential,
@@ -96,7 +96,6 @@ __all__ = [
     "integrate_covariance",
     "jacobian_rank_probe",
     "krylov_basis",
-    "l0_invariance_check",
     "lyapunov_functional",
     "mean_dynamics",
     "one_step_moment_shift",

@@ -39,7 +39,7 @@ from .covariance import (
     mean_dynamics,
     spectral_abscissa,
 )
-from .dissipative import analyze, l0_invariance_check, multiplicity_bound_check
+from .dissipative import analyze
 from .errors import ConfigError, NumericalAbort
 from .laws import Exponential, GaussianVelocity
 from .network import PhaseState, energies, energy
@@ -94,17 +94,23 @@ def _exponent(x: np.ndarray) -> int:
     return int(np.frexp(np.abs(x).max())[1])
 
 
-def _moment_params(cfg: ExperimentConfig) -> MomentParams:
+def _moment_params(cfg: ExperimentConfig) -> tuple:
+    """The moment ODEs' ``MomentParams`` and their inverse temperature beta, refused unless finite."""
     if not isinstance(cfg.model, OneDimElastic):
         raise ConfigError("moment analysis requires the one_dim_elastic model")
     if not isinstance(cfg.tau_law, Exponential):
         raise ConfigError("moment analysis requires exponential waiting times")
-    return MomentParams(
+    params = MomentParams(
         lam=cfg.tau_law.rate,
         alpha=cfg.model.alpha(cfg.network.mass),
         sigma2=cfg.model.velocity_law.sigma2,
         mass=cfg.network.mass,
     )
+    beta = beta_from_params(params)
+    if not math.isfinite(beta):  # sigma2 is positive, but (1+alpha)/(M(1-alpha) sigma2) overflows
+        raise ConfigError(f"invalid model.velocity_law: its variance {params.sigma2!r} gives "
+                          "beta = (1+alpha)/(M (1-alpha) sigma2) beyond the largest float")
+    return params, beta
 
 
 def _report(cfg: ExperimentConfig, command: str, fields: dict, checks: dict,
@@ -173,6 +179,9 @@ def run_simulate(cfg: ExperimentConfig, out_dir: Path | None, workers: int = 1) 
     # --workers is still accepted, and has no effect: every seed steps in one event loop
     if workers < 1:
         raise ConfigError(f"--workers must be >= 1, got {workers}")
+    # the Gibbs comparison's beta, refused before any event is drawn; None: no comparison
+    gibbs = isinstance(cfg.model, OneDimElastic) and isinstance(cfg.tau_law, Exponential)
+    beta = _moment_params(cfg)[1] if gibbs else None
     runs = event_passes(cfg.network, cfg.model, cfg.tau_law, cfg.psi0, cfg.t_end,
                         cfg.n_steps, cfg.seeds)
     csv_path = None if out_dir is None else out_dir / "trajectory.csv"
@@ -196,9 +205,7 @@ def run_simulate(cfg: ExperimentConfig, out_dir: Path | None, workers: int = 1) 
 
     comparison = None
     checks = {}
-    if isinstance(cfg.model, OneDimElastic) and isinstance(cfg.tau_law, Exponential):
-        params = _moment_params(cfg)
-        beta = beta_from_params(params)
+    if beta is not None:
         target = gibbs_covariance(cfg.network, beta)
         diff = pooled.covariance - target
         diag = np.diag(target)
@@ -238,13 +245,12 @@ def run_simulate(cfg: ExperimentConfig, out_dir: Path | None, workers: int = 1) 
 
 
 def run_covariance(cfg: ExperimentConfig, out_dir: Path | None) -> dict:
-    params = _moment_params(cfg)
+    params, beta = _moment_params(cfg)
     net = cfg.network
     dof = net.dof
     if dof > MAX_DOF:
         raise ConfigError(f"covariance supports dof <= {MAX_DOF}; this network has dof {dof}")
     source_scale = params.lam * params.mass**2 * params.sigma2
-    beta = beta_from_params(params)  # every velocity law has sigma2 > 0
     target = gibbs_covariance(net, beta)
     residual = float(np.abs(covariance_rhs(target, net, params)).max())
 
@@ -319,11 +325,10 @@ def run_covariance(cfg: ExperimentConfig, out_dir: Path | None) -> dict:
 
 
 def run_stationarity(cfg: ExperimentConfig, out_dir: Path | None) -> dict:
-    params = _moment_params(cfg)
+    params, beta = _moment_params(cfg)
     if params.alpha == 0:
         raise ConfigError("stationarity needs model.external_mass below network.mass: "
                           "its identity inverts the kick through gamma = 1/alpha")
-    beta = beta_from_params(params)
     law = cfg.model.velocity_law
     grid = np.linspace(-5.0, 5.0, 101)
     residual = stationarity_residual(
@@ -369,18 +374,15 @@ def run_stationarity(cfg: ExperimentConfig, out_dir: Path | None) -> dict:
 
 
 def run_dissipative(cfg: ExperimentConfig, out_dir: Path | None) -> dict:
-    dis = analyze(cfg.network.stiffness, cfg.network.contact_sites)
-    invariant_ok = l0_invariance_check(cfg.network)
-    bound_ok = multiplicity_bound_check(dis)
-    fields = {**dis.to_dict(), "l0_invariance": invariant_ok, "multiplicity_bound": bound_ok}
+    dis = analyze(cfg.network, cfg.network.contact_sites)
     checks = {
         "projection_sum_matches_rank": sum(dis.spectral_projection_dims)
         == dis.krylov_rank,
         "neutral_dim_identity": dis.dim_neutral == 2 * (dis.order - dis.krylov_rank),
-        "l0_invariance": invariant_ok,
-        "multiplicity_bound": bound_ok,
+        "l0_invariance": dis.l0_invariance,
+        "multiplicity_bound": dis.multiplicity_bound,
     }
-    return _report(cfg, "dissipative", fields, checks, out_dir)
+    return _report(cfg, "dissipative", dis.to_dict(), checks, out_dir)
 
 
 # ---------------------------------------------------------------------------

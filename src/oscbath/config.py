@@ -24,7 +24,8 @@ also requires the finite positive mean that the event loop sizes its draws
 by. ``run.n_steps`` is the post-collision chain length summarized per seed.
 Neither it nor the events that ``run.t_end`` leads one to expect may need
 more than ``pdmp.RECORD_MAX_BYTES`` of event record, nor the network more
-than ``pdmp.NETWORK_MAX_DOF`` degrees of freedom. The contact sites are the
+than ``pdmp.NETWORK_MAX_DOF`` degrees of freedom, nor the seeds' time grids
+k*``run.sample_dt`` more than ``pdmp.GRID_MAX_ROWS`` rows. The contact sites are the
 kicked particle's coordinates 0..d-1; a "contact_sites" entry must equal them.
 A key the loader does not read, in any section, is an error naming its path.
 """
@@ -44,7 +45,7 @@ from . import laws
 from .collisions import ContractiveAffine, OneDimElastic, TwoDimBall
 from .errors import ConfigError
 from .network import OscillatorNetwork, PhaseState, chain_stiffness
-from .pdmp import NETWORK_MAX_DOF, RECORD_MAX_BYTES, event_estimate, grid_size, record_bytes
+from .pdmp import GRID_MAX_ROWS, NETWORK_MAX_DOF, RECORD_MAX_BYTES, event_estimate, grid_size, record_bytes
 from .spectral import random_pd_matrix
 
 
@@ -264,10 +265,6 @@ def load_config(source) -> ExperimentConfig:
         raise ConfigError("need 0 < run.sample_dt <= run.t_end")
     if not 0 <= burn_in < t_end:
         raise ConfigError("need 0 <= run.burn_in < run.t_end")
-    last_sample = (grid_size(t_end, sample_dt) - 1) * sample_dt
-    if burn_in > last_sample:  # the moments would average no sample
-        raise ConfigError(f"need run.burn_in <= {last_sample!r}, the last grid time "
-                          f"k*run.sample_dt in [0, run.t_end]")
     if n_steps < 1:
         raise ConfigError("run.n_steps must be >= 1")
     least = event_estimate(0.0, tau_law.mean)  # the smallest record a seed needs
@@ -282,6 +279,14 @@ def load_config(source) -> ExperimentConfig:
         raise ConfigError(f"run.t_end = {t_end!r} expects {t_end / tau_law.mean:.4g} "
                           f"events per seed, more than {RECORD_MAX_BYTES} bytes of event record "
                           f"for {len(seeds)} seeds")
+    rows = t_end / sample_dt + 1.0  # grid_size, as a float: a tiny sample_dt overflows its int
+    if len(seeds) * rows > GRID_MAX_ROWS:
+        raise ConfigError(f"run.sample_dt = {sample_dt!r} gives {rows:.4g} grid rows per seed, "
+                          f"more than {GRID_MAX_ROWS} for {len(seeds)} seeds")
+    last_sample = (grid_size(t_end, sample_dt) - 1) * sample_dt
+    if burn_in > last_sample:  # the moments would average no sample
+        raise ConfigError(f"need run.burn_in <= {last_sample!r}, the last grid time "
+                          f"k*run.sample_dt in [0, run.t_end]")
 
     if _integers(raw.get("contact_sites", net.contact_sites), "contact_sites") != net.contact_sites:
         raise ConfigError(f"contact_sites must be {list(net.contact_sites)}, the coordinates "

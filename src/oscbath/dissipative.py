@@ -7,11 +7,13 @@ complement L_0 is flow-invariant and carries exactly the motions whose
 contact-site momenta vanish for all time. Completeness (l_V = R^dof) makes
 L_0 trivial and is generic among positive definite matrices.
 
-``analyze`` cross-computes dim L_0 three ways (Krylov rank, zero-component
-eigenvector count for simple spectra, per-eigenvalue projections of the
-seed coordinates) and reports eigenvalue multiplicities plus the rational
-independence heuristic for the frequencies, skipped (reported as None)
-where even the +-1 coefficient box exceeds the search cap, order >= 15.
+``analyze`` reads a network's validated stiffness and spectrum and builds
+one Krylov basis. It cross-computes dim L_0 three ways (Krylov rank,
+zero-component eigenvector count for simple spectra, per-eigenvalue
+projections of the seed coordinates), checks L_0 states of that basis's
+complement along the flow, and reports eigenvalue multiplicities with their
+completeness bound plus the rational independence heuristic for the
+frequencies, skipped (None) where even the +-1 box exceeds the search cap.
 """
 
 from __future__ import annotations
@@ -44,6 +46,8 @@ class DissipativeReport:
     independence_max_coeff: int | None  # coefficient box scanned, None when skipped
     independence_witness: np.ndarray | None
     clustering_ambiguous: bool
+    multiplicity_bound: bool  # complete implies every multiplicity <= #contact sites
+    l0_invariance: bool  # L_0 states keep the contact momenta at zero; generic ones do not
 
     def to_dict(self) -> dict:
         d = asdict(self)
@@ -85,50 +89,71 @@ def _independence_coeff_bound(order: int):
                  if (2 * c + 1) ** order <= spectral.INDEPENDENCE_SEARCH_CAP), None)
 
 
-def analyze(stiffness: np.ndarray, contact_sites, tol: float = CLUSTER_TOL) -> DissipativeReport:
-    """Full damped-subspace report for a stiffness matrix and contact sites.
+def neutral_subspace_basis(krylov: np.ndarray) -> np.ndarray:
+    """Orthonormal basis of L_0: the complement of the Krylov basis (n, rank), in q and in p."""
+    rank = krylov.shape[1]
+    complement = np.linalg.svd(krylov, full_matrices=True)[0][:, rank:]
+    return np.kron(np.eye(2), complement)
 
-    ``tol`` controls eigenvalue clustering, the Gram-Schmidt drop rule, and
-    the zero-component test on eigenvectors. The rational-independence scan
-    takes the largest coefficient box that fits the search cap
-    (``_independence_coeff_bound``) and the scan's own tolerance. For simple
-    spectra the neutral dimension is cross-checked against the eigenvector
-    count 2 * #{k : v_k has zero entries at every contact site}; a mismatch
-    is a numerical-rank inconsistency (an eigenvector entry at a contact
-    site near ``tol``) and raises ``NumericalAbort``.
+
+def _l0_invariant(net: OscillatorNetwork, contact_modes: np.ndarray, krylov: np.ndarray) -> bool:
+    """Whether L_0 states keep the contact-site momenta at rest along the flow.
+
+    Five random L_0 states (``default_rng(0)``) must keep every contact-site
+    momentum (eigenvector rows ``contact_modes``) within 1e-9 |psi| over the
+    time grid 0, 0.25, ..., 20, and a random phase vector must exceed that
+    somewhere; a complete network has no L_0, and only that vector is moved.
     """
-    if not tol > 0:
-        raise ValueError("tol must be positive")
-    v = spectral.symmetrize(stiffness)
-    order = v.shape[0]
+    t_grid = np.linspace(0.0, 20.0, 81)
+    rng = np.random.default_rng(0)
+
+    def excited(vec: np.ndarray) -> bool:
+        _, ph_t = _mode_flow(*net.to_modes(vec), net.mode_frequencies, net.mass, t_grid)
+        return float(np.abs(ph_t @ contact_modes.T).max()) > 1e-9 * float(np.linalg.norm(vec))
+
+    if krylov.shape[1] < net.dof:
+        basis = neutral_subspace_basis(krylov)
+        if any(excited(basis @ rng.standard_normal(basis.shape[1])) for _ in range(5)):
+            return False
+    return excited(rng.standard_normal(2 * net.dof))
+
+
+def analyze(net: OscillatorNetwork, contact_sites) -> DissipativeReport:
+    """Full damped-subspace report for a network and a contact-site set.
+
+    The rank and the L_0 basis of the flow check (taken only when the rank is
+    short) come from one Krylov basis. ``CLUSTER_TOL`` sets eigenvalue
+    clustering, the Gram-Schmidt drop rule and the zero-component test on
+    eigenvectors; the rational-independence scan takes the largest box under
+    the search cap (``_independence_coeff_bound``). For simple spectra the
+    neutral dimension is cross-checked against 2 * #{k : v_k vanishes at
+    every contact site}; a mismatch (an eigenvector entry at a contact site
+    near the cut, a numerical-rank boundary) raises ``NumericalAbort``.
+    """
+    order = net.dof
     sites = tuple(sorted(set(int(i) for i in contact_sites)))
     if not sites:
         raise ValueError("contact site set must not be empty")
     if sites[0] < 0 or sites[-1] >= order:
         raise ValueError(f"contact sites {sites} out of range for order {order}")
 
-    _, rank = spectral.krylov_basis(v, sites, tol=tol)
+    krylov, rank = spectral.krylov_basis(net.stiffness, sites, tol=CLUSTER_TOL)
     complete = rank == order
     dim_neutral = 2 * (order - rank)
 
-    dec = spectral.decompose(v)
-    clusters, ambiguous = _cluster_eigenvalues(dec.eigenvalues, tol)
+    dec = net.spectrum
+    clusters, ambiguous = _cluster_eigenvalues(dec.eigenvalues, CLUSTER_TOL)
     multiplicities = tuple(sl.stop - sl.start for sl in clusters)
+    contact_modes = dec.eigenvectors[list(sites)]  # (n_sites, order)
 
     # per-eigenvalue dimension of the projected seed coordinates
-    projection_dims = []
-    for sl in clusters:
-        block = dec.eigenvectors[:, sl]  # (order, mult)
-        seed_components = block[list(sites), :]  # (n_sites, mult)
-        if seed_components.size == 0:
-            projection_dims.append(0)
-            continue
-        sv = np.linalg.svd(seed_components, compute_uv=False)
-        projection_dims.append(int(np.sum(sv > tol)))
-    projection_dims = tuple(projection_dims)
+    projection_dims = tuple(
+        int(np.sum(np.linalg.svd(contact_modes[:, sl], compute_uv=False) > CLUSTER_TOL))
+        for sl in clusters
+    )
 
     if all(m == 1 for m in multiplicities):
-        dead = int(np.all(np.abs(dec.eigenvectors[list(sites)]) <= tol, axis=0).sum())
+        dead = int(np.all(np.abs(contact_modes) <= CLUSTER_TOL, axis=0).sum())
         if 2 * dead != dim_neutral:
             raise NumericalAbort(
                 "inconsistent neutral-space dimension: Krylov rank gives "
@@ -136,11 +161,10 @@ def analyze(stiffness: np.ndarray, contact_sites, tol: float = CLUSTER_TOL) -> D
                 "the matrix sits on a numerical-rank boundary"
             )
 
-    omegas = np.sqrt(np.maximum(dec.eigenvalues, 0.0))
-    if np.any(omegas <= 0):
-        raise ValueError("stiffness must be positive definite for the frequency scan")
+    # the network's eigenvalues are positive: it refuses lambda_min <= 1e-12 lambda_max
     max_coeff = _independence_coeff_bound(order)
-    indep = None if max_coeff is None else spectral.check_rational_independence(omegas, max_coeff)
+    indep = (None if max_coeff is None
+             else spectral.check_rational_independence(np.sqrt(dec.eigenvalues), max_coeff))
 
     return DissipativeReport(
         order=order,
@@ -155,51 +179,6 @@ def analyze(stiffness: np.ndarray, contact_sites, tol: float = CLUSTER_TOL) -> D
         independence_max_coeff=max_coeff,
         independence_witness=None if indep is None else indep.witness,
         clustering_ambiguous=ambiguous,
+        multiplicity_bound=not complete or max(multiplicities) <= len(sites),
+        l0_invariance=_l0_invariant(net, contact_modes, krylov),
     )
-
-
-def multiplicity_bound_check(report: DissipativeReport) -> bool:
-    """Completeness forces every eigenvalue multiplicity <= #contact sites."""
-    if not report.complete:
-        return True
-    return max(report.eigen_multiplicities) <= len(report.contact_sites)
-
-
-def neutral_subspace_basis(stiffness: np.ndarray, contact_sites) -> np.ndarray:
-    """Orthonormal basis of L_0 (orthogonal complement of L_minus)."""
-    basis, rank = spectral.krylov_basis(stiffness, contact_sites, tol=CLUSTER_TOL)
-    # complement of the Krylov space in R^n via full SVD
-    u = np.linalg.svd(basis, full_matrices=True)[0] if rank else np.eye(basis.shape[0])
-    return np.kron(np.eye(2), u[:, rank:])
-
-
-def l0_invariance_check(net: OscillatorNetwork, n_probes: int = 5, tol: float = 1e-9) -> bool:
-    """Check that L_0 states keep zero contact-site momenta along the flow.
-
-    Propagates random L_0 combinations (from ``default_rng(0)``) over the
-    time grid 0, 0.25, ..., 20 and requires |p_n(t)| <= tol*|psi| for every
-    contact site of the network (particle 1's coordinates); additionally
-    requires a random state outside L_0 to violate that bound somewhere on
-    the grid.
-    """
-    t_grid = np.linspace(0.0, 20.0, 81)
-    rng = np.random.default_rng(0)
-    basis = neutral_subspace_basis(net.stiffness, net.contact_sites)
-
-    def max_site_momentum(vec: np.ndarray) -> float:
-        _, ph_t = _mode_flow(*net.to_modes(vec), net.mode_frequencies, net.mass, t_grid)
-        return float(np.abs(ph_t @ net.contact_modes.T).max())
-
-    if basis.shape[1] > 0:
-        for _ in range(n_probes):
-            coeffs = rng.standard_normal(basis.shape[1])
-            vec = basis @ coeffs
-            norm = float(np.linalg.norm(vec))
-            if norm == 0.0:
-                continue
-            if max_site_momentum(vec) > tol * norm:
-                return False
-
-    # a generic state must excite the contact momenta somewhere on the grid
-    vec = rng.standard_normal(2 * net.dof)
-    return max_site_momentum(vec) > tol * float(np.linalg.norm(vec))

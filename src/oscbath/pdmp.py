@@ -134,6 +134,9 @@ GRID_BLOCK = 4096
 STEP_BLOCK = 64
 #: largest event record per seed that a config may ask ``event_passes`` for
 RECORD_MAX_BYTES = 1 << 30
+#: most grid rows over all seeds that a config may ask ``simulate`` to reduce: about
+#: 30 s at the 0.26-0.3 s per 1e6 rows measured on chain3 (2 vCPUs), four times its t_end 2e5 run
+GRID_MAX_ROWS = 10**8
 #: largest dof = n_particles * dim of a config: building a network peaks at six dof x dof
 #: float matrices (tracemalloc, dof 256 to 1024), 768 MiB at 4096, within RECORD_MAX_BYTES
 NETWORK_MAX_DOF = 4096
@@ -456,7 +459,7 @@ def drift_estimate(
 
     Energies after the jump are evaluated in mode coordinates (not through
     the energy-bookkeeping identity), so this is an independent check of
-    the one-step energy drift.
+    the one-step energy drift. An overflow raises ``NumericalAbort``.
     """
     _require_dim(net, model)
     rng = np.random.default_rng(seed)
@@ -466,12 +469,13 @@ def drift_estimate(
     taus = np.asarray(tau_law.sample(rng, size=n_mc), dtype=float)
     xi = sample_columns(model.input_laws, itertools.repeat(rng), n_mc)
     qh_t, ph_t = _mode_flow(qh, ph, net.mode_frequencies, net.mass, taus)
-    change = energies(net, qh_t, _kick(net, model, ph_t, xi)) - h0
-    return DriftEstimate(
-        energy_before=h0,
-        mean_change=float(change.mean()),
-        std_error=float(change.std(ddof=1) / np.sqrt(n_mc)),
-    )
+    with np.errstate(over="ignore", invalid="ignore"):  # checked below
+        change = energies(net, qh_t, _kick(net, model, ph_t, xi)) - h0
+        mean_change, std_error = float(change.mean()), float(change.std(ddof=1) / np.sqrt(n_mc))
+    if not (math.isfinite(mean_change) and math.isfinite(std_error)):
+        raise NumericalAbort(f"the energy drift from H = {h0!r} overflows: "
+                             "the kicked energies' spread exceeds the largest float")
+    return DriftEstimate(energy_before=h0, mean_change=mean_change, std_error=std_error)
 
 
 def reachability_jacobian(

@@ -11,11 +11,10 @@ are provided:
   before and after a single collision at exact stationarity (the fourth
   moment moves iff the velocity law is non-Gaussian).
 
-Both take beta = (1+alpha)/(M (1-alpha) sigma2). Every config that loads
-gives a finite positive one: each scalar velocity law's constructor requires
-a finite positive sigma2, and ``collisions`` refuses an external mass so
-light that alpha rounds to 1. The residual also needs alpha > 0 (gamma =
-1/alpha), which the CLI checks before calling it.
+Both take beta = (1+alpha)/(M (1-alpha) sigma2) > 0: each scalar velocity
+law requires a finite positive sigma2, ``collisions`` refuses an alpha that
+rounds to 1, and the CLI refuses a beta that overflows. The residual also
+needs alpha > 0 (gamma = 1/alpha), which the CLI checks before calling it.
 """
 
 from __future__ import annotations
@@ -26,6 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .collisions import OneDimElastic
+from .errors import NumericalAbort
 
 
 def stationarity_residual(
@@ -93,6 +93,7 @@ def one_step_moment_shift(
 
     Draws p ~ N(0, M/beta), applies the model's jump with input u ~ law to
     all draws at once, and returns the empirical moments with paired standard errors.
+    An overflow (beta near 1e-160 or below) raises ``NumericalAbort``.
     """
     if not beta > 0 or not mass > 0:
         raise ValueError("beta and mass must be positive")
@@ -102,13 +103,18 @@ def one_step_moment_shift(
     p = rng.normal(0.0, math.sqrt(mass / beta), size=n)
     u = np.asarray(law.sample(rng, size=n), dtype=float)
     p_after = model.jump(u[:, None], p[:, None], mass)[:, 0]
-    p2, p_after2 = p**2, p_after**2
-    p4, p_after4 = p2 * p2, p_after2 * p_after2  # squares of squares: no libm pow
-    return MomentShift(
-        m2_before=float(np.mean(p2)),
-        m2_after=float(np.mean(p_after2)),
-        m4_before=float(np.mean(p4)),
-        m4_after=float(np.mean(p_after4)),
-        m2_shift_se=float(np.std(p_after2 - p2, ddof=1) / math.sqrt(n)),
-        m4_shift_se=float(np.std(p_after4 - p4, ddof=1) / math.sqrt(n)),
-    )
+    with np.errstate(over="ignore", invalid="ignore"):  # checked below
+        p2, p_after2 = p**2, p_after**2
+        p4, p_after4 = p2 * p2, p_after2 * p_after2  # squares of squares: no libm pow
+        shift = MomentShift(
+            m2_before=float(np.mean(p2)),
+            m2_after=float(np.mean(p_after2)),
+            m4_before=float(np.mean(p4)),
+            m4_after=float(np.mean(p_after4)),
+            m2_shift_se=float(np.std(p_after2 - p2, ddof=1) / math.sqrt(n)),
+            m4_shift_se=float(np.std(p_after4 - p4, ddof=1) / math.sqrt(n)),
+        )
+    if not all(math.isfinite(x) for x in vars(shift).values()):
+        raise NumericalAbort(f"the one-step moment shift at beta = {beta!r} overflows: the "
+                             "fourth moments of momenta of scale sqrt(M/beta) pass the largest float")
+    return shift

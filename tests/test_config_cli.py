@@ -22,7 +22,7 @@ from oscbath.config import MAX_SEEDS, load_config
 from oscbath.errors import ConfigError, NumericalAbort
 from oscbath.laws import GaussianVelocity
 from oscbath.network import chain_stiffness
-from oscbath.pdmp import GRID_BLOCK, Moments, event_passes, grid_size
+from oscbath.pdmp import GRID_BLOCK, GRID_MAX_ROWS, Moments, event_passes, grid_size
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
@@ -642,6 +642,11 @@ def _set(raw, path, value):
         (("model", "external_mass"), 1e-300, ["simulate"]),
         (("model", "external_mass"), 1e-300, ["covariance"]),
         (("model", "external_mass"), 1e-300, ["stationarity"]),
+        # sigma2 is positive, but beta = (1+alpha)/(M (1-alpha) sigma2) overflowed: Infinity
+        # in the reports and RuntimeWarnings on stderr
+        (("model", "velocity_law"), {"kind": "gaussian", "sigma2": 1e-320}, ["simulate"]),
+        (("model", "velocity_law"), {"kind": "gaussian", "sigma2": 1e-320}, ["covariance"]),
+        (("model", "velocity_law"), {"kind": "gaussian", "sigma2": 1e-320}, ["stationarity"]),
     ],
     ids=["mass-null", "mass-text", "rate-null", "pinning-nan", "matrix-nan", "model-dim",
          "rank-probe-affine", "rank-probe-dof13", "rank-probe-negative-legs",
@@ -655,13 +660,17 @@ def _set(raw, path, value):
          "half-width-tiny-stationarity", "magnitude-tiny-stationarity",
          "half-width-huge-covariance", "half-width-huge-stationarity",
          "external-mass-tiny-simulate", "external-mass-tiny-covariance",
-         "external-mass-tiny-stationarity"],
+         "external-mass-tiny-stationarity", "beta-infinite-simulate", "beta-infinite-covariance",
+         "beta-infinite-stationarity"],
 )
 def test_cli_bad_config_field_exits_2(tmp_path, capsys, path, value, command):
     path_ = write_config(tmp_path, _set(base_config(), path, value))
     assert main([*command, "--config", str(path_)]) == 2
-    err = json.loads(capsys.readouterr().err)
+    [line] = capsys.readouterr().err.splitlines()
+    err = _strict_json(line)
     assert err["error"] == "config" and err["message"]
+    if value == {"kind": "gaussian", "sigma2": 1e-320}:
+        assert err["message"].startswith("invalid model.velocity_law: ")
 
 
 def _ball(raw):
@@ -702,13 +711,21 @@ def test_load_refuses_a_zero_or_infinite_variance_or_unit_alpha_naming_the_field
             [0.21433686307822558, -0.40312556247559467, 2.2603421287656755]]}, "dissipative"),
         # the moment samples overflow: NaN reached eigvalsh (a LinAlgError, exit 1)
         (("network", "stiffness", "coupling"), 1e20, "covariance"),
+        # momenta near 1e80: the fourth moments overflowed, and report.json held
+        # Infinity and NaN shifts (exit 0, with RuntimeWarnings)
+        (("model", "velocity_law"), {"kind": "gaussian", "sigma2": 1e160}, "stationarity"),
+        # energies near 1e160: their standard errors were Infinity
+        (("model", "velocity_law"), {"kind": "gaussian", "sigma2": 1e160}, "drift-check"),
     ],
-    ids=["dissipative-rank-boundary", "covariance-coupling-huge"],
+    ids=["dissipative-rank-boundary", "covariance-coupling-huge", "stationarity-sigma2-huge",
+         "drift-check-sigma2-huge"],
 )
 def test_cli_numerical_abort_exits_3_with_one_strict_json_line(tmp_path, capsys, path, value,
                                                                command):
     path_ = write_config(tmp_path, _set(base_config(), path, value))
-    assert main([command, "--config", str(path_), "--check"]) == 3
+    out = tmp_path / "out"
+    assert main([command, "--config", str(path_), "--check", "--out", str(out)]) == 3
+    assert list(out.iterdir()) == []  # an aborted run writes nothing
     captured = capsys.readouterr()
     assert captured.out == ""
     [line] = captured.err.splitlines()
@@ -732,14 +749,19 @@ def test_cli_numerical_abort_exits_3_with_one_strict_json_line(tmp_path, capsys,
         # about 1e9 events per seed: the draw loop would have run for hours, growing
         # its record toward 144 GB for the two seeds
         ({"t_end": 1e9}, [], "run.t_end"),
+        # 1e10 grid rows: simulate would have rotated and reduced them for about 50 minutes
+        ({"t_end": 10.0, "sample_dt": 1e-9, "burn_in": 1.0, "seeds": [0]}, [], "run.sample_dt"),
+        # t_end / sample_dt overflows: the grid size's int conversion raised OverflowError
+        ({"sample_dt": 5e-324}, [], "run.sample_dt"),
     ],
     ids=["config-seeds-negative", "flag-seed-negative", "flag-range-negative", "n-steps-huge",
-         "t-end-huge"],
+         "t-end-huge", "grid-huge", "grid-infinite"],
 )
 def test_cli_out_of_range_run_field_exits_2_naming_it(tmp_path, capsys, run, flags, field):
     path = write_config(tmp_path, base_config(**run))
     assert main(["simulate", "--config", str(path), *flags]) == 2
-    err = json.loads(capsys.readouterr().err)
+    [line] = capsys.readouterr().err.splitlines()
+    err = _strict_json(line)
     assert err["error"] == "config" and err["message"].startswith(field)
 
 
@@ -821,6 +843,17 @@ def test_shipped_configs_load_within_the_record_bound():
     raw = json.loads((CONFIGS / "chain3.json").read_text())
     raw["run"]["t_end"] = 1e9
     with pytest.raises(ConfigError, match=r"^run\.t_end"):
+        load_config(raw)
+
+
+def test_the_longest_documented_run_loads_within_the_grid_bound():
+    # chain3 at t_end 2e5: 32 seeds x 800,001 grid rows, a quarter of GRID_MAX_ROWS
+    raw = json.loads((CONFIGS / "chain3.json").read_text())
+    raw["run"].update(t_end=2e5, burn_in=2e4)
+    cfg = load_config(raw)
+    assert len(cfg.seeds) * grid_size(cfg.t_end, cfg.sample_dt) == 32 * 800_001 <= GRID_MAX_ROWS
+    raw["run"]["sample_dt"] = 0.25 * 32 * 800_001 / GRID_MAX_ROWS / 1.01  # just past the bound
+    with pytest.raises(ConfigError, match=r"^run\.sample_dt"):
         load_config(raw)
 
 

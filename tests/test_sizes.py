@@ -1,4 +1,5 @@
-"""Every subcommand on a chain of 256: the exit-code contract and drift-check's cost.
+"""Every subcommand on a chain of 256, and ``dissipative`` on a chain of 1000:
+the exit-code contract and the cost of drift-check and dissipative.
 
 ``covariance`` and ``rank-probe`` refuse dof > 12 by design (exit 2, one JSON
 line); the others run with ``--check`` and exit 0 or 4.
@@ -18,16 +19,24 @@ CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 #: In mode coordinates it took 1.0 s on 2 vCPUs; the physical-coordinate energies
 #: it replaced took 12.7 s
 DRIFT_CHECK_BUDGET_S = 6.0
+#: wall budget of one dissipative run on the chain of 1000, config load included.
+#: With one Krylov basis and the network's own spectrum it took 0.85 to 1.06 s on
+#: 2 vCPUs; building the basis twice and decomposing V again took 1.9 s
+DISSIPATIVE_1000_BUDGET_S = 3.0
+
+
+def _chain(tmp_path_factory, n):
+    raw = json.loads((CONFIGS / "chain3.json").read_text())
+    raw["network"]["n_particles"] = n
+    raw["run"] = {"t_end": 50.0, "sample_dt": raw["run"]["sample_dt"], "seeds": [0, 1]}
+    path = tmp_path_factory.mktemp("sizes") / f"chain{n}.json"
+    path.write_text(json.dumps(raw))
+    return str(path)
 
 
 @pytest.fixture(scope="module")
 def chain256(tmp_path_factory):
-    raw = json.loads((CONFIGS / "chain3.json").read_text())
-    raw["network"]["n_particles"] = 256
-    raw["run"] = {"t_end": 50.0, "sample_dt": raw["run"]["sample_dt"], "seeds": [0, 1]}
-    path = tmp_path_factory.mktemp("sizes") / "chain256.json"
-    path.write_text(json.dumps(raw))
-    return str(path)
+    return _chain(tmp_path_factory, 256)
 
 
 @pytest.mark.parametrize("command", ["simulate", "stationarity", "dissipative", "drift-check"])
@@ -47,3 +56,13 @@ def test_chain256_is_refused_by_the_small_network_analyses(chain256, capsys, com
     [line] = capsys.readouterr().err.splitlines()
     err = json.loads(line)
     assert err["error"] == "config" and "dof 256" in err["message"]
+
+
+def test_chain1000_dissipative_within_its_budget(tmp_path_factory, capsys):
+    chain1000 = _chain(tmp_path_factory, 1000)
+    t0 = time.perf_counter()
+    code = main(["dissipative", "--config", chain1000, "--check"])
+    seconds = time.perf_counter() - t0
+    assert code == 0
+    assert capsys.readouterr().err == ""
+    assert seconds <= DISSIPATIVE_1000_BUDGET_S
