@@ -20,7 +20,9 @@ two elastic models also give ``jump_jacobian(xi, p1, mass)``, the exact
 derivatives (D_p, D_xi) of the jump per row, for the reachability probe.
 
 Each model lists the sampling laws of its random input xi in the order of
-its entries (``input_laws``), which ``laws.sample_columns`` draws. The
+its entries (``input_laws``), which ``laws.sample_columns`` draws: the one
+law a model holds (``velocity_law`` or ``noise_law``), or for ``TwoDimBall``
+the one angle law, ``UniformAngle``, and then its ``velocity_law``. The
 analyticity and sphere-covering hypotheses on the jump map are existence
 assumptions used in proofs only; they are documented here and not testable
 numerically.
@@ -169,13 +171,12 @@ class ContractiveAffine:
 class TwoDimBall:
     """Non-central elastic collision of 2-D balls, d = 2 only.
 
-    The impact angle is sampled independently of the state (the geometric
-    impact-parameter problem is out of scope); the external velocity has a
-    density on R^2 with finite second moment.
+    The impact angle is uniform on [0, 2 pi) and independent of the state
+    (the geometric impact-parameter problem is out of scope); the external
+    velocity has a density on R^2 with finite second moment.
     """
 
     external_mass: float
-    angle_law: UniformAngle = field(default_factory=UniformAngle)
     velocity_law: IsotropicGaussianVector = field(
         default_factory=lambda: IsotropicGaussianVector(dim=2)
     )
@@ -224,7 +225,7 @@ class TwoDimBall:
 
     @property
     def input_laws(self) -> tuple:
-        return (self.angle_law, self.velocity_law)
+        return (UniformAngle(), self.velocity_law)
 
 
 CollisionModel = Union[OneDimElastic, ContractiveAffine, TwoDimBall]

@@ -16,13 +16,15 @@ equation with dF/dt = -lam*(1-alpha^2)/M * C[g, g].
 
 Both equations are linear and autonomous and are solved exactly: one matrix
 exponential per step size (of the augmented generator on (vech C, 1), or of
-the damped generator), then one matrix-vector product per sample.
+the damped generator), then one matrix-vector product per sample. The
+homogeneous equation is the covariance equation at sigma2 = 0, where the
+source term vanishes.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -107,7 +109,7 @@ def gibbs_covariance(net: OscillatorNetwork, beta: float) -> np.ndarray:
     return c
 
 
-def _rhs(c, a_mat, dof, params, include_source):
+def _rhs(c, a_mat, dof, params):
     k = dof  # the kicked momentum p_{1,1}
     rhs = a_mat @ c + c @ a_mat.T
     if params.lam > 0:
@@ -116,27 +118,21 @@ def _rhs(c, a_mat, dof, params, include_source):
         damp[:, k] += c[:, k]
         damp[k, k] -= (1.0 - params.alpha) * c[k, k]
         rhs -= params.lam * (1.0 - params.alpha) * damp
-        if include_source:
-            rhs[k, k] += params.source
+        rhs[k, k] += params.source
     return 0.5 * (rhs + rhs.T)
 
 
-def covariance_rhs(
-    c: np.ndarray,
-    net: OscillatorNetwork,
-    params: MomentParams,
-    include_source: bool = True,
-) -> np.ndarray:
+def covariance_rhs(c: np.ndarray, net: OscillatorNetwork, params: MomentParams) -> np.ndarray:
     """Right-hand side of the covariance ODE, symmetrized.
 
-    With ``include_source=False`` this is the homogeneous operator L(C)
-    whose flow drives any PSD matrix to zero when the stiffness is complete.
+    At ``params.sigma2`` = 0 this is the homogeneous operator L(C), whose
+    flow drives any PSD matrix to zero when the stiffness is complete.
     """
     c = np.asarray(c, dtype=float)
     dof = net.dof
     if c.shape != (2 * dof, 2 * dof):
         raise ValueError(f"covariance must be ({2 * dof}, {2 * dof}), got {c.shape}")
-    return _rhs(c, generator_matrix(net), dof, params, include_source)
+    return _rhs(c, generator_matrix(net), dof, params)
 
 
 @dataclass(frozen=True, eq=False)
@@ -194,15 +190,16 @@ def expm(a: np.ndarray) -> np.ndarray:
 def _exact_samples(gen, y0, t_end, sample_dt):
     """(h, blocks): y_k = e^{k h gen} y0, k = 0..n, in blocks of BLOCK rows.
 
-    h = t_end / n is the largest equal spacing not above ``sample_dt`` (or
-    t_end / 1000). One exponential gives the step E; the rows of a block are
-    filled by doubling, rows[2^j + i] = E^(2^j) rows[i]."""
-    if not t_end > 0 or not (sample_dt is None or sample_dt > 0):
+    h = t_end / n is the largest equal spacing not above ``sample_dt``. One
+    exponential gives the step E; the rows of a block are filled by doubling,
+    rows[2^j + i] = E^(2^j) rows[i], from the powers E^(2^j) below the block's
+    min(BLOCK, n + 1) rows."""
+    if not t_end > 0 or not sample_dt > 0:
         raise ValueError("t_end and sample_dt must be positive")
-    n = 1000 if sample_dt is None else max(1, math.ceil(t_end / sample_dt * (1 - 1e-12)))
+    n = max(1, math.ceil(t_end / sample_dt * (1 - 1e-12)))
     h = t_end / n
     powers = [expm(h * gen)]
-    while 2 ** len(powers) < BLOCK:
+    while 2 ** len(powers) < min(BLOCK, n + 1):
         powers.append(powers[-1] @ powers[-1])
 
     def blocks():
@@ -225,17 +222,20 @@ def moment_generator(net: OscillatorNetwork, params: MomentParams) -> np.ndarray
     """G = [[L, s], [0, 0]] with d/dt (vech C, 1) = G (vech C, 1).
 
     vech(C) is the upper triangle of C row by row. Column j of the
-    homogeneous operator L is vech of the right-hand side at the j-th
-    symmetric basis matrix, and s is vech of the source term.
+    homogeneous operator L is vech of the right-hand side, at sigma2 = 0, of
+    the j-th symmetric basis matrix; s is vech of the right-hand side of
+    C = 0, the source term, which is 0 at sigma2 = 0.
     """
-    rows, cols = np.triu_indices(2 * net.dof)
+    dof = net.dof
+    a_mat, homogeneous = generator_matrix(net), replace(params, sigma2=0.0)
+    rows, cols = np.triu_indices(2 * dof)
     gen = np.zeros((rows.size + 1, rows.size + 1))
-    basis = np.zeros((2 * net.dof, 2 * net.dof))
+    basis = np.zeros((2 * dof, 2 * dof))
     for j, (r, c) in enumerate(zip(rows, cols)):
         basis[r, c] = basis[c, r] = 1.0
-        gen[:-1, j] = covariance_rhs(basis, net, params, include_source=False)[rows, cols]
+        gen[:-1, j] = _rhs(basis, a_mat, dof, homogeneous)[rows, cols]
         basis[r, c] = basis[c, r] = 0.0
-    gen[:-1, -1] = covariance_rhs(basis, net, params)[rows, cols]
+    gen[:-1, -1] = _rhs(basis, a_mat, dof, params)[rows, cols]
     return gen
 
 
@@ -266,15 +266,17 @@ def integrate_covariance(
     net: OscillatorNetwork,
     params: MomentParams,
     t_end: float,
-    sample_dt: float | None = None,
-    include_source: bool = True,
+    sample_dt: float,
     target: np.ndarray | None = None,
     tol: float = 0.0,
 ) -> CovarianceTrajectory:
-    """Exact solution of the covariance ODE at t_k = k h, k = 0..n.
+    """Exact solution of the covariance ODE at t_k = k h, k = 0..n; at
+    ``params.sigma2`` = 0, of the homogeneous equation.
 
     The samples come from one exponential of ``moment_generator`` (spacing
-    as in ``_exact_samples``), and every one must pass the PSD guard; a
+    as in ``_exact_samples``), and every one must pass the PSD guard,
+    min eigenvalue >= -PSD_GUARD_TOL * scale with scale = max|C(t_k)|
+    floored at the source term (at 1e-300 when that is 0); a
     violation, or a sample with a non-finite entry, aborts with its time
     stamp. With ``target`` the march keeps
     only the gaps max|C(t_k) - target| and stops at the first sample with
@@ -313,10 +315,8 @@ def integrate_covariance(
         t_vech = np.asarray(target, dtype=float)[rows, cols]
         lam_min = (np.linalg.eigvalsh(symmetric(t_vech[None]))[0, 0]
                    - roundoff * math.sqrt(t_vech**2 @ weights))
-    gen = moment_generator(net, params)
-    if not include_source:
-        gen[:, -1] = 0.0
-    h, blocks = _exact_samples(gen, np.append(c[rows, cols], 1.0), t_end, sample_dt)
+    h, blocks = _exact_samples(moment_generator(net, params), np.append(c[rows, cols], 1.0),
+                               t_end, sample_dt)
     floor = max(params.source, 1e-300)
     kept, gaps, margins = [], [], []
     counts = {"diagonalised": 0, "certified_target": 0, "certified_anchor": 0}
@@ -412,7 +412,7 @@ def mean_dynamics(
     params: MomentParams,
     psi0: PhaseState,
     t_end: float,
-    sample_dt: float | None = None,
+    sample_dt: float,
 ) -> MeanTrajectory:
     """Exact solution of the damped mean equations, sampled as in
     ``integrate_covariance``. With lam = 0 this is the free flow; with a

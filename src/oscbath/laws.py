@@ -151,10 +151,6 @@ class GaussianVelocity:
         _require_finite_variance(self, "sigma2")
 
     @property
-    def fourth_moment(self) -> float:
-        return 3.0 * self.sigma2**2
-
-    @property
     def scale(self) -> float:
         return math.sqrt(self.sigma2)
 
@@ -179,10 +175,6 @@ class UniformSymmetricVelocity:
     @property
     def sigma2(self) -> float:
         return self.half_width**2 / 3.0
-
-    @property
-    def fourth_moment(self) -> float:
-        return self.half_width**4 / 5.0
 
     def sample(self, rng: np.random.Generator, size=None):
         return rng.uniform(-self.half_width, self.half_width, size=size)
@@ -209,10 +201,6 @@ class TwoPointVelocity:
     @property
     def sigma2(self) -> float:
         return self.magnitude**2
-
-    @property
-    def fourth_moment(self) -> float:
-        return self.magnitude**4
 
     def sample(self, rng: np.random.Generator, size=None):
         return _sign(rng.integers(0, 2, size=size)) * self.magnitude

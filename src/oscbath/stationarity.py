@@ -8,8 +8,9 @@ are provided:
   gamma E_v exp(-beta/(2M) (gamma p - (1-gamma) M v)^2) = exp(-beta p^2/(2M)),
   gamma = 1/alpha, evaluated in closed form per velocity law on a momentum grid;
 * ``one_step_moment_shift`` -- second/fourth moment of the kicked momentum
-  before and after a single collision at exact stationarity (the fourth
-  moment moves iff the velocity law is non-Gaussian).
+  before and after a single collision at exact stationarity, the kick drawn
+  from the model's own ``velocity_law`` (the fourth moment moves iff that
+  law is non-Gaussian).
 
 Both take beta = (1+alpha)/(M (1-alpha) sigma2) > 0: each scalar velocity
 law requires a finite positive sigma2, ``collisions`` refuses an alpha that
@@ -85,14 +86,14 @@ def one_step_moment_shift(
     beta: float,
     mass: float,
     model: OneDimElastic,
-    law,
     n: int,
     seed: int,
 ) -> MomentShift:
     """Kick a stationary momentum once and report moment movement.
 
-    Draws p ~ N(0, M/beta), applies the model's jump with input u ~ law to
-    all draws at once, and returns the empirical moments with paired standard errors.
+    Draws p ~ N(0, M/beta), applies the model's jump with input u ~
+    ``model.velocity_law`` to all draws at once, and returns the empirical
+    moments with paired standard errors.
     An overflow (beta near 1e-160 or below) raises ``NumericalAbort``.
     """
     if not beta > 0 or not mass > 0:
@@ -101,7 +102,7 @@ def one_step_moment_shift(
         raise ValueError("need at least two draws")
     rng = np.random.default_rng(seed)
     p = rng.normal(0.0, math.sqrt(mass / beta), size=n)
-    u = np.asarray(law.sample(rng, size=n), dtype=float)
+    u = np.asarray(model.velocity_law.sample(rng, size=n), dtype=float)
     p_after = model.jump(u[:, None], p[:, None], mass)[:, 0]
     with np.errstate(over="ignore", invalid="ignore"):  # checked below
         p2, p_after2 = p**2, p_after**2

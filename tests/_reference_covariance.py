@@ -6,6 +6,8 @@ replaced (step heuristic ``default_dt`` included); the tests compare the
 exact samples against them at a small step.
 """
 
+import dataclasses
+
 import numpy as np
 
 from oscbath.covariance import (
@@ -40,7 +42,8 @@ def integrate_covariance(
     The iterate is required to stay PSD up to roundoff; a violation beyond
     the guard tolerance aborts with the offending time stamp. Samples are
     kept every ``sample_every`` steps (auto-chosen to ~1000 samples when
-    None) plus the final state.
+    None) plus the final state. ``include_source=False`` steps the
+    homogeneous equation, the right-hand side at sigma2 = 0.
     """
     dof = net.dof
     c = 0.5 * (np.asarray(c0, dtype=float) + np.asarray(c0, dtype=float).T)
@@ -55,14 +58,15 @@ def integrate_covariance(
     if sample_every is None:
         sample_every = max(1, n_steps // 1000)
     a_mat = generator_matrix(net)
+    rhs_params = params if include_source else dataclasses.replace(params, sigma2=0.0)
     times = [0.0]
     samples = [c.copy()]
     scale_floor = params.lam * (1.0 - params.alpha) ** 2 * params.mass**2 * params.sigma2
     for step in range(1, n_steps + 1):
-        k1 = _rhs(c, a_mat, dof, params, include_source)
-        k2 = _rhs(c + 0.5 * dt * k1, a_mat, dof, params, include_source)
-        k3 = _rhs(c + 0.5 * dt * k2, a_mat, dof, params, include_source)
-        k4 = _rhs(c + dt * k3, a_mat, dof, params, include_source)
+        k1 = _rhs(c, a_mat, dof, rhs_params)
+        k2 = _rhs(c + 0.5 * dt * k1, a_mat, dof, rhs_params)
+        k3 = _rhs(c + 0.5 * dt * k2, a_mat, dof, rhs_params)
+        k4 = _rhs(c + dt * k3, a_mat, dof, rhs_params)
         c = c + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
         c = 0.5 * (c + c.T)
         t = step * dt

@@ -40,7 +40,7 @@ import numpy as np
 
 from oscbath.collisions import CollisionModel, ContractiveAffine, OneDimElastic, TwoDimBall
 from oscbath.errors import NumericalAbort
-from oscbath.laws import sample_columns
+from oscbath.laws import UniformAngle, sample_columns
 from oscbath.network import OscillatorNetwork, PhaseState, _mode_flow
 from oscbath.pdmp import DriftEstimate, EmbeddedChain, Trajectory, _kick
 
@@ -279,7 +279,7 @@ class _EigenEngine:
 def _input_laws(model: CollisionModel) -> tuple:
     """The laws of an input's entries, read off the model's fields."""
     if isinstance(model, TwoDimBall):
-        return (model.angle_law, model.velocity_law)
+        return (UniformAngle(), model.velocity_law)
     if isinstance(model, ContractiveAffine):
         return (model.noise_law,)
     return (model.velocity_law,)

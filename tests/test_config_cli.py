@@ -427,7 +427,7 @@ def test_run_drift_check_single_oscillator():
         "mass": 1.0,
         "stiffness": {"kind": "explicit", "matrix": [[1.0]]},
     }
-    report = run_drift_check(load_config(raw), None, n_probes=4, n_mc=3000)
+    report = run_drift_check(load_config(raw), None, n_mc=3000)
     assert report["checks"]["passed"]
     assert report["worst_relative_change"] <= -0.05
 
@@ -753,16 +753,22 @@ def test_cli_numerical_abort_exits_3_with_one_strict_json_line(tmp_path, capsys,
         ({"t_end": 10.0, "sample_dt": 1e-9, "burn_in": 1.0, "seeds": [0]}, [], "run.sample_dt"),
         # t_end / sample_dt overflows: the grid size's int conversion raised OverflowError
         ({"sample_dt": 5e-324}, [], "run.sample_dt"),
+        # 5e7 rows of one seed are within the grid bound, but trajectory.csv would take
+        # about 6.5 GB at the 130 bytes per row written on chain3
+        ({"t_end": 1e4, "sample_dt": 2e-4, "seeds": [0]}, ["--out", "out"], "run.sample_dt"),
     ],
     ids=["config-seeds-negative", "flag-seed-negative", "flag-range-negative", "n-steps-huge",
-         "t-end-huge", "grid-huge", "grid-infinite"],
+         "t-end-huge", "grid-huge", "grid-infinite", "csv-huge"],
 )
-def test_cli_out_of_range_run_field_exits_2_naming_it(tmp_path, capsys, run, flags, field):
+def test_cli_out_of_range_run_field_exits_2_naming_it(tmp_path, monkeypatch, capsys, run, flags,
+                                                      field):
+    monkeypatch.chdir(tmp_path)  # a relative --out lands in tmp_path
     path = write_config(tmp_path, base_config(**run))
     assert main(["simulate", "--config", str(path), *flags]) == 2
     [line] = capsys.readouterr().err.splitlines()
     err = _strict_json(line)
     assert err["error"] == "config" and err["message"].startswith(field)
+    assert not list(tmp_path.rglob("trajectory.csv"))
 
 
 @pytest.mark.parametrize("tau", [

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import time
 
@@ -54,6 +55,8 @@ def lyapunov_rate(c, net, params):
 
 
 STANDARD = MomentParams(lam=1.0, alpha=1.0 / 3.0, sigma2=1.0, mass=1.0)
+#: STANDARD without noise: its covariance equation is the homogeneous one
+HOMOGENEOUS = dataclasses.replace(STANDARD, sigma2=0.0)
 
 
 # --- beta ---------------------------------------------------------------------
@@ -155,14 +158,14 @@ def test_rhs_at_zero_is_pure_source():
 def test_integrate_holds_fixed_point():
     net = chain3_net()
     target = gibbs_covariance(net, beta_from_params(STANDARD))
-    traj = integrate_covariance(target, net, STANDARD, t_end=10.0)
+    traj = integrate_covariance(target, net, STANDARD, t_end=10.0, sample_dt=0.01)
     assert np.abs(traj.final - target).max() < 1e-9
 
 
 def test_integrate_converges_from_zero():
     net = chain3_net()
     target = gibbs_covariance(net, beta_from_params(STANDARD))
-    traj = integrate_covariance(np.zeros((6, 6)), net, STANDARD, t_end=150.0)
+    traj = integrate_covariance(np.zeros((6, 6)), net, STANDARD, t_end=150.0, sample_dt=0.15)
     assert np.abs(traj.final - target).max() <= 1e-6
 
 
@@ -171,14 +174,14 @@ def test_homogeneous_equation_decays_to_zero():
     rng = np.random.default_rng(4)
     g = rng.standard_normal((6, 6))
     c0 = g @ g.T
-    traj = integrate_covariance(c0, net, STANDARD, t_end=150.0, include_source=False)
+    traj = integrate_covariance(c0, net, HOMOGENEOUS, t_end=150.0, sample_dt=0.15)
     assert np.abs(traj.final).max() <= 1e-6 * np.abs(c0).max()
 
 
 def test_integrate_aborts_on_indefinite_start():
     net = chain3_net()
     with pytest.raises(NumericalAbort, match="t="):
-        integrate_covariance(-np.eye(6), net, STANDARD, t_end=1.0)
+        integrate_covariance(-np.eye(6), net, STANDARD, t_end=1.0, sample_dt=0.001)
 
 
 @pytest.mark.parametrize("with_target", [False, True])
@@ -205,8 +208,8 @@ def test_lyapunov_of_gibbs_matrix_counts_degrees():
 @pytest.mark.parametrize("n", [1, 3, 6, 12])
 def test_lyapunov_functional_on_a_stack_matches_each_matrix(n):
     net = load_config(chain_config(n)).network
-    traj = integrate_covariance(gibbs_covariance(net, 2.0), net, STANDARD, t_end=5.0,
-                                include_source=False, sample_dt=0.1)
+    traj = integrate_covariance(gibbs_covariance(net, 2.0), net, HOMOGENEOUS, t_end=5.0,
+                                sample_dt=0.1)
     f = lyapunov_functional(traj.matrices, net)
     assert f.shape == traj.times.shape
     assert f.tobytes() == np.array([lyapunov_functional(c, net) for c in traj.matrices]).tobytes()
@@ -220,7 +223,7 @@ def test_lyapunov_rate_identity():
     dof = net.dof
     g = rng.standard_normal((2 * dof, 2 * dof))
     c = g @ g.T
-    lhs = lyapunov_functional(covariance_rhs(c, net, params, include_source=False), net)
+    lhs = lyapunov_functional(covariance_rhs(c, net, dataclasses.replace(params, sigma2=0.0)), net)
     rhs = lyapunov_rate(c, net, params)
     assert lhs == pytest.approx(rhs, rel=1e-10)
 
@@ -240,9 +243,7 @@ def test_lyapunov_decreases_along_homogeneous_flow():
     rng = np.random.default_rng(7)
     g = rng.standard_normal((6, 6))
     c0 = g @ g.T
-    traj = integrate_covariance(
-        c0, net, STANDARD, t_end=40.0, include_source=False, sample_dt=0.05
-    )
+    traj = integrate_covariance(c0, net, HOMOGENEOUS, t_end=40.0, sample_dt=0.05)
     f = [lyapunov_functional(c, net) for c in traj.matrices]
     assert max(np.diff(f)) <= 1e-10
 
@@ -253,9 +254,7 @@ def test_lyapunov_finite_difference_matches_rate():
     rate0 = lyapunov_rate(target, net, STANDARD)
     errs = []
     for dt in (1e-2, 5e-3):
-        traj = integrate_covariance(
-            target, net, STANDARD, t_end=dt, sample_dt=dt, include_source=False
-        )
+        traj = integrate_covariance(target, net, HOMOGENEOUS, t_end=dt, sample_dt=dt)
         fd = (
             lyapunov_functional(traj.final, net)
             - lyapunov_functional(target, net)
@@ -267,9 +266,8 @@ def test_lyapunov_finite_difference_matches_rate():
 
 def test_lyapunov_csv_export(tmp_path):
     net = chain3_net()
-    traj = integrate_covariance(
-        gibbs_covariance(net, 2.0), net, STANDARD, t_end=1.0, include_source=False
-    )
+    traj = integrate_covariance(gibbs_covariance(net, 2.0), net, HOMOGENEOUS, t_end=1.0,
+                                sample_dt=0.001)
     f_values = np.array([lyapunov_functional(c, net) for c in traj.matrices])
     path = tmp_path / "lyapunov.csv"
     lyapunov_to_csv(traj, f_values, net, path)
@@ -302,7 +300,7 @@ def test_mean_dynamics_without_damping_matches_exact_flow():
 def test_mean_decay_for_complete_network():
     net = chain3_net()
     psi0 = PhaseState(q=[1.0, 1.0, 1.0], p=[1.0, 1.0, 1.0])
-    traj = mean_dynamics(net, STANDARD, psi0, t_end=200.0)
+    traj = mean_dynamics(net, STANDARD, psi0, t_end=200.0, sample_dt=0.2)
     ratio = energy_norm(net, traj.final) / energy_norm(net, psi0.vector)
     assert ratio <= 1e-3
 
@@ -413,10 +411,9 @@ def test_exact_covariance_matches_rk4_reference():
     net = chain3_net()
     rng = np.random.default_rng(8)
     g = rng.standard_normal((6, 6))
-    for c0, include_source in ((np.zeros((6, 6)), True), (g @ g.T, False)):
-        exact = integrate_covariance(
-            c0, net, STANDARD, t_end=5.0, sample_dt=0.5, include_source=include_source
-        )
+    for c0, params, include_source in ((np.zeros((6, 6)), STANDARD, True),
+                                       (g @ g.T, HOMOGENEOUS, False)):
+        exact = integrate_covariance(c0, net, params, t_end=5.0, sample_dt=0.5)
         ref = rk4.integrate_covariance(
             c0, net, STANDARD, t_end=5.0, dt=1e-3,
             include_source=include_source, sample_every=500,
@@ -478,9 +475,10 @@ def test_streamed_gap_finds_the_first_grid_time():
 
 def test_psd_margin_is_reported():
     net = chain3_net()
-    traj = integrate_covariance(gibbs_covariance(net, 2.0), net, STANDARD, t_end=5.0)
+    traj = integrate_covariance(gibbs_covariance(net, 2.0), net, STANDARD, t_end=5.0,
+                                sample_dt=0.005)
     assert traj.min_psd_margin > 1.0  # a PD start stays PD
-    forced = integrate_covariance(np.zeros((6, 6)), net, STANDARD, t_end=5.0)
+    forced = integrate_covariance(np.zeros((6, 6)), net, STANDARD, t_end=5.0, sample_dt=0.005)
     assert -1.0 <= forced.min_psd_margin <= 1e-6  # C(0) = 0 sits on the PSD boundary
 
 
@@ -585,7 +583,7 @@ def test_weyl_certificate_aborts_where_the_full_guard_does():
     messages = []
     for kwargs in ({}, {"target": target}):
         with pytest.raises(NumericalAbort, match="t=") as abort:
-            integrate_covariance(c0, net, STANDARD, t_end=10.0, **kwargs)
+            integrate_covariance(c0, net, STANDARD, t_end=10.0, sample_dt=0.01, **kwargs)
         messages.append(str(abort.value))
     assert messages[0] == messages[1]
 
@@ -686,20 +684,29 @@ def test_covariance_diagonalises_only_uncertified_samples(monkeypatch):
     # homogeneous march diagonalises all of its 501 samples. Every sample
     # diagonalised, a chain of 6 took 36,341 matrices, and 5,585 with the target
     # bound alone; a chain of 10 took 20,982 with the target bound alone. The
-    # counts are deterministic, so a lost certificate shows.
+    # counts are deterministic, so a lost certificate shows. The forced march
+    # from C = 0 gets the config's parameters; the homogeneous one from C_G gets
+    # them at sigma2 = 0, the covariance equation without noise, and no switch.
     seen = _recording_eigvalsh(monkeypatch)
-    marches = []
+    calls, marches = [], []
     integrate = cli.integrate_covariance
-    monkeypatch.setattr(cli, "integrate_covariance",
-                        lambda *a, **k: marches.append(integrate(*a, **k)) or marches[-1])
+    monkeypatch.setattr(cli, "integrate_covariance", lambda *a, **k: calls.append((a, k))
+                        or marches.append(integrate(*a, **k)) or marches[-1])
     for n, forced, matrices in ((6, (1222, 30757, 3861), 1724),
                                 (10, (3250, 124928, 17230), 3752)):
         seen.clear()
+        calls.clear()
         marches.clear()
         run_covariance(load_config(chain_config(n)), None)
         counts = [(m.diagonalised, m.certified_target, m.certified_anchor) for m in marches]
         assert counts == [forced, (501, 0, 0)]
         assert sum(len(a) if a.ndim == 3 else 1 for a in seen) == matrices
+        (forced_args, forced_kwargs), (hom_args, hom_kwargs) = calls
+        assert forced_args[2].sigma2 == 1.0  # the config's
+        assert hom_args[2] == dataclasses.replace(forced_args[2], sigma2=0.0)
+        assert not np.any(forced_args[0])
+        assert np.array_equal(hom_args[0], forced_kwargs["target"])
+        assert "include_source" not in forced_kwargs and "include_source" not in hom_kwargs
 
 
 def test_cli_covariance_rejects_dof_above_the_ceiling(tmp_path, capsys):

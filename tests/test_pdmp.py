@@ -71,7 +71,7 @@ def test_zero_tau_equal_mass_jump_replaces_momentum():
     model = OneDimElastic(external_mass=1.0, velocity_law=FixedXi([2.5]))  # alpha = 0
     psi0 = PhaseState(q=[0.4, -0.2, 0.1], p=[1.0, 2.0, 3.0])
     chain = simulate_embedded(net, model, FixedTau(0.0), psi0, n_steps=1, seed=0)
-    after = chain.state(1)
+    after = PhaseState.from_vector(chain.states[1])
     assert np.allclose(after.q, psi0.q, atol=1e-14)
     assert after.p[0] == pytest.approx(2.5)  # M * u with M = 1
     assert np.allclose(after.p[1:], psi0.p[1:], atol=1e-14)
@@ -84,9 +84,9 @@ def test_embedded_energy_bookkeeping_identity():
     chain = simulate_embedded(net, model, tau_law, psi0, n_steps=200, seed=42)
     taus = np.diff(np.concatenate([[0.0], chain.jump_times]))
     for m in range(1, 51):
-        before = chain.state(m - 1)
+        before = PhaseState.from_vector(chain.states[m - 1])
         flowed = propagate(net, before, taus[m - 1])
-        after = chain.state(m)
+        after = PhaseState.from_vector(chain.states[m])
         lhs = energy(net, after) - energy(net, flowed)
         rhs = (after.p[0] ** 2 - flowed.p[0] ** 2) / (2.0 * net.mass)
         assert abs(lhs - rhs) < 1e-10 * (1.0 + abs(rhs))
@@ -166,7 +166,7 @@ def test_energy_constant_between_events():
     net, model, _ = elastic_setup()
     psi0 = PhaseState(q=[1.0, -0.5, 0.2], p=[0.3, 0.0, -0.7])
     traj = simulate_continuous(net, model, FixedTau(2.0), psi0, t_end=1.9, sample_dt=0.1, seed=3)
-    h = [energy(net, traj.state(k)) for k in range(len(traj.times))]
+    h = [energy(net, PhaseState.from_vector(x)) for x in traj.states]
     assert np.abs(np.diff(h)).max() <= 1e-9 * (1.0 + h[0])
 
 

@@ -1,8 +1,8 @@
-"""Every subcommand on a chain of 256, and ``dissipative`` on a chain of 1000:
-the exit-code contract and the cost of drift-check and dissipative.
+"""Every subcommand on chains of 13 and 256, and ``dissipative`` on a chain of
+1000: the exit-code contract and the cost of drift-check and dissipative.
 
 ``covariance`` and ``rank-probe`` refuse dof > 12 by design (exit 2, one JSON
-line); the others run with ``--check`` and exit 0 or 4.
+line), from dof 13 on; the others run with ``--check`` and exit 0 or 4.
 """
 
 import json
@@ -34,28 +34,56 @@ def _chain(tmp_path_factory, n):
     return str(path)
 
 
+def _reject(constant):
+    raise ValueError(f"{constant} in the error line")
+
+
+def _assert_verdict(path, capsys, command):
+    """--check exits 0 or 4 and writes nothing to stderr."""
+    assert main([command, "--config", path, "--check"]) in (0, 4)
+    assert capsys.readouterr().err == ""
+
+
+def _assert_refused(path, capsys, command, dof):
+    """Exit 2 with one strict-JSON config error that names the network's dof."""
+    assert main([command, "--config", path, "--check"]) == 2
+    [line] = capsys.readouterr().err.splitlines()
+    err = json.loads(line, parse_constant=_reject)
+    assert err["error"] == "config" and f"dof {dof}" in err["message"]
+
+
+@pytest.fixture(scope="module")
+def chain13(tmp_path_factory):
+    return _chain(tmp_path_factory, 13)
+
+
 @pytest.fixture(scope="module")
 def chain256(tmp_path_factory):
     return _chain(tmp_path_factory, 256)
 
 
 @pytest.mark.parametrize("command", ["simulate", "stationarity", "dissipative", "drift-check"])
+def test_chain13_runs_with_a_verdict(chain13, capsys, command):
+    _assert_verdict(chain13, capsys, command)
+
+
+@pytest.mark.parametrize("command", ["covariance", "rank-probe"])
+def test_chain13_is_refused_by_the_small_network_analyses(chain13, capsys, command):
+    _assert_refused(chain13, capsys, command, 13)
+
+
+@pytest.mark.parametrize("command", ["simulate", "stationarity", "dissipative", "drift-check"])
 def test_chain256_runs_with_a_verdict(chain256, capsys, command):
     t0 = time.perf_counter()
-    code = main([command, "--config", chain256, "--check"])
+    _assert_verdict(chain256, capsys, command)
     seconds = time.perf_counter() - t0
-    assert code in (0, 4)
-    assert capsys.readouterr().err == ""
     if command == "drift-check":
         assert seconds <= DRIFT_CHECK_BUDGET_S
 
 
 @pytest.mark.parametrize("command", ["covariance", "rank-probe"])
 def test_chain256_is_refused_by_the_small_network_analyses(chain256, capsys, command):
-    assert main([command, "--config", chain256, "--check"]) == 2
-    [line] = capsys.readouterr().err.splitlines()
-    err = json.loads(line)
-    assert err["error"] == "config" and "dof 256" in err["message"]
+    _assert_refused(chain256, capsys, command, 256)
 
 
 def test_chain1000_dissipative_within_its_budget(tmp_path_factory, capsys):
