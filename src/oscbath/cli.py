@@ -15,7 +15,6 @@ bitwise-identical outputs.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import functools
 import json
 import math
@@ -69,13 +68,14 @@ EXIT_CONFIG = 2
 EXIT_NUMERIC = 3
 EXIT_CHECK = 4
 
-#: covariance convergence search: grid spacing, gap to reach, horizon in
-#: decay times of the slowest mode (chains of 1 to 12 particles converge at
-#: 0.86 to 1.02 of one), longest search in samples (2e4 time units)
+#: covariance convergence search: grid spacing, gap max|C - C_G| / max|C_G| to
+#: reach, horizon in decay times of the slowest mode, longest search in samples
+#: (2e4 time units); the grid samples of lyapunov.csv, t = 0, 0.1, ..., 50
 CONVERGENCE_DT = 0.02
 CONVERGENCE_GAP = 1e-6
 HORIZON_FACTOR = 2.0
 MAX_SEARCH_SAMPLES = 1_000_000
+LYAPUNOV_SAMPLES = slice(0, 2501, 5)
 
 #: drift-check's energy levels, geometric from 1e3 to 1e4
 DRIFT_PROBES = 20
@@ -266,32 +266,27 @@ def run_covariance(cfg: ExperimentConfig, out_dir: Path | None) -> dict:
     target = gibbs_covariance(net, beta)
     residual = float(np.abs(covariance_rhs(target, net, params)).max())
 
-    # forced equation from C0 = 0: the first grid time with gap <= CONVERGENCE_GAP,
-    # searched up to HORIZON_FACTOR times the decay time of e^{abscissa t}
+    # one march of H(t) = e^{tL} C_G, with C(t) = C_G - H(t) the forced solution from
+    # C = 0: the first grid time with max|H| <= CONVERGENCE_GAP max|C_G|, searched up to
+    # HORIZON_FACTOR times the decay time of e^{abscissa t}, and the Lyapunov series
+    # F(H(t)) on LYAPUNOV_SAMPLES. From C_G scaled by 2^-e the march is sigma2-free
     abscissa = spectral_abscissa(net, params)
-    final_gap = float(np.abs(target).max())
-    horizon = convergence_time = None
-    margins = []
+    horizon, t_end = None, 0.0  # t_end 0: no search, only the Lyapunov samples
     if abscissa < 0:
-        decay_time = math.log(max(final_gap, CONVERGENCE_GAP) / CONVERGENCE_GAP) / -abscissa
-        samples = max(1, math.ceil(HORIZON_FACTOR * decay_time / CONVERGENCE_DT))
+        samples = max(1, math.ceil(HORIZON_FACTOR * math.log(1 / CONVERGENCE_GAP)
+                                   / -abscissa / CONVERGENCE_DT))
         horizon = samples * CONVERGENCE_DT
         if samples <= MAX_SEARCH_SAMPLES:
-            forced = integrate_covariance(
-                np.zeros((2 * dof, 2 * dof)), net, params, t_end=horizon,
-                sample_dt=CONVERGENCE_DT, target=target, tol=CONVERGENCE_GAP,
-            )
-            final_gap = float(forced.gaps[-1])
-            if final_gap <= CONVERGENCE_GAP:
-                convergence_time = float(forced.times[-1])
-            margins.append(forced.min_psd_margin)
-
-    # homogeneous equation (sigma2 = 0) from the PSD start C_G: Lyapunov functional series
-    hom = integrate_covariance(
-        target, net, dataclasses.replace(params, sigma2=0.0), t_end=50.0, sample_dt=0.1
-    )
-    margins.append(hom.min_psd_margin)
-    f_series = lyapunov_functional(hom.matrices, net)
+            t_end = horizon
+    e = _exponent(target)
+    march = integrate_covariance(np.ldexp(target, -e), net, params, t_end=t_end,
+                                 sample_dt=CONVERGENCE_DT, tol=CONVERGENCE_GAP,
+                                 keep=LYAPUNOV_SAMPLES)
+    final_gap = float(march.gaps[-1])  # the search ends at its first hit
+    convergence_time = (float(march.times[march.gaps.size - 1])
+                        if final_gap <= CONVERGENCE_GAP else None)
+    np.ldexp(march.matrices, e, out=march.matrices)  # the kept H(t) in the units of C_G
+    f_series = lyapunov_functional(march.matrices, net)
     f_slack = float(np.diff(f_series).max(initial=-np.inf))
     monotone = bool(f_slack <= 1e-10)
 
@@ -313,21 +308,23 @@ def run_covariance(cfg: ExperimentConfig, out_dir: Path | None) -> dict:
         "sample_dt": CONVERGENCE_DT,
         "convergence_time": convergence_time,
         "final_gap": final_gap,
-        "min_psd_margin": min(margins),
+        "min_psd_margin": march.min_psd_margin,
         "lyapunov_monotone": monotone,
         "lyapunov_max_increase": f_slack,
         "lyapunov_initial": float(f_series[0]),
         "lyapunov_final": float(f_series[-1]),
         "mean_energy_norm_decay_t200": float(mean_decay),
     }
+    fixed_point = bool(residual <= max(1e-12 * source_scale, 1e-300))
     checks = {
-        "fixed_point": bool(residual <= max(1e-12 * source_scale, 1e-300)),
-        "converged": convergence_time is not None,
+        "fixed_point": fixed_point,
+        # C_G - H(t) is the forced solution only when C_G is its fixed point
+        "converged": fixed_point and convergence_time is not None,
         "lyapunov_monotone": monotone,
     }
     summary = _report(cfg, "covariance", fields, checks, out_dir, "summary.json")
     if out_dir is not None:
-        lyapunov_to_csv(hom, f_series, net, out_dir / "lyapunov.csv")
+        lyapunov_to_csv(march, f_series, net, out_dir / "lyapunov.csv")
     return summary
 
 

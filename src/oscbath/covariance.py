@@ -15,10 +15,11 @@ F(C) = Tr(diag(V, I/M) C) is a Lyapunov functional of the homogeneous
 equation with dF/dt = -lam*(1-alpha^2)/M * C[g, g].
 
 Both equations are linear and autonomous and are solved exactly: one matrix
-exponential per step size (of the augmented generator on (vech C, 1), or of
+exponential per step size (of the homogeneous operator L on vech C, or of
 the damped generator), then one matrix-vector product per sample. The
 homogeneous equation is the covariance equation at sigma2 = 0, where the
-source term vanishes.
+source term vanishes. With H(t) = e^{tL} C_G, the covariance from C = 0 is
+C(t) = C_G - H(t), so one march from C_G gives both.
 """
 
 from __future__ import annotations
@@ -137,33 +138,27 @@ def covariance_rhs(c: np.ndarray, net: OscillatorNetwork, params: MomentParams) 
 
 @dataclass(frozen=True, eq=False)
 class CovarianceTrajectory:
-    """Samples of C(t) at t_k = k h: all of them, or after a march toward a
-    target only the last, with ``gaps[k]`` = max|C(t_k) - target| for all.
+    """The flow H(t_k) = e^{t_k L} C_G at t_k = k h: ``times`` of every
+    sample marched, ``gaps[k]`` = max|H(t_k)| / max|C_G| of those searched,
+    and ``matrices`` H at the kept samples ``times[keep]``.
     ``min_psd_margin`` is the smallest min-eigenvalue / (PSD_GUARD_TOL *
-    scale) over the samples; the guard aborts below -1. On a march toward a
-    target, a sample that Weyl's bound certifies, from the target or from a
-    diagonalised anchor C_a (``integrate_covariance``), enters with that
-    bound (at least 1) in place of its margin, so when every diagonalised
-    margin exceeds 1 the reported value may sit below the true minimum; it is
-    never above it.
-
-    Of the samples the guard checked (on a march toward a target, the whole
-    block of BLOCK samples in which it stopped), ``diagonalised`` went
-    through ``eigvalsh``, anchors included; ``certified_target`` and
-    ``certified_anchor`` were cleared by the bound from the target and from
-    an anchor. Without a target every sample is diagonalised."""
+    scale) of both guards (``integrate_covariance``), which abort below -1.
+    A forced sample C_G - H(t_k) that Weyl's bound certifies, from C_G or
+    from a diagonalised anchor, enters with that bound (at least 1) in place
+    of its margin, so the reported value is never above the true minimum.
+    ``diagonalised`` samples went through ``eigvalsh``: the kept H(t_k) and
+    the forced samples no bound cleared, anchors included;
+    ``certified_target`` and ``certified_anchor`` forced samples were cleared
+    by the bound from C_G and from an anchor."""
 
     times: np.ndarray
+    gaps: np.ndarray
     matrices: np.ndarray
-    gaps: np.ndarray | None = None
-    min_psd_margin: float = float("nan")
-    diagonalised: int = 0
-    certified_target: int = 0
-    certified_anchor: int = 0
-
-    @property
-    def final(self) -> np.ndarray:
-        return self.matrices[-1]
+    keep: slice
+    min_psd_margin: float
+    diagonalised: int
+    certified_target: int
+    certified_anchor: int
 
 
 def expm(a: np.ndarray) -> np.ndarray:
@@ -219,30 +214,29 @@ def _exact_samples(gen, y0, t_end, sample_dt):
 
 
 def moment_generator(net: OscillatorNetwork, params: MomentParams) -> np.ndarray:
-    """G = [[L, s], [0, 0]] with d/dt (vech C, 1) = G (vech C, 1).
+    """The homogeneous operator L with d/dt vech H = L vech H, which does
+    not depend on sigma2.
 
-    vech(C) is the upper triangle of C row by row. Column j of the
-    homogeneous operator L is vech of the right-hand side, at sigma2 = 0, of
-    the j-th symmetric basis matrix; s is vech of the right-hand side of
-    C = 0, the source term, which is 0 at sigma2 = 0.
+    vech(C) is the upper triangle of C row by row, dof (2 dof + 1) entries.
+    Column j of L is vech of the right-hand side, at sigma2 = 0, of the j-th
+    symmetric basis matrix.
     """
     dof = net.dof
     a_mat, homogeneous = generator_matrix(net), replace(params, sigma2=0.0)
     rows, cols = np.triu_indices(2 * dof)
-    gen = np.zeros((rows.size + 1, rows.size + 1))
+    gen = np.zeros((rows.size, rows.size))
     basis = np.zeros((2 * dof, 2 * dof))
     for j, (r, c) in enumerate(zip(rows, cols)):
         basis[r, c] = basis[c, r] = 1.0
-        gen[:-1, j] = _rhs(basis, a_mat, dof, homogeneous)[rows, cols]
+        gen[:, j] = _rhs(basis, a_mat, dof, homogeneous)[rows, cols]
         basis[r, c] = basis[c, r] = 0.0
-    gen[:-1, -1] = _rhs(basis, a_mat, dof, params)[rows, cols]
     return gen
 
 
 def spectral_abscissa(net: OscillatorNetwork, params: MomentParams) -> float:
     """Largest real part in the spectrum of L: deviations from the fixed
     point decay like e^{a t}; a = 0 up to roundoff on incomplete networks."""
-    return float(np.linalg.eigvals(moment_generator(net, params)[:-1, :-1]).real.max())
+    return float(np.linalg.eigvals(moment_generator(net, params)).real.max())
 
 
 def _anchor_bound(rows, anchor_eig, weights, roundoff):
@@ -262,37 +256,40 @@ def _anchor_bound(rows, anchor_eig, weights, roundoff):
 # overflows leaves its sample to eigvalsh
 @np.errstate(over="ignore", invalid="ignore")
 def integrate_covariance(
-    c0: np.ndarray,
+    c_g: np.ndarray,
     net: OscillatorNetwork,
     params: MomentParams,
     t_end: float,
     sample_dt: float,
-    target: np.ndarray | None = None,
     tol: float = 0.0,
+    keep: slice = slice(None),
 ) -> CovarianceTrajectory:
-    """Exact solution of the covariance ODE at t_k = k h, k = 0..n; at
-    ``params.sigma2`` = 0, of the homogeneous equation.
+    """The homogeneous flow H(t_k) = e^{t_k L} C_G from ``c_g`` = C_G, and with
+    it C(t_k) = C_G - H(t_k), which solves the covariance equation from C = 0
+    when C_G is its fixed point.
 
-    The samples come from one exponential of ``moment_generator`` (spacing
-    as in ``_exact_samples``), and every one must pass the PSD guard,
-    min eigenvalue >= -PSD_GUARD_TOL * scale with scale = max|C(t_k)|
-    floored at the source term (at 1e-300 when that is 0); a
-    violation, or a sample with a non-finite entry, aborts with its time
-    stamp. With ``target`` the march keeps
-    only the gaps max|C(t_k) - target| and stops at the first sample with
-    gap <= ``tol``, or at t_end. On that march a sample is certified by
-    Weyl's inequality, lambda_min(C) >= lambda_min(target) - |C - target|_F,
-    when the bound clears PSD_GUARD_TOL * scale. Of the samples in a block
-    that this bound leaves, every ANCHOR_STRIDE-th is an anchor C_a and is
-    diagonalised; each other one is certified when the better of
-    lambda_min(C_a) - allowance(C_a) - |C - C_a|_F over the anchors before
-    and after it clears PSD_GUARD_TOL * scale, and is diagonalised
+    One exponential of ``moment_generator`` (L does not depend on sigma2)
+    gives the samples, at the spacing h of ``_exact_samples``. The search,
+    t_k <= t_end, ends at the first sample with gap max|H(t_k)| / max|C_G| <=
+    ``tol``; the samples k in range(n + 1)[keep], n the last of the search
+    or ``keep.stop`` - 1, are kept; the march runs through both.
+
+    Two PSD guards, min eigenvalue >= -PSD_GUARD_TOL * scale, abort with the
+    time stamp of the first sample that fails one, or that is not finite.
+    Every kept H(t_k) is diagonalised, with scale = max|H(t_k)| floored at
+    1e-300. Every forced sample C_G - H(t_k) of the search is guarded with
+    scale = max|C_G - H(t_k)| floored at max|L(C_G)|, at the fixed point the
+    source term. It is certified by Weyl's inequality, lambda_min(C_G - H) >=
+    lambda_min(C_G) - |H|_F, when the bound clears PSD_GUARD_TOL * scale. Of
+    the samples in a block that this bound leaves, every ANCHOR_STRIDE-th is
+    an anchor C_a and is diagonalised; each other one is certified when the
+    better of lambda_min(C_a) - allowance(C_a) - |C - C_a|_F over the anchors
+    before and after it clears PSD_GUARD_TOL * scale, and is diagonalised
     otherwise. Both bounds give up the same roundoff allowance,
-    3 (2 dof)^2 eps |.|_F of the target or of C_a. The march without a
-    target diagonalises every sample.
+    3 (2 dof)^2 eps |.|_F of C_G or of C_a.
     """
     dof = net.dof
-    c = 0.5 * (np.asarray(c0, dtype=float) + np.asarray(c0, dtype=float).T)
+    c = 0.5 * (np.asarray(c_g, dtype=float) + np.asarray(c_g, dtype=float).T)
     if c.shape != (2 * dof, 2 * dof):
         raise ValueError(f"covariance must be ({2 * dof}, {2 * dof}), got {c.shape}")
     rows, cols = np.triu_indices(2 * dof)
@@ -311,66 +308,69 @@ def integrate_covariance(
     # and as much again on a certified C, whose |C|_2 <= 2 |D|_F (Higham 2002)
     weights = np.where(rows == cols, 1.0, 2.0)
     roundoff = 3 * (2 * dof) ** 2 * np.finfo(float).eps
-    if target is not None:
-        t_vech = np.asarray(target, dtype=float)[rows, cols]
-        lam_min = (np.linalg.eigvalsh(symmetric(t_vech[None]))[0, 0]
-                   - roundoff * math.sqrt(t_vech**2 @ weights))
-    h, blocks = _exact_samples(moment_generator(net, params), np.append(c[rows, cols], 1.0),
-                               t_end, sample_dt)
-    floor = max(params.source, 1e-300)
-    kept, gaps, margins = [], [], []
+    gen, g_vech = moment_generator(net, params), c[rows, cols]
+    lam_min = (np.linalg.eigvalsh(symmetric(g_vech[None]))[0, 0]
+               - roundoff * math.sqrt(g_vech**2 @ weights))
+    floor = max(float(np.abs(gen @ g_vech).max()), 1e-300)
+    search_end = math.ceil(t_end / sample_dt * (1 - 1e-12)) if t_end > 0 else 0
+    kept = np.arange(*keep.indices(max(search_end, (keep.stop or 0) - 1) + 1))
+    last_kept = int(kept[-1]) if kept.size else 0
+    march_end = max(search_end, last_kept)
+    h, blocks = _exact_samples(gen, g_vech, max(march_end, 1) * sample_dt, sample_dt)
+    gaps, matrices, least = [], [], math.inf
     counts = {"diagonalised": 0, "certified_target": 0, "certified_anchor": 0}
-    for block in blocks:
-        vech = block[:, :-1]
+    start = 0
+    for vech in blocks:
         size = np.abs(vech).max(axis=1)  # NaN or inf where a sample is not finite
-        if not np.isfinite(size).all():  # guard the samples before the first non-finite one
-            vech = vech[: int(np.argmin(np.isfinite(size)))]
-            size = size[: len(vech)]
-        scale = PSD_GUARD_TOL * np.maximum(size, floor)
-        margin = np.empty(len(vech))
-        min_eig = np.full(len(vech), np.nan)
-        exact = todo = np.arange(len(vech))  # rows with an exact margin, rows to diagonalise
-        if target is not None:
-            diff = vech - t_vech
-            margin = (lam_min - np.sqrt(diff**2 @ weights)) / scale  # Weyl: a lower bound
-            check = np.flatnonzero(~(margin >= 1.0))  # a NaN bound is checked too
-            anchor = np.arange(check.size) % ANCHOR_STRIDE == 0
-            min_eig[check[anchor]] = least_eigenvalues(vech[check[anchor]])
-            bound = _anchor_bound(vech[check], min_eig[check[anchor]], weights, roundoff)
-            bound /= scale[check]
-            sure = (bound >= 1.0) & ~anchor
-            margin[check[sure]] = bound[sure]
-            exact, todo = check[~sure], check[~sure & ~anchor]
-            counts["certified_target"] += len(vech) - check.size
-            counts["certified_anchor"] += int(sure.sum())
-        min_eig[todo] = least_eigenvalues(vech[todo])
+        gap = size[: max(search_end + 1 - start, 0)] / abs(g_vech).max()
+        if np.any(gap <= tol):  # the search ends at its first hit, the march after it
+            gap = gap[: int(np.argmax(gap <= tol)) + 1]
+            search_end = start + len(gap) - 1
+            march_end = max(search_end, last_kept)
+        vech, size = vech[: march_end + 1 - start], size[: march_end + 1 - start]
+        end = start + len(vech)
+        finite = int(np.cumprod(np.isfinite(size)).sum())  # guard those before a non-finite one
+        vech, size = vech[:finite], size[:finite]
+        forced = g_vech - vech[: len(gap)]
+        scale = PSD_GUARD_TOL * np.maximum(np.abs(forced).max(axis=1), floor)
+        margin = (lam_min - np.sqrt(vech[: len(gap)] ** 2 @ weights)) / scale  # Weyl
+        min_eig = np.full(len(forced), np.nan)
+        check = np.flatnonzero(~(margin >= 1.0))  # a NaN bound is checked too
+        anchor = np.arange(check.size) % ANCHOR_STRIDE == 0
+        min_eig[check[anchor]] = least_eigenvalues(forced[check[anchor]])
+        bound = _anchor_bound(forced[check], min_eig[check[anchor]], weights, roundoff)
+        bound /= scale[check]
+        sure = (bound >= 1.0) & ~anchor
+        margin[check[sure]] = bound[sure]
+        exact, todo = check[~sure], check[~sure & ~anchor]
+        min_eig[todo] = least_eigenvalues(forced[todo])
         margin[exact] = min_eig[exact] / scale[exact]
-        counts["diagonalised"] += exact.size
-        bad = np.flatnonzero(margin < -1.0)
+        mine = kept[(kept >= start) & (kept < start + len(vech))] - start
+        h_eig = least_eigenvalues(vech[mine])
+        h_margin = h_eig / (PSD_GUARD_TOL * np.maximum(size[mine], 1e-300))
+        counts["diagonalised"] += exact.size + mine.size
+        counts["certified_target"] += len(forced) - check.size
+        counts["certified_anchor"] += int(sure.sum())
+        bad = np.concatenate([np.flatnonzero(margin < -1.0), mine[h_margin < -1.0]])
         if bad.size:
-            k = int(bad[0])
-            t = (sum(map(len, margins)) + k) * h
-            raise NumericalAbort(f"covariance lost positive semidefiniteness at t={t:.6g} "
-                                 f"(min eigenvalue {min_eig[k]:.3e})")
-        if len(vech) < len(block):
-            t = (sum(map(len, margins)) + len(vech)) * h
-            raise NumericalAbort(f"covariance sample not finite at t={t:.6g}")
-        margins.append(margin)
-        if target is None:
-            kept.append(symmetric(vech))
-            continue
-        gap = np.abs(diff).max(axis=1)
-        stop = int(np.argmax(gap <= tol)) + 1 if gap.min() <= tol else len(gap)
-        gaps.append(gap[:stop])
-        kept = [symmetric(vech[stop - 1 : stop])]
-        if gap[stop - 1] <= tol:
+            k = int(bad.min())
+            low = min_eig[k] if k < len(margin) and margin[k] < -1.0 else h_eig[mine == k][0]
+            raise NumericalAbort(f"covariance lost positive semidefiniteness at "
+                                 f"t={(start + k) * h:.6g} (min eigenvalue {low:.3e})")
+        if start + len(vech) < end:
+            raise NumericalAbort(f"covariance sample not finite at t={(start + len(vech)) * h:.6g}")
+        least = min(least, margin.min(initial=least), h_margin.min(initial=least))
+        matrices.append(vech[mine])
+        gaps.append(gap)
+        start = end
+        if start > march_end:
             break
-    gaps = np.concatenate(gaps) if target is not None else None
     return CovarianceTrajectory(
-        times=np.arange(sum(map(len, kept)) if gaps is None else gaps.size) * h,
-        matrices=np.concatenate(kept),
-        gaps=gaps,
-        min_psd_margin=float(np.concatenate(margins).min()),
+        times=np.arange(start) * h,
+        gaps=np.concatenate(gaps),
+        matrices=symmetric(np.concatenate(matrices)),
+        keep=keep,
+        min_psd_margin=float(least),
         **counts,
     )
 
@@ -444,4 +444,4 @@ def lyapunov_to_csv(
     p11 = traj.matrices[:, dof, dof]
     with open(path, "w") as out:
         out.write("t,F,C_q11,C_p11\n")
-        write_csv_rows(out, np.column_stack([traj.times, f_values, q11, p11]))
+        write_csv_rows(out, np.column_stack([traj.times[traj.keep], f_values, q11, p11]))

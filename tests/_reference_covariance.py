@@ -12,7 +12,6 @@ import numpy as np
 
 from oscbath.covariance import (
     PSD_GUARD_TOL,
-    CovarianceTrajectory,
     MeanTrajectory,
     MomentParams,
     _rhs,
@@ -20,6 +19,14 @@ from oscbath.covariance import (
 )
 from oscbath.errors import NumericalAbort
 from oscbath.network import OscillatorNetwork, PhaseState, generator_matrix
+
+
+@dataclasses.dataclass(frozen=True, eq=False)
+class CovarianceSamples:
+    """Samples C(t_k) of the RK4 march."""
+
+    times: np.ndarray
+    matrices: np.ndarray
 
 
 def default_dt(net: OscillatorNetwork, params: MomentParams) -> float:
@@ -36,7 +43,7 @@ def integrate_covariance(
     dt: float | None = None,
     include_source: bool = True,
     sample_every: int | None = None,
-) -> CovarianceTrajectory:
+) -> CovarianceSamples:
     """Classical RK4 on the matrix ODE, re-symmetrized every step.
 
     The iterate is required to stay PSD up to roundoff; a violation beyond
@@ -80,7 +87,7 @@ def integrate_covariance(
         if step % sample_every == 0 or step == n_steps:
             times.append(t)
             samples.append(c.copy())
-    return CovarianceTrajectory(times=np.array(times), matrices=np.array(samples))
+    return CovarianceSamples(times=np.array(times), matrices=np.array(samples))
 
 
 def mean_dynamics(

@@ -136,13 +136,17 @@ def test_criterion_3_covariance_ode_fixed_point():
 
     net = OscillatorNetwork(3, 1, 1.0, chain_stiffness(3))
     target = gibbs_covariance(net, beta_from_params(STANDARD))
-    traj = integrate_covariance(np.zeros((6, 6)), net, STANDARD, t_end=150.0, sample_dt=0.15)
-    gap = float(np.abs(traj.final - target).max())
+    # C(t) = C_G - H(t) from C(0) = 0, H the homogeneous flow from C_G
+    traj = integrate_covariance(target, net, STANDARD, t_end=150.0, sample_dt=0.15)
+    gap = float(np.abs((target - traj.matrices[-1]) - target).max())
 
+    # the homogeneous flow from a PSD start that is no fixed point: no search (t_end 0),
+    # 801 kept samples up to t = 40
     rng = np.random.default_rng(3)
     g = rng.standard_normal((6, 6))
     hom = integrate_covariance(
-        g @ g.T, net, dataclasses.replace(STANDARD, sigma2=0.0), t_end=40.0, sample_dt=0.05
+        g @ g.T, net, dataclasses.replace(STANDARD, sigma2=0.0), t_end=0.0, sample_dt=0.05,
+        keep=slice(0, 801),
     )
     f_series = [lyapunov_functional(c, net) for c in hom.matrices]
     slack = float(np.diff(f_series).max())

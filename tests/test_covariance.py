@@ -1,6 +1,8 @@
 import dataclasses
 import json
+import math
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -156,43 +158,64 @@ def test_rhs_at_zero_is_pure_source():
 
 
 def test_integrate_holds_fixed_point():
+    # H starts at C_G, and because C_G is the fixed point, C = C_G - H solves the
+    # covariance equation: its right-hand side is -L(H) = dC/dt at every sample
     net = chain3_net()
     target = gibbs_covariance(net, beta_from_params(STANDARD))
     traj = integrate_covariance(target, net, STANDARD, t_end=10.0, sample_dt=0.01)
-    assert np.abs(traj.final - target).max() < 1e-9
+    assert np.array_equal(traj.matrices[0], 0.5 * (target + target.T)) and traj.gaps[0] == 1.0
+    for h in traj.matrices[::50]:
+        forced = covariance_rhs(target - h, net, STANDARD)
+        assert np.abs(forced + covariance_rhs(h, net, HOMOGENEOUS)).max() < 1e-12
 
 
 def test_integrate_converges_from_zero():
+    # C(150) = C_G - H(150) from C(0) = 0
     net = chain3_net()
     target = gibbs_covariance(net, beta_from_params(STANDARD))
-    traj = integrate_covariance(np.zeros((6, 6)), net, STANDARD, t_end=150.0, sample_dt=0.15)
-    assert np.abs(traj.final - target).max() <= 1e-6
+    traj = integrate_covariance(target, net, STANDARD, t_end=150.0, sample_dt=0.15)
+    assert np.abs((target - traj.matrices[-1]) - target).max() <= 1e-6
 
 
 def test_homogeneous_equation_decays_to_zero():
+    # t_end 0 searches nothing: the march from a PSD start that is no fixed point
+    # runs over the kept samples, and only H is guarded
     net = chain3_net()
     rng = np.random.default_rng(4)
     g = rng.standard_normal((6, 6))
     c0 = g @ g.T
-    traj = integrate_covariance(c0, net, HOMOGENEOUS, t_end=150.0, sample_dt=0.15)
-    assert np.abs(traj.final).max() <= 1e-6 * np.abs(c0).max()
+    traj = integrate_covariance(c0, net, HOMOGENEOUS, t_end=0.0, sample_dt=0.15,
+                                keep=slice(0, 1001))
+    assert traj.times[-1] == pytest.approx(150.0) and traj.gaps.size == 1
+    assert np.abs(traj.matrices[-1]).max() <= 1e-6 * np.abs(c0).max()
 
 
 def test_integrate_aborts_on_indefinite_start():
     net = chain3_net()
-    with pytest.raises(NumericalAbort, match="t="):
+    with pytest.raises(NumericalAbort, match="t=0 "):
         integrate_covariance(-np.eye(6), net, STANDARD, t_end=1.0, sample_dt=0.001)
 
 
-@pytest.mark.parametrize("with_target", [False, True])
-def test_integrate_aborts_at_the_first_non_finite_sample(with_target):
-    # a PSD start near the largest double: its samples overflow from t = 0.7 on, and the
-    # guard stops there instead of handing NaN to eigvalsh
+@pytest.mark.parametrize("search", [False, True])
+def test_integrate_aborts_at_the_first_non_finite_sample(search, monkeypatch):
+    # without a search, a PSD start near the largest double overflows from t = 0.7 on;
+    # in a search H stays below C_G, so the march is handed an overflow at 0.7. Either
+    # way the guard stops there instead of handing NaN to eigvalsh
     net = chain3_net()
-    target = gibbs_covariance(net, 2.0) if with_target else None
+    if search:
+        exact_samples = covariance._exact_samples
+
+        def overflowing(*args):
+            h, blocks = exact_samples(*args)
+            rows = next(blocks)
+            rows[7:] = np.inf
+            return h, iter([rows])
+
+        monkeypatch.setattr(covariance, "_exact_samples", overflowing)
+    c0 = gibbs_covariance(net, 2.0) if search else 8e307 * np.ones((6, 6))
     with pytest.raises(NumericalAbort, match=r"^covariance sample not finite at t=0\.7$"):
-        integrate_covariance(8e307 * np.ones((6, 6)), net, STANDARD, t_end=5.0, sample_dt=0.1,
-                             target=target, tol=1e-6)
+        integrate_covariance(c0, net, STANDARD, t_end=5.0 if search else 0.0, sample_dt=0.1,
+                             tol=1e-6, keep=slice(0, 51))
 
 
 # --- Lyapunov functional -----------------------------------------------------------
@@ -233,7 +256,7 @@ def test_lyapunov_constant_without_collisions():
     net = chain3_net()
     params = MomentParams(lam=0.0, alpha=0.5, sigma2=1.0, mass=1.0)
     c0 = gibbs_covariance(net, 2.0)
-    traj = integrate_covariance(c0, net, params, t_end=20.0, sample_dt=0.2)
+    traj = integrate_covariance(c0, net, params, t_end=0.0, sample_dt=0.2, keep=slice(0, 101))
     f = np.array([lyapunov_functional(c, net) for c in traj.matrices])
     assert np.abs(f - f[0]).max() <= 1e-9 * abs(f[0])
 
@@ -243,7 +266,8 @@ def test_lyapunov_decreases_along_homogeneous_flow():
     rng = np.random.default_rng(7)
     g = rng.standard_normal((6, 6))
     c0 = g @ g.T
-    traj = integrate_covariance(c0, net, HOMOGENEOUS, t_end=40.0, sample_dt=0.05)
+    traj = integrate_covariance(c0, net, HOMOGENEOUS, t_end=0.0, sample_dt=0.05,
+                                keep=slice(0, 801))
     f = [lyapunov_functional(c, net) for c in traj.matrices]
     assert max(np.diff(f)) <= 1e-10
 
@@ -256,7 +280,7 @@ def test_lyapunov_finite_difference_matches_rate():
     for dt in (1e-2, 5e-3):
         traj = integrate_covariance(target, net, HOMOGENEOUS, t_end=dt, sample_dt=dt)
         fd = (
-            lyapunov_functional(traj.final, net)
+            lyapunov_functional(traj.matrices[-1], net)
             - lyapunov_functional(target, net)
         ) / dt
         errs.append(abs(fd - rate0))
@@ -265,14 +289,16 @@ def test_lyapunov_finite_difference_matches_rate():
 
 
 def test_lyapunov_csv_export(tmp_path):
+    # the kept samples, every 5th of the march, with their times
     net = chain3_net()
     traj = integrate_covariance(gibbs_covariance(net, 2.0), net, HOMOGENEOUS, t_end=1.0,
-                                sample_dt=0.001)
+                                sample_dt=0.001, keep=slice(0, 1001, 5))
     f_values = np.array([lyapunov_functional(c, net) for c in traj.matrices])
     path = tmp_path / "lyapunov.csv"
     lyapunov_to_csv(traj, f_values, net, path)
     reference = tmp_path / "savetxt.csv"
-    np.savetxt(reference, np.column_stack([traj.times, f_values, traj.matrices[:, 0, 0],
+    assert len(f_values) == 201
+    np.savetxt(reference, np.column_stack([traj.times[::5], f_values, traj.matrices[:, 0, 0],
                                            traj.matrices[:, 3, 3]]),
                fmt="%.17g", delimiter=",", header="t,F,C_q11,C_p11", comments="")
     assert path.read_bytes() == reference.read_bytes()
@@ -360,7 +386,8 @@ def test_ode_matches_ensemble_covariance():
             for seed in range(n_runs)
         ]
     )  # (runs, times, 6)
-    ode = integrate_covariance(np.zeros((6, 6)), net, STANDARD, t_end=t_end, sample_dt=sample_dt)
+    target = gibbs_covariance(net, beta_from_params(STANDARD))
+    ode = integrate_covariance(target, net, STANDARD, t_end=t_end, sample_dt=sample_dt)
     for j, t in enumerate([5.0, 10.0, 20.0]):
         k_traj = int(t / sample_dt)
         x = states[:, k_traj, :]
@@ -369,7 +396,7 @@ def test_ode_matches_ensemble_covariance():
         se = second.std(axis=0, ddof=1) / np.sqrt(n_runs)
         k_ode = int(np.argmin(np.abs(ode.times - t)))
         assert np.allclose(ode.times[k_ode], t, atol=1e-6)
-        gap = np.abs(emp - ode.matrices[k_ode])
+        gap = np.abs(emp - (target - ode.matrices[k_ode]))  # C(t) = C_G - H(t)
         assert np.all(gap <= 5.0 * se + 1e-12)
 
 
@@ -393,6 +420,7 @@ def test_expm_of_generator_is_the_flow_matrix():
 
 
 def test_moment_generator_applies_the_rhs():
+    # L is the right-hand side at sigma2 = 0; it takes C_G to minus the source term
     net = random_complete_network(5)
     params = random_moment_params(5, net.mass)
     n = 2 * net.dof
@@ -401,26 +429,37 @@ def test_moment_generator_applies_the_rhs():
     g = rng.standard_normal((n, n))
     c = g @ g.T
     gen = moment_generator(net, params)
-    got = gen @ np.append(c[rows, cols], 1.0)
-    assert np.abs(got[:-1] - covariance_rhs(c, net, params)[rows, cols]).max() <= 1e-12
-    assert got[-1] == 0.0
+    assert gen.shape == (rows.size, rows.size) == (net.dof * (2 * net.dof + 1),) * 2
+    assert np.array_equal(gen, moment_generator(net, dataclasses.replace(params, sigma2=0.0)))
+    homogeneous = covariance_rhs(c, net, dataclasses.replace(params, sigma2=0.0))
+    assert np.abs(gen @ c[rows, cols] - homogeneous[rows, cols]).max() <= 1e-12
+    target = gibbs_covariance(net, beta_from_params(params))
+    source = np.zeros((n, n))
+    source[net.dof, net.dof] = params.source
+    assert np.abs(gen @ target[rows, cols] + source[rows, cols]).max() <= 1e-12 * params.source
 
 
 def test_exact_covariance_matches_rk4_reference():
-    # the former RK4 integrator at a small step; tolerance fixed in advance
+    # the former RK4 integrator at a small step; tolerance fixed in advance. The
+    # forced equation from C = 0 is C_G - H, H the flow from C_G; the homogeneous
+    # one from a PSD start that is no fixed point is marched without a search
     net = chain3_net()
     rng = np.random.default_rng(8)
     g = rng.standard_normal((6, 6))
-    for c0, params, include_source in ((np.zeros((6, 6)), STANDARD, True),
-                                       (g @ g.T, HOMOGENEOUS, False)):
-        exact = integrate_covariance(c0, net, params, t_end=5.0, sample_dt=0.5)
+    target = gibbs_covariance(net, beta_from_params(STANDARD))
+    flow = integrate_covariance(target, net, STANDARD, t_end=5.0, sample_dt=0.5)
+    hom = integrate_covariance(g @ g.T, net, STANDARD, t_end=0.0, sample_dt=0.5,
+                               keep=slice(0, 11))
+    for c0, exact, include_source in ((np.zeros((6, 6)), target - flow.matrices, True),
+                                      (g @ g.T, hom.matrices, False)):
         ref = rk4.integrate_covariance(
             c0, net, STANDARD, t_end=5.0, dt=1e-3,
             include_source=include_source, sample_every=500,
         )
-        assert np.allclose(exact.times, ref.times, rtol=0, atol=1e-12)
+        assert np.allclose(flow.times, ref.times, rtol=0, atol=1e-12)
+        assert np.array_equal(hom.times, flow.times)
         scale = np.abs(ref.matrices).max()
-        assert np.abs(exact.matrices - ref.matrices).max() <= 1e-9 * scale
+        assert np.abs(exact - ref.matrices).max() <= 1e-9 * scale
 
 
 def test_exact_mean_matches_rk4_reference():
@@ -439,7 +478,7 @@ def test_exact_free_flow_without_collisions():
     rng = np.random.default_rng(6)
     g = rng.standard_normal((2 * dof, 2 * dof))
     c0 = g @ g.T
-    traj = integrate_covariance(c0, net, params, t_end=30.0, sample_dt=3.0)
+    traj = integrate_covariance(c0, net, params, t_end=0.0, sample_dt=3.0, keep=slice(0, 11))
     for t, c in zip(traj.times, traj.matrices):
         phi = flow_matrix(net, float(t))
         want = phi @ c0 @ phi.T
@@ -454,22 +493,25 @@ def test_exact_free_flow_without_collisions():
 def test_streamed_gap_finds_the_first_grid_time():
     net = chain3_net()
     target = gibbs_covariance(net, beta_from_params(STANDARD))
-    c0 = np.zeros((6, 6))
-    full = integrate_covariance(c0, net, STANDARD, t_end=150.0, sample_dt=0.02)
-    gaps = np.abs(full.matrices - target).max(axis=(1, 2))
+    full = integrate_covariance(target, net, STANDARD, t_end=200.0, sample_dt=0.02)
+    gaps = np.abs(full.matrices).max(axis=(1, 2)) / np.abs(target).max()
+    assert np.array_equal(full.gaps, gaps)
     first = int(np.argmax(gaps <= 1e-6))
-    streamed = integrate_covariance(
-        c0, net, STANDARD, t_end=150.0, sample_dt=0.02, target=target, tol=1e-6
-    )
+    streamed = integrate_covariance(target, net, STANDARD, t_end=150.0, sample_dt=0.02,
+                                    tol=1e-6, keep=slice(0, 1))
     assert streamed.matrices.shape == (1, 6, 6)
     assert streamed.times.size == first + 1
     assert streamed.times[-1] == full.times[first]
-    assert np.allclose(streamed.gaps, gaps[: first + 1], rtol=1e-9, atol=1e-15)
-    assert np.abs(streamed.final - full.matrices[first]).max() <= 1e-12
+    assert np.array_equal(streamed.gaps, gaps[: first + 1])
+    # a kept sample past the hit, blocks later: the search ends at the hit, the march
+    # at the sample
+    later = integrate_covariance(target, net, STANDARD, t_end=150.0, sample_dt=0.02,
+                                 tol=1e-6, keep=slice(first + 2000, first + 2001))
+    assert later.gaps.size == first + 1 and later.times.size == first + 2001
+    assert np.array_equal(later.matrices[0], full.matrices[first + 2000])
     # without a hit the march runs to t_end and reports the last gap
-    short = integrate_covariance(
-        c0, net, STANDARD, t_end=10.0, sample_dt=0.02, target=target, tol=1e-6
-    )
+    short = integrate_covariance(target, net, STANDARD, t_end=10.0, sample_dt=0.02,
+                                 tol=1e-6, keep=slice(0, 1))
     assert short.times[-1] == pytest.approx(10.0) and short.gaps[-1] > 1e-6
 
 
@@ -477,9 +519,9 @@ def test_psd_margin_is_reported():
     net = chain3_net()
     traj = integrate_covariance(gibbs_covariance(net, 2.0), net, STANDARD, t_end=5.0,
                                 sample_dt=0.005)
-    assert traj.min_psd_margin > 1.0  # a PD start stays PD
-    forced = integrate_covariance(np.zeros((6, 6)), net, STANDARD, t_end=5.0, sample_dt=0.005)
-    assert -1.0 <= forced.min_psd_margin <= 1e-6  # C(0) = 0 sits on the PSD boundary
+    assert np.linalg.eigvalsh(traj.matrices)[:, 0].min() > 0.0  # a PD start stays PD
+    # the forced solution C(0) = C_G - H(0) = 0 sits on the PSD boundary
+    assert -1.0 <= traj.min_psd_margin <= 1e-6
 
 
 def _recording_eigvalsh(monkeypatch):
@@ -509,89 +551,105 @@ def _symmetric(vech, dof):
     return mats
 
 
-def _margins(mats, source):
+def _forced(target, net, params, t_end):
+    """The symmetrised C_G, the forced samples C_G - H(t_k) of the march from it
+    on a 0.02 grid, and their guard's scale floor max|L(C_G)|."""
+    c_g = 0.5 * (target + target.T)
+    flow = integrate_covariance(c_g, net, params, t_end=t_end, sample_dt=0.02)
+    rows, cols = np.triu_indices(2 * net.dof)
+    floor = np.abs(moment_generator(net, params) @ c_g[rows, cols]).max()
+    return c_g, c_g - flow.matrices, floor
+
+
+def _margins(mats, floor):
     """Exact min-eigenvalue / (PSD_GUARD_TOL * scale) of each matrix."""
-    scale = np.maximum(np.abs(mats).max(axis=(1, 2)), source)
+    scale = np.maximum(np.abs(mats).max(axis=(1, 2)), floor)
     return np.linalg.eigvalsh(mats)[:, 0] / (PSD_GUARD_TOL * scale)
 
 
 def test_weyl_certificate_keeps_the_margin_and_clears_only_psd_samples(monkeypatch):
     net = load_config(chain_config(6)).network
     target = gibbs_covariance(net, beta_from_params(STANDARD))
-    c0 = np.zeros((12, 12))
-    full = integrate_covariance(c0, net, STANDARD, t_end=200.0, sample_dt=0.02)
+    c_g, forced, floor = _forced(target, net, STANDARD, 200.0)
     seen = _recording_eigvalsh(monkeypatch)
     bounds = _recording_anchor_bound(monkeypatch)
-    march = integrate_covariance(c0, net, STANDARD, t_end=200.0, sample_dt=0.02,
-                                 target=target)  # tol 0: the march runs to t_end
+    march = integrate_covariance(c_g, net, STANDARD, t_end=200.0, sample_dt=0.02,
+                                 keep=slice(0, 1))  # tol 0: the march runs to t_end
     monkeypatch.undo()
-    assert march.times.size == full.times.size
-    # every sample of the grid diagonalised: the same minimum, bit for bit
-    margins = _margins(full.matrices, STANDARD.source)
-    assert march.min_psd_margin == margins.min() == full.min_psd_margin
+    assert march.times.size == len(forced)
+    # every forced sample of the grid diagonalised: the same minimum, bit for bit
+    margins = _margins(forced, floor)
+    assert march.min_psd_margin == margins.min()
     # the samples never diagonalised are the certified ones: all have margin >= 1
     checked = {m.tobytes() for m in np.concatenate(seen)}
-    certified = np.array([m.tobytes() not in checked for m in full.matrices])
-    assert not certified[0] and certified.sum() > full.times.size // 3
+    certified = np.array([m.tobytes() not in checked for m in forced])
+    assert not certified[0] and certified.sum() > len(forced) // 3
     assert margins[certified].min() >= 1.0
     assert certified.sum() == march.certified_target + march.certified_anchor
-    assert march.diagonalised == full.times.size - certified.sum()
+    assert march.diagonalised == len(forced) - certified.sum() + 1  # and the kept H(0)
     # a row an anchor certifies: exact margin >= its bound >= 1
     rows = np.concatenate([r for r, _ in bounds])
-    scale = PSD_GUARD_TOL * np.maximum(np.abs(rows).max(axis=1), STANDARD.source)
+    scale = PSD_GUARD_TOL * np.maximum(np.abs(rows).max(axis=1), floor)
     bound = np.concatenate([b for _, b in bounds]) / scale
     anchor = np.concatenate([np.arange(len(r)) % ANCHOR_STRIDE == 0 for r, _ in bounds])
     by_anchor = ~anchor & (bound >= 1.0)
-    assert by_anchor.sum() == march.certified_anchor > full.times.size // 10
-    exact = _margins(_symmetric(rows[by_anchor], net.dof), STANDARD.source)
+    assert by_anchor.sum() == march.certified_anchor > len(forced) // 10
+    exact = _margins(_symmetric(rows[by_anchor], net.dof), floor)
     assert np.all(exact >= bound[by_anchor])
 
 
 @settings(max_examples=25, deadline=None)
 @given(st.integers(2, 6), st.floats(0.05, 3.0), st.floats(0.05, 2.0), st.floats(0.0, 0.9),
-       st.floats(0.2, 3.0), st.integers(0, 2**32 - 1))
+       st.floats(0.2, 3.0), st.floats(-3.0, 1.0))
 def test_anchor_certificate_never_clears_a_sample_below_the_guard(n, coupling, pinning,
-                                                                   alpha, lam, seed):
-    # a random PSD start of random rank: its first samples sit on or near the PSD
-    # boundary, where the anchors' neighbours must still be diagonalised
+                                                                   alpha, lam, exponent):
+    # the forced solution C_G - H starts at 0 and its first samples sit on or near
+    # the PSD boundary, where the anchors' neighbours must still be diagonalised
     net = OscillatorNetwork(n, 1, 1.0, chain_stiffness(n, coupling, pinning))
-    params = MomentParams(lam=lam, alpha=alpha, sigma2=1.0, mass=1.0)
-    rng = np.random.default_rng(seed)
-    g = rng.standard_normal((2 * n, int(rng.integers(0, 2 * n + 1))))
-    c0 = g @ g.T * 10.0 ** rng.uniform(-3, 1)
+    params = MomentParams(lam=lam, alpha=alpha, sigma2=10.0**exponent, mass=1.0)
     target = gibbs_covariance(net, beta_from_params(params))
-    full = integrate_covariance(c0, net, params, t_end=30.0, sample_dt=0.02)
+    c_g, forced, floor = _forced(target, net, params, 30.0)
     with pytest.MonkeyPatch.context() as patch:
         seen = _recording_eigvalsh(patch)
-        march = integrate_covariance(c0, net, params, t_end=30.0, sample_dt=0.02,
-                                     target=target)
+        march = integrate_covariance(c_g, net, params, t_end=30.0, sample_dt=0.02,
+                                     keep=slice(0, 0))
     checked = {m.tobytes() for m in np.concatenate(seen)}
-    certified = np.array([m.tobytes() not in checked for m in full.matrices])
-    margins = _margins(full.matrices, params.source)
+    certified = np.array([m.tobytes() not in checked for m in forced])
+    margins = _margins(forced, floor)
     assert np.all(margins[certified] >= 1.0)
     # a minimum below 1 is never certified, so the march reports it bit for bit
-    if full.min_psd_margin < 1.0:
-        assert march.min_psd_margin == full.min_psd_margin
-    assert march.min_psd_margin <= full.min_psd_margin
+    if margins.min() < 1.0:
+        assert march.min_psd_margin == margins.min()
+    assert march.min_psd_margin <= margins.min()
 
 
 def test_weyl_certificate_aborts_where_the_full_guard_does():
+    # a start with one eigenvalue -1e-3 is no fixed point, and its forced samples
+    # C_a - H(t) lose positive semidefiniteness: the certified march aborts at the
+    # first one whose exact margin is below -1
     net = chain3_net()
     target = gibbs_covariance(net, beta_from_params(STANDARD))
     lam, vecs = np.linalg.eigh(target)
-    c0 = target - (lam[0] + 1e-3) * np.outer(vecs[:, 0], vecs[:, 0])  # one eigenvalue -1e-3
-    messages = []
-    for kwargs in ({}, {"target": target}):
-        with pytest.raises(NumericalAbort, match="t=") as abort:
-            integrate_covariance(c0, net, STANDARD, t_end=10.0, sample_dt=0.01, **kwargs)
-        messages.append(str(abort.value))
-    assert messages[0] == messages[1]
+    c0 = target - (lam[0] + 1e-3) * np.outer(vecs[:, 0], vecs[:, 0])
+    c0 = 0.5 * (c0 + c0.T)
+    with pytest.raises(NumericalAbort, match="t=0 "):  # H(0) = c0 is kept
+        integrate_covariance(c0, net, STANDARD, t_end=10.0, sample_dt=0.01)
+    rows, cols = np.triu_indices(6)
+    gen = moment_generator(net, STANDARD)
+    h, blocks = covariance._exact_samples(gen, c0[rows, cols], 10.0, 0.01)
+    floor = np.abs(gen @ c0[rows, cols]).max()
+    margins = _margins(c0 - _symmetric(np.concatenate(list(blocks)), 3), floor)
+    first = int(np.argmax(margins < -1.0))
+    assert margins.min() < -1.0 and first > 0
+    with pytest.raises(NumericalAbort, match=f"at t={first * h:.6g} "):
+        integrate_covariance(c0, net, STANDARD, t_end=10.0, sample_dt=0.01, keep=slice(0, 0))
 
 
 def test_anchor_certificate_aborts_at_the_first_sample_lost_mid_block(monkeypatch):
-    # C[0, 0] is overwritten with -1, -2, ... on 40 rows of the first block, after
-    # anchors have certified earlier rows; the first of them is not an anchor but
-    # a later one is, so an abort that named the first anchor would be late
+    # H[0, 0] is raised by 1, 2, ... on 40 rows of the first block, after anchors
+    # have certified earlier rows, so that C_G - H loses positive semidefiniteness
+    # there while H keeps it; the first of them is not an anchor but a later one
+    # is, so an abort that named the first anchor would be late
     first = 901
     exact_samples = covariance._exact_samples
 
@@ -602,7 +660,7 @@ def test_anchor_certificate_aborts_at_the_first_sample_lost_mid_block(monkeypatc
             for k, rows in enumerate(blocks):
                 if k == 0:
                     rows = rows.copy()
-                    rows[first : first + 40, 0] = -np.arange(1.0, 41.0)
+                    rows[first : first + 40, 0] += np.arange(1.0, 41.0)
                 yield rows
 
         return h, perturbed()
@@ -611,17 +669,15 @@ def test_anchor_certificate_aborts_at_the_first_sample_lost_mid_block(monkeypatc
     bounds = _recording_anchor_bound(monkeypatch)
     net = chain3_net()
     target = gibbs_covariance(net, beta_from_params(STANDARD))
-    messages = []
-    for kwargs in ({}, {"target": target}):
-        with pytest.raises(NumericalAbort, match="t=") as abort:
-            integrate_covariance(np.zeros((6, 6)), net, STANDARD, t_end=100.0,
-                                 sample_dt=0.02, **kwargs)
-        messages.append(str(abort.value))
-    assert messages[0] == messages[1] and "at t=18.02 (" in messages[0]
+    with pytest.raises(NumericalAbort, match="t=") as abort:
+        integrate_covariance(target, net, STANDARD, t_end=100.0, sample_dt=0.02,
+                             keep=slice(0, 1))
+    assert "at t=18.02 (" in str(abort.value)
     (rows, bound), = bounds
-    lost = np.flatnonzero(rows[:, 0] < 0)  # positions among the rows the target left
+    lost = np.flatnonzero(rows[:, 0] < 0)  # positions among the rows the C_G bound left
     assert lost.size == 40 and lost[0] % ANCHOR_STRIDE and np.any(lost % ANCHOR_STRIDE == 0)
-    scale = PSD_GUARD_TOL * np.maximum(np.abs(rows).max(axis=1), STANDARD.source)
+    floor = np.abs(moment_generator(net, STANDARD) @ target[np.triu_indices(6)]).max()
+    scale = PSD_GUARD_TOL * np.maximum(np.abs(rows).max(axis=1), floor)
     assert np.any(bound[: lost[0]] / scale[: lost[0]] >= 1.0)
 
 
@@ -632,6 +688,9 @@ def test_spectral_abscissa_complete_and_incomplete():
 
 
 # --- the covariance subcommand -------------------------------------------------------
+
+
+CHAIN3 = Path(__file__).resolve().parents[1] / "configs" / "chain3.json"
 
 
 def chain_config(n):
@@ -645,7 +704,7 @@ def chain_config(n):
     }
 
 
-@pytest.mark.parametrize("n, when", [(6, 704.56), (10, 2896.3)])
+@pytest.mark.parametrize("n, when", [(6, 744.94), (10, 3070.08)])
 def test_covariance_converges_on_long_chains(n, when):
     summary = run_covariance(load_config(chain_config(n)), None)
     assert summary["checks"]["passed"]
@@ -673,40 +732,76 @@ def test_covariance_without_reachable_convergence_does_not_march(coupling):
         assert summary["horizon"] is None
     else:
         assert summary["spectral_abscissa"] < 0 and summary["horizon"] > 1e6 * 0.02
-    # nothing was marched: the gap is that of the start C = 0
-    gap0 = np.abs(gibbs_covariance(cfg.network, 2.0)).max()
-    assert summary["final_gap"] == pytest.approx(gap0, rel=1e-12)
+    # nothing was searched: the gap is that of the start C = 0, relative to max|C_G|
+    assert summary["final_gap"] == 1.0
+    assert summary["lyapunov_monotone"]
 
 
 def test_covariance_diagonalises_only_uncertified_samples(monkeypatch):
-    # measured counts (diagonalised, certified by the target, certified by an
-    # anchor) of the forced march, and matrices through eigvalsh per call; the
-    # homogeneous march diagonalises all of its 501 samples. Every sample
-    # diagonalised, a chain of 6 took 36,341 matrices, and 5,585 with the target
-    # bound alone; a chain of 10 took 20,982 with the target bound alone. The
-    # counts are deterministic, so a lost certificate shows. The forced march
-    # from C = 0 gets the config's parameters; the homogeneous one from C_G gets
-    # them at sigma2 = 0, the covariance equation without noise, and no switch.
+    # measured counts (diagonalised, certified by C_G, certified by an anchor) of
+    # the one march, and matrices through eigvalsh per call: C_G, the 501 kept
+    # samples H(t) and the forced samples C_G - H(t) that no bound clears. Every
+    # sample diagonalised, a chain of 6 took 36,341 matrices at the forced march
+    # from C = 0 and 5,585 with the target bound alone; a chain of 10 took 20,982
+    # with the target bound alone. The counts are deterministic, so a lost
+    # certificate shows. The march starts at C_G scaled by a power of two and gets
+    # the config's parameters.
     seen = _recording_eigvalsh(monkeypatch)
     calls, marches = [], []
     integrate = cli.integrate_covariance
     monkeypatch.setattr(cli, "integrate_covariance", lambda *a, **k: calls.append((a, k))
                         or marches.append(integrate(*a, **k)) or marches[-1])
-    for n, forced, matrices in ((6, (1222, 30757, 3861), 1724),
-                                (10, (3250, 124928, 17230), 3752)):
+    for n, counts, matrices in ((6, (1723, 32165, 3861), 1724),
+                                (10, (3751, 133025, 17230), 3752)):
         seen.clear()
         calls.clear()
         marches.clear()
-        run_covariance(load_config(chain_config(n)), None)
-        counts = [(m.diagonalised, m.certified_target, m.certified_anchor) for m in marches]
-        assert counts == [forced, (501, 0, 0)]
+        cfg = load_config(chain_config(n))
+        run_covariance(cfg, None)
+        (march,) = marches
+        assert (march.diagonalised, march.certified_target, march.certified_anchor) == counts
         assert sum(len(a) if a.ndim == 3 else 1 for a in seen) == matrices
-        (forced_args, forced_kwargs), (hom_args, hom_kwargs) = calls
-        assert forced_args[2].sigma2 == 1.0  # the config's
-        assert hom_args[2] == dataclasses.replace(forced_args[2], sigma2=0.0)
-        assert not np.any(forced_args[0])
-        assert np.array_equal(hom_args[0], forced_kwargs["target"])
-        assert "include_source" not in forced_kwargs and "include_source" not in hom_kwargs
+        ((args, kwargs),) = calls
+        assert args[2].sigma2 == 1.0  # the config's
+        target = gibbs_covariance(cfg.network, beta_from_params(args[2]))
+        scale = np.abs(target).max() / np.abs(args[0]).max()
+        assert scale == 2.0 ** round(math.log2(scale))
+        assert np.array_equal(args[0] * scale, target)
+        assert march.matrices.shape[0] == 501 and kwargs["sample_dt"] == 0.02
+
+
+def _chain3_at(sigma2):
+    raw = json.loads(open(CHAIN3).read())
+    raw["model"]["velocity_law"] = {"kind": "gaussian", "sigma2": sigma2}
+    return raw
+
+
+@pytest.mark.parametrize("sigma2", [1.0, 1e6, 1e20, 1e160])
+def test_covariance_verdict_does_not_depend_on_the_velocity_variance(sigma2, tmp_path, capsys):
+    # the covariance equation is linear in sigma2: L does not depend on it and C_G is
+    # proportional to it, so the march from C_G scaled by 2^-e has one verdict
+    path = tmp_path / "chain3.json"
+    path.write_text(json.dumps(_chain3_at(sigma2)))
+    assert main(["covariance", "--config", str(path), "--check", "--out", str(tmp_path)]) == 0
+    summary = json.loads((tmp_path / "summary.json").read_text(),
+                         parse_constant=lambda c: pytest.fail(f"non-strict JSON {c}"))
+    assert summary["convergence_time"] == 135.66 and summary["horizon"] == 269.0
+    assert summary["final_gap"] <= 1e-6 and summary["checks"]["passed"]
+    f = np.loadtxt(tmp_path / "lyapunov.csv", delimiter=",", skiprows=1)[:, 1]
+    assert f[0] == pytest.approx(3.0 * sigma2, rel=1e-12)
+    assert capsys.readouterr().err == ""
+
+
+def test_covariance_converges_only_at_the_fixed_point(monkeypatch, tmp_path, capsys):
+    # C_G - H(t) is the forced solution only when C_G is its fixed point: at the Gibbs
+    # covariance of 2 beta the flow still decays, but neither check passes
+    gibbs = cli.gibbs_covariance
+    monkeypatch.setattr(cli, "gibbs_covariance", lambda net, beta: gibbs(net, 2.0 * beta))
+    summary = run_covariance(load_config(CHAIN3), None)
+    assert summary["convergence_time"] is not None
+    assert summary["checks"]["fixed_point"] is False and summary["checks"]["converged"] is False
+    assert main(["covariance", "--config", str(CHAIN3), "--check"]) == 4
+    capsys.readouterr()
 
 
 def test_cli_covariance_rejects_dof_above_the_ceiling(tmp_path, capsys):
