@@ -37,6 +37,7 @@ from .covariance import (
     lyapunov_functional,
     lyapunov_to_csv,
     mean_dynamics,
+    moment_generator,
     spectral_abscissa,
 )
 from .dissipative import analyze
@@ -49,10 +50,10 @@ from .pdmp import (
     RANK_MAX_DOF,
     RANK_MAX_LEGS,
     RNG_PROTOCOL,
-    EventPass,
+    GridWindows,
     Moments,
     drift_estimate,
-    event_passes,
+    event_blocks,
     grid_index,
     grid_size,
     jacobian_rank_probe,
@@ -70,12 +71,14 @@ EXIT_CHECK = 4
 
 #: covariance convergence search: grid spacing, gap max|C - C_G| / max|C_G| to
 #: reach, horizon in decay times of the slowest mode, longest search in samples
-#: (2e4 time units); the grid samples of lyapunov.csv, t = 0, 0.1, ..., 50
+#: (2e4 time units); the grid samples of lyapunov.csv, t = 0, 0.1, ..., 50, and
+#: the largest increase of F between them, relative to F(0), that counts as monotone
 CONVERGENCE_DT = 0.02
 CONVERGENCE_GAP = 1e-6
 HORIZON_FACTOR = 2.0
 MAX_SEARCH_SAMPLES = 1_000_000
 LYAPUNOV_SAMPLES = slice(0, 2501, 5)
+LYAPUNOV_SLACK = 1e-10
 
 #: drift-check's energy levels, geometric from 1e3 to 1e4
 DRIFT_PROBES = 20
@@ -144,41 +147,94 @@ def _report(cfg: ExperimentConfig, command: str, fields: dict, checks: dict,
 # ---------------------------------------------------------------------------
 
 
-def _seed_stats(cfg: ExperimentConfig, run: EventPass, csv=None) -> tuple:
-    """One seed's summary entry and ``Moments`` of its grid from burn-in on.
+def _seed_stats(cfg: ExperimentConfig, moments: Moments, blocks, csv=None) -> Moments:
+    """``moments`` with one seed's grid ``blocks`` (``GridWindows``) folded in from burn-in on.
 
-    The rows are summed in mode coordinates and the sums mapped to physical ones
-    once; the embedded chain's energies are taken from its mode rows. The whole
-    grid also goes to ``csv``, if open; without it the rows before burn-in are
-    not computed. Sums or entries that overflow abort.
+    The rows are summed in mode coordinates, one block at a time, in grid
+    order; the blocks also go to ``csv``, if open.
     """
-    net = cfg.network
-    first = 0 if csv is not None else grid_index(cfg.burn_in, cfg.sample_dt)
-    moments = Moments()
-    for times, modes, states in run.trajectory(cfg.sample_dt, grid_size(cfg.t_end, cfg.sample_dt),
-                                               first, physical=csv is not None):
+    for times, modes, states in blocks:
         if csv is not None:
             trajectory_to_csv(csv, times, states)
         with np.errstate(over="ignore", invalid="ignore"):  # a finite state's squares may overflow
             moments += Moments.of(modes[np.searchsorted(times, cfg.burn_in):])  # t >= burn_in
         del modes, states  # not held while the next block is computed
+    return moments
+
+
+def _chain_entries(cfg: ExperimentConfig, chains, chain_ends) -> list:
+    """Each seed's (chain_mean_energy, chain_final_time) from its first n_steps + 1 post-jump mode rows.
+
+    The energies of rows n_steps // 10 to n_steps are averaged; ``chain_ends``
+    are the times of jump n_steps.
+    """
+    dof = cfg.network.dof
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow aborts in _seed_entry
+        return [(float(energies(cfg.network, rows[:, :dof], rows[:, dof:]).mean()), float(end))
+                for rows, end in zip(chains[:, cfg.n_steps // 10 :], chain_ends)]
+
+
+def _seed_entry(cfg: ExperimentConfig, seed: int, events: int, moments: Moments, chain) -> tuple:
+    """One seed's summary entry and the physical ``Moments`` of its grid sums in mode coordinates.
+
+    ``chain`` is the seed's ``_chain_entries`` pair. Sums or entries that
+    overflow abort.
+    """
+    net = cfg.network
     with np.errstate(over="ignore", invalid="ignore"):
         moments = moments.from_modes(net)
-        chain = run.modes[cfg.n_steps // 10 : cfg.n_steps + 1]  # post-jump mode rows
-        qh, ph = chain[:, : net.dof], chain[:, net.dof :]
         entry = {
-            "seed": run.seed,
-            "events": run.events,
+            "seed": seed,
+            "events": events,
             "n_samples": moments.n,
             "mean_energy": moments.mean_energy(net),
             "mean_p1": float(moments.mean[net.dof]),
             "chain_steps": cfg.n_steps,
-            "chain_mean_energy": float(energies(net, qh, ph).mean()),
-            "chain_final_time": float(run.times[cfg.n_steps]),
+            "chain_mean_energy": chain[0],
+            "chain_final_time": chain[1],
         }
     if not (np.isfinite(moments.sum_xx).all() and np.isfinite(list(entry.values())).all()):
-        raise NumericalAbort(f"grid moments of seed {run.seed} overflow")
+        raise NumericalAbort(f"grid moments of seed {seed} overflow")
     return entry, moments
+
+
+def _fold_events(cfg: ExperimentConfig, csv=None) -> list:
+    """Each seed's summary entry and ``Moments``, read off ``event_blocks`` as its blocks arrive.
+
+    A seed's jumps in [0, t_end] go to its ``GridWindows``, whose blocks are
+    folded as soon as they are fixed; its first n_steps + 1 post-jump rows
+    are kept until every seed has them, for its chain entries. The first
+    listed seed's whole grid also goes to ``csv``, if open; the other grids
+    start at burn-in.
+    """
+    net, n, n_steps = cfg.network, len(cfg.seeds), cfg.n_steps
+    size, first = grid_size(cfg.t_end, cfg.sample_dt), grid_index(cfg.burn_in, cfg.sample_dt)
+    start = np.concatenate(net.to_modes(cfg.psi0.vector))
+    grids = [GridWindows(net, start, cfg.sample_dt, size, first) for _ in range(n)]
+    if csv is not None:  # the first listed seed's whole grid, in physical coordinates too
+        grids[0] = GridWindows(net, start, cfg.sample_dt, size, physical=True)
+    chains = np.empty((n, n_steps + 1, 2 * net.dof))
+    chains[:, 0] = start
+    moments, events, done = [Moments()] * n, [0] * n, 0
+    for times, modes, _, new_events in event_blocks(net, cfg.model, cfg.tau_law, cfg.psi0,
+                                                    cfg.t_end, n_steps, cfg.seeds):
+        head = min(times.shape[1], n_steps - done)  # every seed has its first n_steps events
+        if head > 0:
+            chains[:, done + 1 : done + head + 1] = modes[:, :head]
+            if done + head == n_steps:  # the rows are complete: their entries, and they go
+                chain_entries = _chain_entries(cfg, chains, times[:, head - 1])
+                del chains
+        for s in np.flatnonzero(new_events):
+            k = new_events[s]
+            events[s] += int(k)
+            moments[s] = _seed_stats(cfg, moments[s], grids[s].add(times[s, :k], modes[s, :k]),
+                                     csv if s == 0 else None)
+        done += times.shape[1]
+        del times, modes  # not held while the next block is drawn
+    for s in range(n):
+        moments[s] = _seed_stats(cfg, moments[s], grids[s].close(), csv if s == 0 else None)
+    return [_seed_entry(cfg, seed, events[s], moments[s], chain_entries[s])
+            for s, seed in enumerate(cfg.seeds)]
 
 
 def run_simulate(cfg: ExperimentConfig, out_dir: Path | None, workers: int = 1) -> dict:
@@ -194,17 +250,14 @@ def run_simulate(cfg: ExperimentConfig, out_dir: Path | None, workers: int = 1) 
         raise ConfigError(f"run.sample_dt = {cfg.sample_dt!r} gives trajectory.csv {rows} rows of "
                           f"{cols} values, up to {rows * cols * CSV_FIELD_BYTES} bytes at "
                           f"{CSV_FIELD_BYTES} per value, more than {CSV_MAX_BYTES}")
-    runs = event_passes(cfg.network, cfg.model, cfg.tau_law, cfg.psi0, cfg.t_end,
-                        cfg.n_steps, cfg.seeds)
     csv_path = None if out_dir is None else out_dir / "trajectory.csv"
     try:
         if csv_path is None:
-            stats = [_seed_stats(cfg, run) for run in runs]
+            stats = _fold_events(cfg)
         else:  # trajectory.csv holds the first listed seed's grid, written as it is reduced
             out_dir.mkdir(parents=True, exist_ok=True)
             with open(csv_path, "w") as csv:
-                stats = [_seed_stats(cfg, runs[0], csv)]
-            stats += [_seed_stats(cfg, run) for run in runs[1:]]
+                stats = _fold_events(cfg, csv)
         per_seed, seed_moments = zip(*sorted(stats, key=lambda s: s[0]["seed"]))
         with np.errstate(over="ignore", invalid="ignore"):
             pooled = sum(seed_moments, Moments())  # a left fold in seed order, which fixes the bits
@@ -270,7 +323,8 @@ def run_covariance(cfg: ExperimentConfig, out_dir: Path | None) -> dict:
     # C = 0: the first grid time with max|H| <= CONVERGENCE_GAP max|C_G|, searched up to
     # HORIZON_FACTOR times the decay time of e^{abscissa t}, and the Lyapunov series
     # F(H(t)) on LYAPUNOV_SAMPLES. From C_G scaled by 2^-e the march is sigma2-free
-    abscissa = spectral_abscissa(net, params)
+    gen = moment_generator(net, params)  # L, built once for the abscissa and the march
+    abscissa = spectral_abscissa(gen)
     horizon, t_end = None, 0.0  # t_end 0: no search, only the Lyapunov samples
     if abscissa < 0:
         samples = max(1, math.ceil(HORIZON_FACTOR * math.log(1 / CONVERGENCE_GAP)
@@ -279,7 +333,7 @@ def run_covariance(cfg: ExperimentConfig, out_dir: Path | None) -> dict:
         if samples <= MAX_SEARCH_SAMPLES:
             t_end = horizon
     e = _exponent(target)
-    march = integrate_covariance(np.ldexp(target, -e), net, params, t_end=t_end,
+    march = integrate_covariance(np.ldexp(target, -e), gen, t_end=t_end,
                                  sample_dt=CONVERGENCE_DT, tol=CONVERGENCE_GAP,
                                  keep=LYAPUNOV_SAMPLES)
     final_gap = float(march.gaps[-1])  # the search ends at its first hit
@@ -288,7 +342,8 @@ def run_covariance(cfg: ExperimentConfig, out_dir: Path | None) -> dict:
     np.ldexp(march.matrices, e, out=march.matrices)  # the kept H(t) in the units of C_G
     f_series = lyapunov_functional(march.matrices, net)
     f_slack = float(np.diff(f_series).max(initial=-np.inf))
-    monotone = bool(f_slack <= 1e-10)
+    # relative to F(0) = F(C_G), so that the verdict, like the march, does not depend on sigma2
+    monotone = bool(f_slack <= LYAPUNOV_SLACK * f_series[0])
 
     # mean dynamics: energy-norm decay factor over t = 200 (only the end is read)
     psi0 = cfg.psi0

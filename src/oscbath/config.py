@@ -22,10 +22,17 @@ G G^T + 1e-6 I draw). Velocity-law kinds: "gaussian" {sigma2}, "uniform"
 ``ExperimentConfig.tau_law``, a law of :mod:`oscbath.laws` whose constructor
 also requires the finite positive mean that the event loop sizes its draws
 by. ``run.n_steps`` is the post-collision chain length summarized per seed.
-Neither it nor the events that ``run.t_end`` leads one to expect may need
-more than ``pdmp.RECORD_MAX_BYTES`` of event record, nor the network more
-than ``pdmp.NETWORK_MAX_DOF`` degrees of freedom, nor the seeds' time grids
-k*``run.sample_dt`` more than ``pdmp.GRID_MAX_ROWS`` rows. The contact sites are the
+Neither the seeds, nor the n_steps post-jump states that ``simulate`` keeps of
+each, nor the block of events and the grid window's jumps that it holds of
+each at once (``pdmp.stream_bytes``) may need more than
+``pdmp.RECORD_MAX_BYTES`` of event record, nor the network more than
+``pdmp.NETWORK_MAX_DOF`` degrees of freedom. What ``simulate`` holds does
+not grow with ``run.t_end`` or ``run.sample_dt``. Two bounds keep a run's
+time in bounds: the lockstep steps that ``run.t_end`` and ``run.n_steps``
+lead one to expect may cost at most ``pdmp.EVENT_LOOP_MAX_S`` at
+``pdmp.STEP_S`` per step and ``pdmp.SEED_STEP_S`` per seed and step, and
+the seeds' time grids k*``run.sample_dt`` may have at most
+``pdmp.GRID_MAX_ROWS`` rows. The contact sites are the
 kicked particle's coordinates 0..d-1; a "contact_sites" entry must equal them.
 A key the loader does not read, in any section, is an error naming its path.
 """
@@ -45,7 +52,8 @@ from . import laws
 from .collisions import ContractiveAffine, OneDimElastic, TwoDimBall
 from .errors import ConfigError
 from .network import OscillatorNetwork, PhaseState, chain_stiffness
-from .pdmp import GRID_MAX_ROWS, NETWORK_MAX_DOF, RECORD_MAX_BYTES, event_estimate, grid_size, record_bytes
+from .pdmp import (EVENT_LOOP_MAX_S, GRID_MAX_ROWS, NETWORK_MAX_DOF, RECORD_MAX_BYTES, SEED_STEP_S,
+                   STEP_S, event_estimate, grid_size, record_bytes, stream_bytes)
 from .spectral import random_pd_matrix
 
 
@@ -274,15 +282,19 @@ def load_config(source) -> ExperimentConfig:
     if record_bytes(net, model, n_steps, len(seeds)) > RECORD_MAX_BYTES:
         raise ConfigError(f"run.n_steps = {n_steps} needs more than {RECORD_MAX_BYTES} bytes "
                           f"of event record for {len(seeds)} seeds")
-    # the count event_passes sizes its first block of waits for
-    if record_bytes(net, model, event_estimate(t_end, tau_law.mean), len(seeds)) > RECORD_MAX_BYTES:
-        raise ConfigError(f"run.t_end = {t_end!r} expects {t_end / tau_law.mean:.4g} "
-                          f"events per seed, more than {RECORD_MAX_BYTES} bytes of event record "
-                          f"for {len(seeds)} seeds")
+    steps = max(t_end / tau_law.mean, n_steps)  # lockstep steps: a seed's expected events or chain
+    if steps * (STEP_S + len(seeds) * SEED_STEP_S) > EVENT_LOOP_MAX_S:
+        knob = f"run.t_end = {t_end!r}" if steps > n_steps else f"run.n_steps = {n_steps}"
+        raise ConfigError(f"{knob} expects {steps:.4g} lockstep steps, more than "
+                          f"{EVENT_LOOP_MAX_S:g} s of event loop for {len(seeds)} seeds")
     rows = t_end / sample_dt + 1.0  # grid_size, as a float: a tiny sample_dt overflows its int
     if len(seeds) * rows > GRID_MAX_ROWS:
         raise ConfigError(f"run.sample_dt = {sample_dt!r} gives {rows:.4g} grid rows per seed, "
                           f"more than {GRID_MAX_ROWS} for {len(seeds)} seeds")
+    if stream_bytes(net, model, tau_law.mean, t_end, sample_dt, n_steps, len(seeds)) > RECORD_MAX_BYTES:
+        raise ConfigError(f"run.seeds lists {len(seeds)} seeds, more than {RECORD_MAX_BYTES} bytes "
+                          f"of event blocks and grid windows at run.t_end = {t_end!r} and "
+                          f"run.sample_dt = {sample_dt!r}")
     last_sample = (grid_size(t_end, sample_dt) - 1) * sample_dt
     if burn_in > last_sample:  # the moments would average no sample
         raise ConfigError(f"need run.burn_in <= {last_sample!r}, the last grid time "

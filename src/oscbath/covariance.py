@@ -233,10 +233,11 @@ def moment_generator(net: OscillatorNetwork, params: MomentParams) -> np.ndarray
     return gen
 
 
-def spectral_abscissa(net: OscillatorNetwork, params: MomentParams) -> float:
-    """Largest real part in the spectrum of L: deviations from the fixed
-    point decay like e^{a t}; a = 0 up to roundoff on incomplete networks."""
-    return float(np.linalg.eigvals(moment_generator(net, params)).real.max())
+def spectral_abscissa(gen: np.ndarray) -> float:
+    """Largest real part in the spectrum of L = ``gen`` (``moment_generator``):
+    deviations from the fixed point decay like e^{a t}; a = 0 up to roundoff
+    on incomplete networks."""
+    return float(np.linalg.eigvals(gen).real.max())
 
 
 def _anchor_bound(rows, anchor_eig, weights, roundoff):
@@ -257,8 +258,7 @@ def _anchor_bound(rows, anchor_eig, weights, roundoff):
 @np.errstate(over="ignore", invalid="ignore")
 def integrate_covariance(
     c_g: np.ndarray,
-    net: OscillatorNetwork,
-    params: MomentParams,
+    gen: np.ndarray,
     t_end: float,
     sample_dt: float,
     tol: float = 0.0,
@@ -268,11 +268,12 @@ def integrate_covariance(
     it C(t_k) = C_G - H(t_k), which solves the covariance equation from C = 0
     when C_G is its fixed point.
 
-    One exponential of ``moment_generator`` (L does not depend on sigma2)
-    gives the samples, at the spacing h of ``_exact_samples``. The search,
-    t_k <= t_end, ends at the first sample with gap max|H(t_k)| / max|C_G| <=
-    ``tol``; the samples k in range(n + 1)[keep], n the last of the search
-    or ``keep.stop`` - 1, are kept; the march runs through both.
+    One exponential of L = ``gen``, the network's ``moment_generator`` (L
+    does not depend on sigma2), gives the samples, at the spacing h of
+    ``_exact_samples``. The search, t_k <= t_end, ends at the first sample
+    with gap max|H(t_k)| / max|C_G| <= ``tol``; the samples k in
+    range(n + 1)[keep], n the last of the search or ``keep.stop`` - 1, are
+    kept; the march runs through both.
 
     Two PSD guards, min eigenvalue >= -PSD_GUARD_TOL * scale, abort with the
     time stamp of the first sample that fails one, or that is not finite.
@@ -288,10 +289,11 @@ def integrate_covariance(
     otherwise. Both bounds give up the same roundoff allowance,
     3 (2 dof)^2 eps |.|_F of C_G or of C_a.
     """
-    dof = net.dof
     c = 0.5 * (np.asarray(c_g, dtype=float) + np.asarray(c_g, dtype=float).T)
-    if c.shape != (2 * dof, 2 * dof):
-        raise ValueError(f"covariance must be ({2 * dof}, {2 * dof}), got {c.shape}")
+    dof = len(c) // 2
+    # L acts on vech of (2 dof, 2 dof) matrices
+    if c.shape != (2 * dof, 2 * dof) or np.shape(gen) != (dof * (2 * dof + 1),) * 2:
+        raise ValueError(f"L of shape {np.shape(gen)} does not act on {c.shape} covariances")
     rows, cols = np.triu_indices(2 * dof)
 
     def symmetric(vech):
@@ -308,7 +310,7 @@ def integrate_covariance(
     # and as much again on a certified C, whose |C|_2 <= 2 |D|_F (Higham 2002)
     weights = np.where(rows == cols, 1.0, 2.0)
     roundoff = 3 * (2 * dof) ** 2 * np.finfo(float).eps
-    gen, g_vech = moment_generator(net, params), c[rows, cols]
+    g_vech = c[rows, cols]
     lam_min = (np.linalg.eigvalsh(symmetric(g_vech[None]))[0, 0]
                - roundoff * math.sqrt(g_vech**2 @ weights))
     floor = max(float(np.abs(gen @ g_vech).max()), 1e-300)

@@ -9,14 +9,19 @@ state.
 The stepping engine works in the eigenbasis of the stiffness matrix, where
 the flow is a family of independent mode rotations; states are transformed
 back to physical coordinates (``OscillatorNetwork.from_modes``) only when
-stored. One event loop steps all seeds of a run together and records their
-post-jump states; each seed's grid samples, block by block, and its embedded
-chain are read off that one record. The loop computes the rotation angles'
-cosines and sines and the collision model's input-only jump terms for a
-block of steps at once, so each step does only the work that needs the
-state. ``Moments`` sums the grid samples for their time-averaged moments:
-in mode coordinates, from burn-in on, with the sums mapped to physical
-coordinates once per seed. Only the rows written out are transformed back.
+stored. One event loop (``event_blocks``) steps all seeds of a run together
+and yields their jump times and post-jump states a block of steps
+(``event_block``, at most ``EVENT_BLOCK``) at a time, carrying each seed's
+last jump time and state into the next block; no run holds its whole
+horizon. The loop computes the rotation angles' cosines and sines and the
+collision model's input-only jump terms for a block of steps at once, so
+each step does only the work that needs the state. A seed's grid samples
+come in fixed windows (``GridWindows``), each computed as soon as the
+seed's jumps cover it, and its embedded chain is its first post-jump
+states; ``event_passes`` collects whole runs.
+``Moments`` sums the grid samples for their time-averaged moments: in mode
+coordinates, from burn-in on, with the sums mapped to physical coordinates
+once per seed. Only the rows written out are transformed back.
 
 Random protocol (``RNG_PROTOCOL``): each seed's ``SeedSequence(seed)``
 spawns child 0 for the waiting times, then one child per law of the model's
@@ -121,16 +126,35 @@ def _kick(net: OscillatorNetwork, model: CollisionModel, ph, xi):
 
 #: grid rows rotated per block when a pass is sampled on the time grid
 GRID_BLOCK = 4096
-#: lockstep steps whose rotations and kick terms ``event_passes`` computes in
+#: mode values (grid rows x dof) of a window rotated per ``_mode_flow`` call: 2048 rows of
+#: chain3's 3 modes, 512 of the 2-D ball's 12. The rotation's scratch is a few arrays of this
+#: many values; scratch the size of a whole window, freed window after window, is handed back
+#: to the kernel by glibc and faulted in again. Folding the grids of 16 chain3 seeds at t_end
+#: 5000 (2 vCPUs) took 55 ms at 6144, 57-61 ms at 4096 and 3072, and 72 ms at 12288 (whole
+#: windows, 12,000 minor faults); the ball's 2 seeds at t_end 1e4, 81-85 ms against 86-94 ms
+ROTATE_VALUES = 6144
+#: lockstep steps whose rotations and kick terms ``event_blocks`` computes in
 #: one call each. Timed at 16, 32, 64 and 128 on (16, 3) and (2, 12) states,
 #: 64 and 128 step fastest; the block's scratch grows with it (about 80 kB at
 #: 64 on (2, 12) states)
 STEP_BLOCK = 64
-#: largest event record per seed that a config may ask ``event_passes`` for
+#: most lockstep steps per block of ``event_blocks`` (``event_block``); no output depends on
+#: it. On 16 chain3 seeds at t_end 5000 (2 vCPUs), 256 and 128 peaked 0.2 MiB lower and ran 4%
+#: and 8% longer; each doubling above 512 ran under 1% faster and peaked about 1 MiB higher
+EVENT_BLOCK = 512
+#: largest event record that a config may ask for: 16 events per seed (the seed count's
+#: bound), each seed's first n_steps post-jump states, which ``simulate`` keeps, or what
+#: ``simulate`` holds at once of its event blocks and grid windows (``stream_bytes``)
 RECORD_MAX_BYTES = 1 << 30
 #: most grid rows over all seeds that a config may ask ``simulate`` to reduce: about
 #: 30 s at the 0.26-0.3 s per 1e6 rows measured on chain3 (2 vCPUs), four times its t_end 2e5 run
 GRID_MAX_ROWS = 10**8
+#: the event loop's time per lockstep step and per seed stepping in it, fitted to chain3 runs
+#: of ``event_blocks`` (2 vCPUs): 12.6 us per step at 1 seed, 13.1 at 4, 17.7 at 32, 46.6 at
+#: 128 and 83.9 at 256; and the longest loop a config may expect, so 32 chain3 seeds may run
+#: to t_end 1.3e6 and one seed to 2.3e6
+STEP_S, SEED_STEP_S = 12.5e-6, 0.3e-6
+EVENT_LOOP_MAX_S = 30.0
 #: widest %.17g field of a double, 24 characters as in "-2.2250738585072014e-308", and its comma
 #: or newline
 CSV_FIELD_BYTES = 25
@@ -144,7 +168,7 @@ NETWORK_MAX_DOF = 4096
 
 
 def record_bytes(net: OscillatorNetwork, model: CollisionModel, n_events: int, n_seeds: int) -> int:
-    """Bytes ``event_passes`` holds for n_events per seed: waits, inputs, mode states and jump times."""
+    """Bytes of an event record of n_events per seed: waits, inputs, mode states and jump times."""
     return 8 * n_events * n_seeds * (2 + model.xi_dim + 2 * net.dof)
 
 
@@ -152,6 +176,24 @@ def event_estimate(t_end: float, tau_mean: float) -> int:
     """Events per seed in [0, t_end] to size for: the expected count, four Poisson deviations and 16."""
     expected = max(t_end, 0.0) / tau_mean
     return int(expected + 4.0 * math.sqrt(expected)) + 16
+
+
+def event_block(t_end: float, tau_mean: float, n_steps: int) -> int:
+    """Lockstep steps per block of ``event_blocks``: ``EVENT_BLOCK``, or fewer if every run is shorter."""
+    return min(EVENT_BLOCK, max(n_steps, event_estimate(t_end, tau_mean)))
+
+
+def stream_bytes(net: OscillatorNetwork, model: CollisionModel, tau_mean: float, t_end: float,
+                 sample_dt: float, n_steps: int, n_seeds: int) -> int:
+    """Bytes ``simulate`` holds at once of its event blocks and grid windows, as ``record_bytes``.
+
+    Per seed, one ``event_block`` of events in the loop and the jumps that
+    its ``GridWindows`` holds: one block added, and before it no more than
+    the window's rows, nor than the events expected in its span of time.
+    """
+    window = min(GRID_BLOCK, grid_size(t_end, sample_dt),
+                 event_estimate(min(t_end, GRID_BLOCK * sample_dt), tau_mean))
+    return record_bytes(net, model, 2 * event_block(t_end, tau_mean, n_steps) + window, n_seeds)
 
 
 def grid_size(t_end: float, sample_dt: float) -> int:
@@ -167,6 +209,101 @@ def grid_index(t: float, sample_dt: float) -> int:
     while k * sample_dt < t:
         k += 1
     return k
+
+
+class GridWindows:
+    """One seed's right-continuous grid blocks, computed as its post-jump states arrive.
+
+    The grid is k*sample_dt, first <= k < size, cut into windows of
+    min(GRID_BLOCK, size) rows, the last overlapping its predecessor. Each
+    window finds each grid time's last jump at or before it with one
+    ``searchsorted`` and rotates that jump's mode state forward
+    (``_mode_flow``, ``ROTATE_VALUES`` mode values a call), so a row's bits
+    do not depend on its window. A block is (times, modes, states):
+    ``modes`` holds the eigen-coordinates (qh, ph) of the window's rows from
+    ``first`` on, and ``states`` the same rows in physical coordinates if
+    ``physical``, else None. Each physical block is the transform of its
+    whole window, so a row's transform back is the same matrix product
+    whatever the grid length. Rows before ``first`` are not computed, except
+    inside a physical window.
+
+    The run starts from the mode state ``mode0`` at time 0. ``add`` takes
+    the next jumps (time-ordered, all at or before the run's t_end) and
+    yields the blocks whose grid times all lie before the last of them;
+    ``close`` says no more come and yields the rest. Each is read to its end
+    before the next call. Held are the jumps from the last one at or before
+    the open window's first grid time on. Once they outnumber the window's
+    rows (a coarse grid), only the jumps that its rows so far start from and
+    the last one are kept, so a seed holds at most a window's rows and one
+    ``add`` of jumps, whatever sample_dt and the event rate.
+    """
+
+    def __init__(self, net: OscillatorNetwork, mode0, sample_dt: float, size: int,
+                 first: int = 0, physical: bool = False):
+        self.net, self.sample_dt, self.physical = net, sample_dt, physical
+        self._jumps = [(np.zeros(1), np.asarray(mode0, dtype=float)[None])]  # (times, modes) pieces
+        self._held = 1  # jumps in self._jumps
+        block = min(GRID_BLOCK, size)
+        # (first row computed, first row yielded, end) of each window
+        self._windows = ((min(start, size - block) if physical else max(start, first),
+                          max(start, first), min(start + block, size))
+                         for start in range(first // block * block, size, block))
+        self._window = next(self._windows, None)
+
+    def add(self, times, modes):
+        """The blocks that these next jumps fix."""
+        if len(times):
+            self._jumps.append((times.copy(), modes.copy()))
+            self._held += len(times)
+            yield from self._blocks(times[-1])
+
+    def close(self):
+        """The blocks still to come: no jump is added after this."""
+        return self._blocks(math.inf)
+
+    def _joined(self):
+        """The held jumps as one (times, modes) pair."""
+        if len(self._jumps) > 1:
+            self._jumps = [tuple(np.concatenate(part) for part in zip(*self._jumps))]
+        return self._jumps[0]
+
+    def _blocks(self, last: float):
+        """The windows whose grid times all lie before ``last``, the latest jump time so far."""
+        net, dof, dt = self.net, self.net.dof, self.sample_dt
+        while self._window is not None:
+            lo, new, hi = self._window
+            if not last > (hi - 1) * dt:  # a jump at or before its last grid time may come
+                if self._held > hi - lo:  # drop the jumps that no row starts from
+                    times, modes = self._joined()
+                    fixed = np.arange(lo, min(hi, grid_index(last, dt))) * dt  # rows before last
+                    jump = np.append(times.searchsorted(fixed, side="right") - 1, len(times) - 1)
+                    keep = jump[np.append(jump[:-1] != jump[1:], True)]  # each once, in order
+                    self._jumps, self._held = [(times[keep], modes[keep])], len(keep)
+                return
+            times, modes = self._joined()
+            t = np.arange(lo, hi) * dt
+            jump = times.searchsorted(t, side="right") - 1  # each row's last jump
+            out = np.empty((hi - lo, 2 * dof))  # the window's rows (qh, ph)
+            step = max(1, ROTATE_VALUES // dof)
+            for i in range(0, hi - lo, step):
+                j = jump[i : i + step]
+                base = modes[j]
+                out[i : i + step, :dof], out[i : i + step, dof:] = _mode_flow(
+                    base[:, :dof], base[:, dof:], net.mode_frequencies, net.mass,
+                    t[i : i + step] - times[j])
+            del base, jump
+            states = None
+            if self.physical:  # the whole window's transform, of contiguous qh and ph
+                qh, ph = np.ascontiguousarray(out[:, :dof]), np.ascontiguousarray(out[:, dof:])
+                states = net.from_modes(qh, ph)[new - lo :]
+                del qh, ph  # the block's caller holds only what is yielded
+            self._window = next(self._windows, None)
+            if self._window is not None:  # the jumps from the last at or before its first grid time
+                keep = times.searchsorted(self._window[0] * dt, side="right") - 1
+                self._jumps, self._held = [(times[keep:].copy(), modes[keep:].copy())], len(times) - keep
+            del times, modes
+            yield t[new - lo :], out[new - lo :], states
+            del out, states  # nor is it held here while the next block is computed
 
 
 @dataclass(frozen=True, eq=False)
@@ -194,75 +331,21 @@ class EventPass:
         )
 
     def trajectory(self, sample_dt: float, size: int, first: int = 0, physical: bool = False):
-        """Right-continuous grid blocks (times, modes, states) at k*sample_dt, first <= k < size.
+        """The ``GridWindows`` blocks of this pass's jumps in [0, t_end]: (times, modes, states).
 
-        ``modes`` holds the eigen-coordinates (qh, ph) of the state at each grid
-        time: each block of grid times finds its last jump at or before it with
-        one ``searchsorted`` and rotates that jump's state forward, one
-        ``_mode_flow`` per row, so a row's bits do not depend on its block.
-        ``states`` holds the same rows in physical coordinates if ``physical``,
-        else None. The grid is cut into windows of min(GRID_BLOCK, size) rows,
-        the last overlapping its predecessor, and each physical block is the
-        transform of its whole window, so a row's transform back is the same
-        matrix product whatever the grid length. Rows before ``first`` are not
-        computed, except inside a physical window.
+        The jumps go in ``EVENT_BLOCK`` at a time, as ``simulate`` adds them,
+        so that each window's leftover jumps are few.
         """
-        net, dof = self.net, self.net.dof
-        jump_times = self.times[: self.events + 1]
-        block = min(GRID_BLOCK, size)
-        for start in range(first // block * block, size, block):
-            lo = min(start, size - block) if physical else max(start, first)
-            t = np.arange(lo, min(start + block, size)) * sample_dt
-            last = np.searchsorted(jump_times, t, side="right") - 1
-            base = self.modes[last]
-            qh, ph = _mode_flow(base[:, :dof], base[:, dof:], net.mode_frequencies, net.mass,
-                                t - jump_times[last])
-            new = max(start, first) - lo
-            states = net.from_modes(qh, ph)[new:] if physical else None
-            modes = np.concatenate([qh[new:], ph[new:]], axis=1)
-            del base, qh, ph  # the block's caller holds only what is yielded
-            yield t[new:], modes, states
-            del modes, states  # nor is it held here while the next block is computed
+        grid, end = GridWindows(self.net, self.modes[0], sample_dt, size, first, physical), self.events + 1
+        for k in range(1, end, EVENT_BLOCK):
+            yield from grid.add(self.times[k : min(k + EVENT_BLOCK, end)],
+                                self.modes[k : min(k + EVENT_BLOCK, end)])
+        yield from grid.close()
 
 
 def _streams(seed: int, n_laws: int) -> list:
     """One seed's generators: child 0 of ``SeedSequence(seed)`` for the waits, then one per input law."""
     return [np.random.default_rng(child) for child in np.random.SeedSequence(seed).spawn(1 + n_laws)]
-
-
-def _seed_waits(tau_law, rng, t_end: float, n_steps: int):
-    """(waits, count): one seed's waits, drawn in blocks, and how many of them are events.
-
-    The first block is sized by ``event_estimate``; blocks are added until
-    the waits reach past t_end and number more than n_steps. The events are
-    the waits up to the first whose jump lands past t_end, and at least
-    n_steps of them.
-    """
-    waits = tau_law.sample(rng, size=max(n_steps + 1, event_estimate(t_end, tau_law.mean)))
-    while True:
-        ends = np.cumsum(waits)  # the jump times, as event_passes adds them up
-        if len(waits) > n_steps and ends[-1] > t_end:
-            return waits, max(n_steps, int(np.searchsorted(ends, t_end, side="right")))
-        waits = np.concatenate([waits, tau_law.sample(rng, size=len(waits))])
-
-
-def _draw_events(model: CollisionModel, tau_law, seeds: tuple, t_end: float, n_steps: int):
-    """(taus, xis, counts): the seeds' waits (events, seeds), inputs (events, seeds, xi_dim) and counts.
-
-    Each seed's waits come first (``_seed_waits``); once every count k is
-    known, each input law draws a seed's k values in one call from its own
-    stream (``sample_columns``). Rows past a seed's count stay zero.
-    """
-    streams = [_streams(seed, len(model.input_laws)) for seed in seeds]
-    waits, counts = zip(*(_seed_waits(tau_law, rngs[0], t_end, n_steps) for rngs in streams))
-    taus = np.zeros((max(counts), len(seeds)))
-    for s, k in enumerate(counts):
-        taus[:k, s] = waits[s][:k]
-    del waits
-    xis = np.zeros((max(counts), len(seeds), model.xi_dim))
-    for s, k in enumerate(counts):
-        xis[:k, s] = sample_columns(model.input_laws, streams[s][1:], k)
-    return taus, xis, counts
 
 
 def _step_seeds(net: OscillatorNetwork, model: CollisionModel, taus, xis, modes) -> None:
@@ -292,6 +375,86 @@ def _step_seeds(net: OscillatorNetwork, model: CollisionModel, taus, xis, modes)
             np.concatenate(rows, axis=1, out=halves[:, 2 * k0 + 2 : 2 * k1 + 2])
 
 
+def event_blocks(
+    net: OscillatorNetwork,
+    model: CollisionModel,
+    tau_law,
+    psi0: PhaseState,
+    t_end: float,
+    n_steps: int,
+    seeds: tuple,
+):
+    """The event loop: each seed jumps until its first jump past t_end, and at least n_steps.
+
+    Yields one (times, modes, steps, events) block per ``event_block``
+    lockstep steps: the seeds' jump times (seeds, b) and post-jump mode
+    states (seeds, b, 2 dof) of the block's b steps, then how many of them
+    are each seed's (int arrays): its steps, and of those its events, the
+    jumps in [0, t_end]. The rest are cut off. ``tau_law`` is a waiting-time
+    law of :mod:`oscbath.laws`. Each seed draws from its own streams
+    (``_streams``): a block's worth of waits, whose running sum from the
+    seed's last jump time gives the jump times and so its steps, then as
+    many inputs, one ``sample(rng, size=k)`` call per law of
+    ``model.input_laws``, each from its own stream. Then all seeds step
+    together, one event per step, from their last post-jump states
+    (``_step_seeds``); a seed out of events rides along on a zero wait and a
+    zero input. The blocks end when every seed is out of events; a block's
+    arrays are refilled by the next, so a caller copies what it keeps.
+    Aborts for the first listed seed whose state overflows, with the event
+    index: "after event k at t=..." inside [0, t_end], "at step k" beyond
+    it. No block is yielded from the first overflow on; only the seeds
+    listed before it step on, until they are out of events.
+    """
+    _require_dim(net, model)
+    n, width, dof = len(seeds), model.xi_dim, net.dof
+    block = event_block(t_end, tau_law.mean, n_steps)
+    streams = [_streams(seed, len(model.input_laws)) for seed in seeds]
+    # one block's buffers, refilled by each block: fresh ones would be mapped and unmapped
+    # by the allocator block after block, a page fault for each page
+    taus, xis = np.empty((block, n)), np.empty((block, n, width))
+    times, state_rows = np.zeros((n, block + 1)), np.empty(n * (block + 1) * 2 * dof)
+    state = np.concatenate(net.to_modes(psi0.vector))  # each seed's last post-jump mode state
+    live = np.ones(n, dtype=bool)  # the seeds with events to come
+    done, abort = 0, None  # steps taken; the abort of the first listed seed found to overflow
+    while live.any():
+        taus.fill(0.0)
+        xis.fill(0.0)
+        for s in np.flatnonzero(live):
+            taus[:, s] = tau_law.sample(streams[s][0], size=block)
+        # the jump times, added up one wait at a time from each seed's last one, times[:, 0]
+        times[:, 1:] = taus.T
+        np.cumsum(times, axis=1, out=times)
+        # each seed's events in [0, t_end], and its steps: those and any up to n_steps
+        events = np.count_nonzero(times[:, 1:] <= t_end, axis=1) * live
+        steps = np.maximum(events, min(max(n_steps - done, 0), block)) * live
+        taus[np.arange(block)[:, None] >= steps] = 0.0
+        for s in np.flatnonzero(steps):
+            xis[: steps[s], s] = sample_columns(model.input_laws, streams[s][1:], steps[s])
+        last, live = times[np.arange(n), steps], live & (steps == block)
+        b = int(steps.max())
+        if b == 0:
+            break
+        modes = state_rows[: n * (b + 1) * 2 * dof].reshape(n, b + 1, 2 * dof)  # contiguous
+        modes[:, 0] = state
+        _step_seeds(net, model, taus[:b], xis[:b], modes)
+        bad = ~np.isfinite(modes[:, 1:]).all(axis=2) & (np.arange(b) < steps[:, None])
+        overflowed = np.flatnonzero(bad.any(axis=1))  # all listed before any found so far
+        if overflowed.size:
+            s = overflowed[0]
+            step = int(np.flatnonzero(bad[s])[0])
+            t, step = times[s, step + 1], done + step + 1
+            abort = (f"non-finite state at step {step}" if t > t_end else
+                     f"non-finite state after event {step} at t={t:.6g}")
+            live[s:] = False  # only a seed listed before it can change the abort
+        state = modes[:, b].copy()
+        if abort is None:
+            yield times[:, 1 : b + 1], modes[:, 1:], steps, events
+        times[:, 0] = last
+        done += b
+    if abort is not None:
+        raise NumericalAbort(abort)
+
+
 def event_passes(
     net: OscillatorNetwork,
     model: CollisionModel,
@@ -301,39 +464,35 @@ def event_passes(
     n_steps: int,
     seeds: tuple,
 ) -> list:
-    """The event loop: each seed jumps until its first jump past t_end, and at least n_steps.
+    """One ``EventPass`` per seed, in the order given: the blocks of ``event_blocks`` collected.
 
-    ``tau_law`` is a waiting-time law of :mod:`oscbath.laws`. Each seed
-    draws from its own streams (``_streams``): its waits in blocks
-    (``_seed_waits``), then, once its event count k is known, k inputs with
-    one ``sample(rng, size=k)`` call per law of ``model.input_laws``, each
-    from its own stream, into (events, seeds) buffers of their final size
-    (``_draw_events``). Then all seeds step together, one event per step
-    (``_step_seeds``); a seed out of events rides along on a zero wait and a
-    zero input, and those rows are cut off. One ``EventPass`` per seed, in
-    the order given. Aborts for the first listed seed whose state overflows,
-    with the event index: "after event k at t=..." inside [0, t_end], "at
-    step k" beyond it.
+    The seeds' rows go into (seeds, steps + 1) arrays sized for the expected
+    count (``event_estimate``) and grown by half when a run outlasts it, so
+    the collected record is held once: blocks copied into a list and joined
+    at the end would peak at twice the record.
+    Aborts as ``event_blocks`` does.
     """
-    _require_dim(net, model)
-    taus, xis, counts = _draw_events(model, tau_law, seeds, t_end, n_steps)
-    modes = np.empty((len(seeds), len(taus) + 1, 2 * net.dof))
+    size = max(n_steps, event_estimate(t_end, tau_law.mean)) + 1
+    times, modes = np.zeros((len(seeds), size)), np.empty((len(seeds), size, 2 * net.dof))
     modes[:, 0] = np.concatenate(net.to_modes(psi0.vector))
-    _step_seeds(net, model, taus, xis, modes)
-    del xis  # the inputs are spent; the jump times below need only the waits
-
-    times = np.zeros((len(seeds), len(taus) + 1))
-    np.cumsum(taus.T, axis=1, out=times[:, 1:])
+    counts, events, done = np.zeros(len(seeds), dtype=int), np.zeros(len(seeds), dtype=int), 0
+    for block_times, block_modes, steps, block_events in event_blocks(net, model, tau_law, psi0,
+                                                                      t_end, n_steps, seeds):
+        b = block_times.shape[1]
+        if done + b >= times.shape[1]:  # a run outlasts the estimate
+            grow = max(done + b + 1, times.shape[1] * 3 // 2) - times.shape[1]
+            times = np.pad(times, ((0, 0), (0, grow)))
+            modes = np.pad(modes, ((0, 0), (0, grow), (0, 0)))
+        rows = slice(done + 1, done + b + 1)
+        times[:, rows], modes[:, rows] = block_times, block_modes
+        counts += steps
+        events += block_events
+        done += b
+        del block_times, block_modes  # not held while the next block is computed
     passes = []
     for s, (seed, k) in enumerate(zip(seeds, counts)):
-        bad = np.flatnonzero(~np.isfinite(modes[s, 1 : k + 1]).all(axis=1))
-        if bad.size:
-            step, t = int(bad[0]) + 1, times[s, bad[0] + 1]
-            raise NumericalAbort(f"non-finite state at step {step}" if t > t_end else
-                                 f"non-finite state after event {step} at t={t:.6g}")
-        events = int(np.searchsorted(times[s, 1 : k + 1], t_end, side="right"))
         passes.append(EventPass(net=net, modes=modes[s, : k + 1], times=times[s, : k + 1],
-                                events=events, seed=seed))
+                                events=int(events[s]), seed=seed))
     return passes
 
 

@@ -104,15 +104,19 @@ def one_step_moment_shift(
     p = rng.normal(0.0, math.sqrt(mass / beta), size=n)
     u = np.asarray(model.velocity_law.sample(rng, size=n), dtype=float)
     p_after = model.jump(u[:, None], p[:, None], mass)[:, 0]
+    del u
     with np.errstate(over="ignore", invalid="ignore"):  # checked below
-        p2, p_after2 = p**2, p_after**2
-        p4, p_after4 = p2 * p2, p_after2 * p_after2  # squares of squares: no libm pow
+        # squares, then squares of squares (no libm pow), each in place once the last is read
+        p2, p_after2 = np.square(p, out=p), np.square(p_after, out=p_after)
+        m2_before, m2_after = float(np.mean(p2)), float(np.mean(p_after2))
+        m2_shift_se = float(np.std(p_after2 - p2, ddof=1) / math.sqrt(n))
+        p4, p_after4 = np.multiply(p2, p2, out=p2), np.multiply(p_after2, p_after2, out=p_after2)
         shift = MomentShift(
-            m2_before=float(np.mean(p2)),
-            m2_after=float(np.mean(p_after2)),
+            m2_before=m2_before,
+            m2_after=m2_after,
             m4_before=float(np.mean(p4)),
             m4_after=float(np.mean(p_after4)),
-            m2_shift_se=float(np.std(p_after2 - p2, ddof=1) / math.sqrt(n)),
+            m2_shift_se=m2_shift_se,
             m4_shift_se=float(np.std(p_after4 - p4, ddof=1) / math.sqrt(n)),
         )
     if not all(math.isfinite(x) for x in vars(shift).values()):

@@ -31,6 +31,7 @@ from oscbath.covariance import (
     integrate_covariance,
     lyapunov_functional,
     mean_dynamics,
+    moment_generator,
 )
 from oscbath.dissipative import neutral_subspace_basis
 from oscbath.laws import Exponential, GaussianVelocity, TwoPointVelocity
@@ -137,7 +138,8 @@ def test_criterion_3_covariance_ode_fixed_point():
     net = OscillatorNetwork(3, 1, 1.0, chain_stiffness(3))
     target = gibbs_covariance(net, beta_from_params(STANDARD))
     # C(t) = C_G - H(t) from C(0) = 0, H the homogeneous flow from C_G
-    traj = integrate_covariance(target, net, STANDARD, t_end=150.0, sample_dt=0.15)
+    traj = integrate_covariance(target, moment_generator(net, STANDARD),
+                                t_end=150.0, sample_dt=0.15)
     gap = float(np.abs((target - traj.matrices[-1]) - target).max())
 
     # the homogeneous flow from a PSD start that is no fixed point: no search (t_end 0),
@@ -145,8 +147,8 @@ def test_criterion_3_covariance_ode_fixed_point():
     rng = np.random.default_rng(3)
     g = rng.standard_normal((6, 6))
     hom = integrate_covariance(
-        g @ g.T, net, dataclasses.replace(STANDARD, sigma2=0.0), t_end=0.0, sample_dt=0.05,
-        keep=slice(0, 801),
+        g @ g.T, moment_generator(net, dataclasses.replace(STANDARD, sigma2=0.0)), t_end=0.0,
+        sample_dt=0.05, keep=slice(0, 801),
     )
     f_series = [lyapunov_functional(c, net) for c in hom.matrices]
     slack = float(np.diff(f_series).max())

@@ -9,6 +9,8 @@ import pytest
 
 from oscbath import cli
 from oscbath.cli import (
+    _chain_entries,
+    _seed_entry,
     _seed_stats,
     main,
     run_covariance,
@@ -22,7 +24,8 @@ from oscbath.config import MAX_SEEDS, load_config
 from oscbath.errors import ConfigError, NumericalAbort
 from oscbath.laws import GaussianVelocity
 from oscbath.network import chain_stiffness
-from oscbath.pdmp import GRID_BLOCK, GRID_MAX_ROWS, Moments, event_passes, grid_size
+from oscbath.pdmp import (EVENT_LOOP_MAX_S, GRID_BLOCK, GRID_MAX_ROWS, RECORD_MAX_BYTES, SEED_STEP_S,
+                          STEP_S, Moments, event_passes, grid_index, grid_size)
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
@@ -189,6 +192,15 @@ def test_summary_config_roundtrip_reproduces_run(tmp_path):
     )
 
 
+def _whole_pass_stats(cfg, run, csv=None):
+    """One seed's entry and ``Moments`` from its whole ``EventPass``, not from streamed blocks."""
+    first = 0 if csv is not None else grid_index(cfg.burn_in, cfg.sample_dt)
+    blocks = run.trajectory(cfg.sample_dt, grid_size(cfg.t_end, cfg.sample_dt), first,
+                            physical=csv is not None)
+    [chain] = _chain_entries(cfg, run.modes[None, : cfg.n_steps + 1], [run.times[cfg.n_steps]])
+    return _seed_entry(cfg, run.seed, run.events, _seed_stats(cfg, Moments(), blocks, csv), chain)
+
+
 def test_pooled_is_the_left_fold_of_the_seeds_moments_in_seed_order():
     # the summary's bits rest on this summation order
     cfg = load_config(base_config(seeds=[2, 0, 1]))
@@ -196,7 +208,7 @@ def test_pooled_is_the_left_fold_of_the_seeds_moments_in_seed_order():
                         cfg.n_steps, cfg.seeds)
     folded = Moments()
     for run in sorted(runs, key=lambda run: run.seed):
-        folded += _seed_stats(cfg, run)[1]
+        folded += _whole_pass_stats(cfg, run)[1]
     pooled = run_simulate(cfg, None)["pooled"]
     assert pooled["n_samples"] == folded.n
     assert pooled["mean"].tobytes() == folded.mean.tobytes()
@@ -215,8 +227,8 @@ def test_n_samples_counts_the_grid_times_from_burn_in(burn_in):
     assert size > GRID_BLOCK and size % GRID_BLOCK
     [run] = event_passes(cfg.network, cfg.model, cfg.tau_law, cfg.psi0, cfg.t_end,
                          cfg.n_steps, cfg.seeds)
-    entry, moments = _seed_stats(cfg, run)
-    written, written_moments = _seed_stats(cfg, run, io.StringIO())
+    entry, moments = _whole_pass_stats(cfg, run)
+    written, written_moments = _whole_pass_stats(cfg, run, io.StringIO())
     expected = np.count_nonzero(np.arange(size) * cfg.sample_dt >= burn_in)
     assert entry["n_samples"] == moments.n == expected
     assert entry == written
@@ -842,13 +854,50 @@ def test_seed_count_alone_past_the_record_bound_names_run_seeds(capsys):
 
 
 def test_shipped_configs_load_within_the_record_bound():
-    # the record bound refuses chain3 at t_end 1e9 (about 2,146 GiB for its
-    # 32 seeds) and nothing the shipped configs ask for
+    # the time bound refuses chain3 at t_end 1e9 (1e9 lockstep steps for its 32 seeds,
+    # and a whole-run record of about 2,146 GiB) and nothing the shipped configs ask for
     for path in sorted(CONFIGS.glob("*.json")):
         load_config(path)
     raw = json.loads((CONFIGS / "chain3.json").read_text())
     raw["run"]["t_end"] = 1e9
     with pytest.raises(ConfigError, match=r"^run\.t_end"):
+        load_config(raw)
+
+
+def test_the_horizon_is_bounded_by_run_time_not_by_memory(tmp_path, capsys):
+    # 32 chain3 seeds at t_end 5e5 expect 1.6e7 events: a whole-run record of 1.15 GB
+    # was refused from t_end 4.7e5 on. The event loop's time bound refuses them from
+    # t_end 1.36e6 on, and one seed from 2.35e6 on, with exit 2 and one JSON line
+    # naming run.t_end; a chain that long names run.n_steps
+    raw = json.loads((CONFIGS / "chain3.json").read_text())
+    raw["run"]["t_end"] = 5e5
+    mean = load_config(raw).tau_law.mean
+    raw["run"]["sample_dt"] = 1.0  # within the grid bound at the longest horizon
+    for seeds in (32, 1):
+        longest = EVENT_LOOP_MAX_S / (STEP_S + seeds * SEED_STEP_S) * mean
+        raw["run"].update(seeds=list(range(seeds)), t_end=0.99 * longest)
+        load_config(raw)
+        raw["run"]["t_end"] = 1.01 * longest
+        with pytest.raises(ConfigError, match=rf"^run\.t_end = .* more than 30 s of event loop "
+                                              rf"for {seeds} seeds"):
+            load_config(raw)
+    assert main(["simulate", "--config", str(write_config(tmp_path, raw))]) == 2
+    [line] = capsys.readouterr().err.splitlines()
+    assert json.loads(line)["message"].startswith("run.t_end")
+    raw["run"].update(t_end=100.0, burn_in=10.0, n_steps=int(1.01 * longest / mean))
+    with pytest.raises(ConfigError, match=r"^run\.n_steps = .* more than 30 s of event loop"):
+        load_config(raw)
+
+
+def test_what_simulate_holds_at_once_is_bounded_with_the_seeds():
+    # chain3 seeds at t_end 5000 and sample_dt 1 each hold two blocks of 512 events and
+    # the jumps of a 4,096-row grid window: 0.74 GB for 2,000 seeds, 3.7 GB for 10,000
+    raw = json.loads((CONFIGS / "chain3.json").read_text())
+    raw["run"].update(t_end=5000.0, sample_dt=1.0, burn_in=500.0, seeds=list(range(2000)))
+    load_config(raw)
+    raw["run"]["seeds"] = list(range(10_000))
+    with pytest.raises(ConfigError, match=rf"^run\.seeds lists 10000 seeds, more than "
+                                          rf"{RECORD_MAX_BYTES} bytes of event blocks"):
         load_config(raw)
 
 

@@ -162,7 +162,7 @@ def test_integrate_holds_fixed_point():
     # covariance equation: its right-hand side is -L(H) = dC/dt at every sample
     net = chain3_net()
     target = gibbs_covariance(net, beta_from_params(STANDARD))
-    traj = integrate_covariance(target, net, STANDARD, t_end=10.0, sample_dt=0.01)
+    traj = integrate_covariance(target, moment_generator(net, STANDARD), t_end=10.0, sample_dt=0.01)
     assert np.array_equal(traj.matrices[0], 0.5 * (target + target.T)) and traj.gaps[0] == 1.0
     for h in traj.matrices[::50]:
         forced = covariance_rhs(target - h, net, STANDARD)
@@ -173,7 +173,8 @@ def test_integrate_converges_from_zero():
     # C(150) = C_G - H(150) from C(0) = 0
     net = chain3_net()
     target = gibbs_covariance(net, beta_from_params(STANDARD))
-    traj = integrate_covariance(target, net, STANDARD, t_end=150.0, sample_dt=0.15)
+    traj = integrate_covariance(target, moment_generator(net, STANDARD),
+                                t_end=150.0, sample_dt=0.15)
     assert np.abs((target - traj.matrices[-1]) - target).max() <= 1e-6
 
 
@@ -184,7 +185,7 @@ def test_homogeneous_equation_decays_to_zero():
     rng = np.random.default_rng(4)
     g = rng.standard_normal((6, 6))
     c0 = g @ g.T
-    traj = integrate_covariance(c0, net, HOMOGENEOUS, t_end=0.0, sample_dt=0.15,
+    traj = integrate_covariance(c0, moment_generator(net, HOMOGENEOUS), t_end=0.0, sample_dt=0.15,
                                 keep=slice(0, 1001))
     assert traj.times[-1] == pytest.approx(150.0) and traj.gaps.size == 1
     assert np.abs(traj.matrices[-1]).max() <= 1e-6 * np.abs(c0).max()
@@ -193,7 +194,8 @@ def test_homogeneous_equation_decays_to_zero():
 def test_integrate_aborts_on_indefinite_start():
     net = chain3_net()
     with pytest.raises(NumericalAbort, match="t=0 "):
-        integrate_covariance(-np.eye(6), net, STANDARD, t_end=1.0, sample_dt=0.001)
+        integrate_covariance(-np.eye(6), moment_generator(net, STANDARD),
+                             t_end=1.0, sample_dt=0.001)
 
 
 @pytest.mark.parametrize("search", [False, True])
@@ -214,7 +216,8 @@ def test_integrate_aborts_at_the_first_non_finite_sample(search, monkeypatch):
         monkeypatch.setattr(covariance, "_exact_samples", overflowing)
     c0 = gibbs_covariance(net, 2.0) if search else 8e307 * np.ones((6, 6))
     with pytest.raises(NumericalAbort, match=r"^covariance sample not finite at t=0\.7$"):
-        integrate_covariance(c0, net, STANDARD, t_end=5.0 if search else 0.0, sample_dt=0.1,
+        integrate_covariance(c0, moment_generator(net, STANDARD),
+                             t_end=5.0 if search else 0.0, sample_dt=0.1,
                              tol=1e-6, keep=slice(0, 51))
 
 
@@ -231,8 +234,8 @@ def test_lyapunov_of_gibbs_matrix_counts_degrees():
 @pytest.mark.parametrize("n", [1, 3, 6, 12])
 def test_lyapunov_functional_on_a_stack_matches_each_matrix(n):
     net = load_config(chain_config(n)).network
-    traj = integrate_covariance(gibbs_covariance(net, 2.0), net, HOMOGENEOUS, t_end=5.0,
-                                sample_dt=0.1)
+    traj = integrate_covariance(gibbs_covariance(net, 2.0), moment_generator(net, HOMOGENEOUS),
+                                t_end=5.0, sample_dt=0.1)
     f = lyapunov_functional(traj.matrices, net)
     assert f.shape == traj.times.shape
     assert f.tobytes() == np.array([lyapunov_functional(c, net) for c in traj.matrices]).tobytes()
@@ -256,7 +259,8 @@ def test_lyapunov_constant_without_collisions():
     net = chain3_net()
     params = MomentParams(lam=0.0, alpha=0.5, sigma2=1.0, mass=1.0)
     c0 = gibbs_covariance(net, 2.0)
-    traj = integrate_covariance(c0, net, params, t_end=0.0, sample_dt=0.2, keep=slice(0, 101))
+    traj = integrate_covariance(c0, moment_generator(net, params),
+                                t_end=0.0, sample_dt=0.2, keep=slice(0, 101))
     f = np.array([lyapunov_functional(c, net) for c in traj.matrices])
     assert np.abs(f - f[0]).max() <= 1e-9 * abs(f[0])
 
@@ -266,7 +270,7 @@ def test_lyapunov_decreases_along_homogeneous_flow():
     rng = np.random.default_rng(7)
     g = rng.standard_normal((6, 6))
     c0 = g @ g.T
-    traj = integrate_covariance(c0, net, HOMOGENEOUS, t_end=0.0, sample_dt=0.05,
+    traj = integrate_covariance(c0, moment_generator(net, HOMOGENEOUS), t_end=0.0, sample_dt=0.05,
                                 keep=slice(0, 801))
     f = [lyapunov_functional(c, net) for c in traj.matrices]
     assert max(np.diff(f)) <= 1e-10
@@ -278,7 +282,8 @@ def test_lyapunov_finite_difference_matches_rate():
     rate0 = lyapunov_rate(target, net, STANDARD)
     errs = []
     for dt in (1e-2, 5e-3):
-        traj = integrate_covariance(target, net, HOMOGENEOUS, t_end=dt, sample_dt=dt)
+        traj = integrate_covariance(target, moment_generator(net, HOMOGENEOUS),
+                                    t_end=dt, sample_dt=dt)
         fd = (
             lyapunov_functional(traj.matrices[-1], net)
             - lyapunov_functional(target, net)
@@ -291,8 +296,8 @@ def test_lyapunov_finite_difference_matches_rate():
 def test_lyapunov_csv_export(tmp_path):
     # the kept samples, every 5th of the march, with their times
     net = chain3_net()
-    traj = integrate_covariance(gibbs_covariance(net, 2.0), net, HOMOGENEOUS, t_end=1.0,
-                                sample_dt=0.001, keep=slice(0, 1001, 5))
+    traj = integrate_covariance(gibbs_covariance(net, 2.0), moment_generator(net, HOMOGENEOUS),
+                                t_end=1.0, sample_dt=0.001, keep=slice(0, 1001, 5))
     f_values = np.array([lyapunov_functional(c, net) for c in traj.matrices])
     path = tmp_path / "lyapunov.csv"
     lyapunov_to_csv(traj, f_values, net, path)
@@ -387,7 +392,8 @@ def test_ode_matches_ensemble_covariance():
         ]
     )  # (runs, times, 6)
     target = gibbs_covariance(net, beta_from_params(STANDARD))
-    ode = integrate_covariance(target, net, STANDARD, t_end=t_end, sample_dt=sample_dt)
+    ode = integrate_covariance(target, moment_generator(net, STANDARD),
+                               t_end=t_end, sample_dt=sample_dt)
     for j, t in enumerate([5.0, 10.0, 20.0]):
         k_traj = int(t / sample_dt)
         x = states[:, k_traj, :]
@@ -447,8 +453,8 @@ def test_exact_covariance_matches_rk4_reference():
     rng = np.random.default_rng(8)
     g = rng.standard_normal((6, 6))
     target = gibbs_covariance(net, beta_from_params(STANDARD))
-    flow = integrate_covariance(target, net, STANDARD, t_end=5.0, sample_dt=0.5)
-    hom = integrate_covariance(g @ g.T, net, STANDARD, t_end=0.0, sample_dt=0.5,
+    flow = integrate_covariance(target, moment_generator(net, STANDARD), t_end=5.0, sample_dt=0.5)
+    hom = integrate_covariance(g @ g.T, moment_generator(net, STANDARD), t_end=0.0, sample_dt=0.5,
                                keep=slice(0, 11))
     for c0, exact, include_source in ((np.zeros((6, 6)), target - flow.matrices, True),
                                       (g @ g.T, hom.matrices, False)):
@@ -478,7 +484,8 @@ def test_exact_free_flow_without_collisions():
     rng = np.random.default_rng(6)
     g = rng.standard_normal((2 * dof, 2 * dof))
     c0 = g @ g.T
-    traj = integrate_covariance(c0, net, params, t_end=0.0, sample_dt=3.0, keep=slice(0, 11))
+    traj = integrate_covariance(c0, moment_generator(net, params),
+                                t_end=0.0, sample_dt=3.0, keep=slice(0, 11))
     for t, c in zip(traj.times, traj.matrices):
         phi = flow_matrix(net, float(t))
         want = phi @ c0 @ phi.T
@@ -493,11 +500,13 @@ def test_exact_free_flow_without_collisions():
 def test_streamed_gap_finds_the_first_grid_time():
     net = chain3_net()
     target = gibbs_covariance(net, beta_from_params(STANDARD))
-    full = integrate_covariance(target, net, STANDARD, t_end=200.0, sample_dt=0.02)
+    full = integrate_covariance(target, moment_generator(net, STANDARD),
+                                t_end=200.0, sample_dt=0.02)
     gaps = np.abs(full.matrices).max(axis=(1, 2)) / np.abs(target).max()
     assert np.array_equal(full.gaps, gaps)
     first = int(np.argmax(gaps <= 1e-6))
-    streamed = integrate_covariance(target, net, STANDARD, t_end=150.0, sample_dt=0.02,
+    streamed = integrate_covariance(target, moment_generator(net, STANDARD),
+                                    t_end=150.0, sample_dt=0.02,
                                     tol=1e-6, keep=slice(0, 1))
     assert streamed.matrices.shape == (1, 6, 6)
     assert streamed.times.size == first + 1
@@ -505,20 +514,22 @@ def test_streamed_gap_finds_the_first_grid_time():
     assert np.array_equal(streamed.gaps, gaps[: first + 1])
     # a kept sample past the hit, blocks later: the search ends at the hit, the march
     # at the sample
-    later = integrate_covariance(target, net, STANDARD, t_end=150.0, sample_dt=0.02,
+    later = integrate_covariance(target, moment_generator(net, STANDARD),
+                                 t_end=150.0, sample_dt=0.02,
                                  tol=1e-6, keep=slice(first + 2000, first + 2001))
     assert later.gaps.size == first + 1 and later.times.size == first + 2001
     assert np.array_equal(later.matrices[0], full.matrices[first + 2000])
     # without a hit the march runs to t_end and reports the last gap
-    short = integrate_covariance(target, net, STANDARD, t_end=10.0, sample_dt=0.02,
+    short = integrate_covariance(target, moment_generator(net, STANDARD),
+                                 t_end=10.0, sample_dt=0.02,
                                  tol=1e-6, keep=slice(0, 1))
     assert short.times[-1] == pytest.approx(10.0) and short.gaps[-1] > 1e-6
 
 
 def test_psd_margin_is_reported():
     net = chain3_net()
-    traj = integrate_covariance(gibbs_covariance(net, 2.0), net, STANDARD, t_end=5.0,
-                                sample_dt=0.005)
+    traj = integrate_covariance(gibbs_covariance(net, 2.0), moment_generator(net, STANDARD),
+                                t_end=5.0, sample_dt=0.005)
     assert np.linalg.eigvalsh(traj.matrices)[:, 0].min() > 0.0  # a PD start stays PD
     # the forced solution C(0) = C_G - H(0) = 0 sits on the PSD boundary
     assert -1.0 <= traj.min_psd_margin <= 1e-6
@@ -555,7 +566,7 @@ def _forced(target, net, params, t_end):
     """The symmetrised C_G, the forced samples C_G - H(t_k) of the march from it
     on a 0.02 grid, and their guard's scale floor max|L(C_G)|."""
     c_g = 0.5 * (target + target.T)
-    flow = integrate_covariance(c_g, net, params, t_end=t_end, sample_dt=0.02)
+    flow = integrate_covariance(c_g, moment_generator(net, params), t_end=t_end, sample_dt=0.02)
     rows, cols = np.triu_indices(2 * net.dof)
     floor = np.abs(moment_generator(net, params) @ c_g[rows, cols]).max()
     return c_g, c_g - flow.matrices, floor
@@ -573,7 +584,7 @@ def test_weyl_certificate_keeps_the_margin_and_clears_only_psd_samples(monkeypat
     c_g, forced, floor = _forced(target, net, STANDARD, 200.0)
     seen = _recording_eigvalsh(monkeypatch)
     bounds = _recording_anchor_bound(monkeypatch)
-    march = integrate_covariance(c_g, net, STANDARD, t_end=200.0, sample_dt=0.02,
+    march = integrate_covariance(c_g, moment_generator(net, STANDARD), t_end=200.0, sample_dt=0.02,
                                  keep=slice(0, 1))  # tol 0: the march runs to t_end
     monkeypatch.undo()
     assert march.times.size == len(forced)
@@ -611,7 +622,7 @@ def test_anchor_certificate_never_clears_a_sample_below_the_guard(n, coupling, p
     c_g, forced, floor = _forced(target, net, params, 30.0)
     with pytest.MonkeyPatch.context() as patch:
         seen = _recording_eigvalsh(patch)
-        march = integrate_covariance(c_g, net, params, t_end=30.0, sample_dt=0.02,
+        march = integrate_covariance(c_g, moment_generator(net, params), t_end=30.0, sample_dt=0.02,
                                      keep=slice(0, 0))
     checked = {m.tobytes() for m in np.concatenate(seen)}
     certified = np.array([m.tobytes() not in checked for m in forced])
@@ -633,7 +644,7 @@ def test_weyl_certificate_aborts_where_the_full_guard_does():
     c0 = target - (lam[0] + 1e-3) * np.outer(vecs[:, 0], vecs[:, 0])
     c0 = 0.5 * (c0 + c0.T)
     with pytest.raises(NumericalAbort, match="t=0 "):  # H(0) = c0 is kept
-        integrate_covariance(c0, net, STANDARD, t_end=10.0, sample_dt=0.01)
+        integrate_covariance(c0, moment_generator(net, STANDARD), t_end=10.0, sample_dt=0.01)
     rows, cols = np.triu_indices(6)
     gen = moment_generator(net, STANDARD)
     h, blocks = covariance._exact_samples(gen, c0[rows, cols], 10.0, 0.01)
@@ -642,7 +653,8 @@ def test_weyl_certificate_aborts_where_the_full_guard_does():
     first = int(np.argmax(margins < -1.0))
     assert margins.min() < -1.0 and first > 0
     with pytest.raises(NumericalAbort, match=f"at t={first * h:.6g} "):
-        integrate_covariance(c0, net, STANDARD, t_end=10.0, sample_dt=0.01, keep=slice(0, 0))
+        integrate_covariance(c0, moment_generator(net, STANDARD),
+                             t_end=10.0, sample_dt=0.01, keep=slice(0, 0))
 
 
 def test_anchor_certificate_aborts_at_the_first_sample_lost_mid_block(monkeypatch):
@@ -670,7 +682,7 @@ def test_anchor_certificate_aborts_at_the_first_sample_lost_mid_block(monkeypatc
     net = chain3_net()
     target = gibbs_covariance(net, beta_from_params(STANDARD))
     with pytest.raises(NumericalAbort, match="t=") as abort:
-        integrate_covariance(target, net, STANDARD, t_end=100.0, sample_dt=0.02,
+        integrate_covariance(target, moment_generator(net, STANDARD), t_end=100.0, sample_dt=0.02,
                              keep=slice(0, 1))
     assert "at t=18.02 (" in str(abort.value)
     (rows, bound), = bounds
@@ -682,9 +694,9 @@ def test_anchor_certificate_aborts_at_the_first_sample_lost_mid_block(monkeypatc
 
 
 def test_spectral_abscissa_complete_and_incomplete():
-    assert spectral_abscissa(chain3_net(), STANDARD) < -0.05
+    assert spectral_abscissa(moment_generator(chain3_net(), STANDARD)) < -0.05
     diag = OscillatorNetwork(2, 1, 1.0, np.diag([1.0, 4.0]))
-    assert spectral_abscissa(diag, STANDARD) > -1e-12  # neutral modes never decay
+    assert spectral_abscissa(moment_generator(diag, STANDARD)) > -1e-12  # neutral modes never decay
 
 
 # --- the covariance subcommand -------------------------------------------------------
@@ -762,8 +774,10 @@ def test_covariance_diagonalises_only_uncertified_samples(monkeypatch):
         assert (march.diagonalised, march.certified_target, march.certified_anchor) == counts
         assert sum(len(a) if a.ndim == 3 else 1 for a in seen) == matrices
         ((args, kwargs),) = calls
-        assert args[2].sigma2 == 1.0  # the config's
-        target = gibbs_covariance(cfg.network, beta_from_params(args[2]))
+        params, beta = cli._moment_params(cfg)
+        assert params.sigma2 == 1.0  # the config's
+        assert np.array_equal(args[1], moment_generator(cfg.network, params))
+        target = gibbs_covariance(cfg.network, beta)
         scale = np.abs(target).max() / np.abs(args[0]).max()
         assert scale == 2.0 ** round(math.log2(scale))
         assert np.array_equal(args[0] * scale, target)
@@ -790,6 +804,39 @@ def test_covariance_verdict_does_not_depend_on_the_velocity_variance(sigma2, tmp
     f = np.loadtxt(tmp_path / "lyapunov.csv", delimiter=",", skiprows=1)[:, 1]
     assert f[0] == pytest.approx(3.0 * sigma2, rel=1e-12)
     assert capsys.readouterr().err == ""
+
+
+def test_covariance_builds_the_moment_generator_once(monkeypatch):
+    # the spectral abscissa and the march share one L, a Python loop of dof (2 dof + 1)
+    # right-hand sides; each built its own
+    calls = []
+    build = covariance.moment_generator
+
+    def counted(*args):
+        calls.append(args)
+        return build(*args)
+
+    monkeypatch.setattr(cli, "moment_generator", counted)
+    monkeypatch.setattr(covariance, "moment_generator", counted)
+    run_covariance(load_config(CHAIN3), None)
+    assert len(calls) == 1
+
+
+def test_lyapunov_verdict_does_not_depend_on_the_velocity_variance():
+    # two uncoupled particles: F keeps its neutral mode's share, so the series sits on
+    # a roundoff plateau from F(0) = F(C_G) on. Compared absolutely with 1e-10, its
+    # largest increase read true at sigma2 1 and 1e160 and false at 1e6 and 1e20
+    raw = _chain3_at(1.0)
+    raw["network"] = {"n_particles": 2, "dim": 1, "mass": 1.0,
+                      "stiffness": {"kind": "explicit", "matrix": [[1.0, 0.0], [0.0, 4.0]]}}
+    raw["schedule"]["tau"]["rate"] = 3.0
+    verdicts = set()
+    for sigma2 in (1.0, 1e6, 1e20, 1e160):
+        raw["model"]["velocity_law"]["sigma2"] = sigma2
+        summary = run_covariance(load_config(raw), None)
+        assert summary["lyapunov_initial"] == pytest.approx(2.0 * sigma2, rel=1e-12)
+        verdicts.add(summary["checks"]["lyapunov_monotone"])
+    assert verdicts == {True}
 
 
 def test_covariance_converges_only_at_the_fixed_point(monkeypatch, tmp_path, capsys):
