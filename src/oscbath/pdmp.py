@@ -18,7 +18,8 @@ collision model's input-only jump terms for a block of steps at once, so
 each step does only the work that needs the state. A seed's grid samples
 come in fixed windows (``GridWindows``), each computed as soon as the
 seed's jumps cover it, and its embedded chain is its first post-jump
-states; ``event_passes`` collects whole runs.
+states. ``simulate_continuous`` and ``simulate_embedded`` read one seed's
+blocks the same way.
 ``Moments`` sums the grid samples for their time-averaged moments: in mode
 coordinates, from burn-in on, with the sums mapped to physical coordinates
 once per seed. Only the rows written out are transformed back.
@@ -61,7 +62,7 @@ RANK_MAX_DOF = 12
 #: legs reach. 1000 legs of the dof-12 ball's 1 + 3 coordinates make a point of 4,000
 #: and a (24, 4000) Jacobian; each leg rotates every tangent row (0.77 s; 3.0 s at 2000)
 RANK_MAX_LEGS = 1000
-#: version of the random protocol of ``event_passes``, recorded in ``simulate``'s summary
+#: version of the random protocol of ``event_blocks``, recorded in ``simulate``'s summary
 RNG_PROTOCOL = 2
 
 
@@ -306,43 +307,6 @@ class GridWindows:
             del out, states  # nor is it held here while the next block is computed
 
 
-@dataclass(frozen=True, eq=False)
-class EventPass:
-    """Mode-space states right after each jump of one seeded run.
-
-    Row k of ``modes`` holds the eigen-coordinates (qh, ph) just after jump k,
-    which happened at ``times[k]``; row 0 is the start at time 0. ``events``
-    counts the jumps in [0, t_end].
-    """
-
-    net: OscillatorNetwork
-    modes: np.ndarray
-    times: np.ndarray
-    events: int
-    seed: int
-
-    def chain(self, n_steps: int) -> EmbeddedChain:
-        """The first n_steps post-jump states in physical coordinates."""
-        dof = self.net.dof
-        rows = self.modes[: n_steps + 1]
-        states = self.net.from_modes(rows[:, :dof], rows[:, dof:])
-        return EmbeddedChain(
-            states=states, jump_times=self.times[1 : n_steps + 1].copy(), seed=self.seed
-        )
-
-    def trajectory(self, sample_dt: float, size: int, first: int = 0, physical: bool = False):
-        """The ``GridWindows`` blocks of this pass's jumps in [0, t_end]: (times, modes, states).
-
-        The jumps go in ``EVENT_BLOCK`` at a time, as ``simulate`` adds them,
-        so that each window's leftover jumps are few.
-        """
-        grid, end = GridWindows(self.net, self.modes[0], sample_dt, size, first, physical), self.events + 1
-        for k in range(1, end, EVENT_BLOCK):
-            yield from grid.add(self.times[k : min(k + EVENT_BLOCK, end)],
-                                self.modes[k : min(k + EVENT_BLOCK, end)])
-        yield from grid.close()
-
-
 def _streams(seed: int, n_laws: int) -> list:
     """One seed's generators: child 0 of ``SeedSequence(seed)`` for the waits, then one per input law."""
     return [np.random.default_rng(child) for child in np.random.SeedSequence(seed).spawn(1 + n_laws)]
@@ -455,47 +419,6 @@ def event_blocks(
         raise NumericalAbort(abort)
 
 
-def event_passes(
-    net: OscillatorNetwork,
-    model: CollisionModel,
-    tau_law,
-    psi0: PhaseState,
-    t_end: float,
-    n_steps: int,
-    seeds: tuple,
-) -> list:
-    """One ``EventPass`` per seed, in the order given: the blocks of ``event_blocks`` collected.
-
-    The seeds' rows go into (seeds, steps + 1) arrays sized for the expected
-    count (``event_estimate``) and grown by half when a run outlasts it, so
-    the collected record is held once: blocks copied into a list and joined
-    at the end would peak at twice the record.
-    Aborts as ``event_blocks`` does.
-    """
-    size = max(n_steps, event_estimate(t_end, tau_law.mean)) + 1
-    times, modes = np.zeros((len(seeds), size)), np.empty((len(seeds), size, 2 * net.dof))
-    modes[:, 0] = np.concatenate(net.to_modes(psi0.vector))
-    counts, events, done = np.zeros(len(seeds), dtype=int), np.zeros(len(seeds), dtype=int), 0
-    for block_times, block_modes, steps, block_events in event_blocks(net, model, tau_law, psi0,
-                                                                      t_end, n_steps, seeds):
-        b = block_times.shape[1]
-        if done + b >= times.shape[1]:  # a run outlasts the estimate
-            grow = max(done + b + 1, times.shape[1] * 3 // 2) - times.shape[1]
-            times = np.pad(times, ((0, 0), (0, grow)))
-            modes = np.pad(modes, ((0, 0), (0, grow), (0, 0)))
-        rows = slice(done + 1, done + b + 1)
-        times[:, rows], modes[:, rows] = block_times, block_modes
-        counts += steps
-        events += block_events
-        done += b
-        del block_times, block_modes  # not held while the next block is computed
-    passes = []
-    for s, (seed, k) in enumerate(zip(seeds, counts)):
-        passes.append(EventPass(net=net, modes=modes[s, : k + 1], times=times[s, : k + 1],
-                                events=int(events[s]), seed=seed))
-    return passes
-
-
 def simulate_embedded(
     net: OscillatorNetwork,
     model: CollisionModel,
@@ -506,13 +429,22 @@ def simulate_embedded(
 ) -> EmbeddedChain:
     """Run the post-collision chain psi_m = J(xi_m; e^{tau_m A} psi_{m-1}).
 
-    Reproducible per seed, with the draws of ``event_passes``. Aborts with
-    the step index if the state overflows.
+    The first n_steps post-jump mode states of ``event_blocks``, for this
+    seed, transformed back once. Aborts with the step index if the state
+    overflows.
     """
     if n_steps < 1:
         raise ValueError("n_steps must be >= 1")
-    [run] = event_passes(net, model, tau_law, psi0, -np.inf, n_steps, (seed,))
-    return run.chain(n_steps)
+    dof = net.dof
+    times, modes, done = np.empty(n_steps), np.empty((n_steps + 1, 2 * dof)), 0
+    modes[0] = np.concatenate(net.to_modes(psi0.vector))
+    for block_times, block_modes, _, _ in event_blocks(net, model, tau_law, psi0, -np.inf,
+                                                       n_steps, (seed,)):
+        b = block_times.shape[1]  # at t_end = -inf a seed takes n_steps steps, no more
+        times[done : done + b], modes[done + 1 : done + b + 1] = block_times[0], block_modes[0]
+        done += b
+    return EmbeddedChain(states=net.from_modes(modes[:, :dof], modes[:, dof:]), jump_times=times,
+                         seed=seed)
 
 
 def simulate_continuous(
@@ -532,14 +464,25 @@ def simulate_continuous(
     """
     if not 0 < sample_dt <= t_end:
         raise ValueError("need 0 < sample_dt <= t_end")
-    [run] = event_passes(net, model, tau_law, psi0, t_end, 0, (seed,))
     size = grid_size(t_end, sample_dt)
-    times, states = np.empty(size), np.empty((size, 2 * net.dof))
+    grid = GridWindows(net, np.concatenate(net.to_modes(psi0.vector)), sample_dt, size,
+                       physical=True)
+    times, states, events = np.empty(size), np.empty((size, 2 * net.dof)), 0
+
+    def blocks():  # the grid's blocks, each as soon as this seed's jumps in [0, t_end] fix it
+        nonlocal events
+        for block_times, block_modes, _, block_events in event_blocks(net, model, tau_law, psi0,
+                                                                      t_end, 0, (seed,)):
+            k = int(block_events[0])
+            events += k
+            yield from grid.add(block_times[0, :k], block_modes[0, :k])
+        yield from grid.close()
+
     # GRID_BLOCK rows per block, the last fewer
-    for k, (t, _, x) in enumerate(run.trajectory(sample_dt, size, physical=True)):
+    for k, (t, _, x) in enumerate(blocks()):
         times[k * GRID_BLOCK : (k + 1) * GRID_BLOCK] = t
         states[k * GRID_BLOCK : (k + 1) * GRID_BLOCK] = x
-    return Trajectory(times=times, states=states, events=run.events, seed=seed)
+    return Trajectory(times=times, states=states, events=events, seed=seed)
 
 
 @dataclass(frozen=True, eq=False)

@@ -4,8 +4,10 @@
 loops (and the stepping engine they shared) that ``oscbath.pdmp`` used to
 run, so tests can assert that the single event pass reproduces them bit for
 bit. They draw under random protocol 2 one value per event, with scalar
-``sample(rng)`` calls (``_draws``), where the engine draws blocks. ``jump``
-holds the three one-row jump maps from before the maps took stacks, and
+``sample(rng)`` calls (``_draws``), where the engine draws blocks.
+``whole_passes`` joins the engine's blocks into whole per-seed runs, for
+tests that compare runs whole. ``jump`` holds the three one-row jump maps
+from before the maps took stacks, and
 ``drift_estimate`` the Monte Carlo loop that kicked one draw per call, with
 those one-row maps and the mode-space energy it used; it kicks the rows of
 the package's own input block (``laws.sample_columns`` over the laws of
@@ -42,7 +44,7 @@ from oscbath.collisions import CollisionModel, ContractiveAffine, OneDimElastic,
 from oscbath.errors import NumericalAbort
 from oscbath.laws import UniformAngle, sample_columns
 from oscbath.network import OscillatorNetwork, PhaseState, _mode_flow
-from oscbath.pdmp import DriftEstimate, EmbeddedChain, Trajectory, _kick
+from oscbath.pdmp import DriftEstimate, EmbeddedChain, Trajectory, _kick, event_blocks
 
 
 # --- exact free flow ----------------------------------------------------------------
@@ -397,6 +399,22 @@ def simulate_continuous(
     states[:, :dof] = qh_s @ engine.modes.T
     states[:, dof:] = ph_s @ engine.modes.T
     return Trajectory(times=times, states=states, events=events, seed=seed)
+
+
+def whole_passes(net, model, tau_law, psi0, t_end, n_steps, seeds) -> list:
+    """Each seed's whole run of ``pdmp.event_blocks``, joined from copies of its blocks.
+
+    One (times, modes, events) per seed, in the order given: the jump times
+    and post-jump mode states of its steps, row 0 the start at time 0, and
+    its events in [0, t_end]. Aborts as ``event_blocks`` does.
+    """
+    blocks = [(t.copy(), m.copy(), k.copy(), e.copy())
+              for t, m, k, e in event_blocks(net, model, tau_law, psi0, t_end, n_steps, seeds)]
+    start = np.concatenate(net.to_modes(psi0.vector))
+    return [(np.concatenate([[0.0]] + [t[s, : k[s]] for t, _, k, _ in blocks]),
+             np.concatenate([start[None]] + [m[s, : k[s]] for _, m, k, _ in blocks]),
+             sum(int(e[s]) for *_, e in blocks))
+            for s in range(len(seeds))]
 
 
 # --- the per-draw Monte Carlo loop --------------------------------------------

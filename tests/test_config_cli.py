@@ -1,5 +1,6 @@
 import copy
 import io
+import itertools
 import json
 import warnings
 from pathlib import Path
@@ -7,6 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from _reference_engine import whole_passes
 from oscbath import cli
 from oscbath.cli import (
     _chain_entries,
@@ -25,7 +27,7 @@ from oscbath.errors import ConfigError, NumericalAbort
 from oscbath.laws import GaussianVelocity
 from oscbath.network import chain_stiffness
 from oscbath.pdmp import (EVENT_LOOP_MAX_S, GRID_BLOCK, GRID_MAX_ROWS, RECORD_MAX_BYTES, SEED_STEP_S,
-                          STEP_S, Moments, event_passes, grid_index, grid_size)
+                          STEP_S, GridWindows, Moments, grid_index, grid_size)
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
@@ -192,23 +194,25 @@ def test_summary_config_roundtrip_reproduces_run(tmp_path):
     )
 
 
-def _whole_pass_stats(cfg, run, csv=None):
-    """One seed's entry and ``Moments`` from its whole ``EventPass``, not from streamed blocks."""
+def _whole_pass_stats(cfg, seed, run, csv=None):
+    """One seed's entry and ``Moments`` from its whole ``whole_passes`` run, added to its grid at once."""
+    times, modes, events = run
     first = 0 if csv is not None else grid_index(cfg.burn_in, cfg.sample_dt)
-    blocks = run.trajectory(cfg.sample_dt, grid_size(cfg.t_end, cfg.sample_dt), first,
-                            physical=csv is not None)
-    [chain] = _chain_entries(cfg, run.modes[None, : cfg.n_steps + 1], [run.times[cfg.n_steps]])
-    return _seed_entry(cfg, run.seed, run.events, _seed_stats(cfg, Moments(), blocks, csv), chain)
+    grid = GridWindows(cfg.network, modes[0], cfg.sample_dt, grid_size(cfg.t_end, cfg.sample_dt),
+                       first, physical=csv is not None)
+    blocks = itertools.chain(grid.add(times[1 : events + 1], modes[1 : events + 1]), grid.close())
+    [chain] = _chain_entries(cfg, modes[None, : cfg.n_steps + 1], [times[cfg.n_steps]])
+    return _seed_entry(cfg, seed, events, _seed_stats(cfg, Moments(), blocks, csv), chain)
 
 
 def test_pooled_is_the_left_fold_of_the_seeds_moments_in_seed_order():
     # the summary's bits rest on this summation order
     cfg = load_config(base_config(seeds=[2, 0, 1]))
-    runs = event_passes(cfg.network, cfg.model, cfg.tau_law, cfg.psi0, cfg.t_end,
+    runs = whole_passes(cfg.network, cfg.model, cfg.tau_law, cfg.psi0, cfg.t_end,
                         cfg.n_steps, cfg.seeds)
     folded = Moments()
-    for run in sorted(runs, key=lambda run: run.seed):
-        folded += _whole_pass_stats(cfg, run)[1]
+    for seed, run in sorted(zip(cfg.seeds, runs), key=lambda pair: pair[0]):
+        folded += _whole_pass_stats(cfg, seed, run)[1]
     pooled = run_simulate(cfg, None)["pooled"]
     assert pooled["n_samples"] == folded.n
     assert pooled["mean"].tobytes() == folded.mean.tobytes()
@@ -225,10 +229,10 @@ def test_n_samples_counts_the_grid_times_from_burn_in(burn_in):
     cfg = load_config(base_config(t_end=1100.1, sample_dt=0.25, burn_in=burn_in, seeds=[0]))
     size = grid_size(cfg.t_end, cfg.sample_dt)
     assert size > GRID_BLOCK and size % GRID_BLOCK
-    [run] = event_passes(cfg.network, cfg.model, cfg.tau_law, cfg.psi0, cfg.t_end,
+    [run] = whole_passes(cfg.network, cfg.model, cfg.tau_law, cfg.psi0, cfg.t_end,
                          cfg.n_steps, cfg.seeds)
-    entry, moments = _whole_pass_stats(cfg, run)
-    written, written_moments = _whole_pass_stats(cfg, run, io.StringIO())
+    entry, moments = _whole_pass_stats(cfg, 0, run)
+    written, written_moments = _whole_pass_stats(cfg, 0, run, io.StringIO())
     expected = np.count_nonzero(np.arange(size) * cfg.sample_dt >= burn_in)
     assert entry["n_samples"] == moments.n == expected
     assert entry == written
@@ -755,8 +759,8 @@ def test_cli_numerical_abort_exits_3_with_one_strict_json_line(tmp_path, capsys,
         ({"seeds": [2, -1]}, [], "run.seeds"),  # numpy's default_rng raised ValueError
         ({}, ["--seeds", "-1"], "run.seeds"),
         ({}, ["--seeds=-2..1"], "run.seeds"),
-        # 10**12 steps: event_passes' buffers raised MemoryError at once, with no
-        # large allocation; the config is refused before any is tried
+        # 10**12 steps: the event record's buffers raised MemoryError at once, with
+        # no large allocation; the config is refused before any is tried
         ({"n_steps": 10**12}, [], "run.n_steps"),
         # about 1e9 events per seed: the draw loop would have run for hours, growing
         # its record toward 144 GB for the two seeds

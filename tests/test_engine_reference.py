@@ -39,11 +39,11 @@ from oscbath.network import OscillatorNetwork, PhaseState, chain_stiffness, ener
 from oscbath.pdmp import (
     GRID_BLOCK,
     STEP_BLOCK,
+    GridWindows,
     _kick,
     _kick_rows,
     drift_estimate,
     event_estimate,
-    event_passes,
     grid_size,
     reachability_jacobian,
     simulate_continuous,
@@ -159,28 +159,33 @@ def _inf_at(model, k):
     return dataclasses.replace(model, **{field: InfAt(model.dim, k)})
 
 
-def _assert_run_matches(run, net, model, tau_law, psi0, t_end, dt, n_steps):
-    """One seed's pass: its grid blocks and first n_steps chain states against the former loops."""
-    old = ref.simulate_continuous(net, model, tau_law, psi0, t_end, dt, run.seed)
-    old_chain = ref.simulate_embedded(net, model, tau_law, psi0, n_steps, run.seed)
-    assert run.events == old.events
-    start = 0
-    for times, modes, states in run.trajectory(dt, grid_size(t_end, dt), physical=True):
-        assert 0 < len(times) == len(modes) == len(states) <= GRID_BLOCK
-        assert np.array_equal(times, old.times[start : start + len(times)])
-        assert np.array_equal(states, old.states[start : start + len(times)])
-        start += len(times)
+def _assert_run_matches(run, seed, net, model, tau_law, psi0, t_end, dt, n_steps):
+    """One seed's ``ref.whole_passes`` run: its grid blocks and chain against the former loops."""
+    times, modes, events = run
+    old = ref.simulate_continuous(net, model, tau_law, psi0, t_end, dt, seed)
+    old_chain = ref.simulate_embedded(net, model, tau_law, psi0, n_steps, seed)
+    assert events == old.events
+    grid, start = GridWindows(net, modes[0], dt, grid_size(t_end, dt), physical=True), 0
+    jumps = grid.add(times[1 : events + 1], modes[1 : events + 1])
+    for block_times, block_modes, states in itertools.chain(jumps, grid.close()):
+        assert 0 < len(block_times) == len(block_modes) == len(states) <= GRID_BLOCK
+        assert np.array_equal(block_times, old.times[start : start + len(block_times)])
+        assert np.array_equal(states, old.states[start : start + len(block_times)])
+        start += len(block_times)
     assert start == len(old.times)
-    chain = run.chain(n_steps)
-    assert np.array_equal(chain.states, old_chain.states)
-    assert np.array_equal(chain.jump_times, old_chain.jump_times)
-    return old, old_chain, chain
+    rows, dof = modes[: n_steps + 1], net.dof
+    assert np.array_equal(net.from_modes(rows[:, :dof], rows[:, dof:]), old_chain.states)
+    assert np.array_equal(times[1 : n_steps + 1], old_chain.jump_times)
+    return old, old_chain
 
 
 def _assert_same(net, model, tau_law, psi0, t_end, dt, n_steps, seed):
-    """One pass's grid blocks and chain against the former loops; returns (pass, chain)."""
-    [run] = event_passes(net, model, tau_law, psi0, t_end, n_steps, (seed,))
-    old, old_chain, chain = _assert_run_matches(run, net, model, tau_law, psi0, t_end, dt, n_steps)
+    """One pass's grid blocks and chain against the former loops, and the library's own.
+
+    Returns the ``simulate_continuous`` and ``simulate_embedded`` results.
+    """
+    [run] = ref.whole_passes(net, model, tau_law, psi0, t_end, n_steps, (seed,))
+    old, old_chain = _assert_run_matches(run, seed, net, model, tau_law, psi0, t_end, dt, n_steps)
     alone = simulate_embedded(net, model, tau_law, psi0, n_steps, seed)
     assert np.array_equal(alone.states, old_chain.states)
     assert np.array_equal(alone.jump_times, old_chain.jump_times)
@@ -188,7 +193,7 @@ def _assert_same(net, model, tau_law, psi0, t_end, dt, n_steps, seed):
     assert plain.events == old.events
     assert np.array_equal(plain.times, old.times)
     assert np.array_equal(plain.states, old.states)
-    return run, chain
+    return plain, alone
 
 
 @pytest.mark.parametrize("pairing", sorted(PAIRINGS))
@@ -239,15 +244,16 @@ def test_step_block_edges_match_reference_loops(pairing, steps):
     # three seeds with unequal event counts, so seeds ride along after their last event
     net, model, tau_law = PAIRINGS[pairing]()
     psi0, seeds = _psi0(net), (0, 1, 2)
-    long = event_passes(net, model, tau_law, psi0, -np.inf, steps + 1, seeds)
+    long = ref.whole_passes(net, model, tau_law, psi0, -np.inf, steps + 1, seeds)
     # a horizon by which the seed that jumps most has made `steps` jumps
-    t_end = 0.5 * (min(run.times[steps] for run in long) + min(run.times[steps + 1] for run in long))
-    runs = event_passes(net, model, tau_law, psi0, t_end, 0, seeds)
-    counts = [run.times.size - 1 for run in runs]
+    t_end = 0.5 * (min(times[steps] for times, _, _ in long) +
+                   min(times[steps + 1] for times, _, _ in long))
+    runs = ref.whole_passes(net, model, tau_law, psi0, t_end, 0, seeds)
+    counts = [len(times) - 1 for times, _, _ in runs]
     assert max(counts) == steps and len(set(counts)) > 1
-    for run, count in zip(runs, counts):
-        assert run.events == count
-        _assert_run_matches(run, net, model, tau_law, psi0, t_end, 0.5, count)
+    for seed, run, count in zip(seeds, runs, counts):
+        assert run[2] == count
+        _assert_run_matches(run, seed, net, model, tau_law, psi0, t_end, 0.5, count)
 
 
 def _message(fn):
@@ -277,7 +283,7 @@ def test_abort_reports_the_same_event(pairing, k):
         return _inf_at(model, k)
 
     expected = _message(lambda: _reference_seed(net, inf_model, tau_law, psi0, 8.0, 0.25, 40))
-    got = _message(lambda: event_passes(net, inf_model(), tau_law, psi0, 8.0, 40, (4,)))
+    got = _message(lambda: ref.whole_passes(net, inf_model(), tau_law, psi0, 8.0, 40, (4,)))
     assert got == expected
     if k <= events:
         assert got == _message(
@@ -303,7 +309,7 @@ def test_abort_in_a_later_step_block_reports_the_same_event(pairing):
 
     n_steps = 2 * STEP_BLOCK
     expected = _message(lambda: _reference_seed(net, inf_model, tau_law, psi0, 8.0, 0.25, n_steps))
-    got = _message(lambda: event_passes(net, inf_model(), tau_law, psi0, 8.0, n_steps, (4,)))
+    got = _message(lambda: ref.whole_passes(net, inf_model(), tau_law, psi0, 8.0, n_steps, (4,)))
     assert got == expected
     assert got.endswith(f"at step {k}")
 

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from _reference_engine import propagate
+from _reference_engine import propagate, whole_passes
 from oscbath.collisions import ContractiveAffine, OneDimElastic, TwoDimBall
 from oscbath.covariance import beta_from_params, MomentParams
 from oscbath.csvfmt import CSV_VALUES, csv_rows, write_csv_rows
@@ -22,7 +22,8 @@ from oscbath.network import (
 from oscbath.pdmp import (
     Moments,
     drift_estimate,
-    event_passes,
+    event_block,
+    event_blocks,
     jacobian_rank_probe,
     reachability_jacobian,
     record_bytes,
@@ -207,50 +208,72 @@ def test_batch_passes_equal_single_seed_passes(model, dim):
     rng = np.random.default_rng(1)
     psi0 = PhaseState(q=rng.standard_normal(net.dof), p=rng.standard_normal(net.dof))
     seeds = (4, 0, 9, 2)
-    batch = event_passes(net, model, tau_law, psi0, 120.0, 40, seeds)
-    assert len({run.times.size for run in batch}) > 1
-    for seed, run in zip(seeds, batch):
-        [alone] = event_passes(net, model, tau_law, psi0, 120.0, 40, (seed,))
-        assert run.seed == seed and run.events == alone.events > 16
-        assert np.array_equal(run.times, alone.times)
-        assert np.array_equal(run.modes, alone.modes)
+    batch = whole_passes(net, model, tau_law, psi0, 120.0, 40, seeds)
+    assert len({times.size for times, _, _ in batch}) > 1
+    for seed, (times, modes, events) in zip(seeds, batch):
+        [(alone_times, alone_modes, alone_events)] = whole_passes(net, model, tau_law, psi0,
+                                                                  120.0, 40, (seed,))
+        assert events == alone_events > 16
+        assert np.array_equal(times, alone_times)
+        assert np.array_equal(modes, alone_modes)
 
 
-def test_event_passes_holds_no_python_float_per_draw():
-    # chain3-events at T = 5000: the tracemalloc peak is 0.91 of record_bytes at
-    # the largest count (the mode states dominate it). Holding every seed's draws
-    # as Python floats (32 bytes each with the list slot) until the buffers are
-    # filled peaks at 1.13; the parent's capacity-guessed buffers at 0.90.
-    net, model, tau_law = elastic_setup()
-    seeds = tuple(range(16))
-    event_passes(net, model, tau_law, PhaseState.zero(3), 50.0, 10, seeds)  # warm caches
+def _drained_peak(net, model, tau_law, psi0, t_end, n_steps, seeds):
+    """The tracemalloc peak of reading every block of ``event_blocks`` and keeping none."""
+    for _ in event_blocks(net, model, tau_law, psi0, 50.0, 10, seeds):  # warm caches
+        pass
     tracemalloc.start()
     try:
-        runs = event_passes(net, model, tau_law, PhaseState.zero(3), 5000.0, 1000, seeds)
-        peak = tracemalloc.get_traced_memory()[1]
+        for _ in event_blocks(net, model, tau_law, psi0, t_end, n_steps, seeds):
+            pass
+        return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    largest = max(run.times.size - 1 for run in runs)
-    assert peak < 1.0 * record_bytes(net, model, largest, len(seeds))
 
 
-def test_event_passes_holds_no_python_float_per_draw_on_ball_shapes():
-    # ball-lattice-grid's shapes (dof 12, xi_dim 3, 2 seeds) at twice its horizon:
-    # the peak is 0.98 of record_bytes. The step blocks' scratch is a fixed
-    # 80 kB, 0.017 here. Keeping the last seed's draw array through the steps
-    # peaks at 1.04.
+def test_event_blocks_holds_no_python_float_per_draw():
+    # chain3-events' shapes at T = 5000 and 8 times it: the peak is 1.34 of one
+    # block's record_bytes at both (the mode states dominate it). Holding a block's
+    # waits as Python floats (32 bytes each with the list slot) until its buffers
+    # are filled peaks at 1.56, its inputs at 2.5.
+    net, model, tau_law = elastic_setup()
+    seeds = tuple(range(16))
+    for t_end in (5000.0, 4.0e4):
+        block = event_block(t_end, tau_law.mean, 1000)
+        peak = _drained_peak(net, model, tau_law, PhaseState.zero(3), t_end, 1000, seeds)
+        assert peak < 1.45 * record_bytes(net, model, block, len(seeds))
+
+
+def test_event_blocks_holds_no_python_float_per_draw_on_ball_shapes():
+    # ball-lattice-grid's shapes (dof 12, xi_dim 3, 2 seeds) at twice its horizon and
+    # 8 times that: the peak is 1.38 and 1.41 of one block's record_bytes. The step
+    # blocks' scratch is a fixed 80 kB, 0.34 of it. Holding a block's inputs as
+    # Python floats peaks at 2.2; its waits, a quarter of the draws, at 1.5, which
+    # the chain3 bound above catches.
     net = OscillatorNetwork(6, 2, 1.0, np.kron(chain_stiffness(6), np.eye(2)))
     model, tau_law = TwoDimBall(external_mass=0.5), GammaLaw(2.0, 1.0)
     seeds = (0, 1)
-    event_passes(net, model, tau_law, PhaseState.zero(12), 50.0, 10, seeds)  # warm caches
-    tracemalloc.start()
-    try:
-        runs = event_passes(net, model, tau_law, PhaseState.zero(12), 2.0e4, 10, seeds)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    largest = max(run.times.size - 1 for run in runs)
-    assert peak < 1.0 * record_bytes(net, model, largest, len(seeds))
+    for t_end in (2.0e4, 1.6e5):
+        block = event_block(t_end, tau_law.mean, 10)
+        peak = _drained_peak(net, model, tau_law, PhaseState.zero(12), t_end, 10, seeds)
+        assert peak < 1.6 * record_bytes(net, model, block, len(seeds))
+
+
+def test_simulate_continuous_peak_does_not_grow_with_the_horizon():
+    # 81 grid rows at t_end 5000 and at 8 times it: the peak is 120 and 126 kB.
+    # Collecting the whole event record before sampling the grid peaked at 0.38
+    # and 2.37 MB.
+    net, model, tau_law = elastic_setup()
+    simulate_continuous(net, model, tau_law, PhaseState.zero(3), 50.0, 1.0, 0)  # warm caches
+    peaks = []
+    for t_end in (5000.0, 4.0e4):
+        tracemalloc.start()
+        try:
+            simulate_continuous(net, model, tau_law, PhaseState.zero(3), t_end, t_end / 80, 0)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] < 1.2 * peaks[0]
 
 
 # --- observables ---------------------------------------------------------------
