@@ -15,6 +15,7 @@ bitwise-identical outputs.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import functools
 import json
 import math
@@ -268,11 +269,10 @@ def run_simulate(cfg: ExperimentConfig, out_dir: Path | None, workers: int = 1) 
             csv_path.unlink(missing_ok=True)
         raise
 
-    comparison = None
-    checks = {}
+    covariance, comparison, checks = pooled.covariance, None, {}
     if beta is not None:
         target = gibbs_covariance(cfg.network, beta)
-        diff = pooled.covariance - target
+        diff = covariance - target
         diag = np.diag(target)
         max_rel = float(np.abs(np.diag(diff) / diag).max())
         std_err = max_z = None  # one seed has no spread to compare against
@@ -298,7 +298,7 @@ def run_simulate(cfg: ExperimentConfig, out_dir: Path | None, workers: int = 1) 
     fields = {
         "rng_protocol": RNG_PROTOCOL,
         "per_seed": list(per_seed),
-        "pooled": {"n_samples": pooled.n, "mean": pooled.mean, "covariance": pooled.covariance},
+        "pooled": {"n_samples": pooled.n, "mean": pooled.mean, "covariance": covariance},
         "comparison": comparison,
     }
     return _report(cfg, "simulate", fields, checks, out_dir, "summary.json")
@@ -444,7 +444,7 @@ def run_dissipative(cfg: ExperimentConfig, out_dir: Path | None) -> dict:
         "l0_invariance": dis.l0_invariance,
         "multiplicity_bound": dis.multiplicity_bound,
     }
-    return _report(cfg, "dissipative", dis.to_dict(), checks, out_dir)
+    return _report(cfg, "dissipative", dataclasses.asdict(dis), checks, out_dir)
 
 
 # ---------------------------------------------------------------------------

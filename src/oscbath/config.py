@@ -22,12 +22,11 @@ G G^T + 1e-6 I draw). Velocity-law kinds: "gaussian" {sigma2}, "uniform"
 ``ExperimentConfig.tau_law``, a law of :mod:`oscbath.laws` whose constructor
 also requires the finite positive mean that the event loop sizes its draws
 by. ``run.n_steps`` is the post-collision chain length summarized per seed.
-Neither the seeds, nor the n_steps post-jump states that ``simulate`` keeps of
-each, nor the block of events and the grid window's jumps that it holds of
-each at once (``pdmp.stream_bytes``) may need more than
-``pdmp.RECORD_MAX_BYTES`` of event record, nor the network more than
-``pdmp.NETWORK_MAX_DOF`` degrees of freedom. What ``simulate`` holds does
-not grow with ``run.t_end`` or ``run.sample_dt``. Two bounds keep a run's
+What ``simulate`` holds at once may not pass ``pdmp.RECORD_MAX_BYTES``
+(``pdmp.held_bytes``: each seed's n_steps + 1 post-jump rows, its block of
+events and its grid window's jumps, and one window of rows); it does not
+grow with ``run.t_end`` or ``run.sample_dt``. Nor may the network have more
+than ``pdmp.NETWORK_MAX_DOF`` degrees of freedom. Two bounds keep a run's
 time in bounds: the lockstep steps that ``run.t_end`` and ``run.n_steps``
 lead one to expect may cost at most ``pdmp.EVENT_LOOP_MAX_S`` at
 ``pdmp.STEP_S`` per step and ``pdmp.SEED_STEP_S`` per seed and step, and
@@ -53,13 +52,13 @@ from .collisions import ContractiveAffine, OneDimElastic, TwoDimBall
 from .errors import ConfigError
 from .network import OscillatorNetwork, PhaseState, chain_stiffness
 from .pdmp import (EVENT_LOOP_MAX_S, GRID_MAX_ROWS, NETWORK_MAX_DOF, RECORD_MAX_BYTES, SEED_STEP_S,
-                   STEP_S, event_estimate, grid_size, record_bytes, stream_bytes)
+                   STEP_S, event_estimate, grid_size, held_bytes)
 from .spectral import random_pd_matrix
 
 
 _REQUIRED = object()
-#: most seeds a config can load: each seed's event record holds at least 16 events
-#: (``event_estimate``) of at least 5 doubles (``record_bytes``), within ``RECORD_MAX_BYTES``
+#: most seeds a config can load, an upper bound: ``held_bytes`` counts per seed at least a
+#: block of 16 events (``event_estimate``) of 5 doubles each, within ``RECORD_MAX_BYTES``
 MAX_SEEDS = RECORD_MAX_BYTES // (event_estimate(0.0, 1.0) * 5 * 8)
 
 
@@ -275,13 +274,14 @@ def load_config(source) -> ExperimentConfig:
         raise ConfigError("need 0 <= run.burn_in < run.t_end")
     if n_steps < 1:
         raise ConfigError("run.n_steps must be >= 1")
-    least = event_estimate(0.0, tau_law.mean)  # the smallest record a seed needs
-    if record_bytes(net, model, least, len(seeds)) > RECORD_MAX_BYTES:
-        raise ConfigError(f"run.seeds lists {len(seeds)} seeds, more than {RECORD_MAX_BYTES} bytes "
-                          f"of event record at even {least} events per seed")
-    if record_bytes(net, model, n_steps, len(seeds)) > RECORD_MAX_BYTES:
-        raise ConfigError(f"run.n_steps = {n_steps} needs more than {RECORD_MAX_BYTES} bytes "
-                          f"of event record for {len(seeds)} seeds")
+    chain, rest = held_bytes(net, model, tau_law.mean, t_end, sample_dt, n_steps, len(seeds))
+    if chain + rest > RECORD_MAX_BYTES:  # the larger part names its field
+        n = len(seeds)
+        knob = (f"run.n_steps = {n_steps} for {n} seeds needs" if chain > rest
+                else f"run.seeds lists {n} seeds,")
+        raise ConfigError(f"{knob} more than {RECORD_MAX_BYTES} bytes of event blocks, grid windows and "
+                          f"chain rows ({chain} of chain rows) at run.t_end = {t_end!r} and "
+                          f"run.sample_dt = {sample_dt!r}")
     steps = max(t_end / tau_law.mean, n_steps)  # lockstep steps: a seed's expected events or chain
     if steps * (STEP_S + len(seeds) * SEED_STEP_S) > EVENT_LOOP_MAX_S:
         knob = f"run.t_end = {t_end!r}" if steps > n_steps else f"run.n_steps = {n_steps}"
@@ -291,10 +291,6 @@ def load_config(source) -> ExperimentConfig:
     if len(seeds) * rows > GRID_MAX_ROWS:
         raise ConfigError(f"run.sample_dt = {sample_dt!r} gives {rows:.4g} grid rows per seed, "
                           f"more than {GRID_MAX_ROWS} for {len(seeds)} seeds")
-    if stream_bytes(net, model, tau_law.mean, t_end, sample_dt, n_steps, len(seeds)) > RECORD_MAX_BYTES:
-        raise ConfigError(f"run.seeds lists {len(seeds)} seeds, more than {RECORD_MAX_BYTES} bytes "
-                          f"of event blocks and grid windows at run.t_end = {t_end!r} and "
-                          f"run.sample_dt = {sample_dt!r}")
     last_sample = (grid_size(t_end, sample_dt) - 1) * sample_dt
     if burn_in > last_sample:  # the moments would average no sample
         raise ConfigError(f"need run.burn_in <= {last_sample!r}, the last grid time "

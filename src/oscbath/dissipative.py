@@ -18,7 +18,7 @@ frequencies, skipped (None) where even the +-1 box exceeds the search cap.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -48,19 +48,6 @@ class DissipativeReport:
     clustering_ambiguous: bool
     multiplicity_bound: bool  # complete implies every multiplicity <= #contact sites
     l0_invariance: bool  # L_0 states keep the contact momenta at zero; generic ones do not
-
-    def to_dict(self) -> dict:
-        d = asdict(self)
-        d["eigenvalues"] = [float(x) for x in self.eigenvalues]
-        d["contact_sites"] = list(self.contact_sites)
-        d["eigen_multiplicities"] = list(self.eigen_multiplicities)
-        d["spectral_projection_dims"] = list(self.spectral_projection_dims)
-        d["independence_witness"] = (
-            None
-            if self.independence_witness is None
-            else [int(x) for x in self.independence_witness]
-        )
-        return d
 
 
 def _cluster_eigenvalues(eigenvalues: np.ndarray, tol: float):

@@ -143,9 +143,8 @@ STEP_BLOCK = 64
 #: it. On 16 chain3 seeds at t_end 5000 (2 vCPUs), 256 and 128 peaked 0.2 MiB lower and ran 4%
 #: and 8% longer; each doubling above 512 ran under 1% faster and peaked about 1 MiB higher
 EVENT_BLOCK = 512
-#: largest event record that a config may ask for: 16 events per seed (the seed count's
-#: bound), each seed's first n_steps post-jump states, which ``simulate`` keeps, or what
-#: ``simulate`` holds at once of its event blocks and grid windows (``stream_bytes``)
+#: most bytes that a config may ask ``simulate`` to hold at once, its chain rows, event blocks
+#: and grid windows together (``held_bytes``)
 RECORD_MAX_BYTES = 1 << 30
 #: most grid rows over all seeds that a config may ask ``simulate`` to reduce: about
 #: 30 s at the 0.26-0.3 s per 1e6 rows measured on chain3 (2 vCPUs), four times its t_end 2e5 run
@@ -184,17 +183,22 @@ def event_block(t_end: float, tau_mean: float, n_steps: int) -> int:
     return min(EVENT_BLOCK, max(n_steps, event_estimate(t_end, tau_mean)))
 
 
-def stream_bytes(net: OscillatorNetwork, model: CollisionModel, tau_mean: float, t_end: float,
-                 sample_dt: float, n_steps: int, n_seeds: int) -> int:
-    """Bytes ``simulate`` holds at once of its event blocks and grid windows, as ``record_bytes``.
+def held_bytes(net: OscillatorNetwork, model: CollisionModel, tau_mean: float, t_end: float,
+               sample_dt: float, n_steps: int, n_seeds: int) -> tuple:
+    """Bytes ``simulate`` holds at once: (its chain rows, the rest).
 
-    Per seed, one ``event_block`` of events in the loop and the jumps that
-    its ``GridWindows`` holds: one block added, and before it no more than
-    the window's rows, nor than the events expected in its span of time.
+    The chain rows are each seed's first n_steps + 1 post-jump mode rows,
+    which ``cli._fold_events`` keeps for the chain entries. The rest is, per
+    seed, one ``event_block`` of events in the loop and the jumps that its
+    ``GridWindows`` holds (one block added, and before it no more than the
+    window's rows, nor than the events expected in its span of time), as
+    ``record_bytes``; and, for all seeds, one window of rows in flight.
     """
-    window = min(GRID_BLOCK, grid_size(t_end, sample_dt),
-                 event_estimate(min(t_end, GRID_BLOCK * sample_dt), tau_mean))
-    return record_bytes(net, model, 2 * event_block(t_end, tau_mean, n_steps) + window, n_seeds)
+    # a window's rows, of grid_size as a float: a tiny sample_dt overflows its int
+    rows = math.ceil(min(GRID_BLOCK, t_end / sample_dt + 1.0))
+    window = min(rows, event_estimate(min(t_end, GRID_BLOCK * sample_dt), tau_mean))
+    rest = record_bytes(net, model, 2 * event_block(t_end, tau_mean, n_steps) + window, n_seeds)
+    return 8 * n_seeds * (n_steps + 1) * 2 * net.dof, rest + 8 * rows * 2 * net.dof
 
 
 def grid_size(t_end: float, sample_dt: float) -> int:

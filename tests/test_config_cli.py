@@ -2,6 +2,7 @@ import copy
 import io
 import itertools
 import json
+import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -27,7 +28,7 @@ from oscbath.errors import ConfigError, NumericalAbort
 from oscbath.laws import GaussianVelocity
 from oscbath.network import chain_stiffness
 from oscbath.pdmp import (EVENT_LOOP_MAX_S, GRID_BLOCK, GRID_MAX_ROWS, RECORD_MAX_BYTES, SEED_STEP_S,
-                          STEP_S, GridWindows, Moments, grid_index, grid_size)
+                          STEP_S, GridWindows, Moments, grid_index, grid_size, held_bytes)
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
@@ -895,7 +896,10 @@ def test_the_horizon_is_bounded_by_run_time_not_by_memory(tmp_path, capsys):
 
 def test_what_simulate_holds_at_once_is_bounded_with_the_seeds():
     # chain3 seeds at t_end 5000 and sample_dt 1 each hold two blocks of 512 events and
-    # the jumps of a 4,096-row grid window: 0.74 GB for 2,000 seeds, 3.7 GB for 10,000
+    # the jumps of a 4,096-row grid window, 369 kB, and 48 kB of chain rows at n_steps
+    # 1000: 0.83 GB for 2,000 seeds, 4.2 GB for 10,000. At n_steps 5000 the chain rows
+    # are 240 kB a seed: 1,500 seeds hold 0.91 GB and 2,000 seeds 1.22 GB. Checked apart,
+    # each part passed up to 2,500 seeds, which peaked at 1,219 MiB
     raw = json.loads((CONFIGS / "chain3.json").read_text())
     raw["run"].update(t_end=5000.0, sample_dt=1.0, burn_in=500.0, seeds=list(range(2000)))
     load_config(raw)
@@ -903,6 +907,44 @@ def test_what_simulate_holds_at_once_is_bounded_with_the_seeds():
     with pytest.raises(ConfigError, match=rf"^run\.seeds lists 10000 seeds, more than "
                                           rf"{RECORD_MAX_BYTES} bytes of event blocks"):
         load_config(raw)
+    raw["run"].update(n_steps=5000, seeds=list(range(1500)))
+    load_config(raw)
+    for seeds in (2000, 2500):
+        raw["run"]["seeds"] = list(range(seeds))
+        with pytest.raises(ConfigError, match=rf"^run\.seeds lists {seeds} seeds"):
+            load_config(raw)
+
+
+def _ball_lattice_grid():
+    raw = base_config(t_end=1.0e4, sample_dt=0.1, seeds=[0, 1])
+    del raw["run"]["burn_in"]
+    raw["network"] = {"n_particles": 6, "dim": 2, "mass": 1.0, "stiffness": {
+        "kind": "explicit", "matrix": np.kron(chain_stiffness(6), np.eye(2)).tolist()}}
+    raw["model"] = {"kind": "two_dim_ball", "external_mass": 0.5, "velocity_sigma2": 1.0}
+    raw["schedule"] = {"tau": {"kind": "gamma", "shape": 2.0, "rate": 1.0}}
+    raw["contact_sites"] = [0, 1]
+    return raw
+
+
+@pytest.mark.parametrize("raw", [
+    # 8 chain3 seeds whose 20,001 chain rows dominate: peak 8.82 MB of 8.71 MB held
+    base_config(t_end=500.0, sample_dt=0.25, burn_in=50.0, n_steps=20_000, seeds=list(range(8))),
+    # the ball-lattice-grid benchmark workload, whose window rows dominate: 1.76 of 1.77 MB
+    _ball_lattice_grid(),
+], ids=["chain3-long-chain", "ball-lattice-grid"])
+def test_held_bytes_bounds_what_simulate_holds(raw):
+    cfg = load_config(raw)
+    held = sum(held_bytes(cfg.network, cfg.model, cfg.tau_law.mean, cfg.t_end, cfg.sample_dt,
+                          cfg.n_steps, len(cfg.seeds)))
+    short = {**raw, "run": {**raw["run"], "t_end": 50.0, "burn_in": 5.0, "n_steps": 10}}
+    run_simulate(load_config(short), None)  # warm caches: a first run peaked 0.75 MB higher
+    tracemalloc.start()
+    try:
+        run_simulate(cfg, None)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.1 * held, (peak, held)
 
 
 def test_the_longest_documented_run_loads_within_the_grid_bound():

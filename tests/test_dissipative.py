@@ -1,4 +1,5 @@
 import collections
+import dataclasses
 import json
 from pathlib import Path
 
@@ -8,7 +9,7 @@ import pytest
 from _ensembles import conditioned_pd_matrix
 from _reference_engine import propagate
 from oscbath import spectral
-from oscbath.cli import run_dissipative
+from oscbath.cli import _json_default, run_dissipative
 from oscbath.config import load_config
 from oscbath.dissipative import CLUSTER_TOL, analyze, neutral_subspace_basis
 from oscbath.errors import NumericalAbort
@@ -50,7 +51,8 @@ def test_analyze_long_chain_is_complete_and_skips_the_scan(n):
     assert rep.independence_max_coeff is None
     assert rep.independence_witness is None
     assert rep.multiplicity_bound and rep.l0_invariance
-    assert json.loads(json.dumps(rep.to_dict()))["rationally_independent"] is None
+    payload = json.dumps(dataclasses.asdict(rep), default=_json_default)
+    assert json.loads(payload)["rationally_independent"] is None
 
 
 def test_analyze_chain6_scans_independence():
@@ -92,7 +94,7 @@ def test_analyze_flags_ambiguous_clustering():
 
 def test_report_json_roundtrip():
     rep = analyze_matrix(double_eigenvalue_3x3(), [0, 1])
-    payload = json.dumps(rep.to_dict())
+    payload = json.dumps(dataclasses.asdict(rep), default=_json_default)
     back = json.loads(payload)
     assert back["krylov_rank"] == rep.krylov_rank
     assert back["complete"] == rep.complete

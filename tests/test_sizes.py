@@ -1,5 +1,5 @@
 """Every subcommand on chains of 13 and 256, and ``dissipative`` on a chain of
-1000: the exit-code contract and the cost of drift-check and dissipative.
+1000: the exit-code contract, strict-JSON reports, and the cost of each run.
 
 ``covariance`` and ``rank-probe`` refuse dof > 12 by design (exit 2, one JSON
 line), from dof 13 on; the others run with ``--check`` and exit 0 or 4.
@@ -35,12 +35,12 @@ def _chain(tmp_path_factory, n):
 
 
 def _reject(constant):
-    raise ValueError(f"{constant} in the error line")
+    raise ValueError(f"{constant} in JSON output")
 
 
-def _assert_verdict(path, capsys, command):
+def _assert_verdict(path, capsys, command, *flags):
     """--check exits 0 or 4 and writes nothing to stderr."""
-    assert main([command, "--config", path, "--check"]) in (0, 4)
+    assert main([command, "--config", path, "--check", *flags]) in (0, 4)
     assert capsys.readouterr().err == ""
 
 
@@ -73,12 +73,15 @@ def test_chain13_is_refused_by_the_small_network_analyses(chain13, capsys, comma
 
 
 @pytest.mark.parametrize("command", ["simulate", "stationarity", "dissipative", "drift-check"])
-def test_chain256_runs_with_a_verdict(chain256, capsys, command):
+def test_chain256_runs_with_a_verdict(chain256, capsys, tmp_path, command):
+    # within 60 s each, and a report.json, where one is written, is strict JSON
+    flags = [] if command == "simulate" else ["--out", str(tmp_path)]
     t0 = time.perf_counter()
-    _assert_verdict(chain256, capsys, command)
+    _assert_verdict(chain256, capsys, command, *flags)
     seconds = time.perf_counter() - t0
-    if command == "drift-check":
-        assert seconds <= DRIFT_CHECK_BUDGET_S
+    assert seconds <= (DRIFT_CHECK_BUDGET_S if command == "drift-check" else 60.0)
+    if flags:
+        json.loads((tmp_path / "report.json").read_text(), parse_constant=_reject)
 
 
 @pytest.mark.parametrize("command", ["covariance", "rank-probe"])
